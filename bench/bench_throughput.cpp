@@ -1,10 +1,8 @@
 // Throughput benchmark for the parallel compute engine: GEMM GFLOP/s,
 // training epoch time, random-walk generation, candidate generation,
-// ServingEngine rank latency/QPS, coalesced (BatchingQueue) serving
-// latency/QPS, end-to-end HTTP serving latency/QPS/shed rate over the
-// loopback, the online route-planning pipeline (cold vs candidate-cached
-// latency + routes/s), and snapshot capture/hot-swap latency at 1/2/4/N
-// threads.
+// end-to-end HTTP serving latency/QPS/shed rate over the loopback, the
+// online route-planning pipeline (cold vs candidate-cached latency +
+// routes/s), and snapshot capture/hot-swap latency at 1/2/4/N threads.
 // Emits BENCH_throughput.json (override the path with PATHRANK_BENCH_OUT)
 // so the perf trajectory is tracked across PRs.
 //
@@ -47,6 +45,16 @@ using namespace pathrank;
 /// "gflops" are throughput (higher is better); names ending in "_s" are
 /// seconds (lower is better).
 using Metrics = std::map<std::string, double>;
+
+/// The candidate strategy every serving section enumerates with.
+data::CandidateGenConfig ServingCandidates(
+    const bench::ExperimentScale& scale) {
+  data::CandidateGenConfig gen;
+  gen.k = scale.candidates_k;
+  gen.similarity_threshold = 0.6;
+  gen.max_enumerated = 300;
+  return gen;
+}
 
 std::vector<size_t> ThreadCounts() {
   const size_t hw = std::max<unsigned>(1, std::thread::hardware_concurrency());
@@ -162,170 +170,11 @@ void BenchCandidates(const bench::ExperimentScale& scale,
   }
 }
 
-void BenchServing(const bench::ExperimentScale& scale,
-                  const bench::Workload& workload,
-                  const std::vector<size_t>& thread_counts,
-                  Metrics* metrics) {
-  core::PathRankConfig model_cfg;
-  model_cfg.embedding_dim = 64;
-  model_cfg.hidden_size = scale.hidden_size;
-  model_cfg.seed = 7;
-  // Latency does not depend on the weight values, so an untrained model
-  // measures the same serving path a trained deployment would.
-  const core::PathRankModel model(workload.network.num_vertices(), model_cfg,
-                                  core::InitMode::kRandomInit);
-  const auto snapshot = serving::ModelSnapshot::Capture(model);
-
-  serving::ServingOptions options;
-  options.candidates.k = scale.candidates_k;
-  options.candidates.similarity_threshold = 0.6;
-  options.candidates.max_enumerated = 300;
-
-  // Query mix: the workload trips' endpoints.
-  std::vector<serving::RankQuery> queries;
-  const size_t num_queries = std::min<size_t>(workload.trips.size(), 48);
-  queries.reserve(num_queries);
-  for (size_t i = 0; i < num_queries; ++i) {
-    queries.push_back(
-        {workload.trips[i].source(), workload.trips[i].destination()});
-  }
-
-  for (size_t threads : thread_counts) {
-    SetNumThreads(threads);
-    const serving::ServingEngine engine(workload.network, snapshot, options);
-    // Warm-up: scratch allocation, pool spin-up.
-    engine.Rank(queries[0].source, queries[0].destination);
-
-    std::vector<double> latency;
-    size_t served = 0;
-    Stopwatch watch;
-    do {
-      std::vector<double> round(queries.size());
-      ParallelForShards(0, queries.size(),
-                        [&](size_t /*shard*/, size_t lo, size_t hi) {
-                          for (size_t q = lo; q < hi; ++q) {
-                            Stopwatch per_query;
-                            engine.Rank(queries[q].source,
-                                        queries[q].destination);
-                            round[q] = per_query.ElapsedSeconds();
-                          }
-                        });
-      latency.insert(latency.end(), round.begin(), round.end());
-      served += queries.size();
-    } while (watch.ElapsedSeconds() < 0.5);
-    const double wall = watch.ElapsedSeconds();
-
-    std::sort(latency.begin(), latency.end());
-    const double p50 = PercentileSorted(latency, 0.50);
-    const double p99 = PercentileSorted(latency, 0.99);
-    const double qps = static_cast<double>(served) / wall;
-    const std::string suffix = "_t" + std::to_string(threads);
-    (*metrics)["serve_rank_p50_s" + suffix] = p50;
-    (*metrics)["serve_rank_p99_s" + suffix] = p99;
-    (*metrics)["serve_rank_per_s" + suffix] = qps;
-    std::printf(
-        "serve rank  threads=%zu  %.1f QPS  p50 %.2f ms  p99 %.2f ms\n",
-        threads, qps, p50 * 1e3, p99 * 1e3);
-  }
-}
-
-void BenchServingBatched(const bench::ExperimentScale& scale,
-                         const bench::Workload& workload,
-                         const std::vector<size_t>& thread_counts,
-                         Metrics* metrics) {
-  core::PathRankConfig model_cfg;
-  model_cfg.embedding_dim = 64;
-  model_cfg.hidden_size = scale.hidden_size;
-  model_cfg.seed = 7;
-  const core::PathRankModel model(workload.network.num_vertices(), model_cfg,
-                                  core::InitMode::kRandomInit);
-  const auto snapshot = serving::ModelSnapshot::Capture(model);
-
-  serving::ServingOptions options;
-  options.candidates.k = scale.candidates_k;
-  options.candidates.similarity_threshold = 0.6;
-  options.candidates.max_enumerated = 300;
-
-  std::vector<serving::RankQuery> queries;
-  const size_t num_queries = std::min<size_t>(workload.trips.size(), 48);
-  queries.reserve(num_queries);
-  for (size_t i = 0; i < num_queries; ++i) {
-    queries.push_back(
-        {workload.trips[i].source(), workload.trips[i].destination()});
-  }
-
-  for (size_t threads : thread_counts) {
-    SetNumThreads(threads);
-    const serving::ServingEngine engine(workload.network, snapshot, options);
-    serving::BatchingOptions batch_options;  // default max_batch/max_wait
-    serving::BatchingQueue queue(engine, batch_options);
-    // Closed-loop clients on plain threads: pool workers must never block
-    // on queue futures (batching_queue.h), and the pool stays free for
-    // the dispatcher's coalesced kernels. More clients than pool threads
-    // keeps the queue non-empty so flushes actually coalesce.
-    const size_t clients = std::max<size_t>(4, threads);
-
-    // Warm-up.
-    queue.SubmitRank(queries[0].source, queries[0].destination).get();
-
-    std::vector<double> latency;
-    std::atomic<size_t> served{0};
-    std::atomic<bool> stop{false};
-    std::vector<std::vector<double>> per_client(clients);
-    Stopwatch watch;
-    std::vector<std::thread> workers;
-    workers.reserve(clients);
-    for (size_t c = 0; c < clients; ++c) {
-      workers.emplace_back([&, c] {
-        size_t i = c;
-        while (!stop.load(std::memory_order_relaxed)) {
-          const auto& query = queries[i % queries.size()];
-          Stopwatch per_query;
-          queue.SubmitRank(query.source, query.destination).get();
-          per_client[c].push_back(per_query.ElapsedSeconds());
-          served.fetch_add(1, std::memory_order_relaxed);
-          i += clients;
-        }
-      });
-    }
-    // Run until the sample is big enough for a meaningful p99 (with ~20
-    // samples the 0.99 quantile is just the max and gates flakily), with
-    // a wall cap so slow machines still finish.
-    while (served.load(std::memory_order_relaxed) < 200 &&
-           watch.ElapsedSeconds() < 5.0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    stop.store(true);
-    for (auto& w : workers) w.join();
-    const double wall = watch.ElapsedSeconds();
-    for (const auto& client_latency : per_client) {
-      latency.insert(latency.end(), client_latency.begin(),
-                     client_latency.end());
-    }
-
-    std::sort(latency.begin(), latency.end());
-    const double p50 = PercentileSorted(latency, 0.50);
-    const double p99 = PercentileSorted(latency, 0.99);
-    const double qps = static_cast<double>(served.load()) / wall;
-    const double rows_per_flush =
-        queue.num_flushes() > 0
-            ? static_cast<double>(queue.num_rows()) /
-                  static_cast<double>(queue.num_flushes())
-            : 0.0;
-    const std::string suffix = "_t" + std::to_string(threads);
-    (*metrics)["serve_batched_p50_s" + suffix] = p50;
-    (*metrics)["serve_batched_p99_s" + suffix] = p99;
-    (*metrics)["serve_batched_per_s" + suffix] = qps;
-    std::printf(
-        "serve batch threads=%zu  %.1f QPS  p50 %.2f ms  p99 %.2f ms  "
-        "(%.1f rows/flush)\n",
-        threads, qps, p50 * 1e3, p99 * 1e3, rows_per_flush);
-  }
-}
-
 // End-to-end HTTP serving over the loopback: closed-loop keep-alive
-// clients driving POST /v1/rank against an HttpServer front-ending the
-// engine — the full deployment path (socket + JSON + admission + rank).
+// clients driving POST /v1/route against an HttpServer front-ending a
+// RoutePlanner — the full deployment path (socket + JSON + admission +
+// enumeration + scoring). The planner's cache is off, so every request
+// pays candidate enumeration and scoring.
 // serve_http_shed_rate is measured with max_inflight sized to the client
 // count, so it is 0 by construction in a healthy build; any positive
 // value means admission control started shedding load it should not have,
@@ -340,23 +189,18 @@ void BenchServingHttp(const bench::ExperimentScale& scale,
                                   core::InitMode::kRandomInit);
   const auto snapshot = serving::ModelSnapshot::Capture(model);
 
-  serving::ServingOptions options;
-  options.candidates.k = scale.candidates_k;
-  options.candidates.similarity_threshold = 0.6;
-  options.candidates.max_enumerated = 300;
-
-  std::vector<serving::RankQuery> queries;
-  const size_t num_queries = std::min<size_t>(workload.trips.size(), 48);
-  queries.reserve(num_queries);
-  for (size_t i = 0; i < num_queries; ++i) {
-    queries.push_back(
-        {workload.trips[i].source(), workload.trips[i].destination()});
-  }
-
   const size_t threads =
       std::max<unsigned>(1, std::thread::hardware_concurrency());
   SetNumThreads(threads);
-  const serving::ServingEngine engine(workload.network, snapshot, options);
+  const serving::ServingEngine engine(workload.network, snapshot);
+  serving::RoutePlannerConfig route_config;
+  route_config.network = &workload.network;
+  route_config.candidates = ServingCandidates(scale);
+  route_config.cache_capacity = 0;
+  const serving::RoutePlanner planner(
+      route_config, [&engine](std::vector<routing::Path> paths) {
+        return engine.ScoreBatch(paths);
+      });
 
   const size_t clients = std::max<size_t>(4, threads);
   serving::HttpServerOptions http_options;
@@ -367,23 +211,26 @@ void BenchServingHttp(const bench::ExperimentScale& scale,
 
   serving::HttpBackend backend;
   backend.num_vertices = workload.network.num_vertices();
-  backend.rank = [&engine](graph::VertexId s, graph::VertexId d) {
-    return engine.Rank(s, d);
-  };
   backend.score = [&engine](std::vector<routing::Path> paths) {
     return engine.ScoreBatch(paths);
+  };
+  backend.route = [&planner](const serving::RouteRequest& request) {
+    return planner.Plan(request);
   };
   serving::HttpServer server(std::move(backend), http_options);
   server.Start();
 
-  // Pre-rendered request bodies keep the client loop about the wire, not
-  // about JSON string building.
+  // Query mix: the workload trips' endpoints. Pre-rendered request
+  // bodies keep the client loop about the wire, not about JSON string
+  // building.
   std::vector<std::string> bodies;
-  bodies.reserve(queries.size());
-  for (const auto& query : queries) {
-    bodies.push_back("{\"source\": " + std::to_string(query.source) +
-                     ", \"destination\": " +
-                     std::to_string(query.destination) + "}");
+  const size_t num_queries = std::min<size_t>(workload.trips.size(), 48);
+  bodies.reserve(num_queries);
+  for (size_t i = 0; i < num_queries; ++i) {
+    bodies.push_back(
+        "{\"source\": " + std::to_string(workload.trips[i].source()) +
+        ", \"destination\": " +
+        std::to_string(workload.trips[i].destination()) + "}");
   }
 
   std::atomic<size_t> served{0};
@@ -397,7 +244,7 @@ void BenchServingHttp(const bench::ExperimentScale& scale,
   {
     serving::HttpClient warm;
     warm.Connect(server.port());
-    warm.Request("POST", "/v1/rank", bodies[0]);
+    warm.Request("POST", "/v1/route", bodies[0]);
   }
   Stopwatch watch;
   for (size_t c = 0; c < clients; ++c) {
@@ -412,7 +259,7 @@ void BenchServingHttp(const bench::ExperimentScale& scale,
         while (!stop.load(std::memory_order_relaxed)) {
           Stopwatch per_request;
           const auto response =
-              client.Request("POST", "/v1/rank", bodies[i % bodies.size()]);
+              client.Request("POST", "/v1/route", bodies[i % bodies.size()]);
           if (response.status == 200) {
             per_client[c].push_back(per_request.ElapsedSeconds());
             served.fetch_add(1, std::memory_order_relaxed);
@@ -430,8 +277,9 @@ void BenchServingHttp(const bench::ExperimentScale& scale,
       }
     });
   }
-  // Same sizing rule as the batched bench: enough samples for a stable
-  // p99, wall-capped for slow machines. Error responses end the run
+  // Run until the sample is big enough for a meaningful p99 (with ~20
+  // samples the 0.99 quantile is just the max and gates flakily),
+  // wall-capped for slow machines. Error responses end the run
   // early — their latencies are excluded, so looping on them would spin.
   while (served.load(std::memory_order_relaxed) < 200 &&
          errors.load(std::memory_order_relaxed) == 0 &&
@@ -483,8 +331,8 @@ void BenchServingHttp(const bench::ExperimentScale& scale,
 // candidate sets + scoring. Enumeration dominates, so the committed
 // baseline documents the gap the cache buys; serve_route_per_s is the
 // steady-state (warm) throughput. Latencies are single-caller — the
-// concurrency story is measured by the serve_rank_*/serve_http_*
-// sections; this one isolates the routing pipeline itself.
+// concurrency story is measured by the serve_http_* section; this one
+// isolates the routing pipeline itself.
 void BenchServingRoute(const bench::ExperimentScale& scale,
                        const bench::Workload& workload, Metrics* metrics) {
   core::PathRankConfig model_cfg;
@@ -495,18 +343,14 @@ void BenchServingRoute(const bench::ExperimentScale& scale,
                                   core::InitMode::kRandomInit);
   const auto snapshot = serving::ModelSnapshot::Capture(model);
 
-  serving::ServingOptions options;
-  options.candidates.k = scale.candidates_k;
-  options.candidates.similarity_threshold = 0.6;
-  options.candidates.max_enumerated = 300;
   const size_t threads =
       std::max<unsigned>(1, std::thread::hardware_concurrency());
   SetNumThreads(threads);
-  const serving::ServingEngine engine(workload.network, snapshot, options);
+  const serving::ServingEngine engine(workload.network, snapshot);
 
   serving::RoutePlannerConfig route_config;
   route_config.network = &workload.network;
-  route_config.candidates = options.candidates;
+  route_config.candidates = ServingCandidates(scale);
   route_config.cache_capacity = 4096;
   const auto score = [&engine](std::vector<routing::Path> paths) {
     return engine.ScoreBatch(paths);
@@ -687,16 +531,12 @@ void BenchServingGraphSwap(const bench::ExperimentScale& scale,
                                   core::InitMode::kRandomInit);
   const auto snapshot = serving::ModelSnapshot::Capture(model);
 
-  serving::ServingOptions options;
-  options.candidates.k = scale.candidates_k;
-  options.candidates.similarity_threshold = 0.6;
-  options.candidates.max_enumerated = 300;
-  const serving::ServingEngine engine(workload.network, snapshot, options);
+  const serving::ServingEngine engine(workload.network, snapshot);
 
   serving::GraphStore store{graph::RoadNetwork(workload.network)};
   serving::RoutePlannerConfig route_config;
   route_config.store = &store;
-  route_config.candidates = options.candidates;
+  route_config.candidates = ServingCandidates(scale);
   route_config.cache_capacity = 4096;
   const serving::RoutePlanner planner(
       route_config, [&engine](std::vector<routing::Path> paths) {
@@ -813,12 +653,17 @@ void BenchSnapshotSwap(const bench::ExperimentScale& scale,
   (*metrics)["snapshot_capture_s"] = capture_s;
 
   // Swap cost under load: the cut-over latency a serving fleet pays per
-  // model publish, with rank traffic hammering the engine throughout.
-  serving::ServingOptions options;
-  options.candidates.k = scale.candidates_k;
-  options.candidates.similarity_threshold = 0.6;
-  options.candidates.max_enumerated = 300;
-  serving::ServingEngine engine(workload.network, snapshot, options);
+  // model publish, with uncached route traffic hammering the engine
+  // throughout.
+  serving::ServingEngine engine(workload.network, snapshot);
+  serving::RoutePlannerConfig route_config;
+  route_config.network = &workload.network;
+  route_config.candidates = ServingCandidates(scale);
+  route_config.cache_capacity = 0;
+  const serving::RoutePlanner planner(
+      route_config, [&engine](std::vector<routing::Path> paths) {
+        return engine.ScoreBatch(paths);
+      });
   const auto alternate = serving::ModelSnapshot::Capture(model);
 
   std::atomic<bool> stop{false};
@@ -829,7 +674,7 @@ void BenchSnapshotSwap(const bench::ExperimentScale& scale,
       size_t i = t;
       while (!stop.load(std::memory_order_relaxed)) {
         const auto& trip = workload.trips[i % workload.trips.size()];
-        engine.Rank(trip.source(), trip.destination());
+        planner.Plan({trip.source(), trip.destination()});
         ++i;
       }
     });
@@ -952,8 +797,6 @@ int main(int argc, char** argv) {
   BenchGemm(thread_counts, &metrics);
   BenchWalks(scale, workload, thread_counts, &metrics);
   BenchCandidates(scale, workload, thread_counts, &metrics);
-  BenchServing(scale, workload, thread_counts, &metrics);
-  BenchServingBatched(scale, workload, thread_counts, &metrics);
   BenchServingHttp(scale, workload, &metrics);
   BenchServingRoute(scale, workload, &metrics);
   BenchServingRouteColdEngines(&metrics);

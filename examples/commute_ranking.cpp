@@ -56,9 +56,17 @@ int main() {
   train_cfg.learning_rate = 3e-3;
   core::TrainPathRank(model, split.train, split.validation, train_cfg);
 
-  // Deployment surface: immutable snapshot + thread-safe engine.
+  // Deployment surface: an immutable snapshot in a thread-safe scorer,
+  // behind the planner that enumerates and ranks each query's candidates.
   const serving::ServingEngine engine(network,
                                       serving::ModelSnapshot::Capture(model));
+  serving::RoutePlannerConfig planner_cfg;
+  planner_cfg.network = &network;
+  planner_cfg.candidates = gen_cfg;
+  const serving::RoutePlanner planner(
+      planner_cfg, [&engine](std::vector<routing::Path> paths) {
+        return engine.ScoreBatch(paths);
+      });
   routing::Dijkstra dijkstra(network);
   const auto length_cost = routing::EdgeCostFn::Length(network);
   const auto time_cost = routing::EdgeCostFn::TravelTime(network);
@@ -81,7 +89,7 @@ int main() {
         dijkstra.ShortestPath(q.source, q.destination, length_cost);
     const auto fastest =
         dijkstra.ShortestPath(q.source, q.destination, time_cost);
-    const auto ranked = engine.Rank(q.source, q.destination, gen_cfg);
+    const auto ranked = planner.Plan({q.source, q.destination}).ranked;
     if (!shortest.has_value() || !fastest.has_value() || ranked.empty()) {
       continue;
     }

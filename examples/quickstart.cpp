@@ -77,15 +77,21 @@ int main() {
   std::printf("[6/7] test: %s\n", result.ToString().c_str());
 
   // 7. Deployment: capture an immutable snapshot of the trained weights
-  // and serve it from a replica-pool engine. Any number of threads could
-  // now call engine.Rank / RankBatch concurrently on this one engine.
+  // in a replica-pool scorer, and rank through a RoutePlanner that
+  // enumerates each query's candidates and scores them with it. Any
+  // number of threads could now call planner.Plan concurrently.
   const auto& query_trip = split.test.queries.front();
-  serving::ServingOptions serve_opts;
-  serve_opts.candidates = gen_cfg;
-  const serving::ServingEngine engine(
-      network, serving::ModelSnapshot::Capture(model), serve_opts);
+  const serving::ServingEngine engine(network,
+                                      serving::ModelSnapshot::Capture(model));
+  serving::RoutePlannerConfig planner_cfg;
+  planner_cfg.network = &network;
+  planner_cfg.candidates = gen_cfg;
+  const serving::RoutePlanner planner(
+      planner_cfg, [&engine](std::vector<routing::Path> paths) {
+        return engine.ScoreBatch(paths);
+      });
   const auto ranked =
-      engine.Rank(query_trip.source, query_trip.destination);
+      planner.Plan({query_trip.source, query_trip.destination}).ranked;
   std::printf("[7/7] query %u -> %u, %zu candidates:\n", query_trip.source,
               query_trip.destination, ranked.size());
   for (size_t i = 0; i < ranked.size(); ++i) {

@@ -15,9 +15,7 @@ const char* LockRankName(int rank) {
     case LockRank::kRouteFlightTable: return "planner.flight_table";
     case LockRank::kRouteFlight: return "planner.flight";
     case LockRank::kRouteCache: return "planner.cache";
-    case LockRank::kBatchingQueue: return "batching.queue";
     case LockRank::kEngineSnapshot: return "engine.snapshot";
-    case LockRank::kEngineBatchReplica: return "engine.batch_replica";
     case LockRank::kPoolRegion: return "pool.region";
     case LockRank::kPoolState: return "pool.state";
     case LockRank::kPoolError: return "pool.error";

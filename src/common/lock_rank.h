@@ -75,15 +75,8 @@ struct LockRank {
   static constexpr int kRouteCache = 80;
 
   // -- model serving -----------------------------------------------------
-  /// BatchingQueue::mu_ — the pending-request queue. Flushes score
-  /// OUTSIDE it, so it never nests over the engine locks below.
-  static constexpr int kBatchingQueue = 90;
   /// ServingEngine::snapshot_mu_ — the served-snapshot slot.
   static constexpr int kEngineSnapshot = 100;
-  /// ServingEngine::batch_replica_->mu — the coalesced-scoring replica.
-  /// Ranked BEFORE the pool locks: its holder is the one scoring path
-  /// allowed to dispatch a pool region (ScoreCoalesced).
-  static constexpr int kEngineBatchReplica = 110;
 
   // -- global thread pool ------------------------------------------------
   /// ThreadPool::region_mutex_ — one parallel region at a time; held by
@@ -98,10 +91,9 @@ struct LockRank {
 
   // -- leaves ------------------------------------------------------------
   /// ServingEngine round-robin Replica::mu — per-caller scoring scratch.
-  /// Ranked AFTER the pool locks because RankBatch's region owner holds
-  /// region_mutex_ while its chunks score (each chunk locks exactly one
-  /// replica, so all replicas share this rank). The inference under it
-  /// runs serially (SerialRegionScope) — it never re-enters the pool.
+  /// A caller holds exactly one replica, so all replicas share this rank.
+  /// The inference under it runs serially (SerialRegionScope) — it never
+  /// re-enters the pool.
   static constexpr int kEngineReplica = 150;
   /// HttpServer::Endpoint::mu — per-endpoint latency/error counters.
   static constexpr int kHttpEndpointStats = 160;

@@ -219,8 +219,6 @@ SerialRegionScope::SerialRegionScope() : previous_(t_in_parallel_region) {
 
 SerialRegionScope::~SerialRegionScope() { t_in_parallel_region = previous_; }
 
-bool InParallelRegion() { return t_in_parallel_region; }
-
 size_t GetNumThreads() { return ThreadPool::Global().num_threads(); }
 
 void SetNumThreads(size_t n) { ThreadPool::Global().Resize(n); }

@@ -13,14 +13,19 @@
 //   auto result  = core::Evaluate(model, split.test);
 //
 // Deployment goes through the serving stack: capture an immutable snapshot
-// of the trained weights and serve it from a thread-safe replica-pool
-// engine (any number of threads may query one shared engine):
+// of the trained weights in a thread-safe replica-pool scorer, and rank
+// queries through a RoutePlanner that enumerates candidates and scores
+// them with it (any number of threads may share both):
 //
 //   serving::ServingEngine engine(network,
 //                                 serving::ModelSnapshot::Capture(model));
-//   auto ranked  = engine.Rank(source, destination);         // one query
-//   auto batches = engine.RankBatch(queries);                // many queries
-//   auto scored  = engine.ScoreBatch(candidatePaths);        // own candidates
+//   serving::RoutePlannerConfig config;
+//   config.network = &network;
+//   serving::RoutePlanner planner(config, [&engine](auto paths) {
+//     return engine.ScoreBatch(paths);
+//   });
+//   auto ranked = planner.Plan({source, destination}).ranked;  // one query
+//   auto scored = engine.ScoreBatch(candidatePaths);     // own candidates
 //
 // See docs/serving.md for the threading and determinism contract.
 #pragma once
@@ -41,8 +46,7 @@
 #include "routing/dijkstra.h"  // IWYU pragma: export
 #include "routing/diversified.h"        // IWYU pragma: export
 #include "routing/yen.h"       // IWYU pragma: export
-#include "serving/batching_queue.h"     // IWYU pragma: export
 #include "serving/model_snapshot.h"     // IWYU pragma: export
+#include "serving/route_planner.h"      // IWYU pragma: export
 #include "serving/serving_engine.h"     // IWYU pragma: export
-#include "serving/sharded_engine.h"     // IWYU pragma: export
 #include "traj/trajectory_generator.h"  // IWYU pragma: export

@@ -335,16 +335,19 @@ json::Value RankingJson(const std::vector<ScoredPath>& ranking,
   return json::Value(std::move(object));
 }
 
-Response HandleRank(const HttpBackend& backend, const std::string& body);
 Response HandleScore(const HttpBackend& backend, const std::string& body);
-/// What /v1/route did beyond the status code — feeds the server-level
-/// deadline/degradation counters ServeConnection maintains.
+/// What /v1/route (or /v1/rank) did beyond the status code — feeds the
+/// server-level deadline/degradation counters ServeConnection maintains.
 struct RouteOutcome {
   bool deadline_exceeded = false;
   bool degraded = false;
 };
+/// Serves /v1/route and its /v1/rank alias: one body parser, one route
+/// backend call, one status table. `rank_alias` picks only the 200 body
+/// shape — /v1/rank's {"candidates": [...]} instead of RouteJson.
 Response HandleRoute(const HttpBackend& backend, const Request& request,
-                     const HttpServerOptions& options, RouteOutcome* outcome);
+                     const HttpServerOptions& options, bool rank_alias,
+                     RouteOutcome* outcome);
 Response HandleTraffic(const HttpBackend& backend, const std::string& body);
 json::Value StatszJson(const HttpServerStats& stats,
                        const HttpServerOptions& options);
@@ -413,8 +416,8 @@ HttpServer::HttpServer(HttpBackend backend, const HttpServerOptions& options)
       score_stats_(std::make_unique<Endpoint>()),
       route_stats_(std::make_unique<Endpoint>()),
       traffic_stats_(std::make_unique<Endpoint>()) {
-  if (!backend_.rank || !backend_.score) {
-    throw std::invalid_argument("HttpBackend needs rank and score handlers");
+  if (!backend_.score) {
+    throw std::invalid_argument("HttpBackend needs a score handler");
   }
   if (options_.max_inflight == 0) options_.max_inflight = 1;
   // Zero timeouts would turn every recv into an immediate failure;
@@ -703,7 +706,7 @@ void HttpServer::ServeConnection(int fd) {
       const bool is_traffic = request.target == "/v1/traffic";
       if (request.method != "POST") {
         response = ErrorResponse(405, "use POST");
-      } else if (is_route && !backend_.route) {
+      } else if ((is_route || is_rank) && !backend_.route) {
         // Cheap rejection before admission: no backend work happens.
         response = ErrorResponse(
             404, "route planning is not enabled on this server");
@@ -718,11 +721,11 @@ void HttpServer::ServeConnection(int fd) {
         Stopwatch watch;
         RouteOutcome outcome;
         try {
-          response = is_route
-                         ? HandleRoute(backend_, request, options_, &outcome)
-                     : is_traffic ? HandleTraffic(backend_, request.body)
-                     : is_rank    ? HandleRank(backend_, request.body)
-                                  : HandleScore(backend_, request.body);
+          response =
+              is_route || is_rank
+                  ? HandleRoute(backend_, request, options_, is_rank, &outcome)
+              : is_traffic ? HandleTraffic(backend_, request.body)
+                           : HandleScore(backend_, request.body);
         } catch (...) {
           // Non-std exceptions from the backend seam (and bad_alloc in
           // the response path) must not escape this std::thread —
@@ -755,36 +758,6 @@ void HttpServer::ServeConnection(int fd) {
 }
 
 namespace {
-
-Response HandleRank(const HttpBackend& backend, const std::string& body) {
-  std::string parse_error;
-  const auto parsed = json::Parse(body, &parse_error);
-  if (!parsed) return ErrorResponse(400, "invalid JSON: " + parse_error);
-  graph::VertexId source = 0;
-  graph::VertexId destination = 0;
-  std::string message;
-  if (!ParseVertexId(parsed->Find("source"), backend.num_vertices, "source",
-                     &source, &message) ||
-      !ParseVertexId(parsed->Find("destination"), backend.num_vertices,
-                     "destination", &destination, &message)) {
-    return ErrorResponse(400, message);
-  }
-  try {
-    const auto ranking = backend.rank(source, destination);
-    Response response;
-    response.body = json::Dump(RankingJson(ranking, /*with_totals=*/true));
-    return response;
-  } catch (const std::exception& e) {
-    // Server log gets the details; the wire gets a generic body — the
-    // exception text can name internal paths/state, and the default
-    // bind is 0.0.0.0.
-    std::fprintf(stderr, "http: /v1/rank backend error: %s\n", e.what());
-    return ErrorResponse(500, "internal error");
-  } catch (...) {
-    std::fprintf(stderr, "http: /v1/rank backend error (non-std)\n");
-    return ErrorResponse(500, "internal error");
-  }
-}
 
 Response HandleScore(const HttpBackend& backend, const std::string& body) {
   std::string parse_error;
@@ -889,7 +862,8 @@ Response RouteErrorResponse(int http_status, const RouteResult& result) {
 }
 
 Response HandleRoute(const HttpBackend& backend, const Request& request,
-                     const HttpServerOptions& options, RouteOutcome* outcome) {
+                     const HttpServerOptions& options, bool rank_alias,
+                     RouteOutcome* outcome) {
   // Local validation failures carry the taxonomy slug too — clients
   // branching on body["status"] per the docs must never see a bare
   // {"error": ...} from this endpoint. That includes the parse failure
@@ -966,7 +940,10 @@ Response HandleRoute(const HttpBackend& backend, const Request& request,
     switch (result.status) {
       case RouteStatus::kOk: {
         Response response;
-        response.body = json::Dump(RouteJson(result));
+        response.body =
+            json::Dump(rank_alias ? RankingJson(result.ranked,
+                                                /*with_totals=*/true)
+                                  : RouteJson(result));
         return response;
       }
       case RouteStatus::kUnreachable:
@@ -977,10 +954,15 @@ Response HandleRoute(const HttpBackend& backend, const Request& request,
         return RouteErrorResponse(400, result);
     }
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "http: /v1/route backend error: %s\n", e.what());
+    // Server log gets the details; the wire gets a generic body — the
+    // exception text can name internal paths/state, and the default
+    // bind is 0.0.0.0.
+    std::fprintf(stderr, "http: %s backend error: %s\n",
+                 request.target.c_str(), e.what());
     return ErrorResponse(500, "internal error");
   } catch (...) {
-    std::fprintf(stderr, "http: /v1/route backend error (non-std)\n");
+    std::fprintf(stderr, "http: %s backend error (non-std)\n",
+                 request.target.c_str());
     return ErrorResponse(500, "internal error");
   }
 }

@@ -1,14 +1,16 @@
-// HTTP/1.1 front end for the serving stack — the network layer over
-// ServingEngine / ShardedEngine / BatchingQueue. Dependency-free: POSIX
+// HTTP/1.1 front end for the serving stack — the network layer over a
+// RoutePlanner and its ServingEngine scorer. Dependency-free: POSIX
 // sockets, an accept loop, and a fixed pool of connection worker threads
 // (plain threads, NEVER the global compute pool — workers block on
-// sockets and on BatchingQueue futures, both of which are forbidden on
-// pool workers).
+// sockets, which is forbidden on pool workers).
 //
 // Endpoints (JSON over HTTP/1.1, keep-alive supported):
-//   POST /v1/rank    {"source": id, "destination": id}
+//   POST /v1/rank    {"source": id, "destination": id, "k": n?,
+//                     "budget_ms": n?}
 //                    -> {"candidates": [{"score", "vertices",
 //                                        "length_m", "time_s"}, ...]}
+//                    (an alias of /v1/route in the older body shape: same
+//                    parsing, same route backend, same status table)
 //   POST /v1/score   {"paths": [[id, id, ...], ...]}
 //                    -> {"candidates": [{"score", "vertices"}, ...]}
 //   POST /v1/route   {"source": id, "destination": id, "k": n?,
@@ -35,7 +37,7 @@
 //   GET  /statsz     -> queue depth, shed count, per-endpoint latency,
 //                       graph_epoch + route-planner cache counters
 //
-// Admission control: the /v1/* endpoints share a bounded in-flight
+// Admission control: the four /v1/* endpoints share a bounded in-flight
 // budget (`max_inflight`). A request that cannot take a slot within
 // `max_queue_wait_us` is SHED with `429 Too Many Requests` +
 // `Retry-After` instead of queuing unboundedly — under overload the
@@ -49,8 +51,8 @@
 //
 // Fidelity: scores travel in shortest-round-trip double form (see
 // json.h), so a response body parses back bitwise identical to the
-// in-process ServingEngine::Rank / ScoreBatch result (http_server_test
-// asserts it).
+// in-process RoutePlanner::Plan / ServingEngine::ScoreBatch result
+// (http_server_test asserts it).
 #pragma once
 
 #include <atomic>
@@ -83,8 +85,9 @@ struct HttpServerOptions {
   /// never trigger (concurrency is already below the budget), and with
   /// no spare workers a saturated engine would starve /healthz probes.
   size_t num_threads = 0;
-  /// Admission budget shared by /v1/rank and /v1/score: at most this many
-  /// requests may be past admission (executing) at once. Keep it BELOW
+  /// Admission budget shared by /v1/rank, /v1/score, /v1/route and
+  /// /v1/traffic: at most this many requests may be past admission
+  /// (executing) at once. Keep it BELOW
   /// num_threads (the default sizing above does) or shedding never
   /// engages.
   size_t max_inflight = 64;
@@ -132,8 +135,10 @@ struct HttpServerStats {
   uint64_t connections_accepted = 0;
   uint64_t requests_total = 0;  ///< every parsed request, any endpoint
   uint64_t shed_total = 0;      ///< requests refused with 429
-  uint64_t deadline_exceeded_total = 0;  ///< /v1/route answered 504
-  uint64_t degraded_total = 0;  ///< /v1/route answered with a partial set
+  /// /v1/route or /v1/rank answered 504
+  uint64_t deadline_exceeded_total = 0;
+  /// /v1/route or /v1/rank answered with a partial set
+  uint64_t degraded_total = 0;
   uint64_t inflight = 0;        ///< currently past admission
   uint64_t admission_waiting = 0;  ///< currently queued for a slot
   /// Epoch of the graph snapshot currently served (0 when the server has
@@ -152,22 +157,18 @@ struct HttpServerStats {
 };
 
 /// What the server serves. Thin std::function seams rather than a fixed
-/// engine type, so one HttpServer front-ends a bare ServingEngine, a
-/// ShardedEngine, or a BatchingQueue (futures resolved inside `rank`) —
-/// exactly the compositions `pathrank_cli serve` offers.
+/// engine type, so tests can put a fake (a parked or faulting backend)
+/// behind any endpoint.
 struct HttpBackend {
-  /// Required: POST /v1/rank. May throw; the server answers 500.
-  std::function<std::vector<ScoredPath>(graph::VertexId source,
-                                        graph::VertexId destination)>
-      rank;
   /// Required: POST /v1/score. May throw; the server answers 500.
   std::function<std::vector<ScoredPath>(std::vector<routing::Path> paths)>
       score;
-  /// Optional: POST /v1/route — the full RoutePlanner pipeline (candidate
-  /// enumeration + cache + scoring). When absent the endpoint answers 404
-  /// ("route planning is not enabled"). RouteResult::status maps to the
-  /// HTTP code (kUnreachable -> 404, other non-kOk -> 400); only a thrown
-  /// exception becomes a 500.
+  /// Optional: POST /v1/route and its /v1/rank alias — the full
+  /// RoutePlanner pipeline (candidate enumeration + cache + scoring).
+  /// When absent both endpoints answer 404 ("route planning is not
+  /// enabled"). RouteResult::status maps to the HTTP code (kUnreachable
+  /// -> 404, kDeadlineExceeded -> 504, other non-kOk -> 400); only a
+  /// thrown exception becomes a 500.
   std::function<RouteResult(const RouteRequest& request)> route;
   /// Optional: POST /v1/traffic — live edge cost/closure ingestion,
   /// normally GraphStore::ApplyTraffic. When absent the endpoint answers
@@ -188,8 +189,9 @@ struct HttpBackend {
   /// Optional: surfaced in /healthz as "swap_count" so a watcher can see
   /// a model hot-swap land (the value flips when SwapSnapshot runs).
   std::function<uint64_t()> swap_count;
-  /// Vertex-id validation bound for request bodies (ids >= this are 400,
-  /// protecting the embedding lookup). 0 disables the check.
+  /// Vertex-id validation bound for /v1/score bodies (ids >= this are
+  /// 400, protecting the embedding lookup). 0 disables the check. Route
+  /// queries are range-checked by the route backend instead.
   size_t num_vertices = 0;
 };
 

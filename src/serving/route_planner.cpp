@@ -164,9 +164,11 @@ RoutePlanner::CacheValue RoutePlanner::Enumerate(
 
   auto set = std::make_shared<CandidateSet>();
   set->algo = algo;
-  set->paths = GenerateCandidates(network, request.source,
-                                  request.destination, gen, cancel,
-                                  engine.get());
+  // Single source of truth with training-data generation: served
+  // candidates always match the training distribution.
+  set->paths = data::GenerateCandidatePaths(network, request.source,
+                                            request.destination, gen, cancel,
+                                            engine.get());
   return set;
 }
 

@@ -8,9 +8,9 @@
 //      TkDI / D-TkDI / penalty baselines — the same
 //      data::CandidateGenConfig training used, so served candidates match
 //      the training distribution),
-//   3. scores the candidates through the injected engine backend (a bare
-//      ServingEngine::ScoreBatch, a BatchingQueue submit-and-wait, or a
-//      ShardedEngine — the same seam HttpBackend::score uses), and
+//   3. scores the candidates through the injected scoring seam (normally
+//      ServingEngine::ScoreBatch — the same seam HttpBackend::score
+//      uses), and
 //   4. returns them ordered by descending predicted score.
 //
 // Candidate enumeration dominates the cost (Yen is milliseconds; scoring
@@ -63,6 +63,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/deadline.h"
 #include "common/thread_annotations.h"
 #include "data/candidate_generation.h"
 #include "graph/road_network.h"
@@ -236,13 +237,12 @@ struct RoutePlannerStats {
 };
 
 /// The query -> candidates -> ranked-paths pipeline behind POST
-/// /v1/route. Borrows the network or graph store (caller keeps it alive)
+/// /v1/route and its /v1/rank alias. Borrows the network or graph store (caller keeps it alive)
 /// and owns a copy of the scoring seam.
 class RoutePlanner {
  public:
   /// Scores candidate paths, returning them sorted by descending score —
-  /// the contract of ServingEngine::ScoreBatch and
-  /// BatchingQueue::SubmitScore(...).get() (same signature as
+  /// the contract of ServingEngine::ScoreBatch (same signature as
   /// HttpBackend::score, so the CLI reuses one lambda for both seams).
   using ScoreFn =
       std::function<std::vector<ScoredPath>(std::vector<routing::Path>)>;

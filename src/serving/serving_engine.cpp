@@ -16,27 +16,6 @@ std::vector<int32_t> PathToSequence(const routing::Path& path) {
   return seq;
 }
 
-std::vector<ScoredPath> AssembleRanking(std::vector<routing::Path> paths,
-                                        const std::vector<float>& scores,
-                                        size_t offset) {
-  PR_CHECK(offset + paths.size() <= scores.size())
-      << "score slice out of range";
-  std::vector<ScoredPath> scored;
-  scored.reserve(paths.size());
-  for (size_t i = 0; i < paths.size(); ++i) {
-    scored.push_back(
-        {std::move(paths[i]), static_cast<double>(scores[offset + i])});
-  }
-  // Determinism note: exact float scores make ties sort identically for
-  // identical inputs, so the order is reproducible despite std::sort
-  // being unstable.
-  std::sort(scored.begin(), scored.end(),
-            [](const ScoredPath& a, const ScoredPath& b) {
-              return a.score > b.score;
-            });
-  return scored;
-}
-
 namespace {
 
 nn::SequenceBatch BatchFromPaths(const std::vector<routing::Path>& paths) {
@@ -50,34 +29,19 @@ nn::SequenceBatch BatchFromPaths(const std::vector<routing::Path>& paths) {
 
 }  // namespace
 
-std::vector<routing::Path> GenerateCandidates(
-    const graph::RoadNetwork& network, graph::VertexId source,
-    graph::VertexId destination, const data::CandidateGenConfig& gen,
-    const CancelToken* cancel, routing::ShortestPathEngine* engine) {
-  // Single source of truth with training-data generation: deployment-time
-  // candidates always match the training distribution.
-  return data::GenerateCandidatePaths(network, source, destination, gen,
-                                      cancel, engine);
-}
-
 /// One scoring slot: a lock plus the per-caller activation scratch the
 /// const inference path writes into. No parameters live here — every
 /// replica scores against the one shared snapshot.
 struct ServingEngine::Replica {
-  /// Round-robin replicas share kEngineReplica (a caller holds exactly
-  /// one); the coalescing replica gets kEngineBatchReplica because its
-  /// holder — and only its holder — may dispatch a pool region, so it
-  /// must rank BEFORE pool.region while the round-robin locks rank after
-  /// (RankBatch chunks take them under the region owner's pool.region).
-  Replica(int rank, const char* name) : mu(rank, name) {}
-  common::Mutex mu;
+  /// Every replica shares kEngineReplica: a caller holds exactly one.
+  common::Mutex mu{common::LockRank::kEngineReplica, "engine.replica"};
   core::InferenceScratch scratch GUARDED_BY(mu);
 };
 
 ServingEngine::ServingEngine(const graph::RoadNetwork& network,
                              std::shared_ptr<const ModelSnapshot> snapshot,
                              const ServingOptions& options)
-    : network_(&network), options_(options) {
+    : network_(&network) {
   PR_CHECK(snapshot != nullptr) << "ServingEngine needs a snapshot";
   PR_CHECK(snapshot->vocab_size() == network.num_vertices())
       << "model/network vertex-count mismatch";
@@ -92,14 +56,11 @@ ServingEngine::ServingEngine(const graph::RoadNetwork& network,
   // lock-free context before any replica lock exists.
   const size_t pool_threads = std::max<size_t>(1, GetNumThreads());
   const size_t n =
-      options_.num_replicas > 0 ? options_.num_replicas : pool_threads;
+      options.num_replicas > 0 ? options.num_replicas : pool_threads;
   replicas_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    replicas_.push_back(std::make_unique<Replica>(
-        common::LockRank::kEngineReplica, "engine.replica"));
+    replicas_.push_back(std::make_unique<Replica>());
   }
-  batch_replica_ = std::make_unique<Replica>(
-      common::LockRank::kEngineBatchReplica, "engine.batch_replica");
 }
 
 ServingEngine::ServingEngine(const graph::RoadNetwork& network,
@@ -133,10 +94,9 @@ std::vector<float> ServingEngine::ScoreOn(
       static_cast<uint32_t>(replicas_.size());
   Replica& replica = *replicas_[idx];
   common::MutexLock lock(replica.mu);
-  // Score serially on this thread: parallelism lives across queries (many
-  // callers / RankBatch shards), and a caller that holds a replica lock
-  // must never block on the global pool — a pool worker could be waiting
-  // on this very lock.
+  // Score serially on this thread: parallelism lives across callers, and
+  // a caller that holds a replica lock must never block on the global
+  // pool — a pool worker could be waiting on this very lock.
   SerialRegionScope serial;
   return snap.model().ForwardInference(batch, &replica.scratch);
 }
@@ -149,67 +109,24 @@ std::vector<float> ServingEngine::ScoreSequences(
   return ScoreOn(*snap, batch);
 }
 
-std::vector<float> ServingEngine::ScoreCoalesced(
-    const nn::SequenceBatch& batch,
-    std::shared_ptr<const ModelSnapshot>* used) const {
-  const auto snap = shared_snapshot();
-  if (used != nullptr) *used = snap;
-  if (InParallelRegion()) {
-    // Already inside a pool region (or a SerialRegionScope): the kernels
-    // would run serially anyway, and blocking on the dedicated replica's
-    // lock from a pool worker could deadlock against a holder that is
-    // blocked on this very region. Use the ordinary serial path instead.
-    return ScoreOn(*snap, batch);
-  }
-  // Dedicated replica, kernels free to shard over the pool: a coalesced
-  // batch is the one serving call big enough for intra-batch parallelism
-  // to pay. Deadlock-free because only ScoreCoalesced callers ever take
-  // this lock and none of them is a pool worker (guarded above), so no
-  // pool region can be waiting on it. Bitwise identical to the serial
-  // path: the GEMM kernels are thread-count stable (docs/performance.md).
-  common::MutexLock lock(batch_replica_->mu);
-  return snap->model().ForwardInference(batch, &batch_replica_->scratch);
-}
-
-std::vector<ScoredPath> ServingEngine::Rank(
-    graph::VertexId source, graph::VertexId destination) const {
-  return Rank(source, destination, options_.candidates);
-}
-
-std::vector<ScoredPath> ServingEngine::Rank(
-    graph::VertexId source, graph::VertexId destination,
-    const data::CandidateGenConfig& gen) const {
-  return ScoreBatch(GenerateCandidates(*network_, source, destination, gen));
-}
-
-std::vector<std::vector<ScoredPath>> ServingEngine::RankBatch(
-    const std::vector<RankQuery>& queries) const {
-  return RankBatch(queries, options_.candidates);
-}
-
-std::vector<std::vector<ScoredPath>> ServingEngine::RankBatch(
-    const std::vector<RankQuery>& queries,
-    const data::CandidateGenConfig& gen) const {
-  std::vector<std::vector<ScoredPath>> results(queries.size());
-  if (queries.empty()) return results;
-  // Each query is handled end-to-end by one worker; per-query slots make
-  // the output order (and every score) independent of scheduling.
-  ParallelForShards(0, queries.size(),
-                    [&](size_t /*shard*/, size_t lo, size_t hi) {
-                      for (size_t q = lo; q < hi; ++q) {
-                        results[q] =
-                            Rank(queries[q].source, queries[q].destination,
-                                 gen);
-                      }
-                    });
-  return results;
-}
-
 std::vector<ScoredPath> ServingEngine::ScoreBatch(
     const std::vector<routing::Path>& paths) const {
   if (paths.empty()) return {};
-  const auto batch = BatchFromPaths(paths);
-  return AssembleRanking(paths, ScoreSequences(batch));
+  const auto scores = ScoreSequences(BatchFromPaths(paths));
+  PR_CHECK(scores.size() == paths.size()) << "one score per path";
+  std::vector<ScoredPath> scored;
+  scored.reserve(paths.size());
+  for (size_t i = 0; i < paths.size(); ++i) {
+    scored.push_back({paths[i], static_cast<double>(scores[i])});
+  }
+  // Determinism note: exact float scores make ties sort identically for
+  // identical inputs, so the order is reproducible despite std::sort
+  // being unstable.
+  std::sort(scored.begin(), scored.end(),
+            [](const ScoredPath& a, const ScoredPath& b) {
+              return a.score > b.score;
+            });
+  return scored;
 }
 
 }  // namespace pathrank::serving

@@ -1,15 +1,16 @@
-// Thread-safe ranking service: one immutable ModelSnapshot shared by a
-// pool of scoring replicas, dispatched round-robin behind per-replica
-// locks (the cuBERT multi-instance pattern). Because the snapshot's
+// Thread-safe path scorer: one immutable ModelSnapshot shared by a pool
+// of scoring replicas, dispatched round-robin behind per-replica locks
+// (the cuBERT multi-instance pattern). Candidate enumeration lives in
+// RoutePlanner, which scores through ScoreBatch. Because the snapshot's
 // inference path is const, a "replica" is just per-caller scratch state —
 // no parameter copies — so the pool is cheap to size at one replica per
 // expected concurrent caller.
 //
-// Thread-safety contract: Rank / RankBatch / ScoreBatch / ScoreSequences
-// may be called concurrently from any number of threads on one shared
-// engine. Scores are bitwise identical to the single-threaded path for any
-// thread or replica count (the inference kernels are deterministic and
-// replicas share the exact same parameters).
+// Thread-safety contract: ScoreBatch / ScoreSequences may be called
+// concurrently from any number of threads on one shared engine. Scores
+// are bitwise identical to the single-threaded path for any thread or
+// replica count (the inference kernels are deterministic and replicas
+// share the exact same parameters).
 //
 // Hot-swap contract: SwapSnapshot atomically replaces the served model.
 // Every scoring call captures the snapshot pointer exactly once at entry,
@@ -22,7 +23,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/deadline.h"
 #include "common/thread_annotations.h"
 #include "core/model.h"
 #include "data/candidate_generation.h"
@@ -38,48 +38,21 @@ struct ScoredPath {
   double score = 0.0;
 };
 
-/// One (source, destination) ranking request.
-struct RankQuery {
-  graph::VertexId source = graph::kInvalidVertex;
-  graph::VertexId destination = graph::kInvalidVertex;
-};
-
 /// Engine construction options.
 struct ServingOptions {
   /// Scoring replicas (scratch + lock). 0 = one per global pool thread.
   size_t num_replicas = 0;
-  /// Candidate strategy used by Rank/RankBatch when no per-call config is
-  /// given (defaults to D-TkDI, the paper's deployment strategy).
+  /// Read by nothing in the library; only the benchmark's in-process
+  /// replay (perfbench/inproc) still sets it. Candidate strategy belongs
+  /// to RoutePlannerConfig::candidates.
   data::CandidateGenConfig candidates;
 };
 
-/// Generates candidate paths for one query with the configured strategy —
-/// the advanced-routing half of Rank, exposed for tools and tests.
-/// `cancel` (optional) threads the request deadline into the enumeration
-/// loops; an expired token yields the candidates found so far. `engine`
-/// (optional, borrowed, not thread-safe) runs the Yen spur searches —
-/// nullptr keeps the historical owned-Dijkstra behaviour bitwise intact.
-std::vector<routing::Path> GenerateCandidates(
-    const graph::RoadNetwork& network, graph::VertexId source,
-    graph::VertexId destination, const data::CandidateGenConfig& gen,
-    const CancelToken* cancel = nullptr,
-    routing::ShortestPathEngine* engine = nullptr);
-
 /// Encodes one candidate path's vertex ids as the model's token sequence.
-/// The single source of truth for the Path -> SequenceBatch-row mapping:
-/// ScoreBatch and the BatchingQueue's coalesced flushes both use it, which
-/// is part of why coalesced scoring is bitwise equal to per-request
-/// scoring.
+/// The single source of truth for the Path -> SequenceBatch-row mapping.
 std::vector<int32_t> PathToSequence(const routing::Path& path);
 
-/// Pairs paths[i] with scores[offset + i] and sorts descending — the one
-/// ordering rule behind ScoreBatch and the BatchingQueue's per-request
-/// results (the other half of the bitwise-equivalence guarantee).
-std::vector<ScoredPath> AssembleRanking(std::vector<routing::Path> paths,
-                                        const std::vector<float>& scores,
-                                        size_t offset = 0);
-
-/// Replica-pool serving facade. The engine borrows the network (caller
+/// Replica-pool path scorer. The engine borrows the network (caller
 /// keeps it alive) and shares ownership of the snapshot.
 class ServingEngine {
  public:
@@ -97,23 +70,6 @@ class ServingEngine {
   ServingEngine(const ServingEngine&) = delete;
   ServingEngine& operator=(const ServingEngine&) = delete;
 
-  /// Generates candidates for (source, destination) and returns them
-  /// sorted by descending estimated score. Thread-safe.
-  std::vector<ScoredPath> Rank(graph::VertexId source,
-                               graph::VertexId destination) const;
-  std::vector<ScoredPath> Rank(graph::VertexId source,
-                               graph::VertexId destination,
-                               const data::CandidateGenConfig& gen) const;
-
-  /// Ranks a batch of queries, sharding them across the global worker
-  /// pool; results[i] corresponds to queries[i] and is bitwise identical
-  /// to Rank(queries[i]). Thread-safe.
-  std::vector<std::vector<ScoredPath>> RankBatch(
-      const std::vector<RankQuery>& queries) const;
-  std::vector<std::vector<ScoredPath>> RankBatch(
-      const std::vector<RankQuery>& queries,
-      const data::CandidateGenConfig& gen) const;
-
   /// Scores externally supplied candidate paths (sorted descending).
   /// Thread-safe.
   std::vector<ScoredPath> ScoreBatch(
@@ -124,18 +80,6 @@ class ServingEngine {
   /// kernels serially on the calling thread (parallelism lives across
   /// callers). Thread-safe.
   std::vector<float> ScoreSequences(const nn::SequenceBatch& batch) const;
-
-  /// Scores a coalesced SequenceBatch (many requests' rows in one batch,
-  /// see BatchingQueue) on a dedicated replica. Unlike ScoreSequences the
-  /// kernels may shard over the global pool — safe here because the
-  /// dedicated replica's lock is never taken from a pool worker, and
-  /// bitwise identical because the kernels are thread-count stable. When
-  /// `used` is non-null it receives the snapshot the batch was scored on,
-  /// so every coalesced response is attributable to exactly one snapshot
-  /// even while SwapSnapshot runs. Thread-safe.
-  std::vector<float> ScoreCoalesced(
-      const nn::SequenceBatch& batch,
-      std::shared_ptr<const ModelSnapshot>* used = nullptr) const;
 
   /// Atomically replaces the served snapshot and returns the previous one.
   /// In-flight requests finish on the snapshot they captured at entry; new
@@ -156,9 +100,6 @@ class ServingEngine {
   uint64_t swap_count() const {
     return swap_count_.load(std::memory_order_relaxed);
   }
-  const graph::RoadNetwork& network() const { return *network_; }
-  size_t num_replicas() const { return replicas_.size(); }
-  const ServingOptions& options() const { return options_; }
 
  private:
   struct Replica;
@@ -174,17 +115,12 @@ class ServingEngine {
   /// libstdc++'s lock-bit _Sp_atomic protocol is opaque to TSan, which
   /// the CI thread-sanitizer gate runs against. Never held while taking
   /// a replica lock (the snapshot handle is copied out first), hence the
-  /// rank before both replica families.
+  /// rank before the replica locks.
   mutable common::Mutex snapshot_mu_{common::LockRank::kEngineSnapshot,
                                      "engine.snapshot"};
   std::shared_ptr<const ModelSnapshot> snapshot_ GUARDED_BY(snapshot_mu_);
   std::atomic<uint64_t> swap_count_{0};
-  ServingOptions options_;
   std::vector<std::unique_ptr<Replica>> replicas_;
-  /// Reserved for ScoreCoalesced: never in the round-robin rotation, so no
-  /// pool worker can ever hold or wait on its lock — which is what makes
-  /// it safe for its holder to block on the pool.
-  std::unique_ptr<Replica> batch_replica_;
   mutable std::atomic<uint32_t> round_robin_{0};
 };
 

@@ -14,10 +14,10 @@
 //   * HTTP-level: an injected stall between deadline anchoring and
 //     Plan() consumes the budget, so a small X-Deadline-Ms / budget_ms
 //     deterministically answers 504 with the deadline_exceeded slug.
-//   * A chaos hammer over all three engine compositions (bare, batched
-//     queue, sharded) with injected stalls and errors plus concurrent
-//     hot swaps: every request completes with an expected status, the
-//     server never hangs, and admission slots never leak.
+//   * A chaos hammer over the served stack with injected stalls and
+//     errors plus concurrent hot swaps: every request completes with an
+//     expected status, the server never hangs, and admission slots never
+//     leak.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -35,14 +35,12 @@
 #include "common/deadline.h"
 #include "core/model.h"
 #include "graph/network_builder.h"
-#include "serving/batching_queue.h"
 #include "serving/fault_injector.h"
 #include "serving/http_server.h"
 #include "serving/json.h"
 #include "serving/model_snapshot.h"
 #include "serving/route_planner.h"
 #include "serving/serving_engine.h"
-#include "serving/sharded_engine.h"
 
 namespace pathrank::serving {
 namespace {
@@ -325,10 +323,6 @@ TEST(FaultInjector, FiresDeterministicallyPerSeedAndOrdinal) {
 
 // ---- HTTP fixtures -----------------------------------------------------
 
-/// Which engine composition backs the server — the chaos hammer runs
-/// the same assault against all three.
-enum class Composition { kBare, kBatched, kSharded };
-
 /// HTTP server over a real model with optional fault injection, wired
 /// exactly like `pathrank_cli serve`: faults wrap the seams BEFORE the
 /// planner captures backend.score, and the "route" site fires between
@@ -337,59 +331,24 @@ struct ChaosServerFixture {
   graph::RoadNetwork network = graph::BuildTestNetwork();
   core::PathRankModel model;
   ServingEngine engine;
-  std::unique_ptr<BatchingQueue> queue;
-  std::unique_ptr<ShardedEngine> sharded;
   std::shared_ptr<FaultInjector> faults;
   std::unique_ptr<RoutePlanner> planner;
   std::unique_ptr<HttpServer> server;
 
-  explicit ChaosServerFixture(Composition composition,
-                              const std::string& fault_spec = "",
+  explicit ChaosServerFixture(const std::string& fault_spec = "",
                               uint64_t fault_seed = 1,
                               HttpServerOptions options = DefaultOptions())
       : model(network.num_vertices(), SmallConfig()),
         engine(network, model) {
     faults = FaultInjector::Parse(fault_spec, fault_seed);
-    if (composition == Composition::kBatched) {
-      queue = std::make_unique<BatchingQueue>(engine);
-    } else if (composition == Composition::kSharded) {
-      ShardedOptions shard_options;
-      shard_options.num_shards = 2;
-      sharded = std::make_unique<ShardedEngine>(
-          network, engine.shared_snapshot(), shard_options);
-    }
 
     HttpBackend backend;
     backend.num_vertices = network.num_vertices();
-    if (sharded != nullptr) {
-      backend.rank = [this](graph::VertexId s, graph::VertexId d) {
-        return sharded->Rank(s, d);
-      };
-      backend.score = [this](std::vector<routing::Path> paths) {
-        return sharded->ScoreBatch(paths);
-      };
-    } else if (queue != nullptr) {
-      backend.rank = [this](graph::VertexId s, graph::VertexId d) {
-        return queue->SubmitRank(s, d).get();
-      };
-      backend.score = [this](std::vector<routing::Path> paths) {
-        return queue->SubmitScore(std::move(paths)).get();
-      };
-    } else {
-      backend.rank = [this](graph::VertexId s, graph::VertexId d) {
-        return engine.Rank(s, d);
-      };
-      backend.score = [this](std::vector<routing::Path> paths) {
-        return engine.ScoreBatch(paths);
-      };
-    }
+    backend.score = [this](std::vector<routing::Path> paths) {
+      return engine.ScoreBatch(paths);
+    };
     backend.swap_count = [this] { return engine.swap_count(); };
     if (faults->enabled()) {
-      backend.rank = [this, inner = backend.rank](graph::VertexId s,
-                                                  graph::VertexId d) {
-        faults->Inject("rank");
-        return inner(s, d);
-      };
       backend.score = [this, inner = backend.score](
                           std::vector<routing::Path> paths) {
         faults->Inject("score");
@@ -419,14 +378,7 @@ struct ChaosServerFixture {
     return options;
   }
 
-  void Swap() {
-    const auto next = ModelSnapshot::Capture(model);
-    if (sharded != nullptr) {
-      sharded->SwapSnapshot(next);
-    } else {
-      engine.SwapSnapshot(next);
-    }
-  }
+  void Swap() { engine.SwapSnapshot(ModelSnapshot::Capture(model)); }
 };
 
 std::string RouteBody(graph::VertexId source, graph::VertexId destination,
@@ -447,7 +399,7 @@ TEST(HttpDeadline, InjectedStallBeforePlanConsumesTheBudget) {
   // The "route" fault site sits between the deadline anchor (HTTP
   // parse) and Plan(): a 60 ms stall against a 10 ms budget therefore
   // 504s deterministically — no race against real enumeration speed.
-  ChaosServerFixture fx(Composition::kBare, "route:delay_ms=60");
+  ChaosServerFixture fx("route:delay_ms=60");
   HttpClient client;
   client.Connect(fx.server->port());
 
@@ -474,7 +426,7 @@ TEST(HttpDeadline, InjectedStallBeforePlanConsumesTheBudget) {
 }
 
 TEST(HttpDeadline, XDeadlineMsHeaderWorksAndBodyFieldWins) {
-  ChaosServerFixture fx(Composition::kBare, "route:delay_ms=60");
+  ChaosServerFixture fx("route:delay_ms=60");
   // Raw request with the header (HttpClient emits fixed headers only).
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(fd, 0);
@@ -513,8 +465,8 @@ TEST(HttpDeadline, DeadlineFreeBodyIsByteIdenticalAcrossFaultedServer) {
   // A server with injection armed (but a route delay only) must answer a
   // deadline-free query with the EXACT bytes of an unfaulted server —
   // the whole cancellation/fault seam is invisible until it fires.
-  ChaosServerFixture clean(Composition::kBare);
-  ChaosServerFixture faulted(Composition::kBare, "route:delay_ms=5");
+  ChaosServerFixture clean;
+  ChaosServerFixture faulted("route:delay_ms=5");
   HttpClient a, b;
   a.Connect(clean.server->port());
   b.Connect(faulted.server->port());
@@ -533,7 +485,7 @@ TEST(HttpDeadline, MaxDeadlineMsCapsAndDefaultApplies) {
   HttpServerOptions options = ChaosServerFixture::DefaultOptions();
   options.default_deadline_ms = 10;
   options.max_deadline_ms = 15;
-  ChaosServerFixture fx(Composition::kBare, "route:delay_ms=60", 1, options);
+  ChaosServerFixture fx("route:delay_ms=60", 1, options);
   HttpClient client;
   client.Connect(fx.server->port());
   // No budget sent: server default (10 ms) < stall -> 504.
@@ -552,13 +504,12 @@ TEST(HttpDeadline, MaxDeadlineMsCapsAndDefaultApplies) {
 /// snapshots hot-swap underneath. Every request must complete with an
 /// explainable status, nothing may hang, and the server must come out
 /// healthy with zero in-flight slots.
-void RunChaosHammer(Composition composition) {
+TEST(Chaos, ShedsDegradesOr504sButNeverHangs) {
   // score errors at p=0.25 -> 500s; route stalls at p=0.5 x 3 ms against
-  // 8 ms budgets -> a mix of 504/degraded/ok; rank stalls keep admission
-  // pressure on (max_inflight 4).
-  ChaosServerFixture fx(composition,
-                        "score:error:p=0.25;route:delay_ms=3:p=0.5;"
-                        "rank:delay_ms=2:p=0.5",
+  // 8 ms budgets -> a mix of 504/degraded/ok; the same stalls on the
+  // budget-free /v1/rank alias keep admission pressure on (max_inflight
+  // 4).
+  ChaosServerFixture fx("score:error:p=0.25;route:delay_ms=3:p=0.5",
                         /*fault_seed=*/7);
 
   std::atomic<bool> stop_swapping{false};
@@ -647,18 +598,6 @@ void RunChaosHammer(Composition composition) {
   EXPECT_EQ(stats.admission_waiting, 0u);
   // And a clean stop: no in-flight request pins the join.
   fx.server->Stop();
-}
-
-TEST(Chaos, BareEngineShedsDegradesOr504sButNeverHangs) {
-  RunChaosHammer(Composition::kBare);
-}
-
-TEST(Chaos, BatchedQueueShedsDegradesOr504sButNeverHangs) {
-  RunChaosHammer(Composition::kBatched);
-}
-
-TEST(Chaos, ShardedEngineShedsDegradesOr504sButNeverHangs) {
-  RunChaosHammer(Composition::kSharded);
 }
 
 }  // namespace

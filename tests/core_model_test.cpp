@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "core/model.h"
+#include "data/candidate_generation.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 #include "graph/network_builder.h"
@@ -231,7 +232,8 @@ TEST(ModelServing, RanksSortedByScoreDescending) {
   const serving::ServingEngine engine(net, model);
   data::CandidateGenConfig gen;
   gen.k = 5;
-  const auto ranked = engine.Rank(0, 63, gen);
+  const auto ranked =
+      engine.ScoreBatch(data::GenerateCandidatePaths(net, 0, 63, gen));
   ASSERT_GE(ranked.size(), 2u);
   for (size_t i = 1; i < ranked.size(); ++i) {
     EXPECT_GE(ranked[i - 1].score, ranked[i].score);

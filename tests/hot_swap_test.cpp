@@ -1,8 +1,7 @@
 // Model hot-swap: atomic cut-over semantics (every response attributable
 // to exactly one snapshot, no torn reads), old-snapshot lifetime (freed
-// only after the last in-flight reference drops), swap under concurrent
-// load with no lost requests, and swap visibility through the
-// BatchingQueue.
+// only after the last in-flight reference drops), and swap under
+// concurrent load with no lost requests.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,8 +10,8 @@
 #include <vector>
 
 #include "core/model.h"
+#include "data/candidate_generation.h"
 #include "graph/network_builder.h"
-#include "serving/batching_queue.h"
 #include "serving/model_snapshot.h"
 #include "serving/serving_engine.h"
 
@@ -31,14 +30,20 @@ struct SwapFixture {
   graph::RoadNetwork network = graph::BuildTestNetwork();
   core::PathRankModel model_a;
   core::PathRankModel model_b;
-  data::CandidateGenConfig gen;
-  std::vector<RankQuery> queries = {{0, 63}, {7, 56}, {3, 60},
-                                    {21, 42}, {14, 49}, {8, 55}};
+  /// One candidate set per query, the way RoutePlanner enumerates them.
+  std::vector<std::vector<routing::Path>> queries;
 
   SwapFixture()
       : model_a(network.num_vertices(), ConfigWithSeed(3)),
         model_b(network.num_vertices(), ConfigWithSeed(31)) {
+    data::CandidateGenConfig gen;
     gen.k = 5;
+    for (const auto& [source, destination] :
+         std::vector<std::pair<graph::VertexId, graph::VertexId>>{
+             {0, 63}, {7, 56}, {3, 60}, {21, 42}, {14, 49}, {8, 55}}) {
+      queries.push_back(
+          data::GenerateCandidatePaths(network, source, destination, gen));
+    }
   }
 };
 
@@ -63,8 +68,8 @@ TEST(HotSwap, SwapServesNewSnapshotAndReturnsOld) {
 
   const ServingEngine reference_b(fx.network, snap_b);
   const auto& q = fx.queries[0];
-  const auto ref_a = engine.Rank(q.source, q.destination, fx.gen);
-  const auto ref_b = reference_b.Rank(q.source, q.destination, fx.gen);
+  const auto ref_a = engine.ScoreBatch(q);
+  const auto ref_b = reference_b.ScoreBatch(q);
   ASSERT_FALSE(SameRanking(ref_a, ref_b))
       << "models too similar to attribute responses";
 
@@ -73,7 +78,7 @@ TEST(HotSwap, SwapServesNewSnapshotAndReturnsOld) {
   EXPECT_EQ(old.get(), snap_a.get());
   EXPECT_EQ(engine.shared_snapshot().get(), snap_b.get());
   EXPECT_EQ(engine.swap_count(), 1u);
-  EXPECT_TRUE(SameRanking(ref_b, engine.Rank(q.source, q.destination, fx.gen)));
+  EXPECT_TRUE(SameRanking(ref_b, engine.ScoreBatch(q)));
 }
 
 TEST(HotSwap, RejectsMismatchedSnapshot) {
@@ -91,15 +96,9 @@ TEST(HotSwap, OldSnapshotFreedOnlyAfterLastInFlightReference) {
   ServingEngine engine(fx.network, snap_a);
   snap_a.reset();  // the engine now holds the only long-lived reference
 
-  // Simulate an in-flight request: ScoreCoalesced hands out the snapshot
-  // it scored on, exactly the reference a request holds while running.
-  const auto paths = GenerateCandidates(fx.network, 0, 63, fx.gen);
-  std::vector<std::vector<int32_t>> seqs;
-  for (const auto& p : paths) {
-    seqs.push_back(PathToSequence(p));  // the real request-path encoding
-  }
-  std::shared_ptr<const ModelSnapshot> in_flight;
-  engine.ScoreCoalesced(nn::SequenceBatch::FromSequences(seqs), &in_flight);
+  // Simulate an in-flight request: every scoring call copies the served
+  // snapshot handle once at entry and scores on that copy.
+  std::shared_ptr<const ModelSnapshot> in_flight = engine.shared_snapshot();
   ASSERT_EQ(in_flight.get(), weak_a.lock().get());
 
   auto old = engine.SwapSnapshot(ModelSnapshot::Capture(fx.model_b));
@@ -116,7 +115,6 @@ TEST(HotSwap, ConcurrentLoadLosesNoRequestsAndEveryResponseIsAttributable) {
   const auto snap_b = ModelSnapshot::Capture(fx.model_b);
   ServingOptions options;
   options.num_replicas = 3;
-  options.candidates = fx.gen;
   ServingEngine engine(fx.network, snap_a, options);
 
   // Per-query references on both snapshots, via single-threaded engines.
@@ -124,8 +122,8 @@ TEST(HotSwap, ConcurrentLoadLosesNoRequestsAndEveryResponseIsAttributable) {
   std::vector<std::vector<ScoredPath>> ref_a;
   std::vector<std::vector<ScoredPath>> ref_b;
   for (const auto& q : fx.queries) {
-    ref_a.push_back(engine.Rank(q.source, q.destination));
-    ref_b.push_back(reference_b.Rank(q.source, q.destination));
+    ref_a.push_back(engine.ScoreBatch(q));
+    ref_b.push_back(reference_b.ScoreBatch(q));
   }
 
   constexpr size_t kThreads = 8;
@@ -138,8 +136,7 @@ TEST(HotSwap, ConcurrentLoadLosesNoRequestsAndEveryResponseIsAttributable) {
       for (size_t round = 0; round < kRounds; ++round) {
         for (size_t i = 0; i < fx.queries.size(); ++i) {
           const size_t q = (t + round + i) % fx.queries.size();
-          const auto got =
-              engine.Rank(fx.queries[q].source, fx.queries[q].destination);
+          const auto got = engine.ScoreBatch(fx.queries[q]);
           // A torn read (half old weights, half new) would match neither.
           if (!SameRanking(ref_a[q], got) && !SameRanking(ref_b[q], got)) {
             unattributable.fetch_add(1);
@@ -164,50 +161,6 @@ TEST(HotSwap, ConcurrentLoadLosesNoRequestsAndEveryResponseIsAttributable) {
   // After the dust settles the engine serves the last-swapped snapshot.
   const auto final_snapshot = engine.shared_snapshot();
   EXPECT_EQ(final_snapshot.get(), (kSwaps % 2 == 1 ? snap_b : snap_a).get());
-}
-
-TEST(HotSwap, BatchedResponsesAttributableDuringSwaps) {
-  SwapFixture fx;
-  const auto snap_a = ModelSnapshot::Capture(fx.model_a);
-  const auto snap_b = ModelSnapshot::Capture(fx.model_b);
-  ServingEngine engine(fx.network, snap_a);
-  const ServingEngine reference_b(fx.network, snap_b);
-
-  std::vector<std::vector<ScoredPath>> ref_a;
-  std::vector<std::vector<ScoredPath>> ref_b;
-  for (const auto& q : fx.queries) {
-    ref_a.push_back(engine.Rank(q.source, q.destination, fx.gen));
-    ref_b.push_back(reference_b.Rank(q.source, q.destination, fx.gen));
-  }
-
-  BatchingQueue queue(engine);
-  std::atomic<int> unattributable{0};
-  std::atomic<size_t> completed{0};
-  constexpr size_t kThreads = 4;
-  constexpr size_t kRounds = 8;
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (size_t round = 0; round < kRounds; ++round) {
-        const size_t q = (t + round) % fx.queries.size();
-        const auto got =
-            queue.SubmitRank(fx.queries[q].source, fx.queries[q].destination,
-                             fx.gen)
-                .get();
-        if (!SameRanking(ref_a[q], got) && !SameRanking(ref_b[q], got)) {
-          unattributable.fetch_add(1);
-        }
-        completed.fetch_add(1);
-      }
-    });
-  }
-  for (int s = 0; s < 10; ++s) {
-    engine.SwapSnapshot(s % 2 == 0 ? snap_b : snap_a);
-    std::this_thread::sleep_for(std::chrono::microseconds(300));
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(completed.load(), kThreads * kRounds);
-  EXPECT_EQ(unattributable.load(), 0);
 }
 
 }  // namespace

@@ -18,11 +18,13 @@
 #include <condition_variable>
 #include <future>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/model.h"
+#include "data/candidate_generation.h"
 #include "graph/network_builder.h"
 #include "serving/graph_store.h"
 #include "serving/http_server.h"
@@ -42,11 +44,13 @@ core::PathRankConfig SmallConfig() {
   return cfg;
 }
 
-/// Test server over a real ServingEngine on the loopback.
+/// Test server over a real ServingEngine and a RoutePlanner pinned to
+/// the test grid, on the loopback.
 struct ServerFixture {
   graph::RoadNetwork network = graph::BuildTestNetwork();
   core::PathRankModel model;  // initialised after network (member order)
   ServingEngine engine;
+  RoutePlanner planner;
   HttpServer server;
 
   static HttpServerOptions Options() {
@@ -57,33 +61,35 @@ struct ServerFixture {
     return options;
   }
 
-  static HttpBackend Backend(const ServingEngine& engine,
-                             const graph::RoadNetwork& network) {
+  static RoutePlannerConfig PlannerConfig(const graph::RoadNetwork& network) {
+    RoutePlannerConfig config;
+    config.network = &network;
+    return config;
+  }
+
+  HttpBackend Backend() {
     HttpBackend backend;
-    backend.rank = [&engine](graph::VertexId s, graph::VertexId d) {
-      return engine.Rank(s, d);
-    };
-    backend.score = [&engine](std::vector<routing::Path> paths) {
+    backend.score = [this](std::vector<routing::Path> paths) {
       return engine.ScoreBatch(paths);
     };
-    backend.swap_count = [&engine] { return engine.swap_count(); };
+    backend.route = [this](const RouteRequest& request) {
+      return planner.Plan(request);
+    };
+    backend.swap_count = [this] { return engine.swap_count(); };
     backend.num_vertices = network.num_vertices();
     return backend;
   }
 
-  ServerFixture()
+  /// Caller-supplied options — the adversarial connection tests need
+  /// short idle/request timeouts.
+  explicit ServerFixture(const HttpServerOptions& options = Options())
       : model(network.num_vertices(), SmallConfig()),
         engine(network, model),
-        server(Backend(engine, network), Options()) {
-    server.Start();
-  }
-
-  /// Same wiring with caller-supplied options — the adversarial
-  /// connection tests need short idle/request timeouts.
-  explicit ServerFixture(const HttpServerOptions& options)
-      : model(network.num_vertices(), SmallConfig()),
-        engine(network, model),
-        server(Backend(engine, network), options) {
+        planner(PlannerConfig(network),
+                [this](std::vector<routing::Path> paths) {
+                  return engine.ScoreBatch(paths);
+                }),
+        server(Backend(), options) {
     server.Start();
   }
 };
@@ -95,19 +101,21 @@ std::string RankBody(graph::VertexId source, graph::VertexId destination) {
   return json::Dump(json::Value(std::move(object)));
 }
 
-/// Decodes a rank/score response body into (score, vertices) rows.
+/// Decodes a response body's ranked list — "candidates" for /v1/rank and
+/// /v1/score, "routes" for /v1/route — into (score, vertices) rows.
 struct WireCandidate {
   double score = 0.0;
   std::vector<graph::VertexId> vertices;
 };
 
-std::vector<WireCandidate> ParseCandidates(const std::string& body) {
+std::vector<WireCandidate> ParseCandidates(const std::string& body,
+                                           const char* key = "candidates") {
   std::string error;
   const auto parsed = json::Parse(body, &error);
   EXPECT_TRUE(parsed) << error << " in body: " << body;
   std::vector<WireCandidate> out;
   if (!parsed) return out;
-  const json::Value* candidates = parsed->Find("candidates");
+  const json::Value* candidates = parsed->Find(key);
   EXPECT_TRUE(candidates != nullptr && candidates->is_array()) << body;
   if (candidates == nullptr || !candidates->is_array()) return out;
   for (const auto& entry : candidates->array()) {
@@ -140,18 +148,22 @@ void ExpectMatchesRanking(const std::vector<ScoredPath>& expected,
   }
 }
 
-TEST(HttpRank, RoundTripBitwiseEqualToInProcessRank) {
+TEST(HttpRank, RoundTripBitwiseEqualToInProcessPlanner) {
   ServerFixture fx;
   HttpClient client;
   client.Connect(fx.server.port());
 
-  const std::vector<RankQuery> queries = {{0, 63}, {7, 56}, {21, 42}};
+  const std::vector<RouteRequest> queries = {{0, 63}, {7, 56}, {21, 42}};
   for (const auto& query : queries) {
-    const auto response = client.Request(
+    const auto rank = client.Request(
         "POST", "/v1/rank", RankBody(query.source, query.destination));
-    ASSERT_EQ(response.status, 200) << response.body;
-    const auto expected = fx.engine.Rank(query.source, query.destination);
-    ExpectMatchesRanking(expected, ParseCandidates(response.body));
+    ASSERT_EQ(rank.status, 200) << rank.body;
+    const auto route = client.Request(
+        "POST", "/v1/route", RankBody(query.source, query.destination));
+    ASSERT_EQ(route.status, 200) << route.body;
+    const auto expected = fx.planner.Plan(query).ranked;
+    ExpectMatchesRanking(expected, ParseCandidates(rank.body));
+    ExpectMatchesRanking(expected, ParseCandidates(route.body, "routes"));
   }
 }
 
@@ -159,7 +171,7 @@ TEST(HttpScore, RoundTripBitwiseEqualToInProcessScoreBatch) {
   ServerFixture fx;
   data::CandidateGenConfig gen;
   gen.k = 5;
-  const auto paths = GenerateCandidates(fx.network, 0, 63, gen);
+  const auto paths = data::GenerateCandidatePaths(fx.network, 0, 63, gen);
   ASSERT_FALSE(paths.empty());
 
   json::Array path_array;
@@ -291,13 +303,13 @@ TEST(HttpProtocol, UnknownRouteIs404AndWrongMethodIs405) {
 
 TEST(HttpConcurrency, ParallelClientsAllGetBitwiseCorrectAnswers) {
   ServerFixture fx;
-  const std::vector<RankQuery> queries = {{0, 63}, {7, 56}, {3, 60},
-                                          {21, 42}, {14, 49}, {8, 55}};
+  const std::vector<RouteRequest> queries = {{0, 63}, {7, 56}, {3, 60},
+                                             {21, 42}, {14, 49}, {8, 55}};
   // Expected rankings computed in-process, once.
   std::vector<std::vector<ScoredPath>> expected;
   expected.reserve(queries.size());
   for (const auto& query : queries) {
-    expected.push_back(fx.engine.Rank(query.source, query.destination));
+    expected.push_back(fx.planner.Plan(query).ranked);
   }
 
   constexpr size_t kClients = 8;
@@ -335,7 +347,7 @@ TEST(HttpConcurrency, ParallelClientsAllGetBitwiseCorrectAnswers) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-/// Server over a backend whose rank() parks every call until Release() —
+/// Server over a backend whose route() parks every call until Release() —
 /// the admission-state transitions become deterministic: a slot is
 /// provably occupied while a request is parked.
 struct BlockingServerFixture {
@@ -354,12 +366,12 @@ struct BlockingServerFixture {
   HttpBackend MakeBackend() {
     HttpBackend backend;
     backend.num_vertices = network.num_vertices();
-    backend.rank = [this](graph::VertexId, graph::VertexId) {
+    backend.route = [this](const RouteRequest&) {
       std::unique_lock<std::mutex> lock(mu);
       ++entered;
       cv.notify_all();
       cv.wait(lock, [this] { return released; });
-      return std::vector<ScoredPath>{};
+      return RouteResult{};
     };
     backend.score = [](std::vector<routing::Path>) {
       return std::vector<ScoredPath>{};
@@ -367,7 +379,7 @@ struct BlockingServerFixture {
     return backend;
   }
 
-  /// Blocks until `count` rank calls are parked inside the backend.
+  /// Blocks until `count` route calls are parked inside the backend.
   void WaitEntered(size_t count) {
     std::unique_lock<std::mutex> lock(mu);
     ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
@@ -699,7 +711,7 @@ TEST(HttpHealth, HealthzFlipsAcrossSwapSnapshot) {
   // And ranking still works on the new snapshot, bitwise.
   const auto response = client.Request("POST", "/v1/rank", RankBody(0, 63));
   ASSERT_EQ(response.status, 200);
-  ExpectMatchesRanking(fx.engine.Rank(0, 63),
+  ExpectMatchesRanking(fx.planner.Plan({0, 63}).ranked,
                        ParseCandidates(response.body));
 }
 
@@ -746,9 +758,6 @@ struct TrafficServerFixture {
 
   HttpBackend Backend() {
     HttpBackend backend;
-    backend.rank = [this](graph::VertexId s, graph::VertexId d) {
-      return engine.Rank(s, d);
-    };
     backend.score = [this](std::vector<routing::Path> paths) {
       return engine.ScoreBatch(paths);
     };
@@ -844,6 +853,71 @@ TEST(TrafficHttp, ValidBatchBumpsEpochAndInvalidatesRouteCache) {
   ASSERT_NE(traffic_endpoint, nullptr);
   EXPECT_EQ(traffic_endpoint->Find("requests")->number_value(), 1.0);
   EXPECT_EQ(traffic_endpoint->Find("errors")->number_value(), 0.0);
+}
+
+/// Slug and status of an error body, or "" for a 200.
+std::string StatusSlug(const HttpClient::Response& response) {
+  if (response.status == 200) return "";
+  const auto parsed = json::Parse(response.body);
+  if (!parsed || parsed->Find("status") == nullptr) return "<no slug>";
+  return parsed->Find("status")->string_value();
+}
+
+// /v1/rank is an alias of /v1/route: it must answer on the live graph, at
+// the current epoch. It once ranked on the boot graph and kept returning
+// routes over roads /v1/traffic had closed.
+TEST(TrafficHttp, RankAliasAnswersOnTheLiveGraph) {
+  TrafficServerFixture fx;
+  HttpClient client;
+  client.Connect(fx.server.port());
+
+  // Close every edge that the query's /v1/route candidates use.
+  const auto before = client.Request("POST", "/v1/route", RouteBody(0, 63));
+  ASSERT_EQ(before.status, 200) << before.body;
+  const auto routes = json::Parse(before.body);
+  ASSERT_TRUE(routes);
+  std::set<uint64_t> used;
+  for (const auto& route : routes->Find("routes")->array()) {
+    for (const auto& edge : route.Find("edges")->array()) {
+      used.insert(static_cast<uint64_t>(edge.number_value()));
+    }
+  }
+  ASSERT_FALSE(used.empty());
+  std::string updates;
+  for (const uint64_t edge : used) {
+    if (!updates.empty()) updates += ", ";
+    updates += "{\"edge\": " + std::to_string(edge) + ", \"closed\": true}";
+  }
+  const auto applied = client.Request("POST", "/v1/traffic",
+                                      "{\"updates\": [" + updates + "]}");
+  ASSERT_EQ(applied.status, 200) << applied.body;
+
+  // Same status and slug on both endpoints for the closed-off query.
+  const auto route = client.Request("POST", "/v1/route", RouteBody(0, 63));
+  const auto rank = client.Request("POST", "/v1/rank", RouteBody(0, 63));
+  EXPECT_EQ(route.status, 404) << route.body;
+  EXPECT_EQ(StatusSlug(route), "unreachable");
+  EXPECT_EQ(rank.status, route.status) << rank.body;
+  EXPECT_EQ(StatusSlug(rank), StatusSlug(route));
+
+  // A query that stays reachable: /v1/rank returns the same paths and
+  // scores as /v1/route and the in-process planner, at the same epoch.
+  const RouteResult expected = fx.planner.Plan({3, 59});
+  ASSERT_EQ(expected.status, RouteStatus::kOk);
+  EXPECT_EQ(expected.graph_epoch, 1u);
+  const auto live_route = client.Request("POST", "/v1/route", RouteBody(3, 59));
+  const auto live_rank = client.Request("POST", "/v1/rank", RouteBody(3, 59));
+  ASSERT_EQ(live_route.status, 200) << live_route.body;
+  ASSERT_EQ(live_rank.status, 200) << live_rank.body;
+  EXPECT_NE(live_route.body.find("\"graph_epoch\":1"), std::string::npos);
+  ExpectMatchesRanking(expected.ranked,
+                       ParseCandidates(live_route.body, "routes"));
+  ExpectMatchesRanking(expected.ranked, ParseCandidates(live_rank.body));
+  for (const auto& scored : expected.ranked) {
+    for (const auto edge : scored.path.edges) {
+      EXPECT_EQ(used.count(edge), 0u) << "route over closed edge " << edge;
+    }
+  }
 }
 
 /// Satellite surface checks for the spur-engine seam: every /v1/route

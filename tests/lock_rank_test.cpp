@@ -34,14 +34,13 @@ TEST(LockRankRegistry, RanksAreStrictlyIncreasingInTableOrder) {
   // The registry IS the hierarchy: a refactor that reorders two slots
   // without renumbering silently legalises the old inversion.
   const int ranks[] = {
-      LockRank::kHttpStop,          LockRank::kHttpConn,
-      LockRank::kHttpAdmit,         LockRank::kGraphRebuild,
-      LockRank::kGraphStore,        LockRank::kRouteFlightTable,
-      LockRank::kRouteFlight,       LockRank::kRouteCache,
-      LockRank::kBatchingQueue,     LockRank::kEngineSnapshot,
-      LockRank::kEngineBatchReplica, LockRank::kPoolRegion,
-      LockRank::kPoolState,         LockRank::kPoolError,
-      LockRank::kEngineReplica,     LockRank::kHttpEndpointStats,
+      LockRank::kHttpStop,         LockRank::kHttpConn,
+      LockRank::kHttpAdmit,        LockRank::kGraphRebuild,
+      LockRank::kGraphStore,       LockRank::kRouteFlightTable,
+      LockRank::kRouteFlight,      LockRank::kRouteCache,
+      LockRank::kEngineSnapshot,   LockRank::kPoolRegion,
+      LockRank::kPoolState,        LockRank::kPoolError,
+      LockRank::kEngineReplica,    LockRank::kHttpEndpointStats,
       LockRank::kStderrLog,
   };
   for (size_t i = 1; i < std::size(ranks); ++i) {

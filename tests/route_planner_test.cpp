@@ -1,10 +1,11 @@
 // RoutePlanner: the online query -> candidates -> ranked-paths pipeline.
 // Asserts (1) ranked output is bitwise identical to the offline
-// GenerateCandidates + ServingEngine::ScoreBatch composition, (2) a cache
+// data::GenerateCandidatePaths + ServingEngine::ScoreBatch composition, (2) a cache
 // hit returns bitwise-identical results (and byte-identical HTTP bodies
 // modulo the cache_hit flag), (3) the LRU evicts and touches correctly,
 // (4) the error taxonomy (unknown vertex, s == d, unreachable, bad k)
-// maps to 4xx over HTTP with stable status slugs.
+// maps to 4xx over HTTP with stable status slugs, on /v1/route and on
+// its /v1/rank alias alike.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "core/model.h"
+#include "data/candidate_generation.h"
 #include "graph/network_builder.h"
 #include "serving/http_server.h"
 #include "serving/json.h"
@@ -94,7 +96,7 @@ TEST(RoutePlanner, MatchesOfflinePipelineBitwise) {
   const graph::VertexId destination = 63;
 
   const auto offline = fx.engine.ScoreBatch(
-      GenerateCandidates(fx.network, source, destination, GenConfig()));
+      data::GenerateCandidatePaths(fx.network, source, destination, GenConfig()));
   ASSERT_GT(offline.size(), 1u);
 
   const RouteResult result = fx.planner.Plan({source, destination});
@@ -112,7 +114,7 @@ TEST(RoutePlanner, PerRequestKOverridesDefault) {
   auto gen = GenConfig();
   gen.k = 2;
   const auto offline = fx.engine.ScoreBatch(
-      GenerateCandidates(fx.network, 0, 63, gen));
+      data::GenerateCandidatePaths(fx.network, 0, 63, gen));
 
   const RouteResult result = fx.planner.Plan({0, 63, /*k=*/2});
   ASSERT_EQ(result.status, RouteStatus::kOk);
@@ -248,11 +250,10 @@ TEST(RoutePlanner, ConcurrentPlansAgreeBitwise) {
 // ---- HTTP mapping ------------------------------------------------------
 
 /// Loopback server whose route seam is a real RoutePlanner. /v1/route
-/// delegates vertex range checking to the planner regardless of
-/// backend.num_vertices (so out-of-range ids earn the unknown_vertex
-/// slug, not the generic 400 /v1/rank gives) — the taxonomy tests below
-/// therefore exercise exactly what a production `pathrank_cli serve`
-/// emits.
+/// and /v1/rank delegate vertex range checking to the planner regardless
+/// of backend.num_vertices (so out-of-range ids earn the unknown_vertex
+/// slug) — the taxonomy tests below therefore exercise exactly what a
+/// production `pathrank_cli serve` emits.
 struct RouteServerFixture {
   graph::RoadNetwork network = graph::BuildTestNetwork();
   core::PathRankModel model;
@@ -270,9 +271,6 @@ struct RouteServerFixture {
 
   HttpBackend Backend() {
     HttpBackend backend;
-    backend.rank = [this](graph::VertexId s, graph::VertexId d) {
-      return engine.Rank(s, d);
-    };
     backend.score = [this](std::vector<routing::Path> paths) {
       return engine.ScoreBatch(paths);
     };
@@ -305,7 +303,7 @@ std::string RouteBody(graph::VertexId source, graph::VertexId destination,
 TEST(RouteHttp, RoundTripMatchesOfflinePipelineBitwise) {
   RouteServerFixture fx;
   const auto offline = fx.engine.ScoreBatch(
-      GenerateCandidates(fx.network, 3, 59, GenConfig()));
+      data::GenerateCandidatePaths(fx.network, 3, 59, GenConfig()));
   ASSERT_GT(offline.size(), 1u);
 
   HttpClient client;
@@ -369,46 +367,49 @@ TEST(RouteHttp, ErrorTaxonomyMapsTo4xx) {
   const auto n = static_cast<graph::VertexId>(fx.network.num_vertices());
   HttpClient client;
   client.Connect(fx.server.port());
+  // /v1/rank is an alias of /v1/route: same parser, same status table.
+  for (const std::string target : {"/v1/route", "/v1/rank"}) {
+    SCOPED_TRACE(target);
+    const auto unknown =
+        client.Request("POST", target, RouteBody(n, 0));
+    EXPECT_EQ(unknown.status, 400);
+    EXPECT_NE(unknown.body.find("\"status\":\"unknown_vertex\""),
+              std::string::npos)
+        << unknown.body;
 
-  const auto unknown =
-      client.Request("POST", "/v1/route", RouteBody(n, 0));
-  EXPECT_EQ(unknown.status, 400);
-  EXPECT_NE(unknown.body.find("\"status\":\"unknown_vertex\""),
-            std::string::npos)
-      << unknown.body;
+    const auto same = client.Request("POST", target, RouteBody(4, 4));
+    EXPECT_EQ(same.status, 400);
+    EXPECT_NE(same.body.find("\"status\":\"same_vertex\""), std::string::npos);
 
-  const auto same = client.Request("POST", "/v1/route", RouteBody(4, 4));
-  EXPECT_EQ(same.status, 400);
-  EXPECT_NE(same.body.find("\"status\":\"same_vertex\""), std::string::npos);
+    const auto bad_k =
+        client.Request("POST", target,
+                       "{\"source\": 0, \"destination\": 9, \"k\": 0}");
+    EXPECT_EQ(bad_k.status, 400);
+    // HTTP-layer validation failures carry the slug too, not a bare error.
+    EXPECT_NE(bad_k.body.find("\"status\":\"bad_request\""),
+              std::string::npos)
+        << bad_k.body;
+    const auto negative_k =
+        client.Request("POST", target,
+                       "{\"source\": 0, \"destination\": 9, \"k\": -3}");
+    EXPECT_EQ(negative_k.status, 400);
+    const auto huge_k = client.Request(
+        "POST", target, RouteBody(0, 9, fx.planner.config().max_k + 1));
+    EXPECT_EQ(huge_k.status, 400);
+    EXPECT_NE(huge_k.body.find("\"status\":\"bad_request\""),
+              std::string::npos);
 
-  const auto bad_k =
-      client.Request("POST", "/v1/route",
-                     "{\"source\": 0, \"destination\": 9, \"k\": 0}");
-  EXPECT_EQ(bad_k.status, 400);
-  // HTTP-layer validation failures carry the slug too, not a bare error.
-  EXPECT_NE(bad_k.body.find("\"status\":\"bad_request\""),
-            std::string::npos)
-      << bad_k.body;
-  const auto negative_k =
-      client.Request("POST", "/v1/route",
-                     "{\"source\": 0, \"destination\": 9, \"k\": -3}");
-  EXPECT_EQ(negative_k.status, 400);
-  const auto huge_k = client.Request(
-      "POST", "/v1/route", RouteBody(0, 9, fx.planner.config().max_k + 1));
-  EXPECT_EQ(huge_k.status, 400);
-  EXPECT_NE(huge_k.body.find("\"status\":\"bad_request\""),
-            std::string::npos);
-
-  const auto bad_json =
-      client.Request("POST", "/v1/route", "{\"source\": }");
-  EXPECT_EQ(bad_json.status, 400);
-  // Unparseable JSON carries the slug like every other 4xx — clients
-  // branch on "status", and this path used to return a bare error.
-  EXPECT_NE(bad_json.body.find("\"status\":\"bad_request\""),
-            std::string::npos)
-      << bad_json.body;
-  const auto wrong_method = client.Request("GET", "/v1/route");
-  EXPECT_EQ(wrong_method.status, 405);
+    const auto bad_json =
+        client.Request("POST", target, "{\"source\": }");
+    EXPECT_EQ(bad_json.status, 400);
+    // Unparseable JSON carries the slug like every other 4xx — clients
+    // branch on "status", and this path used to return a bare error.
+    EXPECT_NE(bad_json.body.find("\"status\":\"bad_request\""),
+              std::string::npos)
+        << bad_json.body;
+    const auto wrong_method = client.Request("GET", target);
+    EXPECT_EQ(wrong_method.status, 405);
+  }
 }
 
 TEST(RouteHttp, UnreachablePairIs404) {
@@ -421,9 +422,6 @@ TEST(RouteHttp, UnreachablePairIs404) {
         return engine.ScoreBatch(paths);
       });
   HttpBackend backend;
-  backend.rank = [&engine](graph::VertexId s, graph::VertexId d) {
-    return engine.Rank(s, d);
-  };
   backend.score = [&engine](std::vector<routing::Path> paths) {
     return engine.ScoreBatch(paths);
   };
@@ -435,25 +433,23 @@ TEST(RouteHttp, UnreachablePairIs404) {
   server.Start();
   HttpClient client;
   client.Connect(server.port());
-  const auto response =
-      client.Request("POST", "/v1/route", RouteBody(0, 4));
-  EXPECT_EQ(response.status, 404);
-  EXPECT_NE(response.body.find("\"status\":\"unreachable\""),
-            std::string::npos)
-      << response.body;
+  for (const std::string target : {"/v1/route", "/v1/rank"}) {
+    const auto response = client.Request("POST", target, RouteBody(0, 4));
+    EXPECT_EQ(response.status, 404) << target;
+    EXPECT_NE(response.body.find("\"status\":\"unreachable\""),
+              std::string::npos)
+        << target << ": " << response.body;
+  }
   server.Stop();
 }
 
 TEST(RouteHttp, MissingRouteBackendIs404) {
-  // A server wired without the route seam (PR-4 style) must answer 404,
-  // not crash on a null std::function.
+  // A server wired without the route seam must answer 404 on /v1/route
+  // and its /v1/rank alias, not crash on a null std::function.
   graph::RoadNetwork network = graph::BuildTestNetwork();
   const core::PathRankModel model(network.num_vertices(), SmallConfig());
   const ServingEngine engine(network, model);
   HttpBackend backend;
-  backend.rank = [&engine](graph::VertexId s, graph::VertexId d) {
-    return engine.Rank(s, d);
-  };
   backend.score = [&engine](std::vector<routing::Path> paths) {
     return engine.ScoreBatch(paths);
   };
@@ -462,9 +458,8 @@ TEST(RouteHttp, MissingRouteBackendIs404) {
   server.Start();
   HttpClient client;
   client.Connect(server.port());
-  const auto response =
-      client.Request("POST", "/v1/route", RouteBody(0, 9));
-  EXPECT_EQ(response.status, 404);
+  EXPECT_EQ(client.Request("POST", "/v1/route", RouteBody(0, 9)).status, 404);
+  EXPECT_EQ(client.Request("POST", "/v1/rank", RouteBody(0, 9)).status, 404);
   server.Stop();
 }
 

@@ -1,7 +1,7 @@
 // Serving stack: const inference path equivalence (every cell / pooling /
 // multi-task / direction configuration), skip-init construction, immutable
-// snapshots, and the replica-pool ServingEngine (batch-vs-single and
-// concurrent-vs-serial bitwise equivalence).
+// snapshots, and the replica-pool ServingEngine scorer (concurrent-vs-
+// serial bitwise equivalence).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 
 #include "common/thread_pool.h"
 #include "core/model.h"
+#include "data/candidate_generation.h"
 #include "graph/network_builder.h"
 #include "serving/model_snapshot.h"
 #include "serving/serving_engine.h"
@@ -191,7 +192,8 @@ struct EngineFixture {
 TEST(ServingEngine, ScoreBatchMatchesTrainingForward) {
   EngineFixture fx;
   const ServingEngine engine(fx.network, fx.model);
-  const auto candidates = GenerateCandidates(fx.network, 0, 63, fx.gen);
+  const auto candidates =
+      data::GenerateCandidatePaths(fx.network, 0, 63, fx.gen);
   ASSERT_GE(candidates.size(), 2u);
 
   // Reference: the mutable training-path scores for the same batch.
@@ -216,40 +218,66 @@ TEST(ServingEngine, ScoreBatchMatchesTrainingForward) {
   }
 }
 
-TEST(ServingEngine, RankBatchMatchesSingleQueryRank) {
+/// Candidate sets for a spread of queries over the 8x8 test grid.
+std::vector<std::vector<routing::Path>> QueryCandidates(
+    const EngineFixture& fx) {
+  const std::vector<std::pair<graph::VertexId, graph::VertexId>> queries = {
+      {0, 63}, {7, 56}, {3, 60}, {21, 42}, {14, 49}, {8, 55}, {2, 61}};
+  std::vector<std::vector<routing::Path>> sets;
+  for (const auto& [source, destination] : queries) {
+    sets.push_back(
+        data::GenerateCandidatePaths(fx.network, source, destination, fx.gen));
+  }
+  return sets;
+}
+
+bool SameRanking(const std::vector<ScoredPath>& a,
+                 const std::vector<ScoredPath>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].score != b[i].score || a[i].path.vertices != b[i].path.vertices) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// A sequence's score does not depend on which other sequences share the
+// batch (padding width included), so a /v1/score answer for one path does
+// not depend on the client's other paths.
+TEST(ServingEngine, RowScoresAreIndependentOfBatchmates) {
   EngineFixture fx;
   const ServingEngine engine(fx.network, fx.model);
-  std::vector<RankQuery> queries = {
-      {0, 63}, {7, 56}, {3, 60}, {21, 42}, {0, 63}, {14, 49}};
-  const auto batched = engine.RankBatch(queries, fx.gen);
-  ASSERT_EQ(batched.size(), queries.size());
-  for (size_t q = 0; q < queries.size(); ++q) {
-    const auto single =
-        engine.Rank(queries[q].source, queries[q].destination, fx.gen);
-    ASSERT_EQ(single.size(), batched[q].size()) << "query " << q;
-    for (size_t i = 0; i < single.size(); ++i) {
-      EXPECT_EQ(single[i].score, batched[q][i].score);
-      EXPECT_EQ(single[i].path.vertices, batched[q][i].path.vertices);
-    }
+
+  // All candidate sets merged into one wide batch...
+  std::vector<std::vector<int32_t>> all_seqs;
+  for (const auto& paths : QueryCandidates(fx)) {
+    for (const auto& p : paths) all_seqs.push_back(PathToSequence(p));
+  }
+  ASSERT_GE(all_seqs.size(), 8u);
+  const auto wide =
+      engine.ScoreSequences(nn::SequenceBatch::FromSequences(all_seqs));
+
+  // ...must score every row exactly as that row alone does.
+  for (size_t i = 0; i < all_seqs.size(); ++i) {
+    const auto alone =
+        engine.ScoreSequences(nn::SequenceBatch::FromSequences({all_seqs[i]}));
+    ASSERT_EQ(alone.size(), 1u);
+    EXPECT_EQ(alone[0], wide[i]) << "row " << i;
   }
 }
 
-TEST(ServingEngine, ConcurrentRankIsBitwiseEqualToSerial) {
+TEST(ServingEngine, ConcurrentScoreBatchIsBitwiseEqualToSerial) {
   EngineFixture fx;
   ServingOptions options;
-  options.num_replicas = 3;  // fewer replicas than threads: locks contend
-  options.candidates = fx.gen;
+  options.num_replicas = 3;  // fewer replicas than callers: locks contend
   const ServingEngine engine(fx.network, fx.model, options);
-
-  const std::vector<RankQuery> queries = {
-      {0, 63}, {7, 56}, {3, 60}, {21, 42}, {14, 49}, {8, 55}, {2, 61}};
+  const auto sets = QueryCandidates(fx);
 
   // Serial reference through the same engine.
   std::vector<std::vector<ScoredPath>> expected;
-  expected.reserve(queries.size());
-  for (const auto& q : queries) {
-    expected.push_back(engine.Rank(q.source, q.destination));
-  }
+  expected.reserve(sets.size());
+  for (const auto& paths : sets) expected.push_back(engine.ScoreBatch(paths));
 
   // N external threads x M rounds over one shared engine. Every result
   // must be bitwise identical to the serial reference.
@@ -262,20 +290,11 @@ TEST(ServingEngine, ConcurrentRankIsBitwiseEqualToSerial) {
     threads.emplace_back([&, t] {
       for (size_t round = 0; round < kRounds; ++round) {
         // Stagger starting offsets so threads hit different replicas.
-        const size_t start = (t + round) % queries.size();
-        for (size_t i = 0; i < queries.size(); ++i) {
-          const size_t q = (start + i) % queries.size();
-          const auto got =
-              engine.Rank(queries[q].source, queries[q].destination);
-          if (got.size() != expected[q].size()) {
+        const size_t start = (t + round) % sets.size();
+        for (size_t i = 0; i < sets.size(); ++i) {
+          const size_t q = (start + i) % sets.size();
+          if (!SameRanking(engine.ScoreBatch(sets[q]), expected[q])) {
             mismatches.fetch_add(1);
-            continue;
-          }
-          for (size_t j = 0; j < got.size(); ++j) {
-            if (got[j].score != expected[q][j].score ||
-                got[j].path.vertices != expected[q][j].path.vertices) {
-              mismatches.fetch_add(1);
-            }
           }
         }
       }
@@ -285,49 +304,9 @@ TEST(ServingEngine, ConcurrentRankIsBitwiseEqualToSerial) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
-TEST(ServingEngine, ConcurrentRankBatchAndRankCoexist) {
-  // A RankBatch running on the global pool while external threads issue
-  // single queries must neither deadlock nor change any result.
-  EngineFixture fx;
-  ServingOptions options;
-  options.num_replicas = 2;
-  options.candidates = fx.gen;
-  const ServingEngine engine(fx.network, fx.model, options);
-
-  const std::vector<RankQuery> queries = {{0, 63}, {7, 56}, {3, 60},
-                                          {21, 42}, {14, 49}, {8, 55}};
-  const auto expected = engine.RankBatch(queries);
-
-  std::atomic<int> mismatches{0};
-  std::thread external([&] {
-    for (int round = 0; round < 10; ++round) {
-      const size_t q = static_cast<size_t>(round) % queries.size();
-      const auto got = engine.Rank(queries[q].source, queries[q].destination);
-      if (got.size() != expected[q].size()) mismatches.fetch_add(1);
-    }
-  });
-  for (int round = 0; round < 5; ++round) {
-    const auto batched = engine.RankBatch(queries);
-    for (size_t q = 0; q < queries.size(); ++q) {
-      if (batched[q].size() != expected[q].size()) {
-        mismatches.fetch_add(1);
-        continue;
-      }
-      for (size_t i = 0; i < batched[q].size(); ++i) {
-        if (batched[q][i].score != expected[q][i].score) {
-          mismatches.fetch_add(1);
-        }
-      }
-    }
-  }
-  external.join();
-  EXPECT_EQ(mismatches.load(), 0);
-}
-
-TEST(ServingEngine, EmptyBatchAndEmptyPathsAreFine) {
+TEST(ServingEngine, EmptyPathsAreFine) {
   EngineFixture fx;
   const ServingEngine engine(fx.network, fx.model);
-  EXPECT_TRUE(engine.RankBatch({}).empty());
   EXPECT_TRUE(engine.ScoreBatch({}).empty());
 }
 
@@ -337,13 +316,8 @@ TEST(ServingEngine, TwoEnginesOverOneModelAgreeBitwise) {
   EngineFixture fx;
   const ServingEngine first(fx.network, fx.model);
   const ServingEngine second(fx.network, fx.model);
-  const auto via_first = first.Rank(0, 63, fx.gen);
-  const auto via_second = second.Rank(0, 63, fx.gen);
-  ASSERT_EQ(via_first.size(), via_second.size());
-  for (size_t i = 0; i < via_first.size(); ++i) {
-    EXPECT_EQ(via_first[i].score, via_second[i].score);
-    EXPECT_EQ(via_first[i].path.vertices, via_second[i].path.vertices);
-  }
+  const auto paths = data::GenerateCandidatePaths(fx.network, 0, 63, fx.gen);
+  EXPECT_TRUE(SameRanking(first.ScoreBatch(paths), second.ScoreBatch(paths)));
 }
 
 }  // namespace

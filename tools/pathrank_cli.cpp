@@ -8,36 +8,28 @@
 //                         --strategy dtkdi --epochs 20 --out model.bin
 //   pathrank_cli evaluate --network net --trips trips.csv --model model.bin
 //   pathrank_cli rank     --network net --model model.bin --from 12 --to 245
-//   pathrank_cli serve    --network net --model model.bin --num-queries 128
-//                         --threads 4 --repeat 3
-//                         [--batch 1 --clients 8] [--shards 4]
-//                         [--watch-model 1] [--http 8080]
+//   pathrank_cli serve    --network net --model model.bin --http 8080
+//                         [--threads 4] [--watch-model 1] [--watch-graph 1]
 //
-// `serve` drives the serving stack with a batch of queries (from --queries
-// CSV of "source,destination" lines, or sampled randomly) and reports
-// per-query latency percentiles and QPS. `--batch 1` coalesces requests
-// through a BatchingQueue (closed-loop `--clients` submitters), `--shards
-// N` partitions traffic across N engines (`--shard-policy hash|rr`), and
-// `--watch-model 1` polls the model checkpoint and hot-swaps the served
-// snapshot whenever the file changes — all three without restarting the
-// process.
+// `rank` answers one query through a RoutePlanner over the loaded
+// network: the same enumerate-then-score pipeline `serve` runs per
+// request.
 //
-// `serve --http PORT` skips the self-drive and instead exposes the same
-// stack over HTTP/1.1 (POST /v1/rank, POST /v1/score, POST /v1/route,
-// POST /v1/traffic, GET /healthz, GET /statsz) until SIGINT/SIGTERM,
-// with admission control in front of the engine (--max-inflight,
-// --max-queue-wait-us; overload answers 429 + Retry-After). It composes
-// with --batch (requests coalesce through the BatchingQueue), --shards
-// and --watch-model, so hot swap and sharding work over the wire.
-// /v1/route is the full online pipeline (candidate enumeration + LRU
-// candidate cache + scoring, see serving::RoutePlanner); --route-cache N
-// sizes the cache. The route pipeline serves a live graph behind a
-// GraphStore: POST /v1/traffic ingests edge cost/closure batches
-// (epoch + 1 per batch), and `--watch-graph 1` polls the graph source
-// files and hot-swaps a re-exported network the same way --watch-model
-// swaps checkpoints. The serving network comes from --network PREFIX
-// (the CSV pair) or --graph EDGES.csv (edges-only: vertex set inferred,
-// coordinates zeroed — enough for travel-time routing).
+// `serve --http PORT` exposes the serving stack over HTTP/1.1 (POST
+// /v1/route, its /v1/rank alias, POST /v1/score, POST /v1/traffic, GET
+// /healthz, GET /statsz) until SIGINT/SIGTERM, with admission control in
+// front of the engine (--max-inflight, --max-queue-wait-us; overload
+// answers 429 + Retry-After). /v1/route is the full online pipeline
+// (candidate enumeration + LRU candidate cache + scoring, see
+// serving::RoutePlanner); --route-cache N sizes the cache. The route
+// pipeline serves a live graph behind a GraphStore: POST /v1/traffic
+// ingests edge cost/closure batches (epoch + 1 per batch). `--watch-model
+// 1` polls the model checkpoint and hot-swaps the served snapshot
+// whenever the file changes, and `--watch-graph 1` polls the graph
+// source files and hot-swaps a re-exported network the same way. The
+// serving network comes from --network PREFIX (the CSV pair) or --graph
+// EDGES.csv (edges-only: vertex set inferred, coordinates zeroed —
+// enough for travel-time routing).
 //
 // Networks are stored as the CSV pair written by graph::SaveNetworkCsv,
 // trips as traj::SaveTrips CSV, models as core::SaveModel checkpoints.
@@ -48,7 +40,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
@@ -58,19 +49,15 @@
 #include <vector>
 
 #include "common/parse.h"
-#include "common/percentile.h"
-#include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "core/model_io.h"
 #include "pathrank.h"
 #include "graph/graph_io.h"
-#include "serving/batching_queue.h"
 #include "serving/fault_injector.h"
 #include "serving/graph_store.h"
 #include "serving/http_server.h"
 #include "serving/route_planner.h"
-#include "serving/sharded_engine.h"
 #include "traj/trip_io.h"
 
 namespace {
@@ -276,20 +263,29 @@ int CmdRank(const Args& args) {
   const auto from = static_cast<graph::VertexId>(args.GetInt("from", 0));
   const auto to = static_cast<graph::VertexId>(
       args.GetInt("to", static_cast<int>(network.num_vertices()) - 1));
-  if (from >= network.num_vertices() || to >= network.num_vertices()) {
-    std::fprintf(stderr, "vertex id out of range\n");
-    return 1;
-  }
   if (model->vocab_size() != network.num_vertices()) {
     std::fprintf(stderr, "model/network vertex-count mismatch\n");
     return 1;
   }
   serving::ServingOptions options;
   options.num_replicas = 1;
-  options.candidates = GenConfigFromArgs(args);
   const serving::ServingEngine engine(
       network, serving::ModelSnapshot::Capture(*model), options);
-  const auto ranked = engine.Rank(from, to);
+  serving::RoutePlannerConfig config;
+  config.network = &network;
+  config.candidates = GenConfigFromArgs(args);
+  config.cache_capacity = 0;  // one query: nothing to reuse
+  const serving::RoutePlanner planner(
+      config, [&engine](std::vector<routing::Path> paths) {
+        return engine.ScoreBatch(paths);
+      });
+  const serving::RouteResult result = planner.Plan({from, to});
+  if (result.status != serving::RouteStatus::kOk) {
+    std::fprintf(stderr, "%s: %s\n", serving::RouteStatusSlug(result.status),
+                 result.message.c_str());
+    return 1;
+  }
+  const auto& ranked = result.ranked;
   std::printf("%zu candidates for %u -> %u:\n", ranked.size(), from, to);
   for (size_t i = 0; i < ranked.size(); ++i) {
     std::printf("#%zu score=%.4f length=%.0fm time=%.0fs vertices=%zu\n",
@@ -299,93 +295,31 @@ int CmdRank(const Args& args) {
   return 0;
 }
 
-/// Reads "source,destination" lines (blank lines and '#' comments are
-/// skipped) into rank queries.
-std::vector<serving::RankQuery> LoadQueriesCsv(
-    const std::string& path, const graph::RoadNetwork& network) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot open queries file %s\n", path.c_str());
-    std::exit(2);
-  }
-  std::vector<serving::RankQuery> queries;
-  std::string line;
-  size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty() || line[0] == '#') continue;
-    unsigned src = 0;
-    unsigned dst = 0;
-    if (std::sscanf(line.c_str(), " %u , %u", &src, &dst) != 2) {
-      std::fprintf(stderr, "%s:%zu: expected 'source,destination'\n",
-                   path.c_str(), line_no);
-      std::exit(2);
-    }
-    if (src >= network.num_vertices() || dst >= network.num_vertices()) {
-      std::fprintf(stderr, "%s:%zu: vertex id out of range\n", path.c_str(),
-                   line_no);
-      std::exit(2);
-    }
-    queries.push_back({src, dst});
-  }
-  return queries;
-}
-
-/// Samples random (source != destination) query pairs.
-std::vector<serving::RankQuery> SampleQueries(
-    const graph::RoadNetwork& network, int count, uint64_t seed) {
-  if (count <= 0) {
-    std::fprintf(stderr, "--num-queries must be positive\n");
-    std::exit(2);
-  }
-  if (network.num_vertices() < 2) {
-    std::fprintf(stderr, "network too small to sample queries\n");
-    std::exit(2);
-  }
-  Rng rng(seed);
-  const auto n = static_cast<int64_t>(network.num_vertices());
-  std::vector<serving::RankQuery> queries;
-  queries.reserve(static_cast<size_t>(count));
-  while (queries.size() < static_cast<size_t>(count)) {
-    const auto src = static_cast<graph::VertexId>(rng.NextInt(0, n - 1));
-    const auto dst = static_cast<graph::VertexId>(rng.NextInt(0, n - 1));
-    if (src == dst) continue;
-    queries.push_back({src, dst});
-  }
-  return queries;
-}
-
-serving::ShardPolicy ParseShardPolicy(const std::string& name) {
-  if (name == "hash") return serving::ShardPolicy::kHash;
-  if (name == "rr" || name == "roundrobin") {
-    return serving::ShardPolicy::kRoundRobin;
-  }
-  std::fprintf(stderr, "unknown shard policy: %s (hash|rr)\n", name.c_str());
-  std::exit(2);
-}
-
-/// Polls a model checkpoint's mtime and hot-swaps the served snapshot when
-/// the file changes — the `serve --watch-model` reload path. The swap
-/// itself is one atomic pointer exchange inside the engine(s); in-flight
-/// requests finish on the snapshot they started with.
-class ModelWatcher {
+/// Polls one file's mtime and calls `reload` when it changes — the
+/// `serve --watch-model` and `--watch-graph` hot-swap path. `reload`
+/// returns true when it swapped the file in and false when it rejected
+/// the file's contents; a rejected file is not retried until the next
+/// rewrite. A throw is a failed read — normally a file caught mid-write —
+/// and retries on the next tick. In-flight requests finish on whatever
+/// they captured before the swap.
+class FileWatcher {
  public:
-  ModelWatcher(std::string model_path, const graph::RoadNetwork& network,
-               std::function<void(std::shared_ptr<const serving::ModelSnapshot>)>
-                   swap,
-               int interval_ms)
-      : model_path_(std::move(model_path)),
-        network_(&network),
-        swap_(std::move(swap)),
+  FileWatcher(std::string label, std::string path,
+              std::function<bool()> reload, int interval_ms)
+      : label_(std::move(label)),
+        path_(std::move(path)),
+        reload_(std::move(reload)),
         interval_ms_(interval_ms),
-        last_mtime_(Mtime(model_path_)) {
+        last_mtime_(Mtime(path_)) {
     thread_ = std::thread([this] { Loop(); });
   }
 
-  ~ModelWatcher() {
+  ~FileWatcher() {
     stop_.store(true);
     thread_.join();
   }
+  FileWatcher(const FileWatcher&) = delete;
+  FileWatcher& operator=(const FileWatcher&) = delete;
 
   uint64_t swaps() const { return swaps_.load(); }
 
@@ -410,133 +344,27 @@ class ModelWatcher {
     while (!stop_.load()) {
       InterruptibleSleep();
       if (stop_.load()) break;
-      const auto mtime = Mtime(model_path_);
+      const auto mtime = Mtime(path_);
       if (mtime == last_mtime_ ||
           mtime == std::filesystem::file_time_type{}) {
         continue;
       }
       try {
-        auto next = core::LoadModel(model_path_);
-        if (next->vocab_size() != network_->num_vertices()) {
-          std::fprintf(stderr,
-                       "watch-model: %s no longer matches the network; "
-                       "keeping the current snapshot\n",
-                       model_path_.c_str());
-          last_mtime_ = mtime;  // not transient; wait for the next rewrite
-          continue;
-        }
-        swap_(serving::ModelSnapshot::Capture(*next));
+        if (reload_()) swaps_.fetch_add(1);
         last_mtime_ = mtime;
-        swaps_.fetch_add(1);
-        std::printf("watch-model: hot-swapped snapshot from %s\n",
-                    model_path_.c_str());
       } catch (const std::exception& e) {
-        // A partially written checkpoint mid-save is expected. last_mtime_
-        // deliberately stays stale so the next tick retries even when the
-        // writer finishes within the same coarse mtime granule.
-        std::fprintf(stderr, "watch-model: reload failed (%s); will retry\n",
-                     e.what());
+        // last_mtime_ deliberately stays stale so the next tick retries
+        // even when the writer finishes within the same coarse mtime
+        // granule.
+        std::fprintf(stderr, "%s: reload of %s failed (%s); will retry\n",
+                     label_.c_str(), path_.c_str(), e.what());
       }
     }
   }
 
-  const std::string model_path_;
-  const graph::RoadNetwork* network_;
-  const std::function<void(std::shared_ptr<const serving::ModelSnapshot>)>
-      swap_;
-  const int interval_ms_;
-  std::filesystem::file_time_type last_mtime_;
-  std::atomic<bool> stop_{false};
-  std::atomic<uint64_t> swaps_{0};
-  std::thread thread_;
-};
-
-/// Polls the graph source's mtime and swaps a freshly loaded network into
-/// the GraphStore when it changes — the `serve --watch-graph` reload
-/// path, ModelWatcher's graph-side twin. Watches the edges CSV (the file
-/// a re-export rewrites); in-flight route queries finish on the snapshot
-/// they captured, and the superseded graph is freed when the last of
-/// them returns.
-class GraphWatcher {
- public:
-  GraphWatcher(std::string watch_path,
-               std::function<graph::RoadNetwork()> load,
-               serving::GraphStore* store, int interval_ms)
-      : watch_path_(std::move(watch_path)),
-        load_(std::move(load)),
-        store_(store),
-        interval_ms_(interval_ms),
-        last_mtime_(Mtime(watch_path_)) {
-    thread_ = std::thread([this] { Loop(); });
-  }
-
-  ~GraphWatcher() {
-    stop_.store(true);
-    thread_.join();
-  }
-
-  uint64_t swaps() const { return swaps_.load(); }
-
- private:
-  static std::filesystem::file_time_type Mtime(const std::string& path) {
-    std::error_code ec;
-    const auto t = std::filesystem::last_write_time(path, ec);
-    return ec ? std::filesystem::file_time_type{} : t;
-  }
-
-  void InterruptibleSleep() const {
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(interval_ms_);
-    while (!stop_.load() && std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-  }
-
-  void Loop() {
-    while (!stop_.load()) {
-      InterruptibleSleep();
-      if (stop_.load()) break;
-      const auto mtime = Mtime(watch_path_);
-      if (mtime == last_mtime_ ||
-          mtime == std::filesystem::file_time_type{}) {
-        continue;
-      }
-      try {
-        graph::RoadNetwork next = load_();
-        const auto current = store_->Current();
-        if (next.num_vertices() != current->network().num_vertices()) {
-          // The model's vocabulary (and the /v1/rank engine) is pinned to
-          // the boot-time vertex set; a graph that changes it needs a
-          // restart with a matching model, not a hot swap.
-          std::fprintf(stderr,
-                       "watch-graph: %s changed its vertex count (%zu -> "
-                       "%zu); the model is pinned to the boot graph — "
-                       "keeping the current snapshot\n",
-                       watch_path_.c_str(),
-                       current->network().num_vertices(),
-                       next.num_vertices());
-          last_mtime_ = mtime;  // not transient; wait for the next rewrite
-          continue;
-        }
-        store_->SwapNetwork(std::move(next));
-        last_mtime_ = mtime;
-        swaps_.fetch_add(1);
-        std::printf("watch-graph: hot-swapped graph from %s (epoch %llu)\n",
-                    watch_path_.c_str(),
-                    static_cast<unsigned long long>(store_->epoch()));
-      } catch (const std::exception& e) {
-        // A partially written CSV mid-export is expected. last_mtime_
-        // deliberately stays stale so the next tick retries even when the
-        // writer finishes within the same coarse mtime granule.
-        std::fprintf(stderr, "watch-graph: reload failed (%s); will retry\n",
-                     e.what());
-      }
-    }
-  }
-
-  const std::string watch_path_;
-  const std::function<graph::RoadNetwork()> load_;
-  serving::GraphStore* store_;
+  const std::string label_;
+  const std::string path_;
+  const std::function<bool()> reload_;
   const int interval_ms_;
   std::filesystem::file_time_type last_mtime_;
   std::atomic<bool> stop_{false};
@@ -551,15 +379,11 @@ std::atomic<bool> g_http_interrupted{false};
 
 void OnHttpSignal(int /*signum*/) { g_http_interrupted.store(true); }
 
-/// `serve --http PORT`: serves the engine stack over HTTP until a signal
-/// arrives, then reports the traffic counters. The backend seams route
-/// through whichever composition the flags built — sharded, coalescing
-/// queue, or bare engine.
+/// `serve --http PORT`: serves the engine over HTTP until a signal
+/// arrives, then reports the traffic counters.
 int RunHttpFrontEnd(const Args& args, const graph::RoadNetwork& network,
                     serving::ServingEngine* engine,
-                    serving::ShardedEngine* sharded,
-                    serving::BatchingQueue* queue,
-                    const ModelWatcher* watcher) {
+                    const FileWatcher* model_watcher) {
   serving::HttpServerOptions options;
   options.bind_address = args.Get("http-addr", "0.0.0.0");
   const int port = args.GetInt("http", 0);
@@ -592,45 +416,16 @@ int RunHttpFrontEnd(const Args& args, const graph::RoadNetwork& network,
 
   serving::HttpBackend backend;
   backend.num_vertices = network.num_vertices();
-  if (sharded != nullptr) {
-    backend.rank = [sharded](graph::VertexId s, graph::VertexId d) {
-      return sharded->Rank(s, d);
-    };
-    backend.score = [sharded](std::vector<routing::Path> paths) {
-      return sharded->ScoreBatch(paths);
-    };
-    backend.swap_count = [sharded] {
-      uint64_t total = 0;
-      for (size_t i = 0; i < sharded->num_shards(); ++i) {
-        total += sharded->shard(i).swap_count();
-      }
-      return total;
-    };
-  } else if (queue != nullptr) {
-    // HTTP workers are plain threads, so blocking on queue futures here
-    // is the supported submit-and-wait pattern (batching_queue.h).
-    backend.rank = [queue](graph::VertexId s, graph::VertexId d) {
-      return queue->SubmitRank(s, d).get();
-    };
-    backend.score = [queue](std::vector<routing::Path> paths) {
-      return queue->SubmitScore(std::move(paths)).get();
-    };
-    backend.swap_count = [engine] { return engine->swap_count(); };
-  } else {
-    backend.rank = [engine](graph::VertexId s, graph::VertexId d) {
-      return engine->Rank(s, d);
-    };
-    backend.score = [engine](std::vector<routing::Path> paths) {
-      return engine->ScoreBatch(paths);
-    };
-    backend.swap_count = [engine] { return engine->swap_count(); };
-  }
+  backend.score = [engine](std::vector<routing::Path> paths) {
+    return engine->ScoreBatch(paths);
+  };
+  backend.swap_count = [engine] { return engine->swap_count(); };
 
   // --fault-spec: deterministic chaos at the backend seams (sites
-  // "rank", "score", "route"), for drills and for reproducing what
-  // chaos_test exercises programmatically. The wrappers go in BEFORE the
-  // planner captures backend.score, so injected scoring faults hit
-  // /v1/route too.
+  // "score" and "route"), for drills and for reproducing what chaos_test
+  // exercises programmatically. The wrapper goes in BEFORE the planner
+  // captures backend.score, so injected scoring faults hit /v1/route
+  // and /v1/rank too.
   std::shared_ptr<serving::FaultInjector> faults;
   if (args.Has("fault-spec")) {
     try {
@@ -643,11 +438,6 @@ int RunHttpFrontEnd(const Args& args, const graph::RoadNetwork& network,
     }
   }
   if (faults != nullptr && faults->enabled()) {
-    backend.rank = [faults, inner = backend.rank](graph::VertexId s,
-                                                  graph::VertexId d) {
-      faults->Inject("rank");
-      return inner(s, d);
-    };
     backend.score = [faults, inner = backend.score](
                         std::vector<routing::Path> paths) {
       faults->Inject("score");
@@ -655,11 +445,9 @@ int RunHttpFrontEnd(const Args& args, const graph::RoadNetwork& network,
     };
   }
 
-  // The live graph behind /v1/route and /v1/traffic: a GraphStore seeded
-  // with a copy of the boot network (epoch 0). Traffic batches and
-  // --watch-graph reloads swap new snapshots in; the /v1/rank engine
-  // stays pinned to the boot network (its candidate generator and the
-  // model vocabulary were built against it).
+  // The live graph behind /v1/route, /v1/rank and /v1/traffic: a
+  // GraphStore seeded with a copy of the boot network (epoch 0). Traffic
+  // batches and --watch-graph reloads swap new snapshots in.
   serving::GraphStore graph_store(network);
 
   // --spur-engine: which engine runs the Yen spur searches behind
@@ -687,12 +475,12 @@ int RunHttpFrontEnd(const Args& args, const graph::RoadNetwork& network,
     graph_store.EnablePreprocessing(preprocess);
   }
 
-  // The online route pipeline behind POST /v1/route: candidate
-  // enumeration + LRU candidate cache + scoring through the SAME seam
-  // backend.score uses, so /v1/route composes with --batch and --shards
-  // for free. Built over the GraphStore: each query captures the current
-  // snapshot (and, for ALT, the preprocessing artifact) once, and cached
-  // candidate sets invalidate when the epoch moves on.
+  // The online route pipeline behind POST /v1/route and /v1/rank:
+  // candidate enumeration + LRU candidate cache + scoring through the
+  // SAME seam backend.score uses. Built over the GraphStore: each query
+  // captures the current snapshot (and, for ALT, the preprocessing
+  // artifact) once, and cached candidate sets invalidate when the epoch
+  // moves on.
   serving::RoutePlannerConfig route_config;
   route_config.store = &graph_store;
   route_config.candidates = GenConfigFromArgs(args);
@@ -726,18 +514,36 @@ int RunHttpFrontEnd(const Args& args, const graph::RoadNetwork& network,
   // --watch-graph: poll the graph source and hot-swap re-exports, the
   // graph-side analogue of --watch-model. Watches the edges CSV — the
   // file a re-export rewrites for either --graph or --network serving.
-  std::unique_ptr<GraphWatcher> graph_watcher;
+  std::unique_ptr<FileWatcher> graph_watcher;
   if (args.GetInt("watch-graph", 0) != 0) {
     const bool has_graph = args.Has("graph");
     const std::string watch_path =
         has_graph ? args.Get("graph", "")
                   : args.Get("network", "") + "_edges.csv";
-    auto load = [has_graph, &args]() {
-      return has_graph ? graph::LoadNetworkEdgesCsv(args.Get("graph", ""))
-                       : graph::LoadNetworkCsv(args.Get("network", ""));
+    auto reload = [has_graph, &args, &graph_store, watch_path] {
+      graph::RoadNetwork next =
+          has_graph ? graph::LoadNetworkEdgesCsv(args.Get("graph", ""))
+                    : graph::LoadNetworkCsv(args.Get("network", ""));
+      const size_t current = graph_store.Current()->network().num_vertices();
+      if (next.num_vertices() != current) {
+        // The model's vocabulary is pinned to the boot-time vertex set; a
+        // graph that changes it needs a restart with a matching model,
+        // not a hot swap.
+        std::fprintf(stderr,
+                     "watch-graph: %s changed its vertex count (%zu -> "
+                     "%zu); the model is pinned to the boot graph — "
+                     "keeping the current snapshot\n",
+                     watch_path.c_str(), current, next.num_vertices());
+        return false;
+      }
+      graph_store.SwapNetwork(std::move(next));
+      std::printf("watch-graph: hot-swapped graph from %s (epoch %llu)\n",
+                  watch_path.c_str(),
+                  static_cast<unsigned long long>(graph_store.epoch()));
+      return true;
     };
-    graph_watcher = std::make_unique<GraphWatcher>(
-        watch_path, std::move(load), &graph_store,
+    graph_watcher = std::make_unique<FileWatcher>(
+        "watch-graph", watch_path, std::move(reload),
         std::max(1, args.GetInt("watch-interval-ms", 200)));
   }
 
@@ -753,13 +559,11 @@ int RunHttpFrontEnd(const Args& args, const graph::RoadNetwork& network,
                   ? StrFormat(" (%d landmarks)", num_landmarks).c_str()
                   : "");
   std::printf("HTTP serving on %s:%u  (threads=%zu, max_inflight=%zu, "
-              "max_queue_wait_us=%lld%s%s%s%s)\n",
+              "max_queue_wait_us=%lld%s%s)\n",
               options.bind_address.c_str(), server.port(),
               server.options().num_threads, options.max_inflight,
               static_cast<long long>(options.max_queue_wait_us),
-              queue != nullptr ? ", batched" : "",
-              sharded != nullptr ? ", sharded" : "",
-              watcher != nullptr ? ", watch-model" : "",
+              model_watcher != nullptr ? ", watch-model" : "",
               graph_watcher != nullptr ? ", watch-graph" : "");
   std::printf("timeouts: idle %d s, request %d s; route budget: default %lld "
               "ms, max %lld ms (0 = unbounded)\n",
@@ -771,8 +575,8 @@ int RunHttpFrontEnd(const Args& args, const graph::RoadNetwork& network,
                 args.Get("fault-spec", "").c_str(),
                 args.GetInt("fault-seed", 1));
   }
-  std::printf("endpoints: POST /v1/rank  POST /v1/score  POST /v1/route  "
-              "POST /v1/traffic  GET /healthz  GET /statsz  "
+  std::printf("endpoints: POST /v1/route  POST /v1/rank (alias)  "
+              "POST /v1/score  POST /v1/traffic  GET /healthz  GET /statsz  "
               "(Ctrl-C to stop)\n");
 
   g_http_interrupted.store(false);
@@ -832,34 +636,15 @@ int RunHttpFrontEnd(const Args& args, const graph::RoadNetwork& network,
                 static_cast<unsigned long long>(faults->injected_delays()),
                 static_cast<unsigned long long>(faults->injected_errors()));
   }
-  if (watcher != nullptr) {
+  if (model_watcher != nullptr) {
     std::printf("watch-model: %llu hot swap(s) while serving\n",
-                static_cast<unsigned long long>(watcher->swaps()));
+                static_cast<unsigned long long>(model_watcher->swaps()));
   }
   if (graph_watcher != nullptr) {
     std::printf("watch-graph: %llu hot swap(s) while serving\n",
                 static_cast<unsigned long long>(graph_watcher->swaps()));
   }
   return 0;
-}
-
-/// Sorts `latency` and prints the wall-clock / QPS / percentile report
-/// shared by the serve drive modes. PercentileSorted keeps the quantile
-/// convention identical to the gated bench metrics.
-void ReportServeStats(std::vector<double>& latency, double wall_s,
-                      size_t candidates_served) {
-  std::sort(latency.begin(), latency.end());
-  auto pct = [&](double p) { return PercentileSorted(latency, p) * 1e3; };
-  double mean_ms = 0.0;
-  for (double s : latency) mean_ms += s;
-  mean_ms = mean_ms / static_cast<double>(latency.size()) * 1e3;
-
-  std::printf("%zu candidates served\n", candidates_served);
-  std::printf("wall %.3f s  =>  %.1f QPS\n", wall_s,
-              static_cast<double>(latency.size()) / wall_s);
-  std::printf("latency/query: mean %.2f ms  p50 %.2f ms  p95 %.2f ms  "
-              "p99 %.2f ms\n",
-              mean_ms, pct(0.50), pct(0.95), pct(0.99));
 }
 
 /// Serving network source: --network PREFIX (the SaveNetworkCsv pair) or
@@ -879,6 +664,12 @@ graph::RoadNetwork LoadServeNetwork(const Args& args) {
 }
 
 int CmdServe(const Args& args) {
+  if (!args.Has("http")) {
+    std::fprintf(stderr,
+                 "serve runs the HTTP server and needs --http PORT "
+                 "(0 = any free port)\n");
+    return 2;
+  }
   const auto network = LoadServeNetwork(args);
   auto model = core::LoadModel(args.Require("model"));
   if (model->vocab_size() != network.num_vertices()) {
@@ -897,198 +688,34 @@ int CmdServe(const Args& args) {
     std::fprintf(stderr, "--replicas must be >= 0 (0 = one per thread)\n");
     return 2;
   }
-  const int shards = args.GetInt("shards", 0);
-  if (shards < 0) {
-    std::fprintf(stderr, "--shards must be >= 0 (0 = unsharded)\n");
-    return 2;
-  }
-  const bool batch = args.GetInt("batch", 0) != 0;
-  if (batch && shards > 0) {
-    std::fprintf(stderr,
-                 "--batch coalesces onto one engine; combine with --shards "
-                 "by running one queue per shard in library code\n");
-    return 2;
-  }
-
   serving::ServingOptions options;
   options.num_replicas = static_cast<size_t>(replicas);
-  options.candidates = GenConfigFromArgs(args);
-  const auto snapshot = serving::ModelSnapshot::Capture(*model);
+  serving::ServingEngine engine(
+      network, serving::ModelSnapshot::Capture(*model), options);
   model.reset();  // the snapshot owns its own copy of the parameters
 
-  // One of the two is live; both expose Rank + SwapSnapshot.
-  std::unique_ptr<serving::ServingEngine> engine;
-  std::unique_ptr<serving::ShardedEngine> sharded;
-  if (shards > 0) {
-    serving::ShardedOptions shard_options;
-    shard_options.num_shards = static_cast<size_t>(shards);
-    shard_options.policy = ParseShardPolicy(args.Get("shard-policy", "hash"));
-    shard_options.engine_options = options;
-    sharded = std::make_unique<serving::ShardedEngine>(network, snapshot,
-                                                       shard_options);
-  } else {
-    engine =
-        std::make_unique<serving::ServingEngine>(network, snapshot, options);
-  }
-  auto rank = [&](const serving::RankQuery& q) {
-    return sharded ? sharded->Rank(q.source, q.destination)
-                   : engine->Rank(q.source, q.destination);
-  };
-
-  // The coalescing front end, shared by the HTTP server and the
-  // closed-loop drive below.
-  std::unique_ptr<serving::BatchingQueue> queue;
-  if (batch) {
-    serving::BatchingOptions batch_options;
-    batch_options.max_batch =
-        static_cast<size_t>(std::max(1, args.GetInt("max-batch", 64)));
-    batch_options.max_wait_us = std::max(0, args.GetInt("max-wait-us", 200));
-    queue = std::make_unique<serving::BatchingQueue>(*engine, batch_options);
-  }
-
-  std::unique_ptr<ModelWatcher> watcher;
+  std::unique_ptr<FileWatcher> model_watcher;
   if (args.GetInt("watch-model", 0) != 0) {
-    watcher = std::make_unique<ModelWatcher>(
-        args.Require("model"), network,
-        [&](std::shared_ptr<const serving::ModelSnapshot> next) {
-          if (sharded) {
-            sharded->SwapSnapshot(std::move(next));
-          } else {
-            engine->SwapSnapshot(std::move(next));
-          }
-        },
+    const std::string model_path = args.Require("model");
+    auto reload = [model_path, &network, &engine] {
+      auto next = core::LoadModel(model_path);
+      if (next->vocab_size() != network.num_vertices()) {
+        std::fprintf(stderr,
+                     "watch-model: %s no longer matches the network; "
+                     "keeping the current snapshot\n",
+                     model_path.c_str());
+        return false;
+      }
+      engine.SwapSnapshot(serving::ModelSnapshot::Capture(*next));
+      std::printf("watch-model: hot-swapped snapshot from %s\n",
+                  model_path.c_str());
+      return true;
+    };
+    model_watcher = std::make_unique<FileWatcher>(
+        "watch-model", model_path, std::move(reload),
         std::max(1, args.GetInt("watch-interval-ms", 200)));
   }
-
-  // --http: network front end instead of the self-drive (no query set
-  // needed; traffic arrives over the wire). Self-drive-only flags are an
-  // error here, not a silent no-op — same rule RejectUnknown enforces.
-  if (args.Has("http")) {
-    for (const char* flag : {"queries", "num-queries", "clients", "repeat",
-                             "seed"}) {
-      if (args.Has(flag)) {
-        std::fprintf(stderr,
-                     "--%s drives the self-serve benchmark and has no "
-                     "effect with --http\n",
-                     flag);
-        return 2;
-      }
-    }
-    return RunHttpFrontEnd(args, network, engine.get(), sharded.get(),
-                           queue.get(), watcher.get());
-  }
-  // Symmetric rule: HTTP-only flags without --http are an error too —
-  // the self-drive has no admission control, and no /v1/route planner
-  // whose cache --route-cache would size.
-  for (const char* flag :
-       {"http-addr", "http-threads", "max-inflight", "max-queue-wait-us",
-        "route-cache", "spur-engine", "landmarks", "idle-timeout-s",
-        "request-deadline-s", "default-deadline-ms", "max-deadline-ms",
-        "fault-spec", "fault-seed", "watch-graph"}) {
-    if (args.Has(flag)) {
-      std::fprintf(stderr, "--%s configures the HTTP front end; add --http "
-                           "PORT or drop it\n",
-                   flag);
-      return 2;
-    }
-  }
-
-  std::vector<serving::RankQuery> queries;
-  if (args.Has("queries")) {
-    queries = LoadQueriesCsv(args.Get("queries", ""), network);
-  } else {
-    queries = SampleQueries(network, args.GetInt("num-queries", 64),
-                            static_cast<uint64_t>(args.GetInt("seed", 1)));
-  }
-  if (queries.empty()) {
-    std::fprintf(stderr, "no queries to serve\n");
-    return 1;
-  }
-  const int repeat = std::max(1, args.GetInt("repeat", 1));
-  const size_t total = queries.size() * static_cast<size_t>(repeat);
-
-  // Warm-up (pool spin-up, scratch allocation, cache warming).
-  for (size_t q = 0; q < std::min<size_t>(queries.size(), 4); ++q) {
-    rank(queries[q]);
-  }
-
-  // Per-query latencies land in disjoint slots; workers never share state.
-  std::vector<double> latency(total);
-  std::vector<size_t> candidate_counts(total, 0);
-  Stopwatch wall;
-  double wall_s = 0.0;
-
-  if (batch) {
-    // Closed-loop clients on plain threads (pool workers must never block
-    // on queue futures — see batching_queue.h); the global pool stays
-    // available to the dispatcher's coalesced kernels.
-    const size_t clients = static_cast<size_t>(
-        std::max(1, args.GetInt("clients", static_cast<int>(GetNumThreads()))));
-    std::atomic<size_t> next{0};
-    std::vector<std::thread> workers;
-    workers.reserve(clients);
-    for (size_t c = 0; c < clients; ++c) {
-      workers.emplace_back([&] {
-        for (;;) {
-          const size_t i = next.fetch_add(1);
-          if (i >= total) break;
-          const auto& query = queries[i % queries.size()];
-          Stopwatch per_query;
-          const auto ranked =
-              queue->SubmitRank(query.source, query.destination).get();
-          latency[i] = per_query.ElapsedSeconds();
-          candidate_counts[i] = ranked.size();
-        }
-      });
-    }
-    for (auto& w : workers) w.join();
-    wall_s = wall.ElapsedSeconds();
-    std::printf(
-        "served %zu queries (%zu unique x %d) batched via %zu clients: "
-        "%llu flushes, %.1f rows/flush (max-batch %zu, max-wait %lld us)\n",
-        total, queries.size(), repeat, clients,
-        static_cast<unsigned long long>(queue->num_flushes()),
-        queue->num_flushes() > 0
-            ? static_cast<double>(queue->num_rows()) /
-                  static_cast<double>(queue->num_flushes())
-            : 0.0,
-        queue->options().max_batch,
-        static_cast<long long>(queue->options().max_wait_us));
-  } else {
-    ParallelForShards(0, total, [&](size_t /*shard*/, size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i) {
-        const auto& query = queries[i % queries.size()];
-        Stopwatch per_query;
-        const auto ranked = rank(query);
-        latency[i] = per_query.ElapsedSeconds();
-        candidate_counts[i] = ranked.size();
-      }
-    });
-    wall_s = wall.ElapsedSeconds();
-    if (sharded) {
-      std::printf("served %zu queries (%zu unique x %d) on %zu threads, "
-                  "%zu shards (%s)\n",
-                  total, queries.size(), repeat, GetNumThreads(),
-                  sharded->num_shards(),
-                  sharded->options().policy == serving::ShardPolicy::kHash
-                      ? "hash"
-                      : "rr");
-    } else {
-      std::printf("served %zu queries (%zu unique x %d) on %zu threads, "
-                  "%zu replicas\n",
-                  total, queries.size(), repeat, GetNumThreads(),
-                  engine->num_replicas());
-    }
-  }
-
-  size_t candidates_served = 0;
-  for (size_t c : candidate_counts) candidates_served += c;
-  ReportServeStats(latency, wall_s, candidates_served);
-  if (watcher) {
-    std::printf("watch-model: %llu hot swap(s) during the run\n",
-                static_cast<unsigned long long>(watcher->swaps()));
-  }
-  return 0;
+  return RunHttpFrontEnd(args, network, &engine, model_watcher.get());
 }
 
 void PrintUsage() {
@@ -1105,13 +732,11 @@ void PrintUsage() {
       "  rank      --network PREFIX --model MODEL.bin --from V --to V\n"
       "            [--strategy tkdi|dtkdi|penalty --k K --threshold T]\n"
       "  serve     (--network PREFIX | --graph EDGES.csv) --model MODEL.bin\n"
-      "            [--queries Q.csv | --num-queries N --seed S]\n"
-      "            [--threads T --replicas R --repeat K --strategy ... "
-      "--k K --threshold T]\n"
-      "            [--batch 0|1 --max-batch N --max-wait-us U --clients C]\n"
-      "            [--shards N --shard-policy hash|rr]\n"
+      "            --http PORT\n"
+      "            [--threads T --replicas R --strategy ... --k K "
+      "--threshold T]\n"
       "            [--watch-model 0|1 --watch-interval-ms M]\n"
-      "            [--http PORT --http-addr A --max-inflight N\n"
+      "            [--http-addr A --max-inflight N\n"
       "             --max-queue-wait-us U --http-threads T (0 = auto)\n"
       "             --route-cache N (LRU candidate sets for /v1/route)\n"
       "             --spur-engine dijkstra|bidi|alt (Yen spur searches)\n"
@@ -1149,10 +774,8 @@ int main(int argc, char** argv) {
       {"rank",
        {"network", "model", "from", "to", "strategy", "k", "threshold"}},
       {"serve",
-       {"network", "graph", "model", "queries", "num-queries", "seed",
-        "threads", "replicas", "repeat", "strategy", "k", "threshold",
-        "batch", "max-batch", "max-wait-us", "clients", "shards",
-        "shard-policy", "watch-model", "watch-graph", "watch-interval-ms",
+       {"network", "graph", "model", "threads", "replicas", "strategy", "k",
+        "threshold", "watch-model", "watch-graph", "watch-interval-ms",
         "http", "http-addr", "http-threads", "max-inflight",
         "max-queue-wait-us", "route-cache", "spur-engine", "landmarks",
         "idle-timeout-s", "request-deadline-s", "default-deadline-ms",

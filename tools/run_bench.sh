@@ -2,8 +2,7 @@
 # Builds Release, runs bench_throughput and checks every metric against the
 # committed baseline (BENCH_throughput.json) with a relative tolerance.
 # This gates GEMM GFLOP/s, walk/candidate throughput, training epoch time
-# AND the serving sections — per-request rank latency/QPS, the coalesced
-# serve_batched_* latency/QPS, the end-to-end serve_http_* loopback
+# AND the serving sections — the end-to-end serve_http_* loopback
 # latency/QPS/shed-rate, the serve_route_* online-routing pipeline (cold
 # vs candidate-cached latency + routes/s), and snapshot capture/hot-swap
 # latency at 1..N threads — a serving regression fails the check like any
@@ -37,12 +36,6 @@ REQUIRED_FAMILIES=(
   gemm256_gflops
   walks_per_s
   candidates_per_s
-  serve_rank_per_s
-  serve_rank_p50_s
-  serve_rank_p99_s
-  serve_batched_per_s
-  serve_batched_p50_s
-  serve_batched_p99_s
   serve_http_per_s
   serve_http_p50_s
   serve_http_p99_s
