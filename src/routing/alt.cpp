@@ -21,12 +21,22 @@ AltRouter::AltRouter(const RoadNetwork& network, const EdgeCostFn& cost,
       tables_(std::move(tables)),
       dist_(network.num_vertices()),
       parent_edge_(network.num_vertices(), graph::kInvalidEdge),
-      stamp_(network.num_vertices(), 0) {
+      stamp_(network.num_vertices(), 0),
+      bound_(network.num_vertices()),
+      bound_stamp_(network.num_vertices(), 0) {
   PR_CHECK(tables_ != nullptr);
   PR_CHECK(tables_->num_vertices() == network.num_vertices())
       << "preprocessed tables index a different network";
   PR_CHECK(tables_->CompatibleWith(cost_))
       << "query metric does not match the preprocessing metric";
+}
+
+double AltRouter::Bound(VertexId v) {
+  if (bound_stamp_[v] != bound_epoch_) {
+    bound_stamp_[v] = bound_epoch_;
+    bound_[v] = tables_->LowerBound(v, bound_target_);
+  }
+  return bound_[v];
 }
 
 std::optional<Path> AltRouter::ShortestPath(VertexId source, VertexId target,
@@ -37,7 +47,10 @@ std::optional<Path> AltRouter::ShortestPath(VertexId source, VertexId target,
   if (cancel != nullptr && cancel->Expired()) return std::nullopt;
   ++epoch_;
   settled_count_ = 0;
-  const PreprocessedGraph& tables = *tables_;
+  if (target != bound_target_) {
+    bound_target_ = target;
+    ++bound_epoch_;
+  }
 
   std::priority_queue<QueueEntry, std::vector<QueueEntry>,
                       std::greater<QueueEntry>>
@@ -45,7 +58,7 @@ std::optional<Path> AltRouter::ShortestPath(VertexId source, VertexId target,
   dist_[source] = 0.0;
   parent_edge_[source] = graph::kInvalidEdge;
   stamp_[source] = epoch_;
-  queue.push({tables.LowerBound(source, target), 0.0, source});
+  queue.push({Bound(source), 0.0, source});
 
   size_t pops = 0;
   while (!queue.empty()) {
@@ -90,7 +103,7 @@ std::optional<Path> AltRouter::ShortestPath(VertexId source, VertexId target,
         stamp_[v] = epoch_;
         dist_[v] = ng;
         parent_edge_[v] = e;
-        queue.push({ng + tables.LowerBound(v, target), ng, v});
+        queue.push({ng + Bound(v), ng, v});
       }
     }
   }

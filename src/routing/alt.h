@@ -76,6 +76,9 @@ class AltRouter {
     bool operator>(const QueueEntry& o) const { return f > o.f; }
   };
 
+  /// tables_->LowerBound(v, bound_target_) through the memo below.
+  double Bound(VertexId v);
+
   const RoadNetwork* network_;
   EdgeCostFn cost_;
   std::shared_ptr<const PreprocessedGraph> tables_;
@@ -85,6 +88,17 @@ class AltRouter {
   std::vector<uint32_t> stamp_;
   uint32_t epoch_ = 0;
   size_t settled_count_ = 0;
+
+  // Lower-bound memo for the current target: bound_[v] is valid when
+  // bound_stamp_[v] == bound_epoch_. A Yen enumeration sends all of its
+  // spur searches to one target, so each vertex's landmark bound (two
+  // terms per landmark) is computed once per enumeration instead of once
+  // per relaxation.
+  // The values are the table's own, so the search order is unchanged.
+  std::vector<double> bound_;
+  std::vector<uint32_t> bound_stamp_;
+  uint32_t bound_epoch_ = 0;
+  VertexId bound_target_ = graph::kInvalidVertex;
 };
 
 }  // namespace pathrank::routing

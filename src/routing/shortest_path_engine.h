@@ -24,6 +24,10 @@
 // under the query metric, so swapping engines never changes path COSTS.
 // When shortest paths are unique (no cost ties) the returned paths — and
 // therefore Yen candidate sets — are bitwise identical across engines.
+// Within one engine, FindPath's answer depends on its arguments alone:
+// scratch state (including ALT's per-target bound memo) never changes a
+// result. YenEnumerator's Lawler pruning relies on this to skip searches
+// that would repeat an earlier one.
 #pragma once
 
 #include <memory>

@@ -59,13 +59,14 @@ std::optional<Path> YenEnumerator::Next() {
       return std::nullopt;
     }
     accepted_.push_back(std::move(r.path));
+    deviation_.push_back(0);
     seen_hash_.insert(HashVertexSeq(accepted_.back().vertices));
     return accepted_.back();
   }
 
   // Generate deviations of the most recently accepted path, then pop the
   // cheapest candidate overall.
-  if (!GenerateSpurs(accepted_.back())) {
+  if (!GenerateSpurs(accepted_.back(), deviation_.back())) {
     // The spur pass was cut short, so the candidate pool may be missing
     // cheaper deviations: popping from it could yield out-of-order paths.
     // Stop here; accepted() still holds a correct (partial) prefix.
@@ -76,29 +77,45 @@ std::optional<Path> YenEnumerator::Next() {
     exhausted_ = true;
     return std::nullopt;
   }
-  auto it = candidates_.begin();
-  accepted_.push_back(it->path);
-  candidates_.erase(it);
+  auto node = candidates_.extract(candidates_.begin());
+  deviation_.push_back(node.value().spur_index);
+  accepted_.push_back(std::move(node.value().path));
   return accepted_.back();
 }
 
-bool YenEnumerator::GenerateSpurs(const Path& base) {
+bool YenEnumerator::GenerateSpurs(const Path& base, size_t deviation) {
   // For each spur position i on the base path: root = base[0..i],
   // ban (a) the i-th edge of every accepted path sharing that root and
   // (b) all root vertices except the spur node, then search spur->target.
-  for (size_t i = 0; i + 1 < base.vertices.size(); ++i) {
-    const VertexId spur = base.vertices[i];
-
-    bans_.Clear();
-    for (const Path& p : accepted_) {
-      if (p.vertices.size() > i &&
-          std::equal(p.vertices.begin(), p.vertices.begin() + i + 1,
-                     base.vertices.begin())) {
-        if (i < p.edges.size()) bans_.BanEdge(p.edges[i]);
-      }
+  // Positions below `deviation` are skipped (Lawler's rule, see yen.h).
+  double root_cost = 0.0;
+  bans_.Clear();
+  for (size_t j = 0; j < deviation; ++j) {
+    root_cost += cost_(base.edges[j]);
+    bans_.BanVertex(base.vertices[j]);
+  }
+  sharing_.clear();
+  for (const Path& p : accepted_) {
+    if (p.vertices.size() > deviation &&
+        std::equal(p.vertices.begin(), p.vertices.begin() + deviation + 1,
+                   base.vertices.begin())) {
+      sharing_.push_back(&p);
     }
-    for (size_t j = 0; j < i; ++j) {
-      bans_.BanVertex(base.vertices[j]);
+  }
+
+  for (size_t i = deviation; i + 1 < base.vertices.size(); ++i) {
+    const VertexId spur = base.vertices[i];
+    if (i > deviation) {
+      root_cost += cost_(base.edges[i - 1]);
+      bans_.BanVertex(base.vertices[i - 1]);
+      std::erase_if(sharing_, [i, spur](const Path* p) {
+        return p->vertices.size() <= i || p->vertices[i] != spur;
+      });
+    }
+
+    bans_.ClearEdges();
+    for (const Path* p : sharing_) {
+      if (i < p->edges.size()) bans_.BanEdge(p->edges[i]);
     }
 
     SearchResult r =
@@ -120,8 +137,6 @@ bool YenEnumerator::GenerateSpurs(const Path& base) {
     const uint64_t h = HashVertexSeq(cand.path.vertices);
     if (!seen_hash_.insert(h).second) continue;  // already generated
 
-    double root_cost = 0.0;
-    for (size_t j = 0; j < i; ++j) root_cost += cost_(base.edges[j]);
     cand.path.cost = root_cost + spur_path.cost;
     cand.cost = cand.path.cost;
     RecomputeTotals(*network_, &cand.path);

@@ -25,9 +25,26 @@
 
 namespace pathrank::routing {
 
-/// Incremental k-shortest-simple-paths enumerator (Yen 1971, with the
-/// standard root-path sharing optimisation). Create one per (source,
-/// target) query; call Next() repeatedly.
+/// Incremental k-shortest-simple-paths enumerator (Yen 1971, with
+/// Lawler's 1972 rule). Create one per (source, target) query; call Next()
+/// repeatedly.
+///
+/// Lawler's rule: an accepted path is spurred only from its deviation
+/// index on (the `Candidate::spur_index` it was generated at; 0 for the
+/// shortest path). Below that index the path shares its parent's root
+/// and next edge, which is already banned there, so the ban set equals
+/// the one the last spur search from that root used. An engine answers
+/// from its arguments alone, so the search would return a path already
+/// generated, which the dedup drops. The output is therefore bitwise
+/// identical to classic Yen, which spurs from index 0 (docs/routing.md
+/// has the argument; yen_test checks it against a classic-Yen oracle).
+///
+/// Spur bookkeeping is incremental along the base path: the accepted
+/// paths sharing the root are collected once at the deviation index and
+/// narrowed as the spur position advances (a path stays while its next
+/// vertex matches the base's), the banned root grows by one vertex per
+/// position, and the root cost is a running sum in the same sequential
+/// order as a fresh sum, so costs stay bit-equal.
 class YenEnumerator {
  public:
   /// `cancel` (optional, borrowed — must outlive the enumerator) threads
@@ -68,7 +85,9 @@ class YenEnumerator {
  private:
   struct Candidate {
     double cost;
-    // Deviation position: index into the parent path where the spur starts.
+    // Deviation position: index into the parent path where the spur
+    // starts. Once the candidate is accepted, Lawler's rule spurs it from
+    // this index on.
     size_t spur_index;
     Path path;
     bool operator<(const Candidate& o) const {
@@ -77,9 +96,10 @@ class YenEnumerator {
     }
   };
 
-  /// Generates deviations of `base`. Returns false when a spur search was
-  /// cancelled mid-pass (the pool may be missing cheaper deviations).
-  bool GenerateSpurs(const Path& base);
+  /// Generates deviations of `base` at spur positions `deviation` onward.
+  /// Returns false when a spur search was cancelled mid-pass (the pool
+  /// may be missing cheaper deviations).
+  bool GenerateSpurs(const Path& base, size_t deviation);
   uint64_t HashVertexSeq(const std::vector<VertexId>& seq) const;
 
   const RoadNetwork* network_;
@@ -91,8 +111,13 @@ class YenEnumerator {
   ShortestPathEngine* engine_;
   BanSet bans_;
   std::vector<Path> accepted_;
+  std::vector<size_t> deviation_;  // deviation index of each accepted path
+  // Scratch: the accepted paths sharing the current spur root.
+  std::vector<const Path*> sharing_;
   std::set<Candidate> candidates_;          // ordered pool (B set)
-  std::unordered_set<uint64_t> seen_hash_;  // dedup of generated paths
+  // Dedup of generated paths by vertex sequence: on a multigraph, a
+  // parallel-edge variant of a generated path is not a new path.
+  std::unordered_set<uint64_t> seen_hash_;
   bool exhausted_ = false;
   bool cancelled_ = false;
   bool first_done_ = false;

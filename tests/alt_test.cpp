@@ -2,13 +2,20 @@
 // penalty-based alternative-routes generator.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <memory>
+
 #include "common/rng.h"
 #include "graph/network_builder.h"
 #include "routing/alt.h"
+#include "routing/ban_set.h"
 #include "routing/cost_model.h"
 #include "routing/dijkstra.h"
 #include "routing/path_similarity.h"
 #include "routing/penalty_alternatives.h"
+#include "routing/preprocessed_graph.h"
+#include "routing/shortest_path_engine.h"
 
 namespace pathrank::routing {
 namespace {
@@ -87,6 +94,54 @@ TEST(Alt, SettlesFewerVerticesThanDijkstra) {
   }
   // ALT must do meaningfully less work overall.
   EXPECT_LT(settled_alt * 2, settled_dij);
+}
+
+TEST(Alt, BoundMemoFollowsTheTargetAcrossInterleavedQueries) {
+  // One engine keeps its per-target lower-bound memo across queries; a
+  // fresh engine per query has none. Targets alternate and repeat, ban
+  // sets vary, so a memo entry that outlived its target (or a stale one
+  // surviving a ban change) would change the search order and show up as
+  // a different path, cost bit or settled count.
+  SyntheticNetworkConfig cfg;
+  cfg.rows = 14;
+  cfg.cols = 14;
+  cfg.seed = 21;
+  const RoadNetwork net = BuildSyntheticNetwork(cfg);
+  const auto cost = EdgeCostFn::TravelTime(net);
+  const auto tables = std::make_shared<const PreprocessedGraph>(net, cost, 8);
+  AltEngine reused(net, cost, tables);
+  BanSet bans(net.num_vertices(), net.num_edges());
+  pathrank::Rng rng(4);
+  const auto n = static_cast<uint32_t>(net.num_vertices());
+  VertexId targets[3];
+  for (VertexId& t : targets) t = static_cast<VertexId>(rng.NextBounded(n));
+  for (int q = 0; q < 90; ++q) {
+    // A, B, A, B, ... with runs of one target and a third one mixed in.
+    const VertexId t = targets[q % 7 == 6 ? 2 : (q / 2 + q) % 2];
+    const auto s = static_cast<VertexId>(rng.NextBounded(n));
+    if (s == t) continue;
+    bans.Clear();
+    const int num_bans = q % 5 * 4;
+    for (int b = 0; b < num_bans; ++b) {
+      const auto v = static_cast<VertexId>(rng.NextBounded(n));
+      if (v != s && v != t) bans.BanVertex(v);
+      bans.BanEdge(static_cast<graph::EdgeId>(
+          rng.NextBounded(static_cast<uint32_t>(net.num_edges()))));
+    }
+    const BanSet* query_bans = num_bans == 0 ? nullptr : &bans;
+    const SearchResult got = reused.FindPath(s, t, cost, query_bans, nullptr);
+    AltEngine fresh(net, cost, tables);
+    const SearchResult want = fresh.FindPath(s, t, cost, query_bans, nullptr);
+    ASSERT_EQ(want.outcome, got.outcome) << "query " << q;
+    EXPECT_EQ(fresh.last_settled_count(), reused.last_settled_count())
+        << "query " << q;
+    if (!want.found()) continue;
+    EXPECT_EQ(want.path.vertices, got.path.vertices) << "query " << q;
+    EXPECT_EQ(want.path.edges, got.path.edges) << "query " << q;
+    EXPECT_EQ(std::bit_cast<uint64_t>(want.path.cost),
+              std::bit_cast<uint64_t>(got.path.cost))
+        << "query " << q;
+  }
 }
 
 TEST(Alt, LandmarksAreDistinct) {

@@ -1,22 +1,41 @@
-// Yen's k-shortest-paths and the diversified top-k generator.
+// Yen's k-shortest-paths and the diversified top-k generator, plus the
+// classic-Yen oracle: the production enumerator (Lawler's rule, narrowed
+// sharing list) must match Yen as originally specified bit for bit, and
+// must stay a correct prefix when a spur pass is cancelled.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <memory>
+#include <optional>
 #include <set>
+#include <string>
+#include <unordered_set>
+#include <utility>
+#include <vector>
 
+#include "common/deadline.h"
 #include "common/rng.h"
 #include "graph/network_builder.h"
+#include "routing/ban_set.h"
 #include "routing/cost_model.h"
 #include "routing/diversified.h"
 #include "routing/path_similarity.h"
+#include "routing/preprocessed_graph.h"
+#include "routing/shortest_path_engine.h"
 #include "routing/yen.h"
 
 namespace pathrank::routing {
 namespace {
 
+using graph::BuildSyntheticNetwork;
 using graph::BuildTestNetwork;
 using graph::RoadCategory;
 using graph::RoadNetwork;
 using graph::RoadNetworkBuilder;
+using graph::SyntheticNetworkConfig;
 
 /// Small diamond graph with known path spectrum between 0 and 3:
 ///   0->1->3 cost 2, 0->2->3 cost 4, 0->1->2->3 cost 5, 0->2->1->3 ... etc.
@@ -210,6 +229,531 @@ TEST(Diversified, MoreDiverseThanTopK) {
   ASSERT_GT(pairs, 0);
   // The diversified sets must be meaningfully less self-similar.
   EXPECT_LT(div_sim, topk_sim);
+}
+
+// ---- Classic-Yen oracle ------------------------------------------------
+
+/// Yen's algorithm as originally specified: every accepted path is spurred
+/// from index 0; at each position the i-th edge of every accepted path
+/// sharing the root is banned (found by a full prefix scan), the root
+/// vertices are banned, and the root cost is summed afresh. Same
+/// (cost, vertices) pool and vertex-sequence hash dedup as YenEnumerator.
+class ClassicYen {
+ public:
+  ClassicYen(const RoadNetwork& network, VertexId source, VertexId target,
+             const EdgeCostFn& cost, ShortestPathEngine* engine)
+      : network_(&network),
+        source_(source),
+        target_(target),
+        cost_(cost),
+        engine_(engine),
+        bans_(network.num_vertices(), network.num_edges()) {}
+
+  std::optional<Path> Next() {
+    if (exhausted_) return std::nullopt;
+    if (accepted_.empty()) {
+      SearchResult r =
+          engine_->FindPath(source_, target_, cost_, nullptr, nullptr);
+      if (!r.found() || r.path.edges.empty()) {
+        exhausted_ = true;
+        return std::nullopt;
+      }
+      accepted_.push_back(std::move(r.path));
+      seen_.insert(Hash(accepted_.back().vertices));
+      return accepted_.back();
+    }
+    GenerateSpurs(accepted_.back());
+    if (pool_.empty()) {
+      exhausted_ = true;
+      return std::nullopt;
+    }
+    accepted_.push_back(pool_.begin()->path);
+    pool_.erase(pool_.begin());
+    return accepted_.back();
+  }
+
+  bool exhausted() const { return exhausted_; }
+
+ private:
+  struct Candidate {
+    double cost;
+    Path path;
+    bool operator<(const Candidate& o) const {
+      if (cost != o.cost) return cost < o.cost;
+      return path.vertices < o.path.vertices;
+    }
+  };
+
+  static uint64_t Hash(const std::vector<VertexId>& seq) {
+    uint64_t h = 1469598103934665603ULL;
+    for (VertexId v : seq) {
+      h ^= v;
+      h *= 1099511628211ULL;
+    }
+    return h;
+  }
+
+  void GenerateSpurs(const Path& base) {
+    for (size_t i = 0; i + 1 < base.vertices.size(); ++i) {
+      bans_.Clear();
+      for (const Path& p : accepted_) {
+        if (p.vertices.size() > i &&
+            std::equal(p.vertices.begin(), p.vertices.begin() + i + 1,
+                       base.vertices.begin()) &&
+            i < p.edges.size()) {
+          bans_.BanEdge(p.edges[i]);
+        }
+      }
+      for (size_t j = 0; j < i; ++j) bans_.BanVertex(base.vertices[j]);
+      SearchResult r = engine_->FindPath(base.vertices[i], target_, cost_,
+                                         &bans_, nullptr);
+      if (!r.found()) continue;
+      Candidate cand;
+      cand.path.edges.assign(base.edges.begin(), base.edges.begin() + i);
+      cand.path.edges.insert(cand.path.edges.end(), r.path.edges.begin(),
+                             r.path.edges.end());
+      cand.path.vertices.assign(base.vertices.begin(),
+                                base.vertices.begin() + i);
+      cand.path.vertices.insert(cand.path.vertices.end(),
+                                r.path.vertices.begin(),
+                                r.path.vertices.end());
+      if (!seen_.insert(Hash(cand.path.vertices)).second) continue;
+      double root_cost = 0.0;
+      for (size_t j = 0; j < i; ++j) root_cost += cost_(base.edges[j]);
+      cand.path.cost = root_cost + r.path.cost;
+      cand.cost = cand.path.cost;
+      RecomputeTotals(*network_, &cand.path);
+      pool_.insert(std::move(cand));
+    }
+  }
+
+  const RoadNetwork* network_;
+  VertexId source_;
+  VertexId target_;
+  EdgeCostFn cost_;
+  ShortestPathEngine* engine_;
+  BanSet bans_;
+  std::vector<Path> accepted_;
+  std::set<Candidate> pool_;
+  std::unordered_set<uint64_t> seen_;
+  bool exhausted_ = false;
+};
+
+/// Forwards to `inner` and counts its searches; when `token` is given,
+/// cancels it once `cancel_after` searches have run.
+class CountingEngine final : public ShortestPathEngine {
+ public:
+  explicit CountingEngine(ShortestPathEngine* inner,
+                          const CancelToken* token = nullptr,
+                          size_t cancel_after = 0)
+      : inner_(inner), token_(token), cancel_after_(cancel_after) {}
+
+  SearchResult FindPath(VertexId source, VertexId target,
+                        const EdgeCostFn& cost, const BanSet* bans,
+                        const CancelToken* cancel) override {
+    SearchResult r = inner_->FindPath(source, target, cost, bans, cancel);
+    ++searches_;
+    if (token_ != nullptr && searches_ == cancel_after_) token_->Cancel();
+    return r;
+  }
+  const char* name() const override { return inner_->name(); }
+  size_t last_settled_count() const override {
+    return inner_->last_settled_count();
+  }
+  size_t searches() const { return searches_; }
+
+ private:
+  ShortestPathEngine* inner_;
+  const CancelToken* token_;
+  size_t cancel_after_;
+  size_t searches_ = 0;
+};
+
+enum class EngineKind { kDijkstra, kAlt };
+
+/// One network, its metric and its ALT tables; makes fresh engines.
+struct OracleNetwork {
+  OracleNetwork(std::string name_in, RoadNetwork net_in)
+      : name(std::move(name_in)), net(std::move(net_in)) {}
+
+  EdgeCostFn cost() const {
+    return weights.empty() ? EdgeCostFn::TravelTime(net)
+                           : EdgeCostFn::Custom(net, weights);
+  }
+
+  std::unique_ptr<ShortestPathEngine> MakeEngine(EngineKind kind) {
+    if (kind == EngineKind::kDijkstra) {
+      return std::make_unique<DijkstraEngine>(net);
+    }
+    if (tables == nullptr) {
+      tables = std::make_shared<const PreprocessedGraph>(net, cost(), 4);
+    }
+    return std::make_unique<AltEngine>(net, cost(), tables);
+  }
+
+  std::string name;
+  RoadNetwork net;
+  std::vector<double> weights;  // backs a custom metric; empty otherwise
+  std::shared_ptr<const PreprocessedGraph> tables;
+};
+
+OracleNetwork Synthetic(uint64_t seed) {
+  SyntheticNetworkConfig config;
+  config.rows = 12;
+  config.cols = 12;
+  config.seed = seed;
+  return OracleNetwork("synthetic" + std::to_string(seed),
+                       BuildSyntheticNetwork(config));
+}
+
+/// Jitter 0, no deletions, diagonals or motorway, and every segment costs
+/// 1: all paths with the same number of edges tie exactly.
+OracleNetwork PerfectGrid(int rows, int cols) {
+  SyntheticNetworkConfig config;
+  config.rows = rows;
+  config.cols = cols;
+  config.jitter = 0.0;
+  config.deletion_prob = 0.0;
+  config.diagonal_prob = 0.0;
+  config.motorway = false;
+  OracleNetwork out(
+      "perfect" + std::to_string(rows) + "x" + std::to_string(cols),
+      BuildSyntheticNetwork(config));
+  out.weights.assign(out.net.num_edges(), 1.0);
+  return out;
+}
+
+/// Integer edge weights in {1, 2, 3}: exact float sums, many exact ties.
+OracleNetwork IntegerMetric(RoadNetwork net, uint64_t seed) {
+  OracleNetwork out("integer" + std::to_string(seed), std::move(net));
+  pathrank::Rng rng(seed);
+  out.weights.resize(out.net.num_edges());
+  for (double& w : out.weights) w = 1.0 + static_cast<double>(rng.NextBounded(3));
+  return out;
+}
+
+/// Six vertices with two parallel segments, each with a second, longer
+/// edge between the same vertices: a parallel-edge variant of a path has
+/// the same vertex sequence but a different cost.
+OracleNetwork Multigraph() {
+  RoadNetworkBuilder b;
+  for (int i = 0; i < 6; ++i) b.AddVertex({57.0 + 0.01 * i, 9.9 + 0.01 * (i % 2)});
+  b.AddBidirectionalEdge(0, 1, 1.0, RoadCategory::kResidential);
+  b.AddBidirectionalEdge(0, 1, 1.5, RoadCategory::kResidential);
+  b.AddBidirectionalEdge(1, 3, 2.0, RoadCategory::kResidential);
+  b.AddBidirectionalEdge(0, 2, 1.0, RoadCategory::kResidential);
+  b.AddBidirectionalEdge(2, 4, 2.0, RoadCategory::kResidential);
+  b.AddBidirectionalEdge(1, 4, 1.0, RoadCategory::kResidential);
+  b.AddBidirectionalEdge(1, 4, 2.5, RoadCategory::kResidential);
+  b.AddBidirectionalEdge(3, 5, 1.0, RoadCategory::kResidential);
+  b.AddBidirectionalEdge(4, 5, 2.0, RoadCategory::kResidential);
+  b.AddBidirectionalEdge(3, 4, 1.0, RoadCategory::kResidential);
+  return OracleNetwork("multigraph", b.Build());
+}
+
+void ExpectBitwiseEqual(const Path& want, const Path& got,
+                        const std::string& where) {
+  EXPECT_EQ(want.vertices, got.vertices) << where;
+  EXPECT_EQ(want.edges, got.edges) << where;
+  EXPECT_EQ(std::bit_cast<uint64_t>(want.cost),
+            std::bit_cast<uint64_t>(got.cost))
+      << where;
+  EXPECT_EQ(std::bit_cast<uint64_t>(want.length_m),
+            std::bit_cast<uint64_t>(got.length_m))
+      << where;
+  EXPECT_EQ(std::bit_cast<uint64_t>(want.time_s),
+            std::bit_cast<uint64_t>(got.time_s))
+      << where;
+}
+
+void ExpectBitwiseEqual(const std::vector<Path>& want,
+                        const std::vector<Path>& got,
+                        const std::string& where) {
+  ASSERT_EQ(want.size(), got.size()) << where;
+  for (size_t i = 0; i < want.size(); ++i) {
+    ExpectBitwiseEqual(want[i], got[i], where + " path " + std::to_string(i));
+  }
+}
+
+std::string Where(const OracleNetwork& network, EngineKind kind, VertexId s,
+                  VertexId t) {
+  return network.name + (kind == EngineKind::kAlt ? " alt " : " dijkstra ") +
+         std::to_string(s) + "->" + std::to_string(t);
+}
+
+struct SearchCounts {
+  size_t lawler = 0;
+  size_t classic = 0;
+};
+
+/// Enumerates (s, t) with YenEnumerator and ClassicYen, each through a
+/// fresh engine of `kind`, for up to `max_paths` paths (0: to
+/// exhaustion), and asserts bitwise-equal streams and equal exhausted().
+SearchCounts ExpectTkdiMatchesOracle(OracleNetwork& network, EngineKind kind,
+                                     VertexId s, VertexId t,
+                                     size_t max_paths) {
+  const std::string where = Where(network, kind, s, t);
+  const EdgeCostFn cost = network.cost();
+  auto lawler_inner = network.MakeEngine(kind);
+  auto classic_inner = network.MakeEngine(kind);
+  CountingEngine lawler_engine(lawler_inner.get());
+  CountingEngine classic_engine(classic_inner.get());
+  YenEnumerator lawler(network.net, s, t, cost, nullptr, &lawler_engine);
+  ClassicYen classic(network.net, s, t, cost, &classic_engine);
+  const size_t limit =
+      max_paths == 0 ? std::numeric_limits<size_t>::max() : max_paths;
+  std::vector<Path> want;
+  std::vector<Path> got;
+  for (size_t n = 0; n < limit; ++n) {
+    auto a = classic.Next();
+    auto b = lawler.Next();
+    EXPECT_EQ(a.has_value(), b.has_value()) << where << " path " << n;
+    if (!a.has_value() || !b.has_value()) break;
+    want.push_back(std::move(*a));
+    got.push_back(std::move(*b));
+  }
+  ExpectBitwiseEqual(want, got, where);
+  EXPECT_EQ(classic.exhausted(), lawler.exhausted()) << where;
+  if (max_paths == 0) {
+    EXPECT_TRUE(lawler.exhausted()) << where;
+  }
+  EXPECT_FALSE(lawler.cancelled()) << where;
+  EXPECT_LE(lawler_engine.searches(), classic_engine.searches()) << where;
+  return {lawler_engine.searches(), classic_engine.searches()};
+}
+
+/// DiversifiedTopK's selection loop over any enumerator with Next().
+template <typename Enumerator>
+std::vector<Path> Diversify(const RoadNetwork& network, Enumerator& yen,
+                            const DiversifiedOptions& options) {
+  std::vector<Path> accepted;
+  std::vector<Path> rejected;
+  int enumerated = 0;
+  while (static_cast<int>(accepted.size()) < options.k &&
+         enumerated < options.max_enumerated) {
+    auto next = yen.Next();
+    if (!next.has_value()) break;
+    ++enumerated;
+    const bool diverse = std::all_of(
+        accepted.begin(), accepted.end(), [&](const Path& a) {
+          return WeightedJaccard(network, next->edges, a.edges) <=
+                 options.similarity_threshold;
+        });
+    (diverse ? accepted : rejected).push_back(std::move(*next));
+  }
+  for (Path& p : rejected) {
+    if (static_cast<int>(accepted.size()) >= options.k) break;
+    accepted.push_back(std::move(p));
+  }
+  std::sort(accepted.begin(), accepted.end(),
+            [](const Path& a, const Path& b) { return a.cost < b.cost; });
+  return accepted;
+}
+
+/// D-TkDI (k = 10, threshold 0.6) through DiversifiedTopK equals the same
+/// selection over ClassicYen, bit for bit.
+void ExpectDtkdiMatchesOracle(OracleNetwork& network, EngineKind kind,
+                              VertexId s, VertexId t) {
+  const std::string where = Where(network, kind, s, t);
+  const EdgeCostFn cost = network.cost();
+  DiversifiedOptions options;
+  options.k = 10;
+  options.similarity_threshold = 0.6;
+  auto lawler_engine = network.MakeEngine(kind);
+  auto classic_engine = network.MakeEngine(kind);
+  const std::vector<Path> got = DiversifiedTopK(
+      network.net, s, t, cost, options, nullptr, lawler_engine.get());
+  ClassicYen classic(network.net, s, t, cost, classic_engine.get());
+  ExpectBitwiseEqual(Diversify(network.net, classic, options), got, where);
+}
+
+/// Deterministic (s, t) pairs, s != t.
+std::vector<std::pair<VertexId, VertexId>> Queries(const RoadNetwork& net,
+                                                   uint64_t seed, int n) {
+  pathrank::Rng rng(seed);
+  std::vector<std::pair<VertexId, VertexId>> out;
+  while (static_cast<int>(out.size()) < n) {
+    const auto s = static_cast<VertexId>(rng.NextBounded(net.num_vertices()));
+    const auto t = static_cast<VertexId>(rng.NextBounded(net.num_vertices()));
+    if (s != t) out.emplace_back(s, t);
+  }
+  return out;
+}
+
+constexpr EngineKind kEngineKinds[] = {EngineKind::kDijkstra,
+                                       EngineKind::kAlt};
+
+TEST(YenOracle, MatchesClassicYenOnRandomizedSyntheticNetworks) {
+  for (const uint64_t seed : {3u, 11u, 17u, 29u, 73u}) {
+    OracleNetwork network = Synthetic(seed);
+    for (const auto& [s, t] : Queries(network.net, seed, 6)) {
+      for (const EngineKind kind : kEngineKinds) {
+        ExpectTkdiMatchesOracle(network, kind, s, t, /*max_paths=*/30);
+        ExpectDtkdiMatchesOracle(network, kind, s, t);
+      }
+    }
+  }
+}
+
+TEST(YenOracle, MatchesClassicYenOnTieHeavyPerfectGrid) {
+  // To exhaustion on a 4x4 grid (184 simple paths between opposite
+  // corners)...
+  OracleNetwork small = PerfectGrid(4, 4);
+  SearchCounts small_counts;
+  for (const auto& [s, t] : Queries(small.net, 4, 6)) {
+    for (const EngineKind kind : kEngineKinds) {
+      const SearchCounts c =
+          ExpectTkdiMatchesOracle(small, kind, s, t, /*max_paths=*/0);
+      small_counts.lawler += c.lawler;
+      small_counts.classic += c.classic;
+      ExpectDtkdiMatchesOracle(small, kind, s, t);
+    }
+  }
+  EXPECT_LT(small_counts.lawler, small_counts.classic);
+  // ...and prefixes on a 10x10 one.
+  OracleNetwork grid = PerfectGrid(10, 10);
+  SearchCounts counts;
+  for (const auto& [s, t] : Queries(grid.net, 10, 6)) {
+    for (const EngineKind kind : kEngineKinds) {
+      const SearchCounts c =
+          ExpectTkdiMatchesOracle(grid, kind, s, t, /*max_paths=*/40);
+      counts.lawler += c.lawler;
+      counts.classic += c.classic;
+      ExpectDtkdiMatchesOracle(grid, kind, s, t);
+    }
+  }
+  EXPECT_LT(counts.lawler, counts.classic);
+}
+
+TEST(YenOracle, MatchesClassicYenUnderAnIntegerMetric) {
+  OracleNetwork small = IntegerMetric(PerfectGrid(3, 4).net, 5);
+  for (const auto& [s, t] : Queries(small.net, 3, 6)) {
+    for (const EngineKind kind : kEngineKinds) {
+      ExpectTkdiMatchesOracle(small, kind, s, t, /*max_paths=*/0);
+      ExpectDtkdiMatchesOracle(small, kind, s, t);
+    }
+  }
+  OracleNetwork network = IntegerMetric(BuildTestNetwork(7), 8);
+  for (const auto& [s, t] : Queries(network.net, 8, 4)) {
+    for (const EngineKind kind : kEngineKinds) {
+      ExpectTkdiMatchesOracle(network, kind, s, t, /*max_paths=*/40);
+      ExpectDtkdiMatchesOracle(network, kind, s, t);
+    }
+  }
+}
+
+TEST(YenOracle, MatchesClassicYenOnAMultigraph) {
+  OracleNetwork network = Multigraph();
+  const auto n = static_cast<VertexId>(network.net.num_vertices());
+  for (VertexId s = 0; s < n; ++s) {
+    for (VertexId t = 0; t < n; ++t) {
+      if (s == t) continue;
+      for (const EngineKind kind : kEngineKinds) {
+        ExpectTkdiMatchesOracle(network, kind, s, t, /*max_paths=*/0);
+        ExpectDtkdiMatchesOracle(network, kind, s, t);
+      }
+    }
+  }
+}
+
+TEST(YenOracle, ParallelEdgeVariantIsNotANewPath) {
+  // 0 -> 1 has a 1.0 m and a 1.5 m edge; 0 -> 1 -> 3 -> 5 via the longer
+  // one has the vertex sequence of an accepted path, so it never appears.
+  OracleNetwork network = Multigraph();
+  const auto paths =
+      TopKShortestPaths(network.net, 0, 5, network.cost(), 1000);
+  std::set<std::vector<VertexId>> seen;
+  for (const Path& p : paths) {
+    EXPECT_TRUE(seen.insert(p.vertices).second) << "duplicate sequence";
+    EXPECT_TRUE(ValidatePath(network.net, p).empty());
+  }
+}
+
+// ---- Cancellation under Lawler's rule ----------------------------------
+
+TEST(YenCancellation, CancelledEnumerationIsAPrefixOfTheFullRun) {
+  OracleNetwork network = Synthetic(17);
+  const EdgeCostFn cost = network.cost();
+  for (const auto& [s, t] : Queries(network.net, 17, 3)) {
+    for (const EngineKind kind : kEngineKinds) {
+      auto inner = network.MakeEngine(kind);
+      CountingEngine full_engine(inner.get());
+      YenEnumerator full(network.net, s, t, cost, nullptr, &full_engine);
+      while (full.accepted().size() < 25 && full.Next().has_value()) {
+      }
+      const size_t total = full_engine.searches();
+      ASSERT_GT(total, 8u);
+      for (const size_t n : {size_t{1}, size_t{2}, size_t{5}, total / 3,
+                             total / 2, total - 1}) {
+        const CancelToken token;
+        auto cancel_inner = network.MakeEngine(kind);
+        CountingEngine engine(cancel_inner.get(), &token, n);
+        YenEnumerator yen(network.net, s, t, cost, &token, &engine);
+        while (yen.accepted().size() < 25 && yen.Next().has_value()) {
+        }
+        EXPECT_TRUE(yen.cancelled()) << "cancel after " << n;
+        EXPECT_FALSE(yen.exhausted()) << "cancel after " << n;
+        EXPECT_FALSE(yen.Next().has_value());
+        ASSERT_LE(yen.accepted().size(), full.accepted().size());
+        const std::vector<Path> prefix(
+            full.accepted().begin(),
+            full.accepted().begin() +
+                static_cast<std::ptrdiff_t>(yen.accepted().size()));
+        ExpectBitwiseEqual(prefix, yen.accepted(),
+                           "cancel after " + std::to_string(n));
+      }
+    }
+  }
+}
+
+TEST(YenCancellation, CancelledDiversifiedSetIsWellFormedAndShorter) {
+  OracleNetwork network = Synthetic(29);
+  const EdgeCostFn cost = network.cost();
+  DiversifiedOptions options;
+  options.k = 10;
+  options.similarity_threshold = 0.6;
+  for (const auto& [s, t] : Queries(network.net, 29, 3)) {
+    for (const EngineKind kind : kEngineKinds) {
+      auto inner = network.MakeEngine(kind);
+      CountingEngine full_engine(inner.get());
+      const std::vector<Path> full = DiversifiedTopK(
+          network.net, s, t, cost, options, nullptr, &full_engine);
+      ASSERT_EQ(full.size(), 10u);
+      // Every path the full run enumerated, in Yen order: the cancelled
+      // run may only return paths from a prefix of this stream.
+      auto stream_inner = network.MakeEngine(kind);
+      YenEnumerator stream(network.net, s, t, cost, nullptr,
+                           stream_inner.get());
+      while (stream.accepted().size() <
+                 static_cast<size_t>(options.max_enumerated) &&
+             stream.Next().has_value()) {
+      }
+      std::set<std::vector<VertexId>> enumerated;
+      for (const Path& p : stream.accepted()) enumerated.insert(p.vertices);
+
+      const size_t total = full_engine.searches();
+      for (const size_t n : {size_t{1}, size_t{3}, size_t{10}, total / 4}) {
+        const CancelToken token;
+        auto cancel_inner = network.MakeEngine(kind);
+        CountingEngine engine(cancel_inner.get(), &token, n);
+        const std::vector<Path> got = DiversifiedTopK(
+            network.net, s, t, cost, options, &token, &engine);
+        EXPECT_LT(got.size(), full.size()) << "cancel after " << n;
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_TRUE(ValidatePath(network.net, got[i]).empty());
+          EXPECT_TRUE(IsSimplePath(got[i]));
+          EXPECT_EQ(got[i].source(), s);
+          EXPECT_EQ(got[i].destination(), t);
+          EXPECT_TRUE(enumerated.count(got[i].vertices) == 1);
+          if (i > 0) {
+            EXPECT_GE(got[i].cost, got[i - 1].cost);
+            EXPECT_NE(got[i].vertices, got[i - 1].vertices);
+          }
+        }
+        if (!got.empty()) ExpectBitwiseEqual(full[0], got[0], "shortest");
+      }
+    }
+  }
 }
 
 }  // namespace
