@@ -1,8 +1,8 @@
 // Process-wide worker pool and data-parallel loop primitives.
 //
-// Every hot path in the library (GEMM, training shards, walk generation,
-// candidate generation, evaluation) funnels through ParallelFor /
-// ParallelForShards so one knob controls all concurrency:
+// Every hot path in the library (GEMM and activation kernels, walk
+// generation, skip-gram, candidate generation, evaluation) funnels through
+// ParallelFor / ParallelForShards so one knob controls all concurrency:
 //
 //   SetNumThreads(n)          — resize the pool (n >= 1; 1 = fully serial)
 //   PATHRANK_THREADS          — env override consulted on first use

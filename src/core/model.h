@@ -23,9 +23,9 @@ namespace pathrank::core {
 /// How a PathRankModel's weights are produced at construction.
 enum class InitMode {
   kRandomInit,  // seeded random init (training from scratch)
-  kSkipInit,    // weights left zero — for replicas/snapshots/checkpoint
+  kSkipInit,    // weights left zero — for snapshots and checkpoint
                 // loads whose values are copied in wholesale, skipping
-                // O(vocab x dim) RNG draws per replica
+                // O(vocab x dim) RNG draws per copy
 };
 
 /// Caller-owned activation buffers for the const inference path
@@ -103,8 +103,8 @@ class PathRankModel {
   nn::ConstParameterList Parameters() const;
 
   /// Copies every parameter value from `other` (must share architecture).
-  /// Used to build data-parallel worker replicas that then stay bitwise in
-  /// sync by applying identical reduced-gradient updates.
+  /// Used by ModelSnapshot to capture and materialise immutable copies of
+  /// a model.
   void CopyParametersFrom(const PathRankModel& other);
 
   const PathRankConfig& config() const { return config_; }

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 
@@ -35,22 +33,6 @@ void RestoreValues(const nn::ParameterList& params,
   }
 }
 
-/// Per-worker state for data-parallel training. Worker 0 aliases the
-/// caller's model; workers 1..W-1 own replicas initialised to identical
-/// values and refreshed by a value broadcast after each optimizer step,
-/// so all replicas stay bitwise equal throughout.
-struct Worker {
-  PathRankModel* model = nullptr;
-  std::unique_ptr<PathRankModel> owned;
-  nn::ParameterList params;
-  // Per-batch scratch (loss gradients) and per-group results.
-  std::vector<float> d_scores;
-  std::vector<float> d_aux_length;
-  std::vector<float> d_aux_time;
-  double group_loss = 0.0;     // loss * examples for the last shard
-  size_t group_examples = 0;
-};
-
 }  // namespace
 
 TrainHistory TrainPathRank(PathRankModel& model,
@@ -67,31 +49,16 @@ TrainHistory TrainPathRank(PathRankModel& model,
   schedule.total_epochs = config.epochs;
   schedule.min_lr = config.learning_rate * 0.01;
 
-  // Data-parallel setup: W consecutive batches form one optimizer-step
-  // group; each worker computes gradients for one batch and the ordered
-  // mean over the group is applied everywhere. W == 1 reproduces the
-  // serial per-batch schedule exactly. Results depend on W (the effective
-  // batch size is W * batch_size) but are bit-reproducible for a fixed
-  // seed and thread count.
-  const size_t num_workers =
-      std::max<size_t>(1, NumShardsFor(batcher.num_batches()));
-  std::vector<Worker> workers(num_workers);
-  for (size_t w = 0; w < num_workers; ++w) {
-    if (w == 0) {
-      workers[w].model = &model;
-    } else {
-      // Skip-init: the replica's values are copied in wholesale, so the
-      // constructor's O(vocab x dim) RNG draws would be wasted work.
-      workers[w].owned = std::make_unique<PathRankModel>(
-          model.vocab_size(), model.config(), InitMode::kSkipInit);
-      workers[w].owned->CopyParametersFrom(model);
-      workers[w].model = workers[w].owned.get();
-    }
-    workers[w].params = workers[w].model->Parameters();
-  }
-  const nn::ParameterList& params = workers[0].params;
-  const size_t num_params = params.size();
+  // One model, one optimizer, one step per batch: the mini-batch is the
+  // method's, whatever the thread count. The only parallelism is inside
+  // the nn kernels, which partition their outputs and so stay bitwise equal
+  // across thread counts; training is therefore bit-reproducible for a
+  // fixed seed on any pool size.
+  const nn::ParameterList params = model.Parameters();
   nn::Adam optimizer(config.learning_rate);
+  std::vector<float> d_scores;
+  std::vector<float> d_aux_length;
+  std::vector<float> d_aux_time;
 
   TrainHistory history;
   history.best_val_mae = std::numeric_limits<double>::infinity();
@@ -111,88 +78,35 @@ TrainHistory TrainPathRank(PathRankModel& model,
 
     double loss_sum = 0.0;
     size_t example_count = 0;
-    for (size_t g = 0; g < batcher.num_batches(); g += num_workers) {
-      const size_t group =
-          std::min(num_workers, batcher.num_batches() - g);
-
-      // Forward/backward one batch per worker; gradients land in each
-      // worker's own buffers.
-      ParallelForShards(
-          0, group,
-          [&](size_t shard, size_t lo, size_t hi) {
-            PR_CHECK(lo + 1 == hi);  // one batch per shard by construction
-            Worker& worker = workers[shard];
-            const data::ModelBatch batch = batcher.GetBatch(g + lo);
-            const auto outputs =
-                worker.model->ForwardFull(batch.sequences);
-            double loss = nn::ComputeLoss(config.loss, outputs.scores,
-                                          batch.labels, &worker.d_scores);
-            if (multi_task) {
-              // Auxiliary regression on the candidate's normalised length
-              // and travel time; gradients scaled by the auxiliary weight.
-              loss += aux_weight *
-                      nn::ComputeLoss(config.loss, outputs.aux_length,
-                                      batch.norm_lengths,
-                                      &worker.d_aux_length);
-              loss += aux_weight *
-                      nn::ComputeLoss(config.loss, outputs.aux_time,
-                                      batch.norm_times, &worker.d_aux_time);
-              for (float& grad : worker.d_aux_length) grad *= aux_weight;
-              for (float& grad : worker.d_aux_time) grad *= aux_weight;
-            }
-            worker.group_loss =
-                loss * static_cast<double>(outputs.scores.size());
-            worker.group_examples = outputs.scores.size();
-
-            nn::ZeroGradients(worker.params);
-            if (multi_task) {
-              worker.model->BackwardFull(worker.d_scores,
-                                         worker.d_aux_length,
-                                         worker.d_aux_time);
-            } else {
-              worker.model->Backward(worker.d_scores);
-            }
-          },
-          /*max_shards=*/group);
-
-      for (size_t s = 0; s < group; ++s) {
-        loss_sum += workers[s].group_loss;
-        example_count += workers[s].group_examples;
+    for (size_t b = 0; b < batcher.num_batches(); ++b) {
+      const data::ModelBatch batch = batcher.GetBatch(b);
+      const auto outputs = model.ForwardFull(batch.sequences);
+      double loss =
+          nn::ComputeLoss(config.loss, outputs.scores, batch.labels, &d_scores);
+      if (multi_task) {
+        // Auxiliary regression on the candidate's normalised length and
+        // travel time; gradients scaled by the auxiliary weight.
+        loss += aux_weight * nn::ComputeLoss(config.loss, outputs.aux_length,
+                                             batch.norm_lengths,
+                                             &d_aux_length);
+        loss += aux_weight * nn::ComputeLoss(config.loss, outputs.aux_time,
+                                             batch.norm_times, &d_aux_time);
+        for (float& grad : d_aux_length) grad *= aux_weight;
+        for (float& grad : d_aux_time) grad *= aux_weight;
       }
+      loss_sum += loss * static_cast<double>(outputs.scores.size());
+      example_count += outputs.scores.size();
 
-      // Ordered reduction into worker 0: mean of the group's gradients,
-      // shard order fixed, so the result is independent of scheduling.
-      if (group > 1) {
-        const float inv_group = 1.0f / static_cast<float>(group);
-        ParallelFor(0, num_params, 1, [&](size_t lo, size_t hi) {
-          for (size_t p = lo; p < hi; ++p) {
-            if (params[p]->frozen) continue;  // optimizer never applies it
-            nn::Matrix& grad = params[p]->grad;
-            for (size_t s = 1; s < group; ++s) {
-              grad.Add(workers[s].params[p]->grad);
-            }
-            grad.Scale(inv_group);
-          }
-        });
+      nn::ZeroGradients(params);
+      if (multi_task) {
+        model.BackwardFull(d_scores, d_aux_length, d_aux_time);
+      } else {
+        model.Backward(d_scores);
       }
       if (config.clip_norm > 0.0) {
         nn::ClipGradientNorm(params, config.clip_norm);
       }
-
-      // One optimizer step on worker 0, then a value broadcast keeps the
-      // replicas bitwise equal (frozen parameters never change, so they
-      // are skipped).
       optimizer.Step(params);
-      if (num_workers > 1) {
-        ParallelForShards(1, num_workers, [&](size_t, size_t lo, size_t hi) {
-          for (size_t w = lo; w < hi; ++w) {
-            for (size_t p = 0; p < num_params; ++p) {
-              if (params[p]->frozen) continue;
-              workers[w].params[p]->value = params[p]->value;
-            }
-          }
-        });
-      }
     }
 
     EpochRecord record;
@@ -201,8 +115,8 @@ TrainHistory TrainPathRank(PathRankModel& model,
     record.learning_rate = lr;
 
     if (use_validation) {
-      // Validation scores through the const inference path on the shared
-      // model — sharded with per-shard scratch, no replica copies.
+      // Validation scores through the const inference path, sharded with
+      // per-shard scratch.
       const EvalResult val = Evaluate(model, validation);
       record.val_mae = val.mae;
       record.val_tau = val.kendall_tau;
@@ -225,7 +139,7 @@ TrainHistory TrainPathRank(PathRankModel& model,
                           ? " val_mae=" + std::to_string(record.val_mae)
                           : "")
                   << " lr=" << record.learning_rate << " ("
-                  << record.seconds << "s, " << num_workers << " workers)";
+                  << record.seconds << "s)";
     }
     if (use_validation && config.patience > 0 &&
         epochs_since_best >= config.patience) {

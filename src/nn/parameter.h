@@ -35,9 +35,9 @@ using ParameterList = std::vector<Parameter*>;
 using ConstParameterList = std::vector<const Parameter*>;
 
 /// Tag selecting a construction path that skips random weight
-/// initialisation. Used by replica/snapshot builders whose values are
-/// immediately overwritten (CopyParametersFrom, checkpoint load), saving
-/// O(vocab x dim) RNG draws per replica.
+/// initialisation. Used by snapshot builders and checkpoint loads whose
+/// values are immediately overwritten (CopyParametersFrom, LoadModel),
+/// saving O(vocab x dim) RNG draws per copy.
 struct SkipInit {};
 inline constexpr SkipInit kSkipInit{};
 

@@ -1,7 +1,7 @@
-// Parallel-vs-serial equivalence: GEMM outputs are bitwise identical for
-// any thread count, and training is bit-reproducible for a fixed seed and
-// thread count (the determinism guarantee documented in
-// docs/performance.md).
+// Parallel-vs-serial equivalence: GEMM outputs, trained weights and
+// evaluation metrics are bitwise identical for any thread count, and
+// training is bit-reproducible for a fixed seed (the determinism
+// guarantees documented in docs/performance.md).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -103,7 +103,7 @@ data::RankingDataset SyntheticDataset(size_t num_queries, uint64_t seed) {
   return dataset;
 }
 
-std::vector<nn::Matrix> TrainOnce(size_t threads) {
+std::vector<nn::Matrix> TrainOnce(size_t threads, bool multi_task = false) {
   SetNumThreads(threads);
   const data::RankingDataset train = SyntheticDataset(24, 101);
   const data::RankingDataset val = SyntheticDataset(6, 202);
@@ -112,6 +112,7 @@ std::vector<nn::Matrix> TrainOnce(size_t threads) {
   model_cfg.embedding_dim = 12;
   model_cfg.hidden_size = 16;
   model_cfg.seed = 5;
+  model_cfg.multi_task = multi_task;
   core::PathRankModel model(60, model_cfg);
 
   core::TrainerConfig train_cfg;
@@ -139,6 +140,24 @@ TEST_F(ParallelEquivalenceTest, TrainingDeterministicForFixedThreadCount) {
       if (run1[i].SquaredNorm() > 0.0) moved = true;
     }
     EXPECT_TRUE(moved);
+  }
+}
+
+TEST_F(ParallelEquivalenceTest, TrainingBitwiseStableAcrossThreadCounts) {
+  // One optimizer step per batch whatever the pool size: weights trained
+  // (with validation and best-weight restore) at any thread count equal
+  // the serial ones bit for bit, with and without the auxiliary heads.
+  for (bool multi_task : {false, true}) {
+    SCOPED_TRACE(multi_task ? "multi_task" : "single_task");
+    const auto serial = TrainOnce(1, multi_task);
+    for (size_t threads : {2, 4, 8}) {
+      SCOPED_TRACE(threads);
+      const auto parallel = TrainOnce(threads, multi_task);
+      ASSERT_EQ(parallel.size(), serial.size());
+      for (size_t i = 0; i < serial.size(); ++i) {
+        ExpectBitwiseEqual(parallel[i], serial[i]);
+      }
+    }
   }
 }
 
