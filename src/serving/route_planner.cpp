@@ -72,15 +72,17 @@ RoutePlanner::RoutePlanner(const RoutePlannerConfig& config, ScoreFn score)
   }
 }
 
-RoutePlanner::CacheValue RoutePlanner::CacheLookup(const CacheKey& key,
-                                                   uint64_t epoch) const {
+RoutePlanner::CacheValue RoutePlanner::CacheLookup(
+    const CacheKey& key, uint64_t epoch, uint64_t generation) const {
   common::MutexLock lock(cache_mu_);
   const auto it = index_.find(key);
   if (it == index_.end()) return nullptr;
-  if (it->second->second.epoch != epoch) {
-    // Enumerated against a superseded graph: lazy invalidation. Erasing
-    // here (rather than at swap time) keeps /v1/traffic O(1) in the
-    // cache size and means stale entries cost at most one miss each.
+  const CacheEntry& entry = it->second->second;
+  if (entry.epoch != epoch || entry.generation != generation) {
+    // Enumerated against a superseded graph, or scored on a superseded
+    // model: lazy invalidation. Erasing here (rather than at swap time)
+    // keeps /v1/traffic and SwapSnapshot O(1) in the cache size and
+    // means stale entries cost at most one miss each.
     lru_.erase(it->second);
     index_.erase(it);
     invalidations_.fetch_add(1, std::memory_order_relaxed);
@@ -88,23 +90,24 @@ RoutePlanner::CacheValue RoutePlanner::CacheLookup(const CacheKey& key,
   }
   // Touch: move the node to the front without invalidating iterators.
   lru_.splice(lru_.begin(), lru_, it->second);
-  return it->second->second.paths;
+  return entry.answer;
 }
 
 void RoutePlanner::CacheInsert(const CacheKey& key, uint64_t epoch,
-                               CacheValue value) const {
+                               uint64_t generation, CacheValue value) const {
   if (config_.cache_capacity == 0) return;
   common::MutexLock lock(cache_mu_);
   const auto it = index_.find(key);
   if (it != index_.end()) {
     // A concurrent miss for the same key beat us here; both computed the
-    // same deterministic set (or ours is from a newer epoch, in which
-    // case overwriting is the invalidation), so last insert wins.
+    // same deterministic answer (or ours is from a newer epoch or
+    // generation, in which case overwriting is the invalidation), so last
+    // insert wins.
     lru_.splice(lru_.begin(), lru_, it->second);
-    it->second->second = CacheEntry{epoch, std::move(value)};
+    it->second->second = CacheEntry{epoch, generation, std::move(value)};
     return;
   }
-  lru_.emplace_front(key, CacheEntry{epoch, std::move(value)});
+  lru_.emplace_front(key, CacheEntry{epoch, generation, std::move(value)});
   index_[key] = lru_.begin();
   while (lru_.size() > config_.cache_capacity) {
     index_.erase(lru_.back().first);
@@ -128,23 +131,24 @@ RoutePlannerStats RoutePlanner::stats() const {
   return s;
 }
 
-RoutePlanner::CacheValue RoutePlanner::Enumerate(
+std::vector<routing::Path> RoutePlanner::Enumerate(
     const graph::RoadNetwork& network, const RouteRequest& request,
     const data::CandidateGenConfig& gen, const CancelToken* cancel,
-    const std::shared_ptr<const routing::PreprocessedGraph>& tables) const {
+    const std::shared_ptr<const routing::PreprocessedGraph>& tables,
+    std::string* algo) const {
   enumerations_.fetch_add(1, std::memory_order_relaxed);
   if (config_.enumeration_hook) config_.enumeration_hook();
 
   // One engine per enumeration: engines are single-threaded scratch.
   // nullptr = Yen's own Dijkstra, bitwise the pre-seam behaviour.
   std::unique_ptr<routing::ShortestPathEngine> engine;
-  const char* algo = SpurEngineName(SpurEngine::kDijkstra);
+  SpurEngine ran = SpurEngine::kDijkstra;
   switch (config_.spur_engine) {
     case SpurEngine::kDijkstra:
       break;
     case SpurEngine::kBidirectional:
       engine = std::make_unique<routing::BidirectionalDijkstraEngine>(network);
-      algo = SpurEngineName(SpurEngine::kBidirectional);
+      ran = SpurEngine::kBidirectional;
       break;
     case SpurEngine::kAlt:
       if (tables != nullptr) {
@@ -153,7 +157,7 @@ RoutePlanner::CacheValue RoutePlanner::Enumerate(
         // AltEngine per call).
         engine = std::make_unique<routing::AltEngine>(
             network, routing::EdgeCostFn::TravelTime(network), tables);
-        algo = SpurEngineName(SpurEngine::kAlt);
+        ran = SpurEngine::kAlt;
       } else {
         // No current-epoch artifact (rebuild in flight, or preprocessing
         // never enabled): exact Dijkstra fallback, never stale bounds.
@@ -162,32 +166,43 @@ RoutePlanner::CacheValue RoutePlanner::Enumerate(
       break;
   }
 
-  auto set = std::make_shared<CandidateSet>();
-  set->algo = algo;
+  *algo = SpurEngineName(ran);
   // Single source of truth with training-data generation: served
   // candidates always match the training distribution.
-  set->paths = data::GenerateCandidatePaths(network, request.source,
-                                            request.destination, gen, cancel,
-                                            engine.get());
-  return set;
+  return data::GenerateCandidatePaths(network, request.source,
+                                      request.destination, gen, cancel,
+                                      engine.get());
 }
 
-RoutePlanner::CacheValue RoutePlanner::EnumerateSingleFlight(
-    const CacheKey& key, uint64_t epoch, const graph::RoadNetwork& network,
-    const RouteRequest& request, const data::CandidateGenConfig& gen,
+RoutePlanner::CacheValue RoutePlanner::Rank(std::vector<routing::Path> paths,
+                                            std::string algo) const {
+  auto answer = std::make_shared<Answer>();
+  answer->algo = std::move(algo);
+  // The scorer takes ownership: the ranking it returns is the answer's
+  // only copy of the paths.
+  if (!paths.empty()) answer->ranked = score_(std::move(paths));
+  return answer;
+}
+
+RoutePlanner::CacheValue RoutePlanner::RankSingleFlight(
+    const CacheKey& key, uint64_t epoch, uint64_t generation,
+    const graph::RoadNetwork& network, const RouteRequest& request,
+    const data::CandidateGenConfig& gen,
     const std::shared_ptr<const routing::PreprocessedGraph>& tables) const {
   std::shared_ptr<Flight> flight;
   bool leader = false;
   {
     common::MutexLock lock(flight_mu_);
     const auto it = flights_.find(key);
-    if (it != flights_.end() && it->second->epoch == epoch) {
+    if (it != flights_.end() && it->second->epoch == epoch &&
+        it->second->generation == generation) {
       flight = it->second;
     } else {
-      // No joinable flight (none, or one pinned to a superseded epoch —
-      // its leader still finishes and wakes its own followers; replacing
-      // the table entry only stops NEW arrivals from joining it).
-      flight = std::make_shared<Flight>(epoch);
+      // No joinable flight (none, or one pinned to another epoch or
+      // generation — its leader still finishes and wakes its own
+      // followers; replacing the table entry only stops NEW arrivals
+      // from joining it).
+      flight = std::make_shared<Flight>(epoch, generation);
       flights_[key] = flight;
       leader = true;
     }
@@ -206,10 +221,13 @@ RoutePlanner::CacheValue RoutePlanner::EnumerateSingleFlight(
   CacheValue value;
   std::exception_ptr error;
   try {
-    value = Enumerate(network, request, gen, nullptr, tables);
-    // Insert before publishing: by the time any follower wakes, the set
-    // is already served from cache for everyone after them.
-    CacheInsert(key, epoch, value);
+    std::string algo;
+    std::vector<routing::Path> paths =
+        Enumerate(network, request, gen, nullptr, tables, &algo);
+    value = Rank(std::move(paths), std::move(algo));
+    // Insert before publishing: by the time any follower wakes, the
+    // answer is already served from cache for everyone after them.
+    CacheInsert(key, epoch, generation, value);
   } catch (...) {
     error = std::current_exception();
   }
@@ -297,8 +315,13 @@ RouteResult RoutePlanner::Plan(const RouteRequest& request) const {
   gen.k = k;
   const CacheKey key{request.source, request.destination,
                      static_cast<int>(gen.strategy), k};
-  CacheValue candidates = CacheLookup(key, epoch);
-  if (candidates != nullptr) {
+  // Read once, before any scoring: an answer scored below is tagged with
+  // a generation no newer than the snapshot the scorer captures, so a
+  // swap that lands mid-query makes the next lookup miss rather than
+  // serve this ranking as current.
+  const uint64_t generation = ModelGeneration();
+  CacheValue answer = CacheLookup(key, epoch, generation);
+  if (answer != nullptr) {
     result.cache_hit = true;
     cache_hits_.fetch_add(1, std::memory_order_relaxed);
   } else {
@@ -307,10 +330,10 @@ RouteResult RoutePlanner::Plan(const RouteRequest& request) const {
         request.deadline.bounded() || request.cancel != nullptr;
     if (!cancellable) {
       // Deadline-free queries coalesce: after an invalidation, N
-      // identical concurrent queries cost ONE Yen run, and every caller
-      // gets the same (complete) set.
-      candidates =
-          EnumerateSingleFlight(key, epoch, *network, request, gen, tables);
+      // identical concurrent queries cost ONE Yen run and ONE scoring
+      // call, and every caller gets the same (complete) answer.
+      answer = RankSingleFlight(key, epoch, generation, *network, request,
+                                gen, tables);
     } else {
       // One token per query, chaining the request deadline to any
       // external cancel source. Expiry is sticky (the token latches), so
@@ -319,9 +342,11 @@ RouteResult RoutePlanner::Plan(const RouteRequest& request) const {
       // a flight and never lead one: each has its own budget, and a
       // partial set must never be shared or cached.
       const CancelToken token(request.deadline, request.cancel);
-      candidates = Enumerate(*network, request, gen, &token, tables);
+      std::string algo;
+      std::vector<routing::Path> paths =
+          Enumerate(*network, request, gen, &token, tables, &algo);
       if (token.Expired()) {
-        if (candidates->paths.empty()) {
+        if (paths.empty()) {
           // Out of budget before the first candidate: nothing useful to
           // return. NOT cached — a verdict cut short by a deadline says
           // nothing about the graph, and caching it would poison later
@@ -339,18 +364,22 @@ RouteResult RoutePlanner::Plan(const RouteRequest& request) const {
         // be served to a later query as if it were the full top-k.
         degraded_.fetch_add(1, std::memory_order_relaxed);
         result.degraded = true;
-        result.algo = candidates->algo;
-        result.ranked = score_(candidates->paths);
+        result.algo = std::move(algo);
+        result.ranked = score_(std::move(paths));
         return result;
       }
-      CacheInsert(key, epoch, candidates);
+      // A scorer exception propagates from here, before the insert:
+      // nothing is cached.
+      answer = Rank(std::move(paths), std::move(algo));
+      CacheInsert(key, epoch, generation, answer);
     }
   }
 
-  // Attribute the engine that actually enumerated this set — for a hit,
-  // the one that seeded the cache entry (so hit and miss bodies match).
-  result.algo = candidates->algo;
-  if (candidates->paths.empty()) {
+  // Attribute the engine that actually enumerated this answer — for a
+  // hit, the one that seeded the cache entry (so hit and miss bodies
+  // match).
+  result.algo = answer->algo;
+  if (answer->ranked.empty()) {
     result.status = RouteStatus::kUnreachable;
     result.message = "no route from " + std::to_string(request.source) +
                      " to " + std::to_string(request.destination) +
@@ -358,10 +387,8 @@ RouteResult RoutePlanner::Plan(const RouteRequest& request) const {
                      data::CandidateStrategyName(gen.strategy) + ")";
     return result;
   }
-  // The backend takes ownership of its input, and the cached set must
-  // survive for the next hit: hand it a copy. Scoring runs on the
-  // CURRENT snapshot every time — the cache holds paths, never scores.
-  result.ranked = score_(candidates->paths);
+  // The cached answer must survive for the next hit: hand out a copy.
+  result.ranked = answer->ranked;
   return result;
 }
 

@@ -13,25 +13,32 @@
 //      uses), and
 //   4. returns them ordered by descending predicted score.
 //
-// Candidate enumeration dominates the cost (Yen is milliseconds; scoring
-// a handful of short sequences is not), so the planner keeps an LRU cache
-// of candidate SETS keyed by (source, destination, strategy, k). A cache
-// hit skips Yen entirely but still scores through the engine — cached
-// responses always reflect the CURRENT model snapshot, so hot-swap
-// semantics are unchanged. Because enumeration and scoring are both
-// deterministic, a cache hit is bitwise identical to the miss that seeded
-// it (route_planner_test asserts the HTTP bodies are byte-identical).
+// A path's score depends only on the path and the model weights, so the
+// planner keeps an LRU cache of ANSWERS — the ranked ScoredPath list and
+// the engine that enumerated it — keyed by (source, destination,
+// strategy, k). Each entry is tagged with the graph epoch and the model
+// generation (serving::ModelGeneration(), bumped by every
+// ServingEngine::SwapSnapshot) it was computed at. A lookup is a hit only
+// when both tags match the current ones; a hit returns the stored ranking
+// and runs neither Yen nor the scorer. Because enumeration and scoring
+// are both deterministic, a hit is bitwise identical to the miss that
+// seeded it (route_planner_test asserts the HTTP bodies are
+// byte-identical). A model swap costs each cached key one re-enumeration
+// and re-scoring, the same as a /v1/traffic write.
 //
 // Live graph: a planner constructed over a GraphStore captures the
 // current GraphSnapshot ONCE per query, so every response is computed
 // against — and attributed to, via RouteResult::graph_epoch — exactly one
-// graph version. Cache entries remember the epoch they were enumerated
-// at; a lookup from a newer epoch treats the entry as a miss and erases
-// it (lazy invalidation — /v1/traffic never walks the cache). Identical
-// deadline-free queries that miss concurrently are collapsed by a
-// per-key single-flight gate: one leader runs Yen, the followers wait on
-// its condition variable and share the leader's (bitwise identical)
-// candidate set, so an invalidation storm costs one enumeration per
+// graph version. The generation is read once per query too, before the
+// scorer runs, so an entry never carries a newer generation than the
+// snapshot that scored it and a stale ranking is never served as
+// current. A lookup whose epoch or generation differs from the entry's
+// treats it as a miss and erases it (lazy invalidation — neither
+// /v1/traffic nor a swap walks the cache). Identical deadline-free
+// queries that miss concurrently are collapsed by a per-key single-flight
+// gate: one leader enumerates and scores, the followers wait on its
+// condition variable and share the leader's (bitwise identical) answer,
+// so an invalidation storm costs one enumeration and one scoring call per
 // distinct key, not one per request.
 //
 // Spur engine: enumeration runs through the routing::ShortestPathEngine
@@ -48,8 +55,8 @@
 // mutex; enumeration and scoring run outside it. Deadline-bounded or
 // cancellable queries bypass the single-flight gate (each has its own
 // budget, and a partial set must never be shared), so for those the old
-// rule stands: concurrent misses for the same key may both enumerate,
-// last insert wins.
+// rule stands: concurrent misses for the same key may both enumerate and
+// score, last insert wins.
 #pragma once
 
 #include <atomic>
@@ -148,9 +155,11 @@ struct RouteResult {
   RouteStatus status = RouteStatus::kOk;
   /// Human-readable detail when status != kOk.
   std::string message;
-  /// True when the candidate set came from the LRU cache (set for cached
-  /// unreachable verdicts too — negative results are cached so repeated
-  /// dead-end queries also skip Yen).
+  /// True when the answer came from the LRU cache: the stored ranking,
+  /// computed at this query's graph epoch and model generation, served
+  /// without running Yen or the scorer (set for cached unreachable
+  /// verdicts too — negative results are cached so repeated dead-end
+  /// queries also skip Yen).
   bool cache_hit = false;
   /// True when the deadline expired mid-enumeration but at least one
   /// candidate was already found: status is kOk and `ranked` holds the
@@ -187,8 +196,8 @@ struct RoutePlannerConfig {
   /// Candidate strategy and parameters; `candidates.k` is the default
   /// per-query k.
   data::CandidateGenConfig candidates;
-  /// LRU capacity in candidate sets. 0 disables caching (every query
-  /// re-enumerates).
+  /// LRU capacity in answers. 0 disables caching (every query
+  /// re-enumerates and re-scores).
   size_t cache_capacity = 1024;
   /// Largest CLIENT-supplied per-request k accepted (kBadRequest above
   /// it): enumeration cost grows with k, and an open endpoint must not
@@ -221,8 +230,8 @@ struct RoutePlannerConfig {
 struct RoutePlannerStats {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
-  /// Cache entries discarded because a lookup arrived from a newer graph
-  /// epoch than the entry was enumerated at.
+  /// Cache entries discarded because a lookup arrived from a different
+  /// graph epoch or model generation than the entry was computed at.
   uint64_t invalidations = 0;
   /// Queries that joined an in-progress identical enumeration instead of
   /// running their own (single-flight followers).
@@ -244,6 +253,10 @@ class RoutePlanner {
   /// Scores candidate paths, returning them sorted by descending score —
   /// the contract of ServingEngine::ScoreBatch (same signature as
   /// HttpBackend::score, so the CLI reuses one lambda for both seams).
+  /// Contract: for the same paths, a ScoreFn's output may change only
+  /// through ServingEngine::SwapSnapshot. The planner serves a cached
+  /// ranking for as long as ModelGeneration() is unchanged, so a scorer
+  /// whose model moves any other way would be served stale.
   using ScoreFn =
       std::function<std::vector<ScoredPath>(std::vector<routing::Path>)>;
 
@@ -258,14 +271,15 @@ class RoutePlanner {
   RouteResult Plan(const RouteRequest& request) const
       EXCLUDES(cache_mu_, flight_mu_);
 
-  /// Queries answered from / past the candidate cache so far.
+  /// Queries answered from / past the answer cache so far.
   uint64_t cache_hits() const {
     return cache_hits_.load(std::memory_order_relaxed);
   }
   uint64_t cache_misses() const {
     return cache_misses_.load(std::memory_order_relaxed);
   }
-  /// Cache entries lazily evicted because the graph epoch moved on.
+  /// Cache entries lazily evicted because the graph epoch or the model
+  /// generation moved on.
   uint64_t invalidations() const {
     return invalidations_.load(std::memory_order_relaxed);
   }
@@ -273,7 +287,8 @@ class RoutePlanner {
   uint64_t single_flight_waits() const {
     return single_flight_waits_.load(std::memory_order_relaxed);
   }
-  /// Candidate enumerations actually executed.
+  /// Candidate enumerations actually executed (each miss that enumerates
+  /// also makes one scoring call, unless nothing was found).
   uint64_t enumerations() const {
     return enumerations_.load(std::memory_order_relaxed);
   }
@@ -289,7 +304,7 @@ class RoutePlanner {
   uint64_t alt_fallbacks() const {
     return alt_fallbacks_.load(std::memory_order_relaxed);
   }
-  /// Candidate sets currently cached (<= config().cache_capacity).
+  /// Answers currently cached (<= config().cache_capacity).
   size_t cache_size() const EXCLUDES(cache_mu_);
 
   /// All counters in one struct (see RoutePlannerStats).
@@ -308,36 +323,46 @@ class RoutePlanner {
   struct CacheKeyHash {
     size_t operator()(const CacheKey& key) const;
   };
-  /// One enumerated candidate set plus the engine that produced it. The
-  /// algo travels WITH the cached paths so a cache hit reports the engine
-  /// that actually enumerated — keeping hit and miss response bodies
-  /// byte-identical even when the planner's live engine choice would
-  /// differ (e.g. an ALT planner that seeded the entry mid-rebuild).
-  struct CandidateSet {
-    std::vector<routing::Path> paths;
+  /// One complete answer: the scored candidates plus the engine that
+  /// enumerated them. It holds the only copy of the paths (a ScoredPath
+  /// is a Path plus its score). The algo travels WITH the ranking so a
+  /// cache hit reports the engine that actually enumerated — keeping hit
+  /// and miss response bodies byte-identical even when the planner's live
+  /// engine choice would differ (e.g. an ALT planner that seeded the
+  /// entry mid-rebuild).
+  struct Answer {
+    /// Sorted by descending score; empty = the unreachable verdict.
+    std::vector<ScoredPath> ranked;
     /// SpurEngineName(...) of the engine that ran the enumeration.
     std::string algo;
   };
-  /// Cached candidate sets are shared_ptr so a hit can score a set that a
+  /// Cached answers are shared_ptr so a hit can copy out an answer that a
   /// concurrent insert is about to evict.
-  using CacheValue = std::shared_ptr<const CandidateSet>;
-  /// Each cached set remembers the epoch it was enumerated at; the key
-  /// stays (source, destination, strategy, k) so a swap costs nothing up
-  /// front and stale entries never crowd out live ones — they are erased
-  /// the first time a newer-epoch lookup touches them.
+  using CacheValue = std::shared_ptr<const Answer>;
+  /// Each cached answer remembers the graph epoch it was enumerated at and
+  /// the model generation read before it was scored; the key stays
+  /// (source, destination, strategy, k) so a traffic write or a model swap
+  /// costs nothing up front and stale entries never crowd out live ones —
+  /// they are erased the first time a lookup with other tags touches them.
+  /// The answer holds paths and scores only, never a snapshot handle, so
+  /// a swapped-out model is freed however many answers it scored.
   struct CacheEntry {
     uint64_t epoch;
-    CacheValue paths;
+    uint64_t generation;
+    CacheValue answer;
   };
   using LruNode = std::pair<CacheKey, CacheEntry>;
 
-  /// One in-progress enumeration that identical queries can join. The
-  /// leader publishes result-or-error under `mu` and notifies; followers
-  /// wait in a predicate loop. `epoch` is immutable so a follower can
-  /// tell a joinable flight from a stale one without taking `mu`.
+  /// One in-progress enumeration and scoring that identical queries can
+  /// join. The leader publishes answer-or-error under `mu` and notifies;
+  /// followers wait in a predicate loop. `epoch` and `generation` are
+  /// immutable so a follower can tell a joinable flight from a stale one
+  /// without taking `mu`.
   struct Flight {
-    explicit Flight(uint64_t epoch_in) : epoch(epoch_in) {}
+    Flight(uint64_t epoch_in, uint64_t generation_in)
+        : epoch(epoch_in), generation(generation_in) {}
     const uint64_t epoch;
+    const uint64_t generation;
     /// All flights share kRouteFlight: a thread holds at most one
     /// flight's lock at a time (leaders publish, followers wait —
     /// never two flights in one scope), and never under flight_mu_.
@@ -348,24 +373,31 @@ class RoutePlanner {
     std::exception_ptr error GUARDED_BY(mu);
   };
 
-  CacheValue CacheLookup(const CacheKey& key, uint64_t epoch) const
-      EXCLUDES(cache_mu_);
-  void CacheInsert(const CacheKey& key, uint64_t epoch,
+  CacheValue CacheLookup(const CacheKey& key, uint64_t epoch,
+                         uint64_t generation) const EXCLUDES(cache_mu_);
+  void CacheInsert(const CacheKey& key, uint64_t epoch, uint64_t generation,
                    CacheValue value) const EXCLUDES(cache_mu_);
   /// Runs one candidate enumeration (counter + test hook + Yen) with the
-  /// configured spur engine. `tables` is the current-epoch ALT artifact
-  /// (null = none available: a kAlt planner falls back to Dijkstra and
-  /// counts alt_fallbacks_; other engines ignore it).
-  CacheValue Enumerate(
+  /// configured spur engine and sets `*algo` to the engine that ran.
+  /// `tables` is the current-epoch ALT artifact (null = none available: a
+  /// kAlt planner falls back to Dijkstra and counts alt_fallbacks_; other
+  /// engines ignore it).
+  std::vector<routing::Path> Enumerate(
       const graph::RoadNetwork& network, const RouteRequest& request,
       const data::CandidateGenConfig& gen, const CancelToken* cancel,
-      const std::shared_ptr<const routing::PreprocessedGraph>& tables) const;
-  /// Single-flight enumeration for deadline-free queries: exactly one
-  /// caller per (key, epoch) runs Yen; the rest wait and share its set.
-  /// Rethrows the leader's exception in every joined caller.
-  CacheValue EnumerateSingleFlight(
-      const CacheKey& key, uint64_t epoch, const graph::RoadNetwork& network,
-      const RouteRequest& request, const data::CandidateGenConfig& gen,
+      const std::shared_ptr<const routing::PreprocessedGraph>& tables,
+      std::string* algo) const;
+  /// Scores a complete candidate set into an answer. An empty set is the
+  /// unreachable verdict and never reaches the scorer.
+  CacheValue Rank(std::vector<routing::Path> paths, std::string algo) const;
+  /// Single-flight enumeration and scoring for deadline-free queries:
+  /// exactly one caller per (key, epoch, generation) runs Yen and the
+  /// scorer; the rest wait and share its answer. Rethrows the leader's
+  /// exception in every joined caller.
+  CacheValue RankSingleFlight(
+      const CacheKey& key, uint64_t epoch, uint64_t generation,
+      const graph::RoadNetwork& network, const RouteRequest& request,
+      const data::CandidateGenConfig& gen,
       const std::shared_ptr<const routing::PreprocessedGraph>& tables) const
       EXCLUDES(flight_mu_, cache_mu_);
 
@@ -392,8 +424,8 @@ class RoutePlanner {
 
   mutable common::Mutex flight_mu_ ACQUIRED_BEFORE(cache_mu_){
       common::LockRank::kRouteFlightTable, "planner.flight_table"};
-  /// In-progress enumerations by key. An entry whose epoch is older than
-  /// the arriving query's is replaced (its leader still completes and
+  /// In-progress enumerations by key. An entry whose epoch or generation
+  /// differs from the arriving query's is replaced (its leader still completes and
   /// notifies its own followers; the pointer-compare on erase keeps it
   /// from removing its successor).
   mutable std::unordered_map<CacheKey, std::shared_ptr<Flight>, CacheKeyHash>

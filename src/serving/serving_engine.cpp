@@ -1,6 +1,7 @@
 #include "serving/serving_engine.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -18,6 +19,8 @@ std::vector<int32_t> PathToSequence(const routing::Path& path) {
 
 namespace {
 
+std::atomic<uint64_t> g_model_generation{0};
+
 nn::SequenceBatch BatchFromPaths(const std::vector<routing::Path>& paths) {
   std::vector<std::vector<int32_t>> seqs;
   seqs.reserve(paths.size());
@@ -28,6 +31,10 @@ nn::SequenceBatch BatchFromPaths(const std::vector<routing::Path>& paths) {
 }
 
 }  // namespace
+
+uint64_t ModelGeneration() {
+  return g_model_generation.load(std::memory_order_acquire);
+}
 
 /// One scoring slot: a lock plus the per-caller activation scratch the
 /// const inference path writes into. No parameters live here — every
@@ -75,12 +82,16 @@ std::shared_ptr<const ModelSnapshot> ServingEngine::SwapSnapshot(
   PR_CHECK(next != nullptr) << "SwapSnapshot needs a snapshot";
   PR_CHECK(next->vocab_size() == network_->num_vertices())
       << "model/network vertex-count mismatch";
-  swap_count_.fetch_add(1, std::memory_order_relaxed);
   // One locked exchange is the entire cut-over: requests that already
   // copied the old pointer finish on it (their shared_ptr copy keeps it
   // alive); requests that copy after this line see `next`.
   common::MutexLock lock(snapshot_mu_);
   snapshot_.swap(next);
+  // Count only once `next` serves: /healthz never reports a swap early,
+  // and a planner that reads the new generation (acquire pairs with this
+  // release) can only capture `next` or a later snapshot.
+  swap_count_.fetch_add(1, std::memory_order_relaxed);
+  g_model_generation.fetch_add(1, std::memory_order_release);
   return next;
 }
 

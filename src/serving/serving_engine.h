@@ -17,6 +17,8 @@
 // so each response is computed entirely on one snapshot — never a mix —
 // and in-flight requests finish on the snapshot they started with. The old
 // snapshot is freed when the last in-flight request drops its reference.
+// Every swap also bumps the process-wide ModelGeneration(), which is how
+// RoutePlanner knows a cached ranking was scored on a superseded model.
 #pragma once
 
 #include <atomic>
@@ -47,6 +49,15 @@ struct ServingOptions {
   /// to RoutePlannerConfig::candidates.
   data::CandidateGenConfig candidates;
 };
+
+/// Process-wide model generation: the number of SwapSnapshot calls, by any
+/// engine, whose pointer exchange has completed. Read with acquire
+/// ordering, so a caller that reads G and then captures a snapshot scores
+/// on a model at least as new as swap G. RoutePlanner tags each cached
+/// ranking with the value it read before scoring and serves it only while
+/// the generation is unchanged. A swap in any engine therefore invalidates
+/// every planner's rankings, which is conservative and correct.
+uint64_t ModelGeneration();
 
 /// Encodes one candidate path's vertex ids as the model's token sequence.
 /// The single source of truth for the Path -> SequenceBatch-row mapping.
@@ -85,7 +96,9 @@ class ServingEngine {
   /// In-flight requests finish on the snapshot they captured at entry; new
   /// requests score on `next`. The old snapshot is destroyed when its last
   /// in-flight request completes (or when the caller drops the returned
-  /// handle, whichever is later). Thread-safe; callable under full load.
+  /// handle, whichever is later). Bumps swap_count() and ModelGeneration()
+  /// after the exchange, so neither reports a swap before `next` serves.
+  /// Thread-safe; callable under full load.
   std::shared_ptr<const ModelSnapshot> SwapSnapshot(
       std::shared_ptr<const ModelSnapshot> next) EXCLUDES(snapshot_mu_);
 

@@ -1,7 +1,8 @@
 // Model hot-swap: atomic cut-over semantics (every response attributable
 // to exactly one snapshot, no torn reads), old-snapshot lifetime (freed
-// only after the last in-flight reference drops), and swap under
-// concurrent load with no lost requests.
+// only after the last in-flight reference drops, and never pinned by a
+// RoutePlanner's cached answers), and swap under concurrent load with no
+// lost requests.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +14,7 @@
 #include "data/candidate_generation.h"
 #include "graph/network_builder.h"
 #include "serving/model_snapshot.h"
+#include "serving/route_planner.h"
 #include "serving/serving_engine.h"
 
 namespace pathrank::serving {
@@ -107,6 +109,42 @@ TEST(HotSwap, OldSnapshotFreedOnlyAfterLastInFlightReference) {
   EXPECT_FALSE(weak_a.expired());
   in_flight.reset();
   EXPECT_TRUE(weak_a.expired());
+}
+
+TEST(HotSwap, CachedRouteAnswersPinNoSnapshot) {
+  SwapFixture fx;
+  auto snap_a = ModelSnapshot::Capture(fx.model_a);
+  std::weak_ptr<const ModelSnapshot> weak_a = snap_a;
+  ServingEngine engine(fx.network, std::move(snap_a));
+  RoutePlannerConfig config;
+  config.network = &fx.network;
+  config.candidates.k = 5;
+  const RoutePlanner planner(config, [&engine](std::vector<routing::Path> paths) {
+    return engine.ScoreBatch(paths);
+  });
+
+  // Warm: every answer below is scored on A and cached.
+  const std::vector<RouteRequest> requests{{0, 63}, {7, 56}, {3, 60}};
+  for (const auto& request : requests) {
+    ASSERT_EQ(planner.Plan(request).status, RouteStatus::kOk);
+    ASSERT_TRUE(planner.Plan(request).cache_hit);
+  }
+  ASSERT_EQ(planner.cache_size(), requests.size());
+
+  // Swap and drop the returned handle: nothing else may keep A alive,
+  // although the planner still holds every answer A scored.
+  engine.SwapSnapshot(ModelSnapshot::Capture(fx.model_b)).reset();
+  EXPECT_TRUE(weak_a.expired());
+  EXPECT_EQ(planner.cache_size(), requests.size());
+
+  // And those answers are not served: the next query re-scores on B.
+  const RouteResult after = planner.Plan(requests[0]);
+  EXPECT_FALSE(after.cache_hit);
+  EXPECT_TRUE(SameRanking(
+      engine.ScoreBatch(data::GenerateCandidatePaths(
+          fx.network, requests[0].source, requests[0].destination,
+          config.candidates)),
+      after.ranked));
 }
 
 TEST(HotSwap, ConcurrentLoadLosesNoRequestsAndEveryResponseIsAttributable) {

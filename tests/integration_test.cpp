@@ -4,6 +4,9 @@
 // miniature of the paper's experimental protocol.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "pathrank.h"
 
 namespace pathrank {
@@ -99,25 +102,33 @@ TEST(Integration, TrainedModelBeatsUntrainedModel) {
   gen_cfg.max_enumerated = 120;
   data::RankingDataset dataset;
   dataset.queries = data::GenerateQueries(network, trips, gen_cfg);
-  Rng rng(20);
-  const auto split = data::SplitDataset(dataset, 0.75, 0.0, rng);
 
-  core::PathRankConfig model_cfg;
-  model_cfg.embedding_dim = 12;
-  model_cfg.hidden_size = 16;
-  model_cfg.seed = 21;
-  core::PathRankModel model(network.num_vertices(), model_cfg);
-  const auto before = core::Evaluate(model, split.test);
+  // The test split holds about 15 queries, so one seed partly measures
+  // noise. Shift the split, init and shuffle seeds together and require
+  // both improvements at every offset; offset 0 is the original case.
+  for (uint64_t offset = 0; offset < 5; ++offset) {
+    SCOPED_TRACE("seed offset " + std::to_string(offset));
+    Rng rng(20 + offset);
+    const auto split = data::SplitDataset(dataset, 0.75, 0.0, rng);
 
-  core::TrainerConfig train_cfg;
-  train_cfg.epochs = 8;
-  train_cfg.learning_rate = 3e-3;
-  train_cfg.patience = 0;
-  core::TrainPathRank(model, split.train, {}, train_cfg);
-  const auto after = core::Evaluate(model, split.test);
+    core::PathRankConfig model_cfg;
+    model_cfg.embedding_dim = 12;
+    model_cfg.hidden_size = 16;
+    model_cfg.seed = 21 + offset;
+    core::PathRankModel model(network.num_vertices(), model_cfg);
+    const auto before = core::Evaluate(model, split.test);
 
-  EXPECT_LT(after.mae, before.mae);
-  EXPECT_GT(after.kendall_tau, before.kendall_tau);
+    core::TrainerConfig train_cfg;
+    train_cfg.epochs = 8;
+    train_cfg.learning_rate = 3e-3;
+    train_cfg.patience = 0;
+    train_cfg.seed = 17 + offset;  // 17 is the TrainerConfig default
+    core::TrainPathRank(model, split.train, {}, train_cfg);
+    const auto after = core::Evaluate(model, split.test);
+
+    EXPECT_LT(after.mae, before.mae);
+    EXPECT_GT(after.kendall_tau, before.kendall_tau);
+  }
 }
 
 TEST(Integration, EvaluateIsDeterministic) {

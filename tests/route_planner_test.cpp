@@ -5,9 +5,16 @@
 // modulo the cache_hit flag), (3) the LRU evicts and touches correctly,
 // (4) the error taxonomy (unknown vertex, s == d, unreachable, bad k)
 // maps to 4xx over HTTP with stable status slugs, on /v1/route and on
-// its /v1/rank alias alike.
+// its /v1/rank alias alike, (5) the cache holds answers: a hit never calls
+// the scorer, a model swap (even one that lands mid-scoring) makes the
+// next query re-score on the new snapshot, concurrent identical misses
+// score once, and a throwing scorer leaves nothing cached.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <functional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -244,6 +251,215 @@ TEST(RoutePlanner, ConcurrentPlansAgreeBitwise) {
     ASSERT_EQ(result.status, RouteStatus::kOk);
     EXPECT_TRUE(result.cache_hit);  // the sequential miss seeded the cache
     ExpectSameRanking(result.ranked, expected.ranked);
+  }
+}
+
+// ---- Answer cache ------------------------------------------------------
+
+/// Planner over a swappable engine whose scorer counts its calls. `hook`
+/// (when set) runs inside the scorer, before or after the engine scores,
+/// so a test can land a swap or an exception mid-query.
+struct AnswerCacheFixture {
+  graph::RoadNetwork network = graph::BuildTestNetwork();
+  core::PathRankModel model_a;
+  core::PathRankModel model_b;
+  ServingEngine engine;
+  std::atomic<int> score_calls{0};
+  std::function<void()> hook_before_score;
+  std::function<void()> hook_after_score;
+  RoutePlanner planner;
+
+  static core::PathRankConfig ConfigWithSeed(uint64_t seed) {
+    core::PathRankConfig cfg = SmallConfig();
+    cfg.seed = seed;
+    return cfg;
+  }
+
+  explicit AnswerCacheFixture(
+      RoutePlannerConfig config = RoutePlannerConfig())
+      : model_a(network.num_vertices(), ConfigWithSeed(3)),
+        model_b(network.num_vertices(), ConfigWithSeed(31)),
+        engine(network, model_a),
+        planner(WithNetwork(std::move(config)),
+                [this](std::vector<routing::Path> paths) {
+                  score_calls.fetch_add(1);
+                  if (hook_before_score) hook_before_score();
+                  auto ranked = engine.ScoreBatch(paths);
+                  if (hook_after_score) hook_after_score();
+                  return ranked;
+                }) {}
+
+  RoutePlannerConfig WithNetwork(RoutePlannerConfig config) const {
+    config.network = &network;
+    config.candidates = GenConfig();
+    return config;
+  }
+
+  void SwapToB() { engine.SwapSnapshot(ModelSnapshot::Capture(model_b)); }
+
+  /// The offline pipeline on whatever snapshot `engine` serves now.
+  std::vector<ScoredPath> Offline(graph::VertexId source,
+                                  graph::VertexId destination) const {
+    return engine.ScoreBatch(data::GenerateCandidatePaths(
+        network, source, destination, GenConfig()));
+  }
+};
+
+bool RankingsEqual(const std::vector<ScoredPath>& a,
+                   const std::vector<ScoredPath>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].score != b[i].score || a[i].path.vertices != b[i].path.vertices) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(RouteAnswerCache, HitNeverCallsTheScorerAndMatchesTheMissBitwise) {
+  AnswerCacheFixture fx;
+  const RouteResult miss = fx.planner.Plan({5, 60});
+  ASSERT_EQ(miss.status, RouteStatus::kOk);
+  EXPECT_FALSE(miss.cache_hit);
+  EXPECT_EQ(fx.score_calls.load(), 1);
+
+  for (int i = 0; i < 3; ++i) {
+    const RouteResult hit = fx.planner.Plan({5, 60});
+    ASSERT_EQ(hit.status, RouteStatus::kOk);
+    EXPECT_TRUE(hit.cache_hit);
+    EXPECT_EQ(hit.algo, miss.algo);
+    ExpectSameRanking(hit.ranked, miss.ranked);
+  }
+  EXPECT_EQ(fx.score_calls.load(), 1) << "a hit re-ran the scorer";
+  EXPECT_EQ(fx.planner.enumerations(), 1u);
+}
+
+TEST(RouteAnswerCache, SwapSnapshotMakesTheNextQueryRescoreOnTheNewModel) {
+  AnswerCacheFixture fx;
+  const RouteResult on_a = fx.planner.Plan({0, 63});
+  ASSERT_EQ(on_a.status, RouteStatus::kOk);
+  ASSERT_TRUE(fx.planner.Plan({0, 63}).cache_hit);
+
+  fx.SwapToB();
+  const auto offline_b = fx.Offline(0, 63);
+  ASSERT_FALSE(RankingsEqual(on_a.ranked, offline_b))
+      << "models too similar to tell the snapshots apart";
+
+  const RouteResult after = fx.planner.Plan({0, 63});
+  ASSERT_EQ(after.status, RouteStatus::kOk);
+  EXPECT_FALSE(after.cache_hit);
+  ExpectSameRanking(after.ranked, offline_b);
+  EXPECT_EQ(fx.planner.invalidations(), 1u);
+  EXPECT_EQ(fx.planner.enumerations(), 2u);
+
+  // The re-scored answer is cached at the new generation.
+  const int calls = fx.score_calls.load();
+  const RouteResult rehit = fx.planner.Plan({0, 63});
+  EXPECT_TRUE(rehit.cache_hit);
+  ExpectSameRanking(rehit.ranked, offline_b);
+  EXPECT_EQ(fx.score_calls.load(), calls);
+}
+
+TEST(RouteAnswerCache, SwapThatLandsMidScoringIsNeverServedStale) {
+  // The swap runs inside the scorer's first call, so it lands after Plan
+  // read the model generation. Whether the scorer still saw the old
+  // snapshot (swap after scoring) or already the new one (swap before),
+  // the answer is tagged with the OLD generation, and the next query must
+  // miss and re-score on the new snapshot.
+  for (const bool swap_before_scoring : {false, true}) {
+    SCOPED_TRACE(swap_before_scoring ? "swap before scoring"
+                                     : "swap after scoring");
+    AnswerCacheFixture fx;
+    std::atomic<bool> swapped{false};
+    std::function<void()> swap_once = [&] {
+      if (!swapped.exchange(true)) fx.SwapToB();
+    };
+    (swap_before_scoring ? fx.hook_before_score : fx.hook_after_score) =
+        swap_once;
+
+    const RouteResult first = fx.planner.Plan({0, 63});
+    ASSERT_EQ(first.status, RouteStatus::kOk);
+    ASSERT_TRUE(swapped.load());
+
+    const auto offline_b = fx.Offline(0, 63);
+    const RouteResult next = fx.planner.Plan({0, 63});
+    ASSERT_EQ(next.status, RouteStatus::kOk);
+    EXPECT_FALSE(next.cache_hit);
+    ExpectSameRanking(next.ranked, offline_b);
+    EXPECT_EQ(fx.score_calls.load(), 2);
+  }
+}
+
+TEST(RouteAnswerCache, ConcurrentIdenticalMissesMakeOneScorerCall) {
+  constexpr int kThreads = 6;
+  std::atomic<bool> gate_armed{false};
+  const RoutePlanner* planner_ptr = nullptr;
+  RoutePlannerConfig config;
+  config.cache_capacity = 64;
+  config.enumeration_hook = [&] {
+    if (!gate_armed.load()) return;
+    // Hold the leader until every other thread waits on its flight.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (planner_ptr->single_flight_waits() <
+               static_cast<uint64_t>(kThreads - 1) &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  };
+  AnswerCacheFixture fx(config);
+  planner_ptr = &fx.planner;
+
+  gate_armed.store(true);
+  std::atomic<bool> start{false};
+  std::vector<RouteResult> results(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!start.load()) std::this_thread::yield();
+      results[static_cast<size_t>(t)] = fx.planner.Plan({3, 60});
+    });
+  }
+  start.store(true);
+  for (auto& thread : threads) thread.join();
+  gate_armed.store(false);
+
+  EXPECT_EQ(fx.planner.single_flight_waits(),
+            static_cast<uint64_t>(kThreads - 1));
+  EXPECT_EQ(fx.planner.enumerations(), 1u);
+  EXPECT_EQ(fx.score_calls.load(), 1);
+  const auto offline = fx.Offline(3, 60);
+  for (int t = 0; t < kThreads; ++t) {
+    const RouteResult& result = results[static_cast<size_t>(t)];
+    ASSERT_EQ(result.status, RouteStatus::kOk) << "thread " << t;
+    EXPECT_FALSE(result.cache_hit);
+    ExpectSameRanking(result.ranked, offline);
+  }
+}
+
+TEST(RouteAnswerCache, ThrowingScorerLeavesNothingCached) {
+  // Both miss paths: the single-flight leader (deadline-free) and the
+  // cancellable path (deadline-bounded).
+  for (const bool bounded : {false, true}) {
+    SCOPED_TRACE(bounded ? "deadline-bounded" : "deadline-free");
+    AnswerCacheFixture fx;
+    std::atomic<bool> fail{true};
+    fx.hook_after_score = [&] {
+      if (fail.exchange(false)) throw std::runtime_error("injected");
+    };
+    RouteRequest request{0, 63};
+    if (bounded) request.deadline = Deadline::AfterMs(600'000);
+
+    EXPECT_THROW(fx.planner.Plan(request), std::runtime_error);
+    EXPECT_EQ(fx.planner.cache_size(), 0u);
+
+    const RouteResult retry = fx.planner.Plan(request);
+    ASSERT_EQ(retry.status, RouteStatus::kOk);
+    EXPECT_FALSE(retry.cache_hit);
+    ExpectSameRanking(retry.ranked, fx.Offline(0, 63));
+    EXPECT_EQ(fx.planner.enumerations(), 2u);
+    EXPECT_EQ(fx.planner.cache_size(), 1u);
   }
 }
 

@@ -20,7 +20,7 @@
 // /healthz, GET /statsz) until SIGINT/SIGTERM, with admission control in
 // front of the engine (--max-inflight, --max-queue-wait-us; overload
 // answers 429 + Retry-After). /v1/route is the full online pipeline
-// (candidate enumeration + LRU candidate cache + scoring, see
+// (candidate enumeration + scoring + LRU answer cache, see
 // serving::RoutePlanner); --route-cache N sizes the cache. The route
 // pipeline serves a live graph behind a GraphStore: POST /v1/traffic
 // ingests edge cost/closure batches (epoch + 1 per batch). `--watch-model
@@ -476,11 +476,11 @@ int RunHttpFrontEnd(const Args& args, const graph::RoadNetwork& network,
   }
 
   // The online route pipeline behind POST /v1/route and /v1/rank:
-  // candidate enumeration + LRU candidate cache + scoring through the
-  // SAME seam backend.score uses. Built over the GraphStore: each query
+  // candidate enumeration + scoring through the SAME seam backend.score
+  // uses + LRU answer cache. Built over the GraphStore: each query
   // captures the current snapshot (and, for ALT, the preprocessing
-  // artifact) once, and cached candidate sets invalidate when the epoch
-  // moves on.
+  // artifact) once, and cached answers invalidate when the epoch moves on
+  // or a model hot swap lands.
   serving::RoutePlannerConfig route_config;
   route_config.store = &graph_store;
   route_config.candidates = GenConfigFromArgs(args);
@@ -738,7 +738,7 @@ void PrintUsage() {
       "            [--watch-model 0|1 --watch-interval-ms M]\n"
       "            [--http-addr A --max-inflight N\n"
       "             --max-queue-wait-us U --http-threads T (0 = auto)\n"
-      "             --route-cache N (LRU candidate sets for /v1/route)\n"
+      "             --route-cache N (LRU route answers for /v1/route)\n"
       "             --spur-engine dijkstra|bidi|alt (Yen spur searches)\n"
       "             --landmarks N (ALT landmark count, default 8)\n"
       "             --watch-graph 0|1 (hot-swap re-exported graphs)\n"
