@@ -1,11 +1,9 @@
-// Micro-benchmarks of the routing substrate: point-to-point engines and
+// Micro-benchmarks of the routing substrate: point-to-point Dijkstra and
 // the candidate generators across network sizes.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
 #include "graph/network_builder.h"
-#include "routing/astar.h"
-#include "routing/bidirectional_dijkstra.h"
 #include "routing/cost_model.h"
 #include "routing/dijkstra.h"
 #include "routing/diversified.h"
@@ -49,36 +47,6 @@ void BM_Dijkstra(benchmark::State& state) {
       static_cast<double>(engine.last_settled_count());
 }
 BENCHMARK(BM_Dijkstra)->Arg(16)->Arg(32)->Arg(64);
-
-void BM_BidirectionalDijkstra(benchmark::State& state) {
-  const auto net = MakeNetwork(static_cast<int>(state.range(0)));
-  const auto cost = EdgeCostFn::Length(net);
-  BidirectionalDijkstra engine(net);
-  uint64_t salt = 0;
-  for (auto _ : state) {
-    const auto [s, t] = PickQuery(net, salt++ % 16);
-    auto p = engine.ShortestPath(s, t, cost);
-    benchmark::DoNotOptimize(p);
-  }
-  state.counters["settled"] =
-      static_cast<double>(engine.last_settled_count());
-}
-BENCHMARK(BM_BidirectionalDijkstra)->Arg(16)->Arg(32)->Arg(64);
-
-void BM_AStar(benchmark::State& state) {
-  const auto net = MakeNetwork(static_cast<int>(state.range(0)));
-  const auto cost = EdgeCostFn::Length(net);
-  AStar engine(net);
-  uint64_t salt = 0;
-  for (auto _ : state) {
-    const auto [s, t] = PickQuery(net, salt++ % 16);
-    auto p = engine.ShortestPath(s, t, cost);
-    benchmark::DoNotOptimize(p);
-  }
-  state.counters["settled"] =
-      static_cast<double>(engine.last_settled_count());
-}
-BENCHMARK(BM_AStar)->Arg(16)->Arg(32)->Arg(64);
 
 void BM_YenTopK(benchmark::State& state) {
   const auto net = MakeNetwork(24);

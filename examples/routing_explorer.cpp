@@ -1,4 +1,4 @@
-// Routing-substrate explorer: compares the point-to-point engines on the
+// Routing-substrate explorer: compares plain Dijkstra with ALT on the
 // same queries (cost equality, vertices settled) and shows what the
 // candidate generators produce — the "advanced routing" component of the
 // paper's solution overview.
@@ -7,8 +7,7 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "graph/network_builder.h"
-#include "routing/astar.h"
-#include "routing/bidirectional_dijkstra.h"
+#include "routing/alt.h"
 #include "routing/cost_model.h"
 #include "routing/dijkstra.h"
 #include "routing/diversified.h"
@@ -28,12 +27,10 @@ int main() {
 
   const auto cost = EdgeCostFn::Length(network);
   Dijkstra dijkstra(network);
-  BidirectionalDijkstra bidi(network);
-  AStar astar(network);
+  AltRouter alt(network, cost);
 
   std::printf("point-to-point engines (5 random far queries):\n");
-  std::printf("%-8s %12s %12s %12s\n", "query", "dijkstra", "bidirectional",
-              "astar");
+  std::printf("%-8s %12s %12s\n", "query", "dijkstra", "alt");
   Rng rng(22);
   for (int i = 0; i < 5; ++i) {
     const auto s =
@@ -43,14 +40,11 @@ int main() {
     if (s == t) continue;
     const auto pd = dijkstra.ShortestPath(s, t, cost);
     const size_t settled_d = dijkstra.last_settled_count();
-    const auto pb = bidi.ShortestPath(s, t, cost);
-    const size_t settled_b = bidi.last_settled_count();
-    const auto pa = astar.ShortestPath(s, t, cost);
-    const size_t settled_a = astar.last_settled_count();
+    const auto pa = alt.ShortestPath(s, t);
+    const size_t settled_a = alt.last_settled_count();
     if (!pd.has_value()) continue;
-    std::printf("#%-7d %7.0fm/%4zu %7.0fm/%4zu %7.0fm/%4zu  (settled)\n", i,
-                pd->cost, settled_d, pb->cost, settled_b, pa->cost,
-                settled_a);
+    std::printf("#%-7d %7.0fm/%4zu %7.0fm/%4zu  (settled)\n", i, pd->cost,
+                settled_d, pa->cost, settled_a);
   }
 
   const VertexId s = 40;

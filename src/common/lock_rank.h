@@ -71,7 +71,7 @@ struct LockRank {
   /// RoutePlanner::Flight::mu — one in-progress enumeration's state. A
   /// thread holds at most one flight's lock at a time.
   static constexpr int kRouteFlight = 70;
-  /// RoutePlanner::cache_mu_ — the LRU candidate cache.
+  /// RoutePlanner::cache_mu_ — the LRU answer cache.
   static constexpr int kRouteCache = 80;
 
   // -- model serving -----------------------------------------------------

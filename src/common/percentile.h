@@ -1,9 +1,7 @@
 // Nearest-rank percentile over an ascending-sorted sample — the ONE
-// quantile convention shared by the serving bench metrics
-// (bench_throughput's serve_rank_* / serve_batched_* / serve_route_*
-// p50/p99) and the pathrank_cli serve latency report, so the CLI's numbers
-// and the gated bench numbers can never silently disagree for the same
-// sample.
+// quantile convention behind every p50/p99 the server reports (the
+// /statsz endpoint latencies and the GraphStore rebuild durations), so
+// two reports of the same sample can never silently disagree.
 #pragma once
 
 #include <algorithm>

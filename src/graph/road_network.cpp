@@ -107,16 +107,6 @@ RoadNetwork RoadNetworkBuilder::BuildFrom(
   }
 
   for (const Coordinate& c : net.coordinates_) net.bounds_.Extend(c);
-  // max_speed_mps_ feeds the admissible A* heuristic; closed edges are
-  // untraversable, so only open edges bound the speed.
-  for (EdgeId e = 0; e < m; ++e) {
-    if (!is_open(e)) continue;
-    const EdgeRecord& rec = net.edge_records_[e];
-    if (rec.travel_time_s > 0.0) {
-      net.max_speed_mps_ =
-          std::max(net.max_speed_mps_, rec.length_m / rec.travel_time_s);
-    }
-  }
   return net;
 }
 

@@ -109,10 +109,6 @@ class RoadNetwork {
   /// Bounding box of all vertex coordinates.
   const BoundingBox& bounds() const { return bounds_; }
 
-  /// Highest free-flow speed present in the network (m/s); used for
-  /// admissible travel-time A* heuristics.
-  double max_speed_mps() const { return max_speed_mps_; }
-
   /// Human-readable one-line summary ("|V|=..., |E|=...").
   std::string Summary() const;
 
@@ -127,7 +123,6 @@ class RoadNetwork {
   std::vector<uint32_t> in_offsets_;
   std::vector<EdgeId> in_edge_ids_;
   BoundingBox bounds_;
-  double max_speed_mps_ = 0.0;
 };
 
 }  // namespace pathrank::graph

@@ -54,7 +54,7 @@ double HaversineMeters(const Coordinate& a, const Coordinate& b);
 
 /// Equirectangular approximation of distance in metres; accurate to <0.5%
 /// at regional scale and several times faster than haversine. Used by the
-/// A* heuristic and the spatial index.
+/// spatial index, map matching and trip generation.
 double FastDistanceMeters(const Coordinate& a, const Coordinate& b);
 
 /// Axis-aligned geographic bounding box.

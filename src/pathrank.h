@@ -42,7 +42,6 @@
 #include "graph/network_builder.h"      // IWYU pragma: export
 #include "graph/road_network.h"         // IWYU pragma: export
 #include "metrics/ranking_metrics.h"    // IWYU pragma: export
-#include "routing/astar.h"     // IWYU pragma: export
 #include "routing/dijkstra.h"  // IWYU pragma: export
 #include "routing/diversified.h"        // IWYU pragma: export
 #include "routing/yen.h"       // IWYU pragma: export

@@ -8,7 +8,7 @@
 //
 // which is admissible and consistent for the metric used at preprocessing
 // time. On hierarchical road networks ALT settles far fewer vertices than
-// plain Dijkstra and, unlike the geometric A* heuristic, works for custom
+// plain Dijkstra and, unlike a geometric A* heuristic, works for custom
 // metrics such as the simulated drivers' personalised costs.
 //
 // The landmark tables live in a shareable PreprocessedGraph, so many

@@ -47,8 +47,7 @@ class EdgeCostFn {
 
   const graph::RoadNetwork& network() const { return *network_; }
 
-  /// True when this is the physical-length metric (enables exact geometric
-  /// A* heuristics).
+  /// True when this is the physical-length metric.
   bool is_length() const { return mode_ == Mode::kLength; }
 
   /// True when this is the travel-time metric.

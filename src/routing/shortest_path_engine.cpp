@@ -29,22 +29,6 @@ SearchResult DijkstraEngine::FindPath(VertexId source, VertexId target,
                   cancel);
 }
 
-SearchResult BidirectionalDijkstraEngine::FindPath(VertexId source,
-                                                   VertexId target,
-                                                   const EdgeCostFn& cost,
-                                                   const BanSet* bans,
-                                                   const CancelToken* cancel) {
-  return Classify(bidi_.ShortestPath(source, target, cost, bans, cancel),
-                  cancel);
-}
-
-SearchResult AStarEngine::FindPath(VertexId source, VertexId target,
-                                   const EdgeCostFn& cost, const BanSet* bans,
-                                   const CancelToken* cancel) {
-  return Classify(astar_.ShortestPath(source, target, cost, bans, cancel),
-                  cancel);
-}
-
 AltEngine::AltEngine(const RoadNetwork& network, const EdgeCostFn& cost,
                      std::shared_ptr<const PreprocessedGraph> tables)
     : tables_(std::move(tables)), alt_(network, cost, tables_) {}

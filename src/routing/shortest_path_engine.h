@@ -1,9 +1,8 @@
 // The pluggable point-to-point shortest-path seam.
 //
-// Every concrete router in this directory (Dijkstra, A*, bidirectional
-// Dijkstra, ALT) historically had its own ad-hoc constructor/query shape,
-// so no caller could swap search strategies — YenEnumerator hard-coded a
-// Dijkstra member. ShortestPathEngine is the one query contract they all
+// The two routers in this directory (Dijkstra and ALT) each have their
+// own constructor/query shape, and YenEnumerator once hard-coded a
+// Dijkstra member. ShortestPathEngine is the one query contract both
 // adapt to:
 //
 //   FindPath(source, target, cost, bans, cancel) -> SearchResult
@@ -34,9 +33,7 @@
 
 #include "common/deadline.h"
 #include "routing/alt.h"
-#include "routing/astar.h"
 #include "routing/ban_set.h"
-#include "routing/bidirectional_dijkstra.h"
 #include "routing/cost_model.h"
 #include "routing/dijkstra.h"
 #include "routing/path.h"
@@ -90,8 +87,8 @@ class ShortestPathEngine {
                                 const EdgeCostFn& cost, const BanSet* bans,
                                 const CancelToken* cancel) = 0;
 
-  /// Stable lower_snake_case engine name ("dijkstra", "bidirectional",
-  /// "astar", "alt") — surfaced as the /v1/route "algo" field.
+  /// Stable lower_snake_case engine name ("dijkstra", "alt") — surfaced
+  /// as the /v1/route "algo" field.
   virtual const char* name() const = 0;
 
   /// Vertices settled by the last FindPath (diagnostics/benchmarks).
@@ -114,43 +111,6 @@ class DijkstraEngine final : public ShortestPathEngine {
 
  private:
   Dijkstra dijkstra_;
-};
-
-/// Bidirectional Dijkstra: meets in the middle, settling roughly half the
-/// vertices of the unidirectional search on long queries.
-class BidirectionalDijkstraEngine final : public ShortestPathEngine {
- public:
-  explicit BidirectionalDijkstraEngine(const RoadNetwork& network)
-      : bidi_(network) {}
-
-  SearchResult FindPath(VertexId source, VertexId target,
-                        const EdgeCostFn& cost, const BanSet* bans,
-                        const CancelToken* cancel) override;
-  const char* name() const override { return "bidirectional"; }
-  size_t last_settled_count() const override {
-    return bidi_.last_settled_count();
-  }
-
- private:
-  BidirectionalDijkstra bidi_;
-};
-
-/// A* with the geometric (great-circle) heuristic. Exact for the length
-/// and travel-time metrics; degrades to Dijkstra for custom metrics.
-class AStarEngine final : public ShortestPathEngine {
- public:
-  explicit AStarEngine(const RoadNetwork& network) : astar_(network) {}
-
-  SearchResult FindPath(VertexId source, VertexId target,
-                        const EdgeCostFn& cost, const BanSet* bans,
-                        const CancelToken* cancel) override;
-  const char* name() const override { return "astar"; }
-  size_t last_settled_count() const override {
-    return astar_.last_settled_count();
-  }
-
- private:
-  AStar astar_;
 };
 
 /// ALT (A* with landmarks): shares an immutable PreprocessedGraph built

@@ -18,7 +18,7 @@
 //                    the body field wins when both are present)
 //                    -> {"cache_hit": b, "routes": [{"score", "cost",
 //                        "length_m", "time_s", "vertices", "edges"},...]}
-//                    (RoutePlanner pipeline: candidate cache + explicit
+//                    (RoutePlanner pipeline: answer cache + explicit
 //                    error taxonomy; 404 when no route backend is set.
 //                    An expired budget answers 504 "deadline_exceeded"
 //                    when no candidate was found in time, or 200 with

@@ -10,7 +10,6 @@ namespace pathrank::serving {
 const char* SpurEngineName(SpurEngine engine) {
   switch (engine) {
     case SpurEngine::kDijkstra: return "dijkstra";
-    case SpurEngine::kBidirectional: return "bidirectional";
     case SpurEngine::kAlt: return "alt";
   }
   return "?";
@@ -19,8 +18,6 @@ const char* SpurEngineName(SpurEngine engine) {
 bool ParseSpurEngine(const std::string& text, SpurEngine* out) {
   if (text == "dijkstra") {
     *out = SpurEngine::kDijkstra;
-  } else if (text == "bidi" || text == "bidirectional") {
-    *out = SpurEngine::kBidirectional;
   } else if (text == "alt") {
     *out = SpurEngine::kAlt;
   } else {
@@ -145,10 +142,6 @@ std::vector<routing::Path> RoutePlanner::Enumerate(
   SpurEngine ran = SpurEngine::kDijkstra;
   switch (config_.spur_engine) {
     case SpurEngine::kDijkstra:
-      break;
-    case SpurEngine::kBidirectional:
-      engine = std::make_unique<routing::BidirectionalDijkstraEngine>(network);
-      ran = SpurEngine::kBidirectional;
       break;
     case SpurEngine::kAlt:
       if (tables != nullptr) {

@@ -89,17 +89,16 @@ namespace pathrank::serving {
 /// identical across engines (bitwise, when shortest paths are unique) —
 /// only the work per query changes.
 enum class SpurEngine {
-  kDijkstra,       ///< plain Dijkstra (the historical default)
-  kBidirectional,  ///< bidirectional Dijkstra, no preprocessing needed
-  kAlt,            ///< ALT landmarks; needs a per-epoch PreprocessedGraph
+  kDijkstra,  ///< plain Dijkstra (the default, and the exactness reference)
+  kAlt,       ///< ALT landmarks; needs a per-epoch PreprocessedGraph
 };
 
-/// Stable lower_snake_case engine name ("dijkstra", "bidirectional",
-/// "alt") — the /v1/route "algo" vocabulary.
+/// Stable lower_snake_case engine name ("dijkstra", "alt") — the
+/// /v1/route "algo" vocabulary.
 const char* SpurEngineName(SpurEngine engine);
 
-/// Parses "dijkstra" / "bidi" / "bidirectional" / "alt" (the --spur-engine
-/// vocabulary). Returns false on anything else, leaving *out untouched.
+/// Parses "dijkstra" / "alt" (the --spur-engine vocabulary). Returns
+/// false on anything else, leaving *out untouched.
 bool ParseSpurEngine(const std::string& text, SpurEngine* out);
 
 /// Outcome taxonomy for one route query. Everything except kOk and
@@ -171,11 +170,11 @@ struct RouteResult {
   /// every response — including errors — is attributable to exactly one
   /// graph version.
   uint64_t graph_epoch = 0;
-  /// Engine that enumerated this candidate set ("dijkstra",
-  /// "bidirectional", "alt"). On a cache hit: the engine that seeded the
-  /// entry, so hit and miss bodies stay byte-identical. Empty on error
-  /// results that never reached enumeration. An ALT planner mid-rebuild
-  /// reports "dijkstra" — the fallback that actually ran.
+  /// Engine that enumerated this candidate set ("dijkstra" or "alt").
+  /// On a cache hit: the engine that seeded the entry, so hit and miss
+  /// bodies stay byte-identical. Empty on error results that never
+  /// reached enumeration. An ALT planner mid-rebuild reports "dijkstra" —
+  /// the fallback that actually ran.
   std::string algo;
   /// Candidates sorted by descending predicted score; empty unless kOk.
   std::vector<ScoredPath> ranked;

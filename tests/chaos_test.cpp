@@ -7,7 +7,7 @@
 //     tripping the token after an exact number of checkpoints — every
 //     possible cut point yields ok, degraded-partial, or
 //     deadline_exceeded; nothing else, and partial sets never poison
-//     the candidate cache.
+//     the answer cache.
 //   * Deadline-free plans are bitwise identical with and without the
 //     cancellation plumbing armed.
 //   * FaultInjector spec parsing + deterministic firing.

@@ -1,11 +1,11 @@
-// Engine-equivalence suite for the pluggable shortest-path seam: every
-// ShortestPathEngine adapter (dijkstra, bidirectional, astar, alt) must
-// be EXACT, so (1) point-to-point answers agree bitwise across engines
-// on randomized synthetic networks, with and without BanSet bans,
-// (2) Yen candidate sets produced through any engine are bitwise
-// identical to the plain-Dijkstra reference — the acceptance bar for
-// swapping a spur engine in production, (3) the tri-state SearchResult
-// separates unreachable from cancelled, and (4) a RoutePlanner over a
+// Engine-equivalence suite for the pluggable shortest-path seam: both
+// ShortestPathEngine adapters (dijkstra, alt) must be EXACT, so
+// (1) point-to-point answers agree bitwise across engines on randomized
+// synthetic networks, with and without BanSet bans, (2) Yen candidate
+// sets produced through any engine are bitwise identical to the
+// plain-Dijkstra reference — the acceptance bar for swapping a spur
+// engine in production, (3) the tri-state SearchResult separates
+// unreachable from cancelled, and (4) a RoutePlanner over a
 // live GraphStore never pairs a new snapshot with stale ALT tables: a
 // query racing a rebuild falls back to exact Dijkstra (algo "dijkstra",
 // alt_fallbacks ticks) and returns to "alt" once the artifact catches
@@ -44,14 +44,12 @@ graph::RoadNetwork SmallSynthetic(uint64_t seed) {
   return graph::BuildSyntheticNetwork(config);
 }
 
-/// All four adapters over one network + shared ALT tables.
+/// Both adapters over one network + shared ALT tables.
 struct EngineSet {
   const graph::RoadNetwork& network;
   EdgeCostFn cost;
   std::shared_ptr<const PreprocessedGraph> tables;
   DijkstraEngine dijkstra;
-  BidirectionalDijkstraEngine bidi;
-  AStarEngine astar;
   AltEngine alt;
 
   explicit EngineSet(const graph::RoadNetwork& net)
@@ -60,12 +58,10 @@ struct EngineSet {
         tables(std::make_shared<const PreprocessedGraph>(net, cost,
                                                          /*num_landmarks=*/6)),
         dijkstra(net),
-        bidi(net),
-        astar(net),
         alt(net, cost, tables) {}
 
   std::vector<ShortestPathEngine*> all() {
-    return {&dijkstra, &bidi, &astar, &alt};
+    return {&dijkstra, &alt};
   }
 };
 

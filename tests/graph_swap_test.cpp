@@ -1,5 +1,5 @@
 // Epoch-versioned live graph: GraphSnapshot/GraphStore swap semantics,
-// the epoch-keyed candidate cache, and the single-flight enumeration
+// the epoch-keyed answer cache, and the single-flight enumeration
 // gate — the concurrency contract behind POST /v1/traffic. Asserts
 // (1) concurrent route queries during a swap storm are each attributable
 // to exactly ONE epoch (the ranking bitwise matches the reference for

@@ -81,11 +81,6 @@ TEST(RoadNetwork, PathAggregates) {
   EXPECT_GT(net.PathTravelTimeSeconds(edges), 0.0);
 }
 
-TEST(RoadNetwork, MaxSpeedReflectsFastestEdge) {
-  const RoadNetwork net = MakeTriangle();
-  EXPECT_NEAR(net.max_speed_mps(), 110.0 / 3.6, 1e-6);
-}
-
 TEST(RoadNetwork, BoundsContainAllVertices) {
   const RoadNetwork net = MakeTriangle();
   for (VertexId v = 0; v < net.num_vertices(); ++v) {

@@ -8,7 +8,8 @@
 // its /v1/rank alias alike, (5) the cache holds answers: a hit never calls
 // the scorer, a model swap (even one that lands mid-scoring) makes the
 // next query re-score on the new snapshot, concurrent identical misses
-// score once, and a throwing scorer leaves nothing cached.
+// score once, and a throwing scorer leaves nothing cached, and (6) the
+// --spur-engine parser accepts exactly "dijkstra" and "alt".
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -190,6 +191,21 @@ TEST(RoutePlanner, ErrorTaxonomy) {
   EXPECT_STREQ(RouteStatusSlug(unknown.status), "unknown_vertex");
   EXPECT_STREQ(RouteStatusSlug(same.status), "same_vertex");
   EXPECT_STREQ(RouteStatusSlug(too_big.status), "bad_request");
+}
+
+TEST(RoutePlanner, ParseSpurEngineAcceptsOnlyDijkstraAndAlt) {
+  SpurEngine engine = SpurEngine::kAlt;
+  ASSERT_TRUE(ParseSpurEngine("dijkstra", &engine));
+  EXPECT_EQ(engine, SpurEngine::kDijkstra);
+  EXPECT_STREQ(SpurEngineName(engine), "dijkstra");
+  ASSERT_TRUE(ParseSpurEngine("alt", &engine));
+  EXPECT_EQ(engine, SpurEngine::kAlt);
+  EXPECT_STREQ(SpurEngineName(engine), "alt");
+  // A rejected name leaves the previous choice untouched.
+  for (const char* rejected : {"bidi", "bidirectional", "astar", ""}) {
+    EXPECT_FALSE(ParseSpurEngine(rejected, &engine)) << rejected;
+    EXPECT_EQ(engine, SpurEngine::kAlt) << rejected;
+  }
 }
 
 TEST(RoutePlanner, ConfiguredDefaultKIsExemptFromMaxK) {

@@ -1,13 +1,11 @@
-// Shortest-path correctness: Dijkstra against Bellman-Ford, A* and
-// bidirectional Dijkstra against Dijkstra, ban sets, and Path helpers.
+// Shortest-path correctness: Dijkstra against Bellman-Ford, ban sets, and
+// Path helpers. (ALT against Dijkstra lives in alt_test.)
 #include <gtest/gtest.h>
 
 #include <limits>
 
 #include "common/rng.h"
 #include "graph/network_builder.h"
-#include "routing/astar.h"
-#include "routing/bidirectional_dijkstra.h"
 #include "routing/cost_model.h"
 #include "routing/dijkstra.h"
 #include "routing/path.h"
@@ -59,64 +57,6 @@ TEST_P(ShortestPathProperty, DijkstraMatchesBellmanFord) {
       EXPECT_FALSE(dijkstra.Reached(v));
     } else {
       EXPECT_NEAR(dijkstra.DistanceTo(v), reference[v], 1e-6);
-    }
-  }
-}
-
-TEST_P(ShortestPathProperty, AStarMatchesDijkstraOnLength) {
-  const RoadNetwork net = BuildTestNetwork(GetParam() + 100);
-  const auto cost = EdgeCostFn::Length(net);
-  Dijkstra dijkstra(net);
-  AStar astar(net);
-  pathrank::Rng rng(GetParam() * 3 + 1);
-  for (int i = 0; i < 25; ++i) {
-    const auto s = static_cast<VertexId>(rng.NextBounded(net.num_vertices()));
-    const auto t = static_cast<VertexId>(rng.NextBounded(net.num_vertices()));
-    if (s == t) continue;
-    const auto pd = dijkstra.ShortestPath(s, t, cost);
-    const auto pa = astar.ShortestPath(s, t, cost);
-    ASSERT_EQ(pd.has_value(), pa.has_value());
-    if (pd.has_value()) {
-      EXPECT_NEAR(pd->cost, pa->cost, 1e-6 * std::max(1.0, pd->cost));
-    }
-  }
-}
-
-TEST_P(ShortestPathProperty, AStarMatchesDijkstraOnTravelTime) {
-  const RoadNetwork net = BuildTestNetwork(GetParam() + 200);
-  const auto cost = EdgeCostFn::TravelTime(net);
-  Dijkstra dijkstra(net);
-  AStar astar(net);
-  pathrank::Rng rng(GetParam() * 5 + 2);
-  for (int i = 0; i < 25; ++i) {
-    const auto s = static_cast<VertexId>(rng.NextBounded(net.num_vertices()));
-    const auto t = static_cast<VertexId>(rng.NextBounded(net.num_vertices()));
-    if (s == t) continue;
-    const auto pd = dijkstra.ShortestPath(s, t, cost);
-    const auto pa = astar.ShortestPath(s, t, cost);
-    ASSERT_EQ(pd.has_value(), pa.has_value());
-    if (pd.has_value()) {
-      EXPECT_NEAR(pd->cost, pa->cost, 1e-6 * std::max(1.0, pd->cost));
-    }
-  }
-}
-
-TEST_P(ShortestPathProperty, BidirectionalMatchesDijkstra) {
-  const RoadNetwork net = BuildTestNetwork(GetParam() + 300);
-  const auto cost = EdgeCostFn::Length(net);
-  Dijkstra dijkstra(net);
-  BidirectionalDijkstra bidi(net);
-  pathrank::Rng rng(GetParam() * 7 + 5);
-  for (int i = 0; i < 25; ++i) {
-    const auto s = static_cast<VertexId>(rng.NextBounded(net.num_vertices()));
-    const auto t = static_cast<VertexId>(rng.NextBounded(net.num_vertices()));
-    if (s == t) continue;
-    const auto pd = dijkstra.ShortestPath(s, t, cost);
-    const auto pb = bidi.ShortestPath(s, t, cost);
-    ASSERT_EQ(pd.has_value(), pb.has_value());
-    if (pd.has_value()) {
-      EXPECT_NEAR(pd->cost, pb->cost, 1e-6 * std::max(1.0, pd->cost));
-      EXPECT_TRUE(ValidatePath(net, *pb).empty()) << ValidatePath(net, *pb);
     }
   }
 }

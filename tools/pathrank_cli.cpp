@@ -459,7 +459,7 @@ int RunHttpFrontEnd(const Args& args, const graph::RoadNetwork& network,
   const std::string spur_name = args.Get("spur-engine", "dijkstra");
   if (!serving::ParseSpurEngine(spur_name, &spur_engine)) {
     std::fprintf(stderr,
-                 "--spur-engine must be dijkstra, bidi, or alt (got %s)\n",
+                 "--spur-engine must be dijkstra or alt (got %s)\n",
                  spur_name.c_str());
     return 2;
   }
@@ -739,7 +739,7 @@ void PrintUsage() {
       "            [--http-addr A --max-inflight N\n"
       "             --max-queue-wait-us U --http-threads T (0 = auto)\n"
       "             --route-cache N (LRU route answers for /v1/route)\n"
-      "             --spur-engine dijkstra|bidi|alt (Yen spur searches)\n"
+      "             --spur-engine dijkstra|alt (Yen spur searches)\n"
       "             --landmarks N (ALT landmark count, default 8)\n"
       "             --watch-graph 0|1 (hot-swap re-exported graphs)\n"
       "             --idle-timeout-s S --request-deadline-s S\n"
