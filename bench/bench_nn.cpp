@@ -1,10 +1,15 @@
-// Micro-benchmarks of the neural substrate: GEMM kernels and recurrent
-// layer forward/backward throughput at the shapes PathRank trains with.
+// Micro-benchmarks of the neural substrate: GEMM kernels, recurrent
+// layer forward/backward throughput at the shapes PathRank trains with,
+// and the serving scorer on one candidate set.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
+#include "data/candidate_generation.h"
+#include "graph/network_builder.h"
 #include "nn/matrix.h"
 #include "nn/recurrent.h"
+#include "serving/model_snapshot.h"
+#include "serving/serving_engine.h"
 
 namespace {
 
@@ -82,6 +87,47 @@ void BM_GruForwardBackward(benchmark::State& state) {
       static_cast<int64_t>(state.iterations() * batch * steps));
 }
 BENCHMARK(BM_GruForwardBackward)->Arg(64)->Arg(128);
+
+// One /v1/route miss's scoring: 10 D-TkDI candidates (similarity threshold
+// 0.6) on the 24 x 24 synthetic network, scored through a ModelSnapshot of
+// the served shape (bidirectional GRU, m = 64, h = 64, random init).
+void BM_ScoreCandidateSet(benchmark::State& state) {
+  graph::SyntheticNetworkConfig net_cfg;
+  net_cfg.rows = 24;
+  net_cfg.cols = 24;
+  const graph::RoadNetwork network = graph::BuildSyntheticNetwork(net_cfg);
+  core::PathRankConfig model_cfg;
+  model_cfg.embedding_dim = 64;
+  model_cfg.hidden_size = 64;
+  const core::PathRankModel model(network.num_vertices(), model_cfg);
+  const auto snapshot = serving::ModelSnapshot::Capture(model);
+
+  data::CandidateGenConfig gen;
+  gen.k = 10;
+  gen.similarity_threshold = 0.6;
+  const auto last = static_cast<graph::VertexId>(network.num_vertices() - 1);
+  const auto paths =
+      data::GenerateCandidatePaths(network, last / 3, 2 * last / 3, gen);
+  std::vector<std::vector<int32_t>> seqs;
+  size_t vertices = 0;
+  for (const auto& p : paths) {
+    seqs.push_back(serving::PathToSequence(p));
+    vertices += p.vertices.size();
+  }
+  const auto batch = nn::SequenceBatch::FromSequences(seqs);
+
+  core::InferenceScratch scratch;
+  for (auto _ : state) {
+    const auto scores = snapshot->model().ForwardInference(
+        batch, snapshot->tables(), &scratch);
+    benchmark::DoNotOptimize(scores.data());
+  }
+  state.counters["paths"] = static_cast<double>(paths.size());
+  state.counters["vertices"] = static_cast<double>(vertices);
+  state.SetItemsProcessed(
+      static_cast<int64_t>(state.iterations() * paths.size()));
+}
+BENCHMARK(BM_ScoreCandidateSet);
 
 }  // namespace
 

@@ -11,8 +11,8 @@ namespace pathrank::core {
 namespace {
 
 /// Scores one query's candidate set through the const inference path.
-void ScoreQuery(const PathRankModel& model, InferenceScratch* scratch,
-                const data::RankingQuery& query,
+void ScoreQuery(const PathRankModel& model, const InferenceTables& tables,
+                InferenceScratch* scratch, const data::RankingQuery& query,
                 std::vector<double>* predicted, std::vector<double>* truth) {
   std::vector<std::vector<int32_t>> seqs;
   seqs.reserve(query.candidates.size());
@@ -27,7 +27,8 @@ void ScoreQuery(const PathRankModel& model, InferenceScratch* scratch,
     truth->push_back(cand.label);
   }
   const auto batch = nn::SequenceBatch::FromSequences(seqs);
-  const std::vector<float> scores = model.ForwardInference(batch, scratch);
+  const std::vector<float> scores =
+      model.ForwardInference(batch, tables, scratch);
   predicted->assign(scores.begin(), scores.end());
 }
 
@@ -50,9 +51,10 @@ EvalResult Evaluate(const PathRankModel& model,
                     const data::RankingDataset& dataset) {
   const size_t num_queries = dataset.queries.size();
   // Scores are identical for any shard count — the inference kernels are
-  // bitwise stable and every shard reads the same shared parameters — and
-  // metrics are accumulated in query order afterwards.
+  // bitwise stable and every shard reads the same shared parameters and
+  // tables — and metrics are accumulated in query order afterwards.
   const size_t num_shards = EvalShards(num_queries);
+  const InferenceTables tables = model.BuildInferenceTables();
   std::vector<std::vector<double>> predicted(num_queries);
   std::vector<std::vector<double>> truth(num_queries);
 
@@ -60,7 +62,7 @@ EvalResult Evaluate(const PathRankModel& model,
     InferenceScratch scratch;
     for (size_t q = 0; q < num_queries; ++q) {
       if (dataset.queries[q].candidates.empty()) continue;
-      ScoreQuery(model, &scratch, dataset.queries[q], &predicted[q],
+      ScoreQuery(model, tables, &scratch, dataset.queries[q], &predicted[q],
                  &truth[q]);
     }
   } else {
@@ -70,7 +72,7 @@ EvalResult Evaluate(const PathRankModel& model,
         [&](size_t shard, size_t lo, size_t hi) {
           for (size_t q = lo; q < hi; ++q) {
             if (dataset.queries[q].candidates.empty()) continue;
-            ScoreQuery(model, &scratch[shard], dataset.queries[q],
+            ScoreQuery(model, tables, &scratch[shard], dataset.queries[q],
                        &predicted[q], &truth[q]);
           }
         },

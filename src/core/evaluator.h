@@ -25,9 +25,9 @@ struct EvalResult {
 };
 
 /// Scores every query's candidates with `model` and accumulates metrics.
-/// Parallel shards score through the model's const inference path with
-/// per-shard scratch — the model is shared, never copied or mutated, so
-/// repeated calls cost no replica rebuilds.
+/// Builds the model's inference tables once, then parallel shards score
+/// through the const inference path with per-shard scratch — the model and
+/// tables are shared read-only, never copied or mutated.
 EvalResult Evaluate(const PathRankModel& model,
                     const data::RankingDataset& dataset);
 

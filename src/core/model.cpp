@@ -7,16 +7,17 @@
 namespace pathrank::core {
 namespace {
 
-/// pooled[b] = mean over t < len_b of hidden_at(t)[b]; `hidden_at(t)` is
-/// the [B x hidden] state after step t.
-template <typename HiddenAt>
-void MeanPoolImpl(const HiddenAt& hidden_at, size_t hidden,
-                  const std::vector<int32_t>& lengths, size_t num_steps,
-                  nn::Matrix* pooled) {
+/// pooled[b] = mean over t < len_b of the cell's cached state after step
+/// t. Sums in ascending step order; RecurrentLayer::ForwardInference pools
+/// in the same order.
+void MeanPool(const nn::RecurrentLayer& cell,
+              const std::vector<int32_t>& lengths, size_t num_steps,
+              nn::Matrix* pooled) {
   const size_t batch = lengths.size();
+  const size_t hidden = cell.hidden_size();
   pooled->Resize(batch, hidden);
   for (size_t t = 0; t < num_steps; ++t) {
-    const nn::Matrix& h = hidden_at(t);
+    const nn::Matrix& h = cell.hidden_state(t);
     for (size_t b = 0; b < batch; ++b) {
       if (static_cast<int32_t>(t) >= lengths[b]) continue;
       const float* src = h.row(b);
@@ -29,22 +30,6 @@ void MeanPoolImpl(const HiddenAt& hidden_at, size_t hidden,
     float* dst = pooled->row(b);
     for (size_t c = 0; c < hidden; ++c) dst[c] *= inv;
   }
-}
-
-/// Training-path pooling over the cell's cached hidden states.
-void MeanPool(const nn::RecurrentLayer& cell, const std::vector<int32_t>& lengths,
-              size_t num_steps, nn::Matrix* pooled) {
-  MeanPoolImpl([&](size_t t) -> const nn::Matrix& { return cell.hidden_state(t); },
-               cell.hidden_size(), lengths, num_steps, pooled);
-}
-
-/// Inference-path pooling over a RecurrentScratch's hidden states
-/// (h[t + 1] is the state after step t).
-void MeanPoolScratch(const std::vector<nn::Matrix>& h, size_t hidden,
-                     const std::vector<int32_t>& lengths, size_t num_steps,
-                     nn::Matrix* pooled) {
-  MeanPoolImpl([&](size_t t) -> const nn::Matrix& { return h[t + 1]; },
-               hidden, lengths, num_steps, pooled);
 }
 
 /// Expands d(loss)/d(pooled) into per-step hidden-state gradients.
@@ -187,42 +172,36 @@ PathRankModel::Outputs PathRankModel::ForwardFull(
   return outputs_;
 }
 
+InferenceTables PathRankModel::BuildInferenceTables() const {
+  InferenceTables tables;
+  tables.fwd = fwd_cell_->BuildInputTable(embedding_->table());
+  if (bwd_cell_ != nullptr) {
+    tables.bwd = bwd_cell_->BuildInputTable(embedding_->table());
+  }
+  return tables;
+}
+
 std::vector<float> PathRankModel::ForwardInference(
-    const nn::SequenceBatch& batch, InferenceScratch* scratch) const {
-  return ForwardInferenceFull(batch, scratch).scores;
+    const nn::SequenceBatch& batch, const InferenceTables& tables,
+    InferenceScratch* scratch) const {
+  return ForwardInferenceFull(batch, tables, scratch).scores;
 }
 
 PathRankModel::Outputs PathRankModel::ForwardInferenceFull(
-    const nn::SequenceBatch& batch, InferenceScratch* scratch) const {
+    const nn::SequenceBatch& batch, const InferenceTables& tables,
+    InferenceScratch* scratch) const {
   PR_CHECK(batch.batch_size > 0 && batch.max_len > 0);
   InferenceScratch& s = *scratch;
-  const size_t T = batch.max_len;
   const size_t B = batch.batch_size;
   const size_t H = config_.hidden_size;
+  const bool mean_pool = config_.pooling == Pooling::kMean;
 
-  // Mirrors ForwardFull operation for operation (scores must be bitwise
-  // identical), with every activation in the caller's scratch.
-  if (s.x_steps.size() != T) s.x_steps.resize(T);
-  for (size_t t = 0; t < T; ++t) {
-    embedding_->Lookup(batch, t, &s.x_steps[t]);
-  }
-  fwd_cell_->ForwardInference(s.x_steps, batch.lengths, &s.fwd_cell,
+  fwd_cell_->ForwardInference(tables.fwd, batch, mean_pool, &s.fwd_cell,
                               &s.repr_fwd);
-  if (config_.pooling == Pooling::kMean) {
-    MeanPoolScratch(s.fwd_cell.h, H, batch.lengths, T, &s.repr_fwd);
-  }
-
   if (config_.bidirectional) {
     s.batch_rev = batch.Reversed();
-    if (s.x_steps_rev.size() != T) s.x_steps_rev.resize(T);
-    for (size_t t = 0; t < T; ++t) {
-      embedding_->Lookup(s.batch_rev, t, &s.x_steps_rev[t]);
-    }
-    bwd_cell_->ForwardInference(s.x_steps_rev, s.batch_rev.lengths,
+    bwd_cell_->ForwardInference(tables.bwd, s.batch_rev, mean_pool,
                                 &s.bwd_cell, &s.repr_bwd);
-    if (config_.pooling == Pooling::kMean) {
-      MeanPoolScratch(s.bwd_cell.h, H, s.batch_rev.lengths, T, &s.repr_bwd);
-    }
 
     s.concat_h.ResizeNoZero(B, 2 * H);  // fully overwritten below
     for (size_t b = 0; b < B; ++b) {

@@ -28,6 +28,17 @@ enum class InitMode {
                 // O(vocab x dim) RNG draws per copy
 };
 
+/// The frozen input-projection tables of both chains (nn::InputTable):
+/// what the const inference path reads instead of embedding rows. Built
+/// once per frozen weight set by PathRankModel::BuildInferenceTables and
+/// shared read-only by every scoring thread. Each costs vocab * gates *
+/// hidden floats (gates: GRU 3, RNN 1, LSTM 4), so it grows linearly with
+/// the network's vertex count.
+struct InferenceTables {
+  nn::InputTable fwd;
+  nn::InputTable bwd;  // empty when unidirectional
+};
+
 /// Caller-owned activation buffers for the const inference path
 /// (ForwardInference). The model never writes activations into itself on
 /// that path, so one shared model plus one InferenceScratch per thread
@@ -35,8 +46,6 @@ enum class InitMode {
 /// reallocated, when batch geometry repeats across calls.
 struct InferenceScratch {
   nn::SequenceBatch batch_rev;
-  std::vector<nn::Matrix> x_steps;
-  std::vector<nn::Matrix> x_steps_rev;
   nn::RecurrentScratch fwd_cell;
   nn::RecurrentScratch bwd_cell;
   nn::Matrix repr_fwd;
@@ -73,16 +82,25 @@ class PathRankModel {
   /// Forward pass that also produces the auxiliary-head outputs.
   Outputs ForwardFull(const nn::SequenceBatch& batch);
 
-  /// Inference-only forward: bitwise-identical scores to Forward, but all
-  /// activations land in the caller-owned `scratch` instead of the member
-  /// caches, so the model is never mutated. Many threads may score through
-  /// one shared const model concurrently, each with its own scratch. No
-  /// Backward may follow (use Forward for training).
+  /// Projects the embedding through each chain's input weights. The
+  /// tables are valid for these exact weights: rebuild after any change.
+  InferenceTables BuildInferenceTables() const;
+
+  /// Inference-only forward over `tables` (built from this model's current
+  /// weights). Each row's arithmetic equals Forward's, so scores are
+  /// bitwise identical, while rows that share a prefix (or, in the
+  /// backward chain, a suffix) share its recurrent steps. All activations
+  /// land in the caller-owned `scratch`, so the model is never mutated:
+  /// many threads may score through one shared const model and one shared
+  /// `tables` concurrently, each with its own scratch. No Backward may
+  /// follow (use Forward for training).
   std::vector<float> ForwardInference(const nn::SequenceBatch& batch,
+                                      const InferenceTables& tables,
                                       InferenceScratch* scratch) const;
 
   /// Inference forward including the auxiliary-head outputs.
   Outputs ForwardInferenceFull(const nn::SequenceBatch& batch,
+                               const InferenceTables& tables,
                                InferenceScratch* scratch) const;
 
   /// Backpropagates d(loss)/d(score) for the last Forward batch and

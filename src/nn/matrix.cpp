@@ -156,6 +156,34 @@ inline void GemmNNTile1(const float* a_row, const Matrix& b, float alpha,
   for (size_t l = 0; l < w; ++l) c_row[j + l] += acc[l];
 }
 
+/// 1 x 4*kTileN tile: four adjacent GemmNNTile1 strips of one row in one
+/// pass over k. A lone strip is one pair of dependent accumulator chains
+/// that waits on FMA latency; four strips keep eight chains in flight.
+/// Per-element accumulation order is GemmNNTile1's exactly.
+inline void GemmNNTile1x4(const float* a_row, const Matrix& b, float alpha,
+                          size_t k0, size_t k1, size_t j, float* c_row) {
+  float acc0[kTileN] = {};
+  float acc1[kTileN] = {};
+  float acc2[kTileN] = {};
+  float acc3[kTileN] = {};
+  for (size_t kk = k0; kk < k1; ++kk) {
+    const float* bp = b.row(kk) + j;
+    const float ak = alpha * a_row[kk];
+    for (size_t l = 0; l < kTileN; ++l) {
+      acc0[l] += ak * bp[l];
+      acc1[l] += ak * bp[kTileN + l];
+      acc2[l] += ak * bp[2 * kTileN + l];
+      acc3[l] += ak * bp[3 * kTileN + l];
+    }
+  }
+  for (size_t l = 0; l < kTileN; ++l) {
+    c_row[j + l] += acc0[l];
+    c_row[j + kTileN + l] += acc1[l];
+    c_row[j + 2 * kTileN + l] += acc2[l];
+    c_row[j + 3 * kTileN + l] += acc3[l];
+  }
+}
+
 /// C rows [i_begin, i_end) of C[M x N] += A[M x K] * B[K x N], A scaled by
 /// alpha. C must already hold the beta-scaled base.
 void GemmNNRows(const Matrix& a, const Matrix& b, Matrix* c, float alpha,
@@ -188,6 +216,9 @@ void GemmNNRows(const Matrix& a, const Matrix& b, Matrix* c, float alpha,
       const float* a_row = a.row(i);
       float* c_row = c->row(i);
       size_t j = 0;
+      for (; j + 4 * kTileN <= n; j += 4 * kTileN) {
+        GemmNNTile1x4(a_row, b, alpha, k0, k1, j, c_row);
+      }
       for (; j + kTileN <= n; j += kTileN) {
         GemmNNTile1(a_row, b, alpha, k0, k1, j, kTileN, c_row);
       }

@@ -32,6 +32,17 @@ void TanhBackward(const Matrix& dh, const Matrix& t, Matrix* out) {
   }
 }
 
+/// out.row(i) = src.row(rows[i]) for every i.
+void GatherRows(const Matrix& src, const std::vector<uint32_t>& rows,
+                Matrix* out) {
+  const size_t cols = src.cols();
+  out->ResizeNoZero(rows.size(), cols);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const float* from = src.row(rows[i]);
+    std::copy(from, from + cols, out->row(i));
+  }
+}
+
 }  // namespace
 
 std::string CellTypeName(CellType type) {
@@ -51,6 +62,101 @@ CellType ParseCellType(const std::string& name) {
   if (name == "rnn") return CellType::kRnn;
   if (name == "lstm") return CellType::kLstm;
   throw std::invalid_argument("unknown cell type: " + name);
+}
+
+// ------------------------------------------------ shared inference ----
+
+InputTable RecurrentLayer::BuildInputTable(const Matrix& embedding) const {
+  PR_CHECK(embedding.cols() == input_size())
+      << "embedding width " << embedding.cols() << " vs cell input "
+      << input_size();
+  InputTable table;
+  for (const Matrix* w : InputWeights()) {
+    // Same kernel and beta as a training step's GemmNN(x, W); only the
+    // row count differs, which never changes an element's arithmetic.
+    Matrix projected(embedding.rows(), w->cols());
+    GemmNN(embedding, *w, &projected);
+    table.gates.push_back(std::move(projected));
+  }
+  return table;
+}
+
+void RecurrentLayer::ForwardInference(const InputTable& table,
+                                      const SequenceBatch& batch,
+                                      bool mean_pool, RecurrentScratch* s,
+                                      Matrix* out) const {
+  const size_t batch_size = batch.batch_size;
+  PR_CHECK(batch_size > 0 && batch.max_len > 0);
+  PR_CHECK(!table.gates.empty()) << "empty input table";
+  const size_t hidden = hidden_size();
+  const size_t vocab = table.gates[0].rows();
+  const std::vector<int32_t>& lengths = batch.lengths;
+
+  out->Resize(batch_size, hidden);  // zero: mean pooling accumulates
+  s->active.clear();
+  for (size_t b = 0; b < batch_size; ++b) {
+    if (lengths[b] > 0) s->active.push_back(static_cast<uint32_t>(b));
+  }
+  // Every row starts at the root: one zero state (LSTM: and zero cell).
+  s->node_of_row.assign(batch_size, 0);
+  s->h_last.Resize(1, hidden);
+  s->c_last.Resize(1, hidden);
+
+  for (size_t t = 0; !s->active.empty(); ++t) {
+    // A state depends only on its prefix, so rows that agree on (node at
+    // t - 1, vertex at t) share one node at t. Sorting groups them.
+    s->order.clear();
+    for (const uint32_t b : s->active) {
+      const int32_t id = batch.id_at(b, t);
+      PR_CHECK(static_cast<size_t>(id) < vocab) << "token id out of range";
+      s->order.emplace_back(
+          (static_cast<uint64_t>(s->node_of_row[b]) << 32) |
+              static_cast<uint32_t>(id),
+          b);
+    }
+    std::sort(s->order.begin(), s->order.end());
+    s->parent.clear();
+    s->vertex.clear();
+    for (size_t i = 0; i < s->order.size(); ++i) {
+      const uint64_t key = s->order[i].first;
+      if (i == 0 || key != s->order[i - 1].first) {
+        s->parent.push_back(static_cast<uint32_t>(key >> 32));
+        s->vertex.push_back(static_cast<uint32_t>(key));
+      }
+      s->node_of_row[s->order[i].second] =
+          static_cast<uint32_t>(s->parent.size() - 1);
+    }
+
+    GatherRows(s->h_last, s->parent, &s->h_prev);
+    StepInference(table, s);
+
+    // Pool in ascending step order, as MeanPool does; copy final states
+    // out at each row's own length and drop the finished rows.
+    size_t kept = 0;
+    for (const uint32_t b : s->active) {
+      const float* src = s->h.row(s->node_of_row[b]);
+      float* dst = out->row(b);
+      if (mean_pool) {
+        for (size_t c = 0; c < hidden; ++c) dst[c] += src[c];
+      }
+      if (static_cast<size_t>(lengths[b]) == t + 1) {
+        if (!mean_pool) std::copy(src, src + hidden, dst);
+      } else {
+        s->active[kept++] = b;
+      }
+    }
+    s->active.resize(kept);
+    std::swap(s->h, s->h_last);
+    std::swap(s->c, s->c_last);
+  }
+
+  if (mean_pool) {
+    for (size_t b = 0; b < batch_size; ++b) {
+      const float inv = 1.0f / static_cast<float>(lengths[b]);
+      float* dst = out->row(b);
+      for (size_t c = 0; c < hidden; ++c) dst[c] *= inv;
+    }
+  }
 }
 
 // ---------------------------------------------------------------- GRU ----
@@ -147,67 +253,49 @@ void GruLayer::Forward(const std::vector<Matrix>& x_steps,
   *final_h = h_[num_steps];
 }
 
-void GruLayer::ForwardInference(const std::vector<Matrix>& x_steps,
-                                const std::vector<int32_t>& lengths,
-                                RecurrentScratch* s, Matrix* final_h) const {
-  const size_t num_steps = x_steps.size();
-  PR_CHECK(num_steps > 0);
-  const size_t batch = x_steps[0].rows();
-  const size_t hidden = hidden_size();
+std::vector<const Matrix*> GruLayer::InputWeights() const {
+  return {&wz_.value, &wr_.value, &wh_.value};
+}
 
-  // Same arithmetic and operation order as Forward — scores must be
-  // bitwise identical — but gates live in per-step scratch (no Backward
-  // follows) and hidden states in the caller's buffers.
-  EnsureStepShapes(&s->h, num_steps + 1, batch, hidden);
+void GruLayer::StepInference(const InputTable& table,
+                             RecurrentScratch* s) const {
+  // Forward's step arithmetic, row for row; the table row stands in for
+  // GemmNN(x, W).
+  const Matrix& h_prev = s->h_prev;
+  const size_t n = h_prev.rows();
+  const size_t hidden = hidden_size();
   Matrix& z = s->g1;
   Matrix& r = s->g2;
   Matrix& hhat = s->g3;
   Matrix& rh = s->g4;
-  z.ResizeNoZero(batch, hidden);
-  r.ResizeNoZero(batch, hidden);
-  hhat.ResizeNoZero(batch, hidden);
-  rh.ResizeNoZero(batch, hidden);
-  s->h[0].Zero();
 
-  for (size_t t = 0; t < num_steps; ++t) {
-    const Matrix& x = x_steps[t];
-    const Matrix& h_prev = s->h[t];
-    PR_CHECK(x.cols() == input_size());
+  GatherRows(table.gates[0], s->vertex, &z);
+  GemmNN(h_prev, uz_.value, &z, 1.0f, 1.0f);
+  AddRowBroadcast(bz_.value, &z);
+  SigmoidInPlace(&z);
 
-    GemmNN(x, wz_.value, &z);
-    GemmNN(h_prev, uz_.value, &z, 1.0f, 1.0f);
-    AddRowBroadcast(bz_.value, &z);
-    SigmoidInPlace(&z);
+  GatherRows(table.gates[1], s->vertex, &r);
+  GemmNN(h_prev, ur_.value, &r, 1.0f, 1.0f);
+  AddRowBroadcast(br_.value, &r);
+  SigmoidInPlace(&r);
 
-    GemmNN(x, wr_.value, &r);
-    GemmNN(h_prev, ur_.value, &r, 1.0f, 1.0f);
-    AddRowBroadcast(br_.value, &r);
-    SigmoidInPlace(&r);
+  Hadamard(r, h_prev, &rh);
 
-    Hadamard(r, h_prev, &rh);
+  GatherRows(table.gates[2], s->vertex, &hhat);
+  GemmNN(rh, uh_.value, &hhat, 1.0f, 1.0f);
+  AddRowBroadcast(bh_.value, &hhat);
+  TanhInPlace(&hhat);
 
-    GemmNN(x, wh_.value, &hhat);
-    GemmNN(rh, uh_.value, &hhat, 1.0f, 1.0f);
-    AddRowBroadcast(bh_.value, &hhat);
-    TanhInPlace(&hhat);
-
-    const auto mask = StepMask(lengths, t);
-    Matrix& h_new = s->h[t + 1];
-    for (size_t b = 0; b < batch; ++b) {
-      float* hn = h_new.row(b);
-      const float* hp = h_prev.row(b);
-      if (mask[b] == 0.0f) {
-        std::copy(hp, hp + hidden, hn);
-        continue;
-      }
-      const float* zz = z.row(b);
-      const float* hh = hhat.row(b);
-      for (size_t c = 0; c < hidden; ++c) {
-        hn[c] = (1.0f - zz[c]) * hp[c] + zz[c] * hh[c];
-      }
+  s->h.ResizeNoZero(n, hidden);
+  for (size_t b = 0; b < n; ++b) {
+    float* hn = s->h.row(b);
+    const float* hp = h_prev.row(b);
+    const float* zz = z.row(b);
+    const float* hh = hhat.row(b);
+    for (size_t c = 0; c < hidden; ++c) {
+      hn[c] = (1.0f - zz[c]) * hp[c] + zz[c] * hh[c];
     }
   }
-  *final_h = s->h[num_steps];
 }
 
 void GruLayer::BackwardImpl(const Matrix* d_final_h,
@@ -356,35 +444,16 @@ void RnnLayer::Forward(const std::vector<Matrix>& x_steps,
   *final_h = h_[num_steps];
 }
 
-void RnnLayer::ForwardInference(const std::vector<Matrix>& x_steps,
-                                const std::vector<int32_t>& lengths,
-                                RecurrentScratch* s, Matrix* final_h) const {
-  const size_t num_steps = x_steps.size();
-  PR_CHECK(num_steps > 0);
-  const size_t batch = x_steps[0].rows();
-  const size_t hidden = hidden_size();
+std::vector<const Matrix*> RnnLayer::InputWeights() const {
+  return {&w_.value};
+}
 
-  EnsureStepShapes(&s->h, num_steps + 1, batch, hidden);
-  Matrix& hnew = s->g1;
-  hnew.ResizeNoZero(batch, hidden);
-  s->h[0].Zero();
-
-  for (size_t t = 0; t < num_steps; ++t) {
-    const Matrix& x = x_steps[t];
-    const Matrix& h_prev = s->h[t];
-    GemmNN(x, w_.value, &hnew);
-    GemmNN(h_prev, u_.value, &hnew, 1.0f, 1.0f);
-    AddRowBroadcast(b_.value, &hnew);
-    TanhInPlace(&hnew);
-
-    const auto mask = StepMask(lengths, t);
-    Matrix& h_new = s->h[t + 1];
-    for (size_t bb = 0; bb < batch; ++bb) {
-      const float* src = mask[bb] == 0.0f ? h_prev.row(bb) : hnew.row(bb);
-      std::copy(src, src + hidden, h_new.row(bb));
-    }
-  }
-  *final_h = s->h[num_steps];
+void RnnLayer::StepInference(const InputTable& table,
+                             RecurrentScratch* s) const {
+  GatherRows(table.gates[0], s->vertex, &s->h);
+  GemmNN(s->h_prev, u_.value, &s->h, 1.0f, 1.0f);
+  AddRowBroadcast(b_.value, &s->h);
+  TanhInPlace(&s->h);
 }
 
 void RnnLayer::BackwardImpl(const Matrix* d_final_h,
@@ -556,32 +625,26 @@ void LstmLayer::Forward(const std::vector<Matrix>& x_steps,
   *final_h = h_[num_steps];
 }
 
-void LstmLayer::ForwardInference(const std::vector<Matrix>& x_steps,
-                                 const std::vector<int32_t>& lengths,
-                                 RecurrentScratch* s, Matrix* final_h) const {
-  const size_t num_steps = x_steps.size();
-  PR_CHECK(num_steps > 0);
-  const size_t batch = x_steps[0].rows();
-  const size_t hidden = hidden_size();
+std::vector<const Matrix*> LstmLayer::InputWeights() const {
+  return {&wi_.value, &wf_.value, &wo_.value, &wg_.value};
+}
 
-  EnsureStepShapes(&s->h, num_steps + 1, batch, hidden);
-  EnsureStepShapes(&s->c, num_steps + 1, batch, hidden);
+void LstmLayer::StepInference(const InputTable& table,
+                              RecurrentScratch* s) const {
+  GatherRows(s->c_last, s->parent, &s->c_prev);
+  const Matrix& h_prev = s->h_prev;
+  const Matrix& c_prev = s->c_prev;
+  const size_t n = h_prev.rows();
+  const size_t hidden = hidden_size();
   Matrix& ig = s->g1;
   Matrix& fg = s->g2;
   Matrix& og = s->g3;
   Matrix& gg = s->g4;
-  Matrix& cn = s->tmp;
-  Matrix& tanh_cn = s->tmp2;
-  for (Matrix* m : {&ig, &fg, &og, &gg, &cn}) {
-    m->ResizeNoZero(batch, hidden);
-  }
-  s->h[0].Zero();
-  s->c[0].Zero();
+  Matrix& tanh_cn = s->tanh_c;
 
-  auto gate = [](const Matrix& x, const Matrix& h_prev, const Parameter& w,
-                 const Parameter& u, const Parameter& b, bool is_tanh,
-                 Matrix* out) {
-    GemmNN(x, w.value, out);
+  auto gate = [&](const Matrix& projected, const Parameter& u,
+                  const Parameter& b, bool is_tanh, Matrix* out) {
+    GatherRows(projected, s->vertex, out);
     GemmNN(h_prev, u.value, out, 1.0f, 1.0f);
     AddRowBroadcast(b.value, out);
     if (is_tanh) {
@@ -590,50 +653,35 @@ void LstmLayer::ForwardInference(const std::vector<Matrix>& x_steps,
       SigmoidInPlace(out);
     }
   };
+  gate(table.gates[0], ui_, bi_, false, &ig);
+  gate(table.gates[1], uf_, bf_, false, &fg);
+  gate(table.gates[2], uo_, bo_, false, &og);
+  gate(table.gates[3], ug_, bg_, true, &gg);
 
-  for (size_t t = 0; t < num_steps; ++t) {
-    const Matrix& x = x_steps[t];
-    const Matrix& h_prev = s->h[t];
-    const Matrix& c_prev = s->c[t];
-    gate(x, h_prev, wi_, ui_, bi_, false, &ig);
-    gate(x, h_prev, wf_, uf_, bf_, false, &fg);
-    gate(x, h_prev, wo_, uo_, bo_, false, &og);
-    gate(x, h_prev, wg_, ug_, bg_, true, &gg);
-
-    for (size_t bb = 0; bb < batch; ++bb) {
-      const float* pf = fg.row(bb);
-      const float* pi = ig.row(bb);
-      const float* pg = gg.row(bb);
-      const float* pc = c_prev.row(bb);
-      float* pcn = cn.row(bb);
-      for (size_t cidx = 0; cidx < hidden; ++cidx) {
-        pcn[cidx] = pf[cidx] * pc[cidx] + pi[cidx] * pg[cidx];
-      }
-    }
-    tanh_cn = cn;
-    TanhInPlace(&tanh_cn);
-
-    const auto mask = StepMask(lengths, t);
-    Matrix& h_next = s->h[t + 1];
-    Matrix& c_next = s->c[t + 1];
-    for (size_t bb = 0; bb < batch; ++bb) {
-      float* ph = h_next.row(bb);
-      float* pc = c_next.row(bb);
-      if (mask[bb] == 0.0f) {
-        std::copy(h_prev.row(bb), h_prev.row(bb) + hidden, ph);
-        std::copy(c_prev.row(bb), c_prev.row(bb) + hidden, pc);
-        continue;
-      }
-      const float* po = og.row(bb);
-      const float* ptc = tanh_cn.row(bb);
-      const float* pcn = cn.row(bb);
-      for (size_t cidx = 0; cidx < hidden; ++cidx) {
-        ph[cidx] = po[cidx] * ptc[cidx];
-        pc[cidx] = pcn[cidx];
-      }
+  Matrix& cn = s->c;
+  cn.ResizeNoZero(n, hidden);
+  for (size_t bb = 0; bb < n; ++bb) {
+    const float* pf = fg.row(bb);
+    const float* pi = ig.row(bb);
+    const float* pg = gg.row(bb);
+    const float* pc = c_prev.row(bb);
+    float* pcn = cn.row(bb);
+    for (size_t cidx = 0; cidx < hidden; ++cidx) {
+      pcn[cidx] = pf[cidx] * pc[cidx] + pi[cidx] * pg[cidx];
     }
   }
-  *final_h = s->h[num_steps];
+  tanh_cn = cn;
+  TanhInPlace(&tanh_cn);
+
+  s->h.ResizeNoZero(n, hidden);
+  for (size_t bb = 0; bb < n; ++bb) {
+    const float* po = og.row(bb);
+    const float* ptc = tanh_cn.row(bb);
+    float* ph = s->h.row(bb);
+    for (size_t cidx = 0; cidx < hidden; ++cidx) {
+      ph[cidx] = po[cidx] * ptc[cidx];
+    }
+  }
 }
 
 void LstmLayer::BackwardImpl(const Matrix* d_final_h,

@@ -6,29 +6,53 @@
 //     row after its true length (padding is masked, not processed).
 //   Backward(d_final_h, &d_x_steps)       — exact BPTT; returns gradients
 //     with respect to every input step and accumulates parameter grads.
+//   ForwardInference(table, batch, ...)   — const scoring path over a
+//     frozen input-projection table (see InputTable).
 //
 // Implementations cache activations in Forward; a Backward call must follow
 // the matching Forward call (standard training loop discipline).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/parameter.h"
+#include "nn/sequence_batch.h"
 
 namespace pathrank::nn {
 
-/// Caller-owned activation buffers for the const inference path of the
-/// recurrent layers (ForwardInference). One scratch per concurrent caller;
-/// buffers are reshaped, not reallocated, when batch geometry repeats.
-/// After ForwardInference, `h[t + 1]` is the hidden state after step t
-/// (`h[0]` is the zero initial state) — the mean-pooling head reads it.
+/// The input half of every recurrent step, precomputed for every vertex of
+/// a frozen model: `gates[g]` row v is embedding row v times the cell's
+/// g-th input weight (GRU z, r, h; RNN one; LSTM i, f, o, g), each
+/// [vocab x hidden]. GemmNN fixes each element's accumulation order by its
+/// K-blocking alone, so a table row is bitwise the row a training step's
+/// `GemmNN(x, W)` produces. Biases are not folded in: a step adds them after
+/// the recurrent GEMM, in Forward's order. Costs vocab * gates * hidden
+/// floats per cell.
+struct InputTable {
+  std::vector<Matrix> gates;
+};
+
+/// Caller-owned buffers for ForwardInference. One scratch per concurrent
+/// caller; every buffer keeps its capacity across calls, so a repeated
+/// batch geometry allocates nothing.
 struct RecurrentScratch {
-  std::vector<Matrix> h;   // [num_steps + 1] hidden states
-  std::vector<Matrix> c;   // [num_steps + 1] LSTM cell states (LSTM only)
-  Matrix g1, g2, g3, g4;   // per-step gate scratch, reused across steps
-  Matrix tmp, tmp2;        // per-step intermediate scratch
+  // Prefix grouping of the current step: (parent node << 32 | vertex id,
+  // row) sorted, then one node per distinct key.
+  std::vector<std::pair<uint64_t, uint32_t>> order;
+  std::vector<uint32_t> active;       // rows still inside their length
+  std::vector<uint32_t> node_of_row;  // row -> its node at the last step
+  std::vector<uint32_t> parent;       // node -> parent node (previous step)
+  std::vector<uint32_t> vertex;       // node -> vertex id
+  Matrix h_prev, c_prev;  // each node's parent state (LSTM: and cell)
+  Matrix h, c;            // node states after the current step
+  Matrix h_last, c_last;  // node states after the previous step; one
+                          // zero root row before step 0
+  Matrix g1, g2, g3, g4;  // per-step gate scratch
+  Matrix tanh_c;          // LSTM tanh(cell) per step
 };
 
 /// Abstract masked recurrent encoder.
@@ -42,15 +66,21 @@ class RecurrentLayer {
                        const std::vector<int32_t>& lengths,
                        Matrix* final_h) = 0;
 
-  /// Inference-only forward: bitwise-identical arithmetic to Forward, but
-  /// every activation lands in the caller-owned `scratch` instead of the
-  /// member caches, so the layer itself is never mutated — many threads
-  /// may call this concurrently on one shared layer, each with its own
-  /// scratch. No Backward may follow (use Forward for training).
-  virtual void ForwardInference(const std::vector<Matrix>& x_steps,
-                                const std::vector<int32_t>& lengths,
-                                RecurrentScratch* scratch,
-                                Matrix* final_h) const = 0;
+  /// Projects an embedding table [vocab x input] through this cell's
+  /// input weights (see InputTable). Build once per frozen weight set.
+  InputTable BuildInputTable(const Matrix& embedding) const;
+
+  /// Inference-only forward over vertex-id sequences. Each row's
+  /// arithmetic equals Forward's, so its result is bitwise the same, but
+  /// a hidden state depends only on its prefix: rows that share a prefix
+  /// share its steps, and finished rows drop out. `out` [B x hidden]
+  /// receives each row's final state, or with `mean_pool` the mean of its
+  /// states over its length. Everything lands in `scratch`, so the layer
+  /// is never mutated and many threads may call this at once. Throws
+  /// std::logic_error on a vertex id outside the table.
+  void ForwardInference(const InputTable& table, const SequenceBatch& batch,
+                        bool mean_pool, RecurrentScratch* scratch,
+                        Matrix* out) const;
 
   /// Hidden state after step `t` of the last Forward ([B x hidden]).
   /// Padded rows carry the last real state forward.
@@ -78,6 +108,16 @@ class RecurrentLayer {
   virtual std::string Name() const = 0;
 
  protected:
+  /// The input weights, in InputTable gate order.
+  virtual std::vector<const Matrix*> InputWeights() const = 0;
+
+  /// One inference step over the nodes of the current step: reads the
+  /// parents' states `s->h_prev` [n x hidden] (LSTM also gathers its cell
+  /// states from `s->c_last` by `s->parent`) and the nodes' vertex ids
+  /// `s->vertex`; writes the new states into `s->h` (and `s->c`).
+  virtual void StepInference(const InputTable& table,
+                             RecurrentScratch* s) const = 0;
+
   /// Exactly one of `d_final_h` / `d_h_steps` is non-null.
   virtual void BackwardImpl(const Matrix* d_final_h,
                             const std::vector<Matrix>* d_h_steps,
@@ -102,10 +142,6 @@ class GruLayer final : public RecurrentLayer {
 
   void Forward(const std::vector<Matrix>& x_steps,
                const std::vector<int32_t>& lengths, Matrix* final_h) override;
-  void ForwardInference(const std::vector<Matrix>& x_steps,
-                        const std::vector<int32_t>& lengths,
-                        RecurrentScratch* scratch,
-                        Matrix* final_h) const override;
   const Matrix& hidden_state(size_t t) const override { return h_[t + 1]; }
   ParameterList Parameters() override;
   ConstParameterList Parameters() const override;
@@ -114,6 +150,9 @@ class GruLayer final : public RecurrentLayer {
   std::string Name() const override { return "gru"; }
 
  protected:
+  std::vector<const Matrix*> InputWeights() const override;
+  void StepInference(const InputTable& table,
+                     RecurrentScratch* s) const override;
   void BackwardImpl(const Matrix* d_final_h,
                     const std::vector<Matrix>* d_h_steps,
                     std::vector<Matrix>* d_x_steps) override;
@@ -143,10 +182,6 @@ class RnnLayer final : public RecurrentLayer {
 
   void Forward(const std::vector<Matrix>& x_steps,
                const std::vector<int32_t>& lengths, Matrix* final_h) override;
-  void ForwardInference(const std::vector<Matrix>& x_steps,
-                        const std::vector<int32_t>& lengths,
-                        RecurrentScratch* scratch,
-                        Matrix* final_h) const override;
   const Matrix& hidden_state(size_t t) const override { return h_[t + 1]; }
   ParameterList Parameters() override;
   ConstParameterList Parameters() const override;
@@ -155,6 +190,9 @@ class RnnLayer final : public RecurrentLayer {
   std::string Name() const override { return "rnn"; }
 
  protected:
+  std::vector<const Matrix*> InputWeights() const override;
+  void StepInference(const InputTable& table,
+                     RecurrentScratch* s) const override;
   void BackwardImpl(const Matrix* d_final_h,
                     const std::vector<Matrix>* d_h_steps,
                     std::vector<Matrix>* d_x_steps) override;
@@ -178,10 +216,6 @@ class LstmLayer final : public RecurrentLayer {
 
   void Forward(const std::vector<Matrix>& x_steps,
                const std::vector<int32_t>& lengths, Matrix* final_h) override;
-  void ForwardInference(const std::vector<Matrix>& x_steps,
-                        const std::vector<int32_t>& lengths,
-                        RecurrentScratch* scratch,
-                        Matrix* final_h) const override;
   const Matrix& hidden_state(size_t t) const override { return h_[t + 1]; }
   ParameterList Parameters() override;
   ConstParameterList Parameters() const override;
@@ -190,6 +224,9 @@ class LstmLayer final : public RecurrentLayer {
   std::string Name() const override { return "lstm"; }
 
  protected:
+  std::vector<const Matrix*> InputWeights() const override;
+  void StepInference(const InputTable& table,
+                     RecurrentScratch* s) const override;
   void BackwardImpl(const Matrix* d_final_h,
                     const std::vector<Matrix>* d_h_steps,
                     std::vector<Matrix>* d_x_steps) override;

@@ -21,6 +21,7 @@
 #include <stdexcept>
 
 #include "common/deadline.h"
+#include "common/logging.h"
 #include "common/parse.h"
 #include "common/percentile.h"
 #include "common/stopwatch.h"
@@ -794,10 +795,10 @@ Response HandleScore(const HttpBackend& backend, const std::string& body) {
     response.body = json::Dump(RankingJson(ranking, /*with_totals=*/false));
     return response;
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "http: /v1/score backend error: %s\n", e.what());
+    PR_LOG_ERROR << "http: /v1/score backend error: " << e.what();
     return ErrorResponse(500, "internal error");
   } catch (...) {
-    std::fprintf(stderr, "http: /v1/score backend error (non-std)\n");
+    PR_LOG_ERROR << "http: /v1/score backend error (non-std)";
     return ErrorResponse(500, "internal error");
   }
 }
@@ -957,12 +958,12 @@ Response HandleRoute(const HttpBackend& backend, const Request& request,
     // Server log gets the details; the wire gets a generic body — the
     // exception text can name internal paths/state, and the default
     // bind is 0.0.0.0.
-    std::fprintf(stderr, "http: %s backend error: %s\n",
-                 request.target.c_str(), e.what());
+    PR_LOG_ERROR << "http: " << request.target
+                 << " backend error: " << e.what();
     return ErrorResponse(500, "internal error");
   } catch (...) {
-    std::fprintf(stderr, "http: %s backend error (non-std)\n",
-                 request.target.c_str());
+    PR_LOG_ERROR << "http: " << request.target
+                 << " backend error (non-std)";
     return ErrorResponse(500, "internal error");
   }
 }
@@ -1053,10 +1054,10 @@ Response HandleTraffic(const HttpBackend& backend, const std::string& body) {
     response.body = json::Dump(json::Value(std::move(object)));
     return response;
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "http: /v1/traffic backend error: %s\n", e.what());
+    PR_LOG_ERROR << "http: /v1/traffic backend error: " << e.what();
     return ErrorResponse(500, "internal error");
   } catch (...) {
-    std::fprintf(stderr, "http: /v1/traffic backend error (non-std)\n");
+    PR_LOG_ERROR << "http: /v1/traffic backend error (non-std)";
     return ErrorResponse(500, "internal error");
   }
 }

@@ -6,6 +6,7 @@ ModelSnapshot::ModelSnapshot(const core::PathRankModel& model)
     : model_(std::make_unique<core::PathRankModel>(
           model.vocab_size(), model.config(), core::InitMode::kSkipInit)) {
   model_->CopyParametersFrom(model);
+  tables_ = model_->BuildInferenceTables();
 }
 
 std::shared_ptr<const ModelSnapshot> ModelSnapshot::Capture(

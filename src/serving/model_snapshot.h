@@ -2,7 +2,7 @@
 // deployment artefact of the serving stack. A snapshot is captured once
 // from a (possibly still-training) model and never mutated afterwards, so
 // any number of threads may score through `model()`'s const inference path
-// concurrently. Snapshots are passed by shared_ptr<const ModelSnapshot>;
+// concurrently, over the input-projection tables built at capture. Snapshots are passed by shared_ptr<const ModelSnapshot>;
 // an engine keeps its snapshot alive for as long as it serves, which is
 // what makes ServingEngine::SwapSnapshot safe: the exchange replaces the
 // shared_ptr, in-flight queries finish on the old snapshot, and the old
@@ -19,8 +19,8 @@ namespace pathrank::serving {
 class ModelSnapshot {
  public:
   /// Deep-copies `model`'s parameters (skip-init build + value copy — no
-  /// RNG draws). The source model may keep training afterwards; the
-  /// snapshot does not follow it.
+  /// RNG draws) and builds the copy's inference tables. The source model
+  /// may keep training afterwards; the snapshot does not follow it.
   explicit ModelSnapshot(const core::PathRankModel& model);
 
   /// Convenience: capture into the shared handle the engines consume.
@@ -35,6 +35,9 @@ class ModelSnapshot {
   /// (ForwardInference / ForwardInferenceFull) may be used on it.
   const core::PathRankModel& model() const { return *model_; }
 
+  /// The frozen model's input-projection tables, for ForwardInference.
+  const core::InferenceTables& tables() const { return tables_; }
+
   /// Builds a fresh mutable model initialised to this snapshot's values
   /// (e.g. to resume fine-tuning from a deployed checkpoint).
   std::unique_ptr<core::PathRankModel> Materialize() const;
@@ -42,6 +45,7 @@ class ModelSnapshot {
  private:
   // Never mutated after construction; exposed only as const.
   std::unique_ptr<core::PathRankModel> model_;
+  core::InferenceTables tables_;
 };
 
 }  // namespace pathrank::serving

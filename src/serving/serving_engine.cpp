@@ -109,7 +109,8 @@ std::vector<float> ServingEngine::ScoreOn(
   // a caller that holds a replica lock must never block on the global
   // pool — a pool worker could be waiting on this very lock.
   SerialRegionScope serial;
-  return snap.model().ForwardInference(batch, &replica.scratch);
+  return snap.model().ForwardInference(batch, snap.tables(),
+                                       &replica.scratch);
 }
 
 std::vector<float> ServingEngine::ScoreSequences(

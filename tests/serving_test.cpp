@@ -8,6 +8,8 @@
 #include <atomic>
 #include <cmath>
 #include <functional>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -34,9 +36,24 @@ core::PathRankConfig SmallConfig() {
   return cfg;
 }
 
-// ---- const inference path --------------------------------------------
+/// Rows that share prefixes and suffixes, so the inference path's prefix
+/// grouping merges steps in both chains: a duplicate pair (rows 0 and 2),
+/// a strict prefix of row 0 (row 3), a row sharing only the suffix {4, 5}
+/// with row 0 (row 1), a row that leaves row 0's prefix after two steps
+/// (row 5), a length-1 row (row 4) and lengths in no sorted order.
+nn::SequenceBatch SharedPrefixBatch() {
+  return nn::SequenceBatch::FromSequences({{1, 2, 3, 4, 5},
+                                           {9, 8, 4, 5},
+                                           {1, 2, 3, 4, 5},
+                                           {1, 2, 3},
+                                           {7},
+                                           {1, 2, 10, 11, 12, 13},
+                                           {9, 8}});
+}
 
-TEST(ForwardInference, BitwiseEqualToTrainingForwardAcrossConfigs) {
+/// Every cell x direction x pooling x multi-task combination (24).
+std::vector<core::PathRankConfig> AllConfigs() {
+  std::vector<core::PathRankConfig> configs;
   for (nn::CellType cell :
        {nn::CellType::kGru, nn::CellType::kRnn, nn::CellType::kLstm}) {
     for (bool bidirectional : {false, true}) {
@@ -48,35 +65,80 @@ TEST(ForwardInference, BitwiseEqualToTrainingForwardAcrossConfigs) {
           cfg.bidirectional = bidirectional;
           cfg.pooling = pooling;
           cfg.multi_task = multi_task;
-          core::PathRankModel model(16, cfg);
-
-          const auto expected = model.ForwardFull(ToyBatch());
-          const core::PathRankModel& const_model = model;
-          core::InferenceScratch scratch;
-          const auto actual =
-              const_model.ForwardInferenceFull(ToyBatch(), &scratch);
-
-          ASSERT_EQ(expected.scores.size(), actual.scores.size());
-          for (size_t i = 0; i < expected.scores.size(); ++i) {
-            EXPECT_EQ(expected.scores[i], actual.scores[i])
-                << "cell=" << static_cast<int>(cell)
-                << " bidi=" << bidirectional
-                << " pool=" << static_cast<int>(pooling)
-                << " mt=" << multi_task << " i=" << i;
-          }
-          ASSERT_EQ(expected.aux_length.size(), actual.aux_length.size());
-          for (size_t i = 0; i < expected.aux_length.size(); ++i) {
-            EXPECT_EQ(expected.aux_length[i], actual.aux_length[i]);
-            EXPECT_EQ(expected.aux_time[i], actual.aux_time[i]);
-          }
+          configs.push_back(cfg);
         }
       }
     }
+  }
+  return configs;
+}
+
+std::string ConfigName(const core::PathRankConfig& cfg) {
+  return nn::CellTypeName(cfg.cell) + (cfg.bidirectional ? " bidi" : " uni") +
+         (cfg.pooling == core::Pooling::kMean ? " mean" : " final") +
+         (cfg.multi_task ? " mt" : "");
+}
+
+void ExpectOutputsEqual(const core::PathRankModel::Outputs& expected,
+                        const core::PathRankModel::Outputs& actual,
+                        const std::string& context) {
+  ASSERT_EQ(expected.scores.size(), actual.scores.size()) << context;
+  for (size_t i = 0; i < expected.scores.size(); ++i) {
+    EXPECT_EQ(expected.scores[i], actual.scores[i]) << context << " i=" << i;
+  }
+  ASSERT_EQ(expected.aux_length.size(), actual.aux_length.size()) << context;
+  ASSERT_EQ(expected.aux_time.size(), actual.aux_time.size()) << context;
+  for (size_t i = 0; i < expected.aux_length.size(); ++i) {
+    EXPECT_EQ(expected.aux_length[i], actual.aux_length[i]) << context;
+    EXPECT_EQ(expected.aux_time[i], actual.aux_time[i]) << context;
+  }
+}
+
+// ---- const inference path --------------------------------------------
+
+TEST(ForwardInference, BitwiseEqualToTrainingForwardAcrossConfigs) {
+  for (const core::PathRankConfig& cfg : AllConfigs()) {
+    core::PathRankModel model(16, cfg);
+    const auto expected = model.ForwardFull(ToyBatch());
+    const core::PathRankModel& const_model = model;
+    core::InferenceScratch scratch;
+    const auto actual = const_model.ForwardInferenceFull(
+        ToyBatch(), const_model.BuildInferenceTables(), &scratch);
+    ExpectOutputsEqual(expected, actual, ConfigName(cfg));
+  }
+}
+
+TEST(ForwardInference, SharedPrefixesThroughSnapshotBitwiseEqualForward) {
+  for (const core::PathRankConfig& cfg : AllConfigs()) {
+    core::PathRankModel model(16, cfg);
+    const auto snapshot = ModelSnapshot::Capture(model);
+    const auto expected = model.ForwardFull(SharedPrefixBatch());
+    core::InferenceScratch scratch;
+    // Twice with one scratch: the second call reuses every buffer.
+    for (int round = 0; round < 2; ++round) {
+      const auto actual = snapshot->model().ForwardInferenceFull(
+          SharedPrefixBatch(), snapshot->tables(), &scratch);
+      ExpectOutputsEqual(expected, actual, ConfigName(cfg));
+    }
+  }
+}
+
+TEST(ForwardInference, VertexIdOutsideTheTableThrows) {
+  core::PathRankModel model(16, SmallConfig());
+  const auto snapshot = ModelSnapshot::Capture(model);
+  core::InferenceScratch scratch;
+  for (int32_t bad : {16, 1000, -1}) {
+    const auto batch = nn::SequenceBatch::FromSequences({{1, 2}, {3, bad}});
+    EXPECT_THROW(snapshot->model().ForwardInference(batch, snapshot->tables(),
+                                                    &scratch),
+                 std::logic_error)
+        << "id " << bad;
   }
 }
 
 TEST(ForwardInference, ScratchReuseAcrossGeometriesIsStable) {
   core::PathRankModel model(16, SmallConfig());
+  const core::InferenceTables tables = model.BuildInferenceTables();
   core::InferenceScratch scratch;
   // Alternate between batch geometries with one scratch: stale shapes
   // must never leak into results.
@@ -84,8 +146,9 @@ TEST(ForwardInference, ScratchReuseAcrossGeometriesIsStable) {
   const auto expected_toy = model.Forward(ToyBatch());
   const auto expected_small = model.Forward(small);
   for (int round = 0; round < 3; ++round) {
-    const auto toy_scores = model.ForwardInference(ToyBatch(), &scratch);
-    const auto small_scores = model.ForwardInference(small, &scratch);
+    const auto toy_scores =
+        model.ForwardInference(ToyBatch(), tables, &scratch);
+    const auto small_scores = model.ForwardInference(small, tables, &scratch);
     for (size_t i = 0; i < expected_toy.size(); ++i) {
       EXPECT_EQ(expected_toy[i], toy_scores[i]);
     }
@@ -138,7 +201,8 @@ TEST(ModelSnapshot, ConstSnapshotIsUsable) {
 
   core::InferenceScratch scratch;
   const auto expected = model.Forward(ToyBatch());
-  const auto actual = snap.model().ForwardInference(ToyBatch(), &scratch);
+  const auto actual =
+      snap.model().ForwardInference(ToyBatch(), snap.tables(), &scratch);
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(expected[i], actual[i]);
   }
@@ -148,7 +212,8 @@ TEST(ModelSnapshot, IsImmuneToLaterTrainingOfTheSource) {
   core::PathRankModel model(16, SmallConfig());
   const auto snapshot = ModelSnapshot::Capture(model);
   core::InferenceScratch scratch;
-  const auto before = snapshot->model().ForwardInference(ToyBatch(), &scratch);
+  const auto before = snapshot->model().ForwardInference(
+      ToyBatch(), snapshot->tables(), &scratch);
 
   // Perturb the source model's weights (stand-in for continued training).
   for (nn::Parameter* p : model.Parameters()) {
@@ -157,7 +222,8 @@ TEST(ModelSnapshot, IsImmuneToLaterTrainingOfTheSource) {
     }
   }
   const auto source_now = model.Forward(ToyBatch());
-  const auto after = snapshot->model().ForwardInference(ToyBatch(), &scratch);
+  const auto after = snapshot->model().ForwardInference(
+      ToyBatch(), snapshot->tables(), &scratch);
   bool source_changed = false;
   for (size_t i = 0; i < before.size(); ++i) {
     EXPECT_EQ(before[i], after[i]);
