@@ -48,11 +48,6 @@ class Rng {
     return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
   }
 
-  /// Uniform float in [0, 1).
-  float NextFloat() {
-    return static_cast<float>(NextU64() >> 40) * 0x1.0p-24f;
-  }
-
   /// Uniform integer in [0, bound). bound must be > 0.
   uint64_t NextBounded(uint64_t bound) {
     // Lemire's nearly-divisionless method.

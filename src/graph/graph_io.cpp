@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <stdexcept>
 
 #include "common/csv.h"
@@ -11,8 +10,6 @@
 
 namespace pathrank::graph {
 namespace {
-
-constexpr uint32_t kBinaryMagic = 0x50524E31;  // "PRN1"
 
 /// ParseRoadCategory with loader context: the bare version throws
 /// std::invalid_argument with no hint of WHERE the bad field sits.
@@ -163,68 +160,6 @@ RoadNetwork LoadNetworkEdgesCsv(const std::string& path) {
     builder.AddEdge(edge.from, edge.to, edge.length_m, edge.category,
                     edge.travel_time_s);
   }
-  return builder.Build();
-}
-
-void SaveNetworkBinary(const RoadNetwork& network, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot open " + path);
-  auto put32 = [&out](uint32_t v) {
-    out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  put32(kBinaryMagic);
-  put32(static_cast<uint32_t>(network.num_vertices()));
-  put32(static_cast<uint32_t>(network.num_edges()));
-  for (VertexId v = 0; v < network.num_vertices(); ++v) {
-    const Coordinate& c = network.coordinate(v);
-    out.write(reinterpret_cast<const char*>(&c.lat), sizeof(double));
-    out.write(reinterpret_cast<const char*>(&c.lon), sizeof(double));
-  }
-  for (EdgeId e = 0; e < network.num_edges(); ++e) {
-    const EdgeRecord& rec = network.edge(e);
-    put32(rec.from);
-    put32(rec.to);
-    out.write(reinterpret_cast<const char*>(&rec.length_m), sizeof(double));
-    out.write(reinterpret_cast<const char*>(&rec.travel_time_s),
-              sizeof(double));
-    const auto cat = static_cast<uint8_t>(rec.category);
-    out.write(reinterpret_cast<const char*>(&cat), sizeof(cat));
-  }
-  if (!out) throw std::runtime_error("write failed: " + path);
-}
-
-RoadNetwork LoadNetworkBinary(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  auto get32 = [&in]() {
-    uint32_t v = 0;
-    in.read(reinterpret_cast<char*>(&v), sizeof(v));
-    return v;
-  };
-  if (get32() != kBinaryMagic) {
-    throw std::runtime_error("bad magic in " + path);
-  }
-  const uint32_t n = get32();
-  const uint32_t m = get32();
-  RoadNetworkBuilder builder;
-  for (uint32_t i = 0; i < n; ++i) {
-    Coordinate c;
-    in.read(reinterpret_cast<char*>(&c.lat), sizeof(double));
-    in.read(reinterpret_cast<char*>(&c.lon), sizeof(double));
-    builder.AddVertex(c);
-  }
-  for (uint32_t i = 0; i < m; ++i) {
-    const VertexId from = get32();
-    const VertexId to = get32();
-    double length = 0.0;
-    double time = 0.0;
-    uint8_t cat = 0;
-    in.read(reinterpret_cast<char*>(&length), sizeof(double));
-    in.read(reinterpret_cast<char*>(&time), sizeof(double));
-    in.read(reinterpret_cast<char*>(&cat), sizeof(cat));
-    builder.AddEdge(from, to, length, static_cast<RoadCategory>(cat), time);
-  }
-  if (!in) throw std::runtime_error("truncated file: " + path);
   return builder.Build();
 }
 

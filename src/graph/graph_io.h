@@ -1,5 +1,5 @@
 // Persistence for road networks: a human-readable CSV pair
-// (vertices.csv + edges.csv) and a compact binary format.
+// (vertices.csv + edges.csv), and an edges-only CSV loader.
 #pragma once
 
 #include <string>
@@ -27,11 +27,5 @@ RoadNetwork LoadNetworkCsv(const std::string& prefix);
 /// with file:line:token context on malformed rows, and when the file has
 /// no edge rows at all.
 RoadNetwork LoadNetworkEdgesCsv(const std::string& path);
-
-/// Writes a single binary file (magic + counts + raw arrays).
-void SaveNetworkBinary(const RoadNetwork& network, const std::string& path);
-
-/// Loads a binary network file; throws std::runtime_error on format errors.
-RoadNetwork LoadNetworkBinary(const std::string& path);
 
 }  // namespace pathrank::graph

@@ -36,16 +36,4 @@ inline std::vector<float> StepMask(const std::vector<int32_t>& lengths,
   return mask;
 }
 
-/// out[r,c] = m[r,c] * mask[r].
-inline void ScaleRows(const Matrix& m, const std::vector<float>& mask,
-                      Matrix* out) {
-  if (!out->SameShape(m)) out->Resize(m.rows(), m.cols());
-  for (size_t r = 0; r < m.rows(); ++r) {
-    const float s = mask[r];
-    const float* src = m.row(r);
-    float* dst = out->row(r);
-    for (size_t c = 0; c < m.cols(); ++c) dst[c] = src[c] * s;
-  }
-}
-
 }  // namespace pathrank::nn

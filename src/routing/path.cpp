@@ -30,10 +30,6 @@ bool IsSimplePath(const Path& path) {
   return true;
 }
 
-bool SameVertexSequence(const Path& a, const Path& b) {
-  return a.vertices == b.vertices;
-}
-
 std::string ValidatePath(const RoadNetwork& network, const Path& path) {
   if (path.vertices.empty() && path.edges.empty()) return "";
   if (path.vertices.size() != path.edges.size() + 1) {

@@ -37,9 +37,6 @@ Path PathFromEdges(const RoadNetwork& network, std::span<const EdgeId> edges);
 /// True when no vertex repeats.
 bool IsSimplePath(const Path& path);
 
-/// True when both paths traverse the same vertex sequence.
-bool SameVertexSequence(const Path& a, const Path& b);
-
 /// Validates structural invariants (edges connect consecutive vertices,
 /// totals match edge attributes). Returns an empty string when valid, else
 /// a description of the first violation.

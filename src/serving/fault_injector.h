@@ -18,7 +18,7 @@
 //   rule  := site (':' field)*
 //   field := "delay_ms=" integer | "p=" float-in-[0,1] | "error"
 //
-// e.g.  "route:delay_ms=50"  "score:error:p=0.2;rank:delay_ms=5:p=0.5"
+// e.g.  "route:delay_ms=50"  "score:error:p=0.2;route:delay_ms=5:p=0.5"
 //
 // Determinism: probabilistic rules draw from splitmix64 keyed on
 // (seed, site-name hash, per-site call ordinal) — no global RNG, no

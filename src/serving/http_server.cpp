@@ -10,14 +10,11 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <map>
 #include <stdexcept>
 
 #include "common/deadline.h"
@@ -25,15 +22,12 @@
 #include "common/parse.h"
 #include "common/percentile.h"
 #include "common/stopwatch.h"
+#include "serving/http_request.h"
 #include "serving/json.h"
 
 namespace pathrank::serving {
 namespace {
 
-/// Caps the request line + headers. Bigger means a client that never
-/// sends "\r\n\r\n" ties up a worker and its buffer; 16 KB fits any sane
-/// request many times over.
-constexpr size_t kMaxHeaderBytes = 16 * 1024;
 /// Connections queued for a worker beyond this are closed outright —
 /// a connection flood must not grow memory without bound.
 constexpr size_t kMaxQueuedConnections = 1024;
@@ -56,20 +50,6 @@ const char* StatusText(int status) {
   }
 }
 
-/// One parsed request. Header names are lowercased at parse time.
-struct Request {
-  std::string method;
-  std::string target;
-  std::map<std::string, std::string> headers;
-  std::string body;
-  bool keep_alive = true;
-
-  std::string Header(const std::string& name) const {
-    const auto it = headers.find(name);
-    return it != headers.end() ? it->second : std::string();
-  }
-};
-
 /// One response about to be written.
 struct Response {
   int status = 200;
@@ -84,22 +64,6 @@ Response ErrorResponse(int status, const std::string& message) {
   object["error"] = json::Value(message);
   response.body = json::Dump(json::Value(std::move(object)));
   return response;
-}
-
-/// Strict 1*DIGIT parse (RFC 9110 numeric fields): non-empty, digits
-/// only — no sign, no whitespace, no trailing junk — and bounded well
-/// inside uint64_t. Used by HttpClient for status codes, Content-Length
-/// and Retry-After, where the std::atoi/strtoull "garbage parses as 0"
-/// behaviour hid malformed responses from callers.
-bool ParseDigits(const std::string& s, uint64_t* out) {
-  if (s.empty() || s.size() > 18) return false;
-  uint64_t value = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *out = value;
-  return true;
 }
 
 bool SendAll(int fd, const char* data, size_t size) {
@@ -129,154 +93,53 @@ bool WriteResponse(int fd, const Response& response, bool keep_alive) {
          SendAll(fd, response.body.data(), response.body.size());
 }
 
-/// Reads one request off `fd` into `request`, consuming from/refilling
-/// `buffer` (bytes already read past the previous request).
-enum class ReadResult { kOk, kClosed, kBadRequest };
-
-ReadResult ReadRequest(int fd, std::string* buffer, Request* request,
-                       size_t max_body_bytes, int* error_status,
-                       const std::chrono::steady_clock::time_point deadline) {
-  *error_status = 400;
-  const auto past_deadline = [deadline] {
-    return std::chrono::steady_clock::now() >= deadline;
-  };
-  // Headers: read until the blank line.
-  size_t header_end = std::string::npos;
+/// Appends the next recv() worth of bytes to `buffer`. False when the
+/// peer closed, the socket timed out or failed, or `deadline` passed.
+bool RecvMore(int fd, std::string* buffer,
+              const std::chrono::steady_clock::time_point deadline) {
   for (;;) {
-    header_end = buffer->find("\r\n\r\n");
-    if (header_end != std::string::npos) break;
-    if (buffer->size() > kMaxHeaderBytes) {
-      *error_status = 431;
-      return ReadResult::kBadRequest;
-    }
-    if (past_deadline()) return ReadResult::kClosed;
+    if (std::chrono::steady_clock::now() >= deadline) return false;
     char chunk[4096];
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n == 0) return ReadResult::kClosed;
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return ReadResult::kClosed;  // timeout or reset: just drop it
+    if (n > 0) {
+      buffer->append(chunk, static_cast<size_t>(n));
+      return true;
     }
-    buffer->append(chunk, static_cast<size_t>(n));
+    if (n < 0 && errno == EINTR) continue;
+    return false;  // closed, timeout or reset: just drop it
   }
+}
 
-  // Request line: METHOD SP TARGET SP VERSION.
-  const std::string head = buffer->substr(0, header_end);
-  const size_t line_end = head.find("\r\n");
-  const std::string request_line =
-      line_end == std::string::npos ? head : head.substr(0, line_end);
-  const size_t sp1 = request_line.find(' ');
-  const size_t sp2 =
-      sp1 == std::string::npos ? std::string::npos
-                               : request_line.find(' ', sp1 + 1);
-  if (sp1 == std::string::npos || sp2 == std::string::npos) {
+/// Reads one request off `fd` into `request`, consuming from/refilling
+/// `buffer` (bytes already read past the previous request). On
+/// kBadRequest, `*error_status` is the status to answer with.
+enum class ReadResult { kOk, kClosed, kBadRequest };
+
+ReadResult ReadRequest(int fd, std::string* buffer, HttpRequest* request,
+                       size_t max_body_bytes, int* error_status,
+                       const std::chrono::steady_clock::time_point deadline) {
+  RequestHead head = ParseRequestHead(*buffer, max_body_bytes);
+  while (head.status == kHeadIncomplete) {
+    if (!RecvMore(fd, buffer, deadline)) return ReadResult::kClosed;
+    head = ParseRequestHead(*buffer, max_body_bytes);
+  }
+  if (head.status != 200) {
+    *error_status = head.status;
     return ReadResult::kBadRequest;
   }
-  request->method = request_line.substr(0, sp1);
-  request->target = request_line.substr(sp1 + 1, sp2 - sp1 - 1);
-  const std::string version = request_line.substr(sp2 + 1);
-  if (version != "HTTP/1.1" && version != "HTTP/1.0") {
-    return ReadResult::kBadRequest;
-  }
-
-  // Headers, names lowercased.
-  request->headers.clear();
-  size_t pos = line_end == std::string::npos ? head.size() : line_end + 2;
-  while (pos < head.size()) {
-    size_t eol = head.find("\r\n", pos);
-    if (eol == std::string::npos) eol = head.size();
-    const std::string line = head.substr(pos, eol - pos);
-    pos = eol + 2;
-    const size_t colon = line.find(':');
-    if (colon == std::string::npos) return ReadResult::kBadRequest;
-    std::string name = line.substr(0, colon);
-    // Whitespace before the colon must be a 400 (RFC 9112 §5.1), not a
-    // silently ignored header: "Content-Length : N" stored under the
-    // key "content-length " would mis-frame the body — the third
-    // smuggling vector next to the TE+CL and duplicate-CL ones below.
-    if (name.empty() || name.back() == ' ' || name.back() == '\t') {
-      return ReadResult::kBadRequest;
-    }
-    std::transform(name.begin(), name.end(), name.begin(),
-                   [](unsigned char c) { return std::tolower(c); });
-    // Trim optional whitespace (space or HTAB, RFC 9110 §5.6.3) off both
-    // ends of the value: "Content-Length:\t5 " must parse as "5".
-    size_t value_begin = colon + 1;
-    while (value_begin < line.size() &&
-           (line[value_begin] == ' ' || line[value_begin] == '\t')) {
-      ++value_begin;
-    }
-    size_t value_end = line.size();
-    while (value_end > value_begin &&
-           (line[value_end - 1] == ' ' || line[value_end - 1] == '\t')) {
-      --value_end;
-    }
-    // Duplicate Content-Length is the other RFC 7230 §3.3.3 desync
-    // vector (a proxy framing by the first value, us by the last):
-    // reject instead of letting the map fold it last-one-wins.
-    if (name == "content-length" && request->headers.count(name) > 0) {
-      return ReadResult::kBadRequest;
-    }
-    request->headers[name] = line.substr(value_begin, value_end - value_begin);
-  }
-
-  // Keep-alive: HTTP/1.1 default unless "Connection: close"; HTTP/1.0
-  // only with an explicit keep-alive.
-  std::string connection = request->Header("connection");
-  std::transform(connection.begin(), connection.end(), connection.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  request->keep_alive = version == "HTTP/1.1" ? connection != "close"
-                                              : connection == "keep-alive";
-
-  // Body, Content-Length framed. Chunked is rejected OUTRIGHT — even
-  // alongside a Content-Length. Framing a TE+CL message by the length
-  // is the classic request-smuggling desync (RFC 7230 §3.3.3): leftover
-  // chunk bytes would be parsed as the next request on this connection.
-  buffer->erase(0, header_end + 4);
-  if (!request->Header("transfer-encoding").empty()) {
-    return ReadResult::kBadRequest;
-  }
-  size_t content_length = 0;
-  const auto length_it = request->headers.find("content-length");
-  if (length_it != request->headers.end()) {
-    // 1*DIGIT per RFC 9110: the whole-token unsigned parse rejects "-1",
-    // "+5", trailing junk, and a value past uint64 (no strtoull-style
-    // saturation to ULLONG_MAX).
-    uint64_t parsed = 0;
-    if (!ParseUInt64(length_it->second, &parsed)) {
-      return ReadResult::kBadRequest;
-    }
-    content_length = static_cast<size_t>(parsed);
-  }
-  if (content_length > max_body_bytes) {
-    *error_status = 413;
-    return ReadResult::kBadRequest;
-  }
-  // curl sends "Expect: 100-continue" before larger bodies and waits for
-  // the interim response. The token is case-insensitive (RFC 9110
-  // §10.1.1) — a client sending "100-Continue" must not stall.
-  std::string expect = request->Header("expect");
-  std::transform(expect.begin(), expect.end(), expect.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  if (expect.find("100-continue") != std::string::npos) {
+  *request = std::move(head.request);
+  buffer->erase(0, head.body_offset);
+  if (request->expect_continue) {
     const char kContinue[] = "HTTP/1.1 100 Continue\r\n\r\n";
     if (!SendAll(fd, kContinue, sizeof(kContinue) - 1)) {
       return ReadResult::kClosed;
     }
   }
-  while (buffer->size() < content_length) {
-    if (past_deadline()) return ReadResult::kClosed;
-    char chunk[4096];
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n == 0) return ReadResult::kClosed;
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return ReadResult::kClosed;
-    }
-    buffer->append(chunk, static_cast<size_t>(n));
+  while (buffer->size() < request->content_length) {
+    if (!RecvMore(fd, buffer, deadline)) return ReadResult::kClosed;
   }
-  request->body = buffer->substr(0, content_length);
-  buffer->erase(0, content_length);
+  request->body = buffer->substr(0, request->content_length);
+  buffer->erase(0, request->content_length);
   return ReadResult::kOk;
 }
 
@@ -308,28 +171,20 @@ bool ParseVertexId(const json::Value* value, size_t num_vertices,
   return true;
 }
 
-json::Value ScoredPathJson(const ScoredPath& scored, bool with_totals) {
-  json::Object object;
-  object["score"] = json::Value(scored.score);
-  json::Array vertices;
-  vertices.reserve(scored.path.vertices.size());
-  for (const auto v : scored.path.vertices) {
-    vertices.emplace_back(static_cast<uint64_t>(v));
-  }
-  object["vertices"] = json::Value(std::move(vertices));
-  if (with_totals) {
-    object["length_m"] = json::Value(scored.path.length_m);
-    object["time_s"] = json::Value(scored.path.time_s);
-  }
-  return json::Value(std::move(object));
-}
-
-json::Value RankingJson(const std::vector<ScoredPath>& ranking,
-                        bool with_totals) {
+/// /v1/score's body: {"candidates": [{"score", "vertices"}, ...]}.
+json::Value RankingJson(const std::vector<ScoredPath>& ranking) {
   json::Array candidates;
   candidates.reserve(ranking.size());
   for (const auto& scored : ranking) {
-    candidates.push_back(ScoredPathJson(scored, with_totals));
+    json::Object candidate;
+    candidate["score"] = json::Value(scored.score);
+    json::Array vertices;
+    vertices.reserve(scored.path.vertices.size());
+    for (const auto v : scored.path.vertices) {
+      vertices.emplace_back(static_cast<uint64_t>(v));
+    }
+    candidate["vertices"] = json::Value(std::move(vertices));
+    candidates.push_back(json::Value(std::move(candidate)));
   }
   json::Object object;
   object["candidates"] = json::Value(std::move(candidates));
@@ -337,18 +192,14 @@ json::Value RankingJson(const std::vector<ScoredPath>& ranking,
 }
 
 Response HandleScore(const HttpBackend& backend, const std::string& body);
-/// What /v1/route (or /v1/rank) did beyond the status code — feeds the
-/// server-level deadline/degradation counters ServeConnection maintains.
+/// What /v1/route did beyond the status code — feeds the server-level
+/// deadline/degradation counters ServeConnection maintains.
 struct RouteOutcome {
   bool deadline_exceeded = false;
   bool degraded = false;
 };
-/// Serves /v1/route and its /v1/rank alias: one body parser, one route
-/// backend call, one status table. `rank_alias` picks only the 200 body
-/// shape — /v1/rank's {"candidates": [...]} instead of RouteJson.
-Response HandleRoute(const HttpBackend& backend, const Request& request,
-                     const HttpServerOptions& options, bool rank_alias,
-                     RouteOutcome* outcome);
+Response HandleRoute(const HttpBackend& backend, const HttpRequest& request,
+                     const HttpServerOptions& options, RouteOutcome* outcome);
 Response HandleTraffic(const HttpBackend& backend, const std::string& body);
 json::Value StatszJson(const HttpServerStats& stats,
                        const HttpServerOptions& options);
@@ -359,7 +210,7 @@ json::Value StatszJson(const HttpServerStats& stats,
 struct HttpServer::Endpoint {
   /// Near-leaf rank: Record() runs after the response is written, with
   /// every request lock long dropped, and nothing is acquired under it.
-  /// (All four endpoints share the rank — no thread holds two at once.)
+  /// (All three endpoints share the rank — no thread holds two at once.)
   mutable common::Mutex mu{common::LockRank::kHttpEndpointStats,
                            "http.endpoint_stats"};
   uint64_t requests GUARDED_BY(mu) = 0;
@@ -413,7 +264,6 @@ struct HttpServer::Endpoint {
 HttpServer::HttpServer(HttpBackend backend, const HttpServerOptions& options)
     : backend_(std::move(backend)),
       options_(options),
-      rank_stats_(std::make_unique<Endpoint>()),
       score_stats_(std::make_unique<Endpoint>()),
       route_stats_(std::make_unique<Endpoint>()),
       traffic_stats_(std::make_unique<Endpoint>()) {
@@ -637,7 +487,7 @@ void HttpServer::Release() {
 void HttpServer::ServeConnection(int fd) {
   std::string buffer;
   for (;;) {
-    Request request;
+    HttpRequest request;
     int error_status = 400;
     const auto deadline =
         std::chrono::steady_clock::now() +
@@ -698,16 +548,14 @@ void HttpServer::ServeConnection(int fd) {
       } else {
         response.body = json::Dump(StatszJson(stats(), options_));
       }
-    } else if (request.target == "/v1/rank" ||
-               request.target == "/v1/score" ||
+    } else if (request.target == "/v1/score" ||
                request.target == "/v1/route" ||
                request.target == "/v1/traffic") {
-      const bool is_rank = request.target == "/v1/rank";
       const bool is_route = request.target == "/v1/route";
       const bool is_traffic = request.target == "/v1/traffic";
       if (request.method != "POST") {
         response = ErrorResponse(405, "use POST");
-      } else if ((is_route || is_rank) && !backend_.route) {
+      } else if (is_route && !backend_.route) {
         // Cheap rejection before admission: no backend work happens.
         response = ErrorResponse(
             404, "route planning is not enabled on this server");
@@ -722,11 +570,10 @@ void HttpServer::ServeConnection(int fd) {
         Stopwatch watch;
         RouteOutcome outcome;
         try {
-          response =
-              is_route || is_rank
-                  ? HandleRoute(backend_, request, options_, is_rank, &outcome)
-              : is_traffic ? HandleTraffic(backend_, request.body)
-                           : HandleScore(backend_, request.body);
+          response = is_route ? HandleRoute(backend_, request, options_,
+                                            &outcome)
+                     : is_traffic ? HandleTraffic(backend_, request.body)
+                                  : HandleScore(backend_, request.body);
         } catch (...) {
           // Non-std exceptions from the backend seam (and bad_alloc in
           // the response path) must not escape this std::thread —
@@ -743,7 +590,6 @@ void HttpServer::ServeConnection(int fd) {
         }
         (is_route     ? route_stats_
          : is_traffic ? traffic_stats_
-         : is_rank    ? rank_stats_
                       : score_stats_)
             ->Record(watch.ElapsedSeconds(), response.status >= 400,
                      response.status == 504);
@@ -792,7 +638,7 @@ Response HandleScore(const HttpBackend& backend, const std::string& body) {
     std::vector<ScoredPath> ranking;
     if (!paths.empty()) ranking = backend.score(std::move(paths));
     Response response;
-    response.body = json::Dump(RankingJson(ranking, /*with_totals=*/false));
+    response.body = json::Dump(RankingJson(ranking));
     return response;
   } catch (const std::exception& e) {
     PR_LOG_ERROR << "http: /v1/score backend error: " << e.what();
@@ -803,10 +649,10 @@ Response HandleScore(const HttpBackend& backend, const std::string& body) {
   }
 }
 
-/// Renders a RouteResult's ranked paths: the /v1/rank candidate fields
-/// plus the enumeration cost and the edge-id list (clients replaying the
-/// route on the network need edges, not just vertices — parallel edges
-/// make the vertex list ambiguous).
+/// Renders a RouteResult's ranked paths: score, enumeration cost, length,
+/// time, and the vertex- and edge-id lists (clients replaying the route
+/// on the network need edges, not just vertices — parallel edges make
+/// the vertex list ambiguous).
 json::Value RouteJson(const RouteResult& result) {
   json::Array routes;
   routes.reserve(result.ranked.size());
@@ -862,9 +708,8 @@ Response RouteErrorResponse(int http_status, const RouteResult& result) {
   return response;
 }
 
-Response HandleRoute(const HttpBackend& backend, const Request& request,
-                     const HttpServerOptions& options, bool rank_alias,
-                     RouteOutcome* outcome) {
+Response HandleRoute(const HttpBackend& backend, const HttpRequest& request,
+                     const HttpServerOptions& options, RouteOutcome* outcome) {
   // Local validation failures carry the taxonomy slug too — clients
   // branching on body["status"] per the docs must never see a bare
   // {"error": ...} from this endpoint. That includes the parse failure
@@ -920,8 +765,12 @@ Response HandleRoute(const HttpBackend& backend, const Request& request,
     budget_ms = static_cast<int64_t>(d);
   } else if (const std::string header = request.Header("x-deadline-ms");
              !header.empty()) {
+    // The body field's bound: Deadline::AfterMs converts to nanoseconds,
+    // which overflows int64 for budgets near 10^13 ms.
     uint64_t parsed_ms = 0;
-    if (!ParseDigits(header, &parsed_ms) || parsed_ms == 0) {
+    if (!ParseUInt64(header, &parsed_ms) || parsed_ms == 0 ||
+        parsed_ms > static_cast<uint64_t>(
+                        std::numeric_limits<int32_t>::max())) {
       return bad_request("X-Deadline-Ms must be a positive integer");
     }
     budget_ms = static_cast<int64_t>(parsed_ms);
@@ -941,10 +790,7 @@ Response HandleRoute(const HttpBackend& backend, const Request& request,
     switch (result.status) {
       case RouteStatus::kOk: {
         Response response;
-        response.body =
-            json::Dump(rank_alias ? RankingJson(result.ranked,
-                                                /*with_totals=*/true)
-                                  : RouteJson(result));
+        response.body = json::Dump(RouteJson(result));
         return response;
       }
       case RouteStatus::kUnreachable:
@@ -1116,7 +962,6 @@ json::Value StatszJson(const HttpServerStats& stats,
     endpoint["latency_p99_s"] = json::Value(endpoint_stats.latency_p99_s);
     return json::Value(std::move(endpoint));
   };
-  endpoints["/v1/rank"] = endpoint_json(stats.rank);
   endpoints["/v1/score"] = endpoint_json(stats.score);
   endpoints["/v1/route"] = endpoint_json(stats.route);
   endpoints["/v1/traffic"] = endpoint_json(stats.traffic);
@@ -1147,227 +992,10 @@ HttpServerStats HttpServer::stats() const {
   if (backend_.preprocessing_stats) {
     stats.preprocessing = backend_.preprocessing_stats();
   }
-  stats.rank = rank_stats_->Snapshot();
   stats.score = score_stats_->Snapshot();
   stats.route = route_stats_->Snapshot();
   stats.traffic = traffic_stats_->Snapshot();
   return stats;
-}
-
-// ---- HttpClient --------------------------------------------------------
-
-HttpClient::~HttpClient() { Close(); }
-
-void HttpClient::Connect(uint16_t port) {
-  Close();
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd_ < 0) {
-    throw std::runtime_error("socket() failed: " +
-                             std::string(std::strerror(errno)));
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    const std::string what = std::strerror(errno);
-    Close();
-    throw std::runtime_error("connect(127.0.0.1:" + std::to_string(port) +
-                             ") failed: " + what);
-  }
-  const int one = 1;
-  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  // A stalled server must fail the request, not hang the test/bench
-  // process in recv() past every wall cap.
-  timeval io_timeout{};
-  io_timeout.tv_sec = 10;
-  ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &io_timeout, sizeof(io_timeout));
-  ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &io_timeout, sizeof(io_timeout));
-  port_ = port;
-  buffer_.clear();
-}
-
-void HttpClient::Close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-  buffer_.clear();
-}
-
-HttpClient::Response HttpClient::Request(const std::string& method,
-                                         const std::string& path,
-                                         const std::string& body) {
-  if (fd_ < 0) throw std::runtime_error("HttpClient is not connected");
-  std::string request = method + " " + path + " HTTP/1.1\r\n";
-  request += "Host: 127.0.0.1\r\n";
-  request += "Content-Type: application/json\r\n";
-  request += "Content-Length: " + std::to_string(body.size()) + "\r\n";
-  request += "\r\n";
-  request += body;
-  if (!SendAll(fd_, request.data(), request.size())) {
-    Close();
-    throw std::runtime_error("send failed");
-  }
-
-  // Read status line + headers.
-  size_t header_end;
-  for (;;) {
-    header_end = buffer_.find("\r\n\r\n");
-    if (header_end != std::string::npos) break;
-    char chunk[4096];
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n <= 0) {
-      Close();
-      throw std::runtime_error("connection closed before response");
-    }
-    buffer_.append(chunk, static_cast<size_t>(n));
-  }
-  const std::string head = buffer_.substr(0, header_end);
-  buffer_.erase(0, header_end + 4);
-
-  Response response;
-  // Status line: "HTTP/1.x SP 3DIGIT SP reason". std::atoi here would
-  // read a garbled line ("HTTP/0.9 garbage") as status 0 and hand it to
-  // the caller as if the server had answered — bench and tests could not
-  // tell a broken counterparty from a real response. Parse strictly and
-  // make malformation an error instead.
-  size_t line_end = head.find("\r\n");
-  if (line_end == std::string::npos) line_end = head.size();
-  const std::string status_line = head.substr(0, line_end);
-  const size_t sp = status_line.find(' ');
-  bool status_ok = status_line.rfind("HTTP/1.", 0) == 0 &&
-                   sp != std::string::npos;
-  if (status_ok) {
-    size_t code_end = status_line.find(' ', sp + 1);
-    if (code_end == std::string::npos) code_end = status_line.size();
-    uint64_t code = 0;
-    status_ok = code_end - (sp + 1) == 3 &&
-                ParseDigits(status_line.substr(sp + 1, 3), &code) &&
-                code >= 100 && code <= 599;
-    response.status = static_cast<int>(code);
-  }
-  if (!status_ok) {
-    Close();
-    throw std::runtime_error("malformed status line: '" + status_line + "'");
-  }
-
-  size_t content_length = 0;
-  bool server_closes = false;
-  size_t pos = head.find("\r\n");
-  while (pos != std::string::npos && pos + 2 < head.size()) {
-    size_t eol = head.find("\r\n", pos + 2);
-    if (eol == std::string::npos) eol = head.size();
-    std::string line = head.substr(pos + 2, eol - pos - 2);
-    pos = eol == head.size() ? std::string::npos : eol;
-    const size_t colon = line.find(':');
-    if (colon == std::string::npos) continue;
-    std::string name = line.substr(0, colon);
-    std::transform(name.begin(), name.end(), name.begin(),
-                   [](unsigned char c) { return std::tolower(c); });
-    size_t value_begin = colon + 1;
-    while (value_begin < line.size() && line[value_begin] == ' ') {
-      ++value_begin;
-    }
-    const std::string value = line.substr(value_begin);
-    if (name == "content-length") {
-      // strtoull would wrap "-1" to ULLONG_MAX and stop at junk; a bad
-      // length mis-frames every response after this one on the
-      // keep-alive connection, so bail out instead.
-      uint64_t length = 0;
-      if (!ParseDigits(value, &length)) {
-        Close();
-        throw std::runtime_error("malformed Content-Length: '" + value +
-                                 "'");
-      }
-      content_length = static_cast<size_t>(length);
-    } else if (name == "retry-after") {
-      // Delta-seconds only (what HttpServer emits). std::atoi read
-      // garbage as 0, which callers treat as "retry immediately" — the
-      // opposite of what a mangled back-off hint should do.
-      uint64_t delay = 0;
-      if (!ParseDigits(value, &delay) ||
-          delay > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
-        Close();
-        throw std::runtime_error("malformed Retry-After: '" + value + "'");
-      }
-      response.retry_after_s = static_cast<int>(delay);
-    } else if (name == "connection" && value == "close") {
-      server_closes = true;
-    }
-  }
-
-  while (buffer_.size() < content_length) {
-    char chunk[4096];
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n <= 0) {
-      Close();
-      throw std::runtime_error("connection lost mid-body");
-    }
-    buffer_.append(chunk, static_cast<size_t>(n));
-  }
-  response.body = buffer_.substr(0, content_length);
-  buffer_.erase(0, content_length);
-  if (server_closes) Close();
-  return response;
-}
-
-HttpClient::Response HttpClient::RequestWithRetry(const std::string& method,
-                                                  const std::string& path,
-                                                  const std::string& body,
-                                                  const RetryOptions& retry) {
-  uint64_t jitter_state = retry.jitter_seed;
-  const auto next_jitter = [&jitter_state] {
-    // splitmix64 step: deterministic per (seed, attempt), no global RNG.
-    jitter_state += 0x9e3779b97f4a7c15ULL;
-    uint64_t z = jitter_state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  };
-  for (int attempt = 0;; ++attempt) {
-    const bool last = attempt >= retry.max_retries;
-    Response response;
-    try {
-      response = Request(method, path, body);
-    } catch (const std::runtime_error&) {
-      // Transport failure: Request() already closed the connection.
-      // Reconnect and replay — the request never completed, so a replay
-      // cannot double-apply it any harder than the network already
-      // might. (Connect throws through when the server is truly gone.)
-      if (last) throw;
-      SleepBackoff(attempt, retry, /*retry_after_s=*/-1, next_jitter());
-      Connect(port_);
-      continue;
-    }
-    // Only explicit back-pressure is retried: 429 *asks* for a replay.
-    // Any other status — success or failure — is the server's answer.
-    if (response.status != 429 || last) return response;
-    SleepBackoff(attempt, retry, response.retry_after_s, next_jitter());
-  }
-}
-
-void HttpClient::SleepBackoff(int attempt, const RetryOptions& retry,
-                              int retry_after_s, uint64_t jitter_bits) {
-  int64_t backoff_ms =
-      attempt < 30 ? static_cast<int64_t>(retry.base_backoff_ms) << attempt
-                   : retry.max_backoff_ms;
-  if (backoff_ms > retry.max_backoff_ms) backoff_ms = retry.max_backoff_ms;
-  if (backoff_ms < 0) backoff_ms = 0;
-  if (backoff_ms > 0) {
-    // Up to +50% jitter so a herd of retrying clients decorrelates.
-    backoff_ms += static_cast<int64_t>(
-        jitter_bits % static_cast<uint64_t>(backoff_ms / 2 + 1));
-  }
-  // The server's explicit hint is a floor, never ignored: backing off
-  // LESS than Retry-After would re-trip the very admission control that
-  // shed us.
-  if (retry_after_s > 0) {
-    backoff_ms = std::max<int64_t>(backoff_ms, int64_t{retry_after_s} * 1000);
-  }
-  if (backoff_ms > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-  }
 }
 
 }  // namespace pathrank::serving

@@ -5,12 +5,6 @@
 // sockets, which is forbidden on pool workers).
 //
 // Endpoints (JSON over HTTP/1.1, keep-alive supported):
-//   POST /v1/rank    {"source": id, "destination": id, "k": n?,
-//                     "budget_ms": n?}
-//                    -> {"candidates": [{"score", "vertices",
-//                                        "length_m", "time_s"}, ...]}
-//                    (an alias of /v1/route in the older body shape: same
-//                    parsing, same route backend, same status table)
 //   POST /v1/score   {"paths": [[id, id, ...], ...]}
 //                    -> {"candidates": [{"score", "vertices"}, ...]}
 //   POST /v1/route   {"source": id, "destination": id, "k": n?,
@@ -37,7 +31,7 @@
 //   GET  /statsz     -> queue depth, shed count, per-endpoint latency,
 //                       graph_epoch + route-planner cache counters
 //
-// Admission control: the four /v1/* endpoints share a bounded in-flight
+// Admission control: the three /v1/* endpoints share a bounded in-flight
 // budget (`max_inflight`). A request that cannot take a slot within
 // `max_queue_wait_us` is SHED with `429 Too Many Requests` +
 // `Retry-After` instead of queuing unboundedly — under overload the
@@ -53,6 +47,9 @@
 // json.h), so a response body parses back bitwise identical to the
 // in-process RoutePlanner::Plan / ServingEngine::ScoreBatch result
 // (http_server_test asserts it).
+//
+// Request-head framing lives in http_request.h (ParseRequestHead), apart
+// from the sockets. The test-only HTTP client is tests/support/http_client.
 #pragma once
 
 #include <atomic>
@@ -85,11 +82,10 @@ struct HttpServerOptions {
   /// never trigger (concurrency is already below the budget), and with
   /// no spare workers a saturated engine would starve /healthz probes.
   size_t num_threads = 0;
-  /// Admission budget shared by /v1/rank, /v1/score, /v1/route and
-  /// /v1/traffic: at most this many requests may be past admission
-  /// (executing) at once. Keep it BELOW
-  /// num_threads (the default sizing above does) or shedding never
-  /// engages.
+  /// Admission budget shared by /v1/score, /v1/route and /v1/traffic:
+  /// at most this many requests may be past admission (executing) at
+  /// once. Keep it BELOW num_threads (the default sizing above does) or
+  /// shedding never engages.
   size_t max_inflight = 64;
   /// How long admission may hold a request waiting for a slot before
   /// shedding it. 0 = shed immediately when the budget is exhausted.
@@ -135,9 +131,9 @@ struct HttpServerStats {
   uint64_t connections_accepted = 0;
   uint64_t requests_total = 0;  ///< every parsed request, any endpoint
   uint64_t shed_total = 0;      ///< requests refused with 429
-  /// /v1/route or /v1/rank answered 504
+  /// /v1/route answered 504
   uint64_t deadline_exceeded_total = 0;
-  /// /v1/route or /v1/rank answered with a partial set
+  /// /v1/route answered with a partial set
   uint64_t degraded_total = 0;
   uint64_t inflight = 0;        ///< currently past admission
   uint64_t admission_waiting = 0;  ///< currently queued for a slot
@@ -150,7 +146,6 @@ struct HttpServerStats {
   /// ALT preprocessing lifecycle counters (disabled/zero when no
   /// preprocessing_stats seam is set).
   PreprocessingStats preprocessing;
-  HttpEndpointStats rank;
   HttpEndpointStats score;
   HttpEndpointStats route;
   HttpEndpointStats traffic;
@@ -163,10 +158,9 @@ struct HttpBackend {
   /// Required: POST /v1/score. May throw; the server answers 500.
   std::function<std::vector<ScoredPath>(std::vector<routing::Path> paths)>
       score;
-  /// Optional: POST /v1/route and its /v1/rank alias — the full
-  /// RoutePlanner pipeline (candidate enumeration + cache + scoring).
-  /// When absent both endpoints answer 404 ("route planning is not
-  /// enabled"). RouteResult::status maps to the HTTP code (kUnreachable
+  /// Optional: POST /v1/route — the full RoutePlanner pipeline
+  /// (candidate enumeration + cache + scoring). When absent the endpoint
+  /// answers 404 ("route planning is not enabled"). RouteResult::status maps to the HTTP code (kUnreachable
   /// -> 404, kDeadlineExceeded -> 504, other non-kOk -> 400); only a
   /// thrown exception becomes a 500.
   std::function<RouteResult(const RouteRequest& request)> route;
@@ -263,84 +257,12 @@ class HttpServer {
   std::atomic<uint64_t> shed_total_{0};
   std::atomic<uint64_t> deadline_exceeded_total_{0};
   std::atomic<uint64_t> degraded_total_{0};
-  std::unique_ptr<Endpoint> rank_stats_;
   std::unique_ptr<Endpoint> score_stats_;
   std::unique_ptr<Endpoint> route_stats_;
   std::unique_ptr<Endpoint> traffic_stats_;
 
   std::thread acceptor_;
   std::vector<std::thread> workers_;
-};
-
-/// Retry policy for HttpClient::RequestWithRetry. Backoff for attempt i
-/// (0-based) is min(base << i, max) milliseconds plus deterministic
-/// jitter in [0, backoff/2) drawn from jitter_seed — seeded, so tests
-/// replay the exact same sleep schedule. (Namespace scope, not nested:
-/// a nested struct's field defaults cannot appear in the enclosing
-/// class's own default arguments.)
-struct HttpRetryOptions {
-  /// Retries AFTER the first attempt (so max_retries + 1 tries total).
-  int max_retries = 3;
-  int base_backoff_ms = 50;
-  int max_backoff_ms = 2000;
-  uint64_t jitter_seed = 0;
-};
-
-/// Minimal blocking HTTP/1.1 client for tests and the bench load driver:
-/// one keep-alive connection, sequential requests. Not a general client —
-/// just enough to drive HttpServer over the loopback. Its framing code is
-/// deliberately independent of the server's ReadRequest (not shared): the
-/// round-trip tests use this client as the server's counterparty, and a
-/// shared parser would let a framing bug cancel itself out.
-class HttpClient {
- public:
-  /// One response, status line + headers parsed.
-  struct Response {
-    int status = 0;
-    std::string body;
-    /// Retry-After header value when present (shed responses), else -1.
-    int retry_after_s = -1;
-  };
-
-  HttpClient() = default;
-  ~HttpClient();
-  HttpClient(const HttpClient&) = delete;
-  HttpClient& operator=(const HttpClient&) = delete;
-
-  /// Connects to 127.0.0.1:port. Throws std::runtime_error on failure.
-  void Connect(uint16_t port);
-  bool connected() const { return fd_ >= 0; }
-  void Close();
-
-  /// Sends one request and reads the full response (Content-Length
-  /// framed). The connection stays open for the next call; on a
-  /// socket-level failure the connection closes and a runtime_error is
-  /// thrown.
-  Response Request(const std::string& method, const std::string& path,
-                   const std::string& body = "");
-
-  using RetryOptions = HttpRetryOptions;
-
-  /// Request() plus bounded, opt-in resilience: a 429 response waits
-  /// max(Retry-After, backoff) and retries; a transport failure (send
-  /// error, connection lost) reconnects and retries. Anything else — any
-  /// other status, including 5xx — returns immediately: only explicit
-  /// back-pressure and broken transport are known-safe to replay, a 500
-  /// may have side effects. Exhausted retries return the last 429 or
-  /// rethrow the last transport error.
-  Response RequestWithRetry(const std::string& method,
-                            const std::string& path,
-                            const std::string& body = "",
-                            const RetryOptions& retry = {});
-
- private:
-  /// Sleeps max(capped exponential backoff + jitter, Retry-After).
-  static void SleepBackoff(int attempt, const RetryOptions& retry,
-                           int retry_after_s, uint64_t jitter_bits);
-
-  int fd_ = -1;
-  uint16_t port_ = 0;   ///< last Connect() target, for retry reconnects
-  std::string buffer_;  ///< bytes read past the previous response
 };
 
 }  // namespace pathrank::serving

@@ -14,11 +14,4 @@ std::shared_ptr<const ModelSnapshot> ModelSnapshot::Capture(
   return std::make_shared<const ModelSnapshot>(model);
 }
 
-std::unique_ptr<core::PathRankModel> ModelSnapshot::Materialize() const {
-  auto copy = std::make_unique<core::PathRankModel>(
-      vocab_size(), config(), core::InitMode::kSkipInit);
-  copy->CopyParametersFrom(*model_);
-  return copy;
-}
-
 }  // namespace pathrank::serving

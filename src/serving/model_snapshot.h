@@ -38,10 +38,6 @@ class ModelSnapshot {
   /// The frozen model's input-projection tables, for ForwardInference.
   const core::InferenceTables& tables() const { return tables_; }
 
-  /// Builds a fresh mutable model initialised to this snapshot's values
-  /// (e.g. to resume fine-tuning from a deployed checkpoint).
-  std::unique_ptr<core::PathRankModel> Materialize() const;
-
  private:
   // Never mutated after construction; exposed only as const.
   std::unique_ptr<core::PathRankModel> model_;

@@ -245,7 +245,7 @@ struct RoutePlannerStats {
 };
 
 /// The query -> candidates -> ranked-paths pipeline behind POST
-/// /v1/route and its /v1/rank alias. Borrows the network or graph store (caller keeps it alive)
+/// /v1/route. Borrows the network or graph store (caller keeps it alive)
 /// and owns a copy of the scoring seam.
 class RoutePlanner {
  public:

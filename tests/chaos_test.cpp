@@ -41,6 +41,7 @@
 #include "serving/model_snapshot.h"
 #include "serving/route_planner.h"
 #include "serving/serving_engine.h"
+#include "support/http_client.h"
 
 namespace pathrank::serving {
 namespace {
@@ -506,9 +507,9 @@ TEST(HttpDeadline, MaxDeadlineMsCapsAndDefaultApplies) {
 /// healthy with zero in-flight slots.
 TEST(Chaos, ShedsDegradesOr504sButNeverHangs) {
   // score errors at p=0.25 -> 500s; route stalls at p=0.5 x 3 ms against
-  // 8 ms budgets -> a mix of 504/degraded/ok; the same stalls on the
-  // budget-free /v1/rank alias keep admission pressure on (max_inflight
-  // 4).
+  // 8 ms budgets -> a mix of 504/degraded/ok; the same stalls on
+  // budget-free /v1/route requests keep admission pressure on
+  // (max_inflight 4).
   ChaosServerFixture fx("score:error:p=0.25;route:delay_ms=3:p=0.5",
                         /*fault_seed=*/7);
 
@@ -543,13 +544,9 @@ TEST(Chaos, ShedsDegradesOr504sButNeverHangs) {
                                             /*budget_ms=*/8))
                          .status;
           } else if (i % 3 == 1) {
-            json::Object object;
-            object["source"] = json::Value(static_cast<uint64_t>(s));
-            object["destination"] =
-                json::Value(static_cast<uint64_t>(d == s ? (s + 1) % 64 : d));
             status = client
-                         .Request("POST", "/v1/rank",
-                                  json::Dump(json::Value(std::move(object))))
+                         .Request("POST", "/v1/route",
+                                  RouteBody(s, d == s ? (s + 1) % 64 : d))
                          .status;
           } else {
             status = client.Request("GET", "/healthz").status;

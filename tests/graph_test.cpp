@@ -389,39 +389,6 @@ TEST(GraphIo, EdgesOnlyLoaderRejectsEmptyFile) {
   std::remove(path.c_str());
 }
 
-TEST(GraphIo, BinaryRoundTripExact) {
-  const RoadNetwork original = BuildTestNetwork(123);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "pr_net.bin").string();
-  SaveNetworkBinary(original, path);
-  const RoadNetwork loaded = LoadNetworkBinary(path);
-  ASSERT_EQ(loaded.num_vertices(), original.num_vertices());
-  ASSERT_EQ(loaded.num_edges(), original.num_edges());
-  for (VertexId v = 0; v < original.num_vertices(); ++v) {
-    EXPECT_DOUBLE_EQ(loaded.coordinate(v).lat, original.coordinate(v).lat);
-    EXPECT_DOUBLE_EQ(loaded.coordinate(v).lon, original.coordinate(v).lon);
-  }
-  for (EdgeId e = 0; e < original.num_edges(); ++e) {
-    EXPECT_DOUBLE_EQ(loaded.edge(e).length_m, original.edge(e).length_m);
-    EXPECT_DOUBLE_EQ(loaded.edge(e).travel_time_s,
-                     original.edge(e).travel_time_s);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(GraphIo, BinaryLoadRejectsGarbage) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "pr_garbage.bin").string();
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    const char junk[] = "not a network";
-    std::fwrite(junk, 1, sizeof(junk), f);
-    std::fclose(f);
-  }
-  EXPECT_THROW(LoadNetworkBinary(path), std::runtime_error);
-  std::remove(path.c_str());
-}
-
 TEST(Builder, RejectsInvalidEdges) {
   RoadNetworkBuilder b;
   b.AddVertex({57.0, 9.9});

@@ -1,10 +1,11 @@
 // HttpServer: loopback round-trips bitwise equal to the in-process
 // ServingEngine path (the serialization layer must never round a score),
-// protocol errors (malformed JSON / oversized body / unknown route /
-// wrong method -> 4xx), concurrent clients, the admission-control shed
-// path (429 + Retry-After when max_inflight is saturated), /healthz
-// flipping across SwapSnapshot, /statsz counters, and the JSON codec's
-// double fidelity the round-trip guarantee rests on.
+// request-head parsing without a socket (ParseRequestHead), protocol
+// errors (malformed JSON / oversized body / unknown route / wrong method
+// -> 4xx), concurrent clients, the admission-control shed path (429 +
+// Retry-After when max_inflight is saturated), /healthz flipping across
+// SwapSnapshot, /statsz counters, and the JSON codec's double fidelity
+// the round-trip guarantee rests on.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -27,11 +28,13 @@
 #include "data/candidate_generation.h"
 #include "graph/network_builder.h"
 #include "serving/graph_store.h"
+#include "serving/http_request.h"
 #include "serving/http_server.h"
 #include "serving/json.h"
 #include "serving/model_snapshot.h"
 #include "serving/route_planner.h"
 #include "serving/serving_engine.h"
+#include "support/http_client.h"
 
 namespace pathrank::serving {
 namespace {
@@ -94,15 +97,15 @@ struct ServerFixture {
   }
 };
 
-std::string RankBody(graph::VertexId source, graph::VertexId destination) {
+std::string RouteBody(graph::VertexId source, graph::VertexId destination) {
   json::Object object;
   object["source"] = json::Value(static_cast<uint64_t>(source));
   object["destination"] = json::Value(static_cast<uint64_t>(destination));
   return json::Dump(json::Value(std::move(object)));
 }
 
-/// Decodes a response body's ranked list — "candidates" for /v1/rank and
-/// /v1/score, "routes" for /v1/route — into (score, vertices) rows.
+/// Decodes a response body's ranked list — "candidates" for /v1/score,
+/// "routes" for /v1/route — into (score, vertices) rows.
 struct WireCandidate {
   double score = 0.0;
   std::vector<graph::VertexId> vertices;
@@ -148,22 +151,18 @@ void ExpectMatchesRanking(const std::vector<ScoredPath>& expected,
   }
 }
 
-TEST(HttpRank, RoundTripBitwiseEqualToInProcessPlanner) {
+TEST(HttpRoute, RoundTripBitwiseEqualToInProcessPlanner) {
   ServerFixture fx;
   HttpClient client;
   client.Connect(fx.server.port());
 
   const std::vector<RouteRequest> queries = {{0, 63}, {7, 56}, {21, 42}};
   for (const auto& query : queries) {
-    const auto rank = client.Request(
-        "POST", "/v1/rank", RankBody(query.source, query.destination));
-    ASSERT_EQ(rank.status, 200) << rank.body;
     const auto route = client.Request(
-        "POST", "/v1/route", RankBody(query.source, query.destination));
+        "POST", "/v1/route", RouteBody(query.source, query.destination));
     ASSERT_EQ(route.status, 200) << route.body;
-    const auto expected = fx.planner.Plan(query).ranked;
-    ExpectMatchesRanking(expected, ParseCandidates(rank.body));
-    ExpectMatchesRanking(expected, ParseCandidates(route.body, "routes"));
+    ExpectMatchesRanking(fx.planner.Plan(query).ranked,
+                         ParseCandidates(route.body, "routes"));
   }
 }
 
@@ -194,24 +193,132 @@ TEST(HttpScore, RoundTripBitwiseEqualToInProcessScoreBatch) {
                        ParseCandidates(response.body));
 }
 
+// ---- Request-head parsing, without a socket ----------------------------
+
+constexpr size_t kTestBodyLimit = 64;
+
+RequestHead Parse(const std::string& bytes) {
+  return ParseRequestHead(bytes, kTestBodyLimit);
+}
+
+TEST(HttpParse, RejectionsCarryTheirStatus) {
+  const std::string post = "POST /v1/route HTTP/1.1\r\nHost: t\r\n";
+  const struct {
+    const char* name;
+    std::string bytes;
+    int status;
+  } cases[] = {
+      {"no target", "GET\r\n\r\n", 400},
+      {"no version", "GET /healthz\r\n\r\n", 400},
+      {"unknown version", "GET /healthz HTTP/2.0\r\n\r\n", 400},
+      {"junk after version", "GET /healthz HTTP/1.1 x\r\n\r\n", 400},
+      {"header without colon", post + "Accept\r\n\r\n", 400},
+      {"empty header name", post + ": x\r\n\r\n", 400},
+      {"space before colon", post + "Content-Length : 2\r\n\r\n", 400},
+      {"tab before colon", post + "Content-Length\t: 2\r\n\r\n", 400},
+      {"duplicate length",
+       post + "Content-Length: 2\r\ncontent-length: 2\r\n\r\n", 400},
+      {"chunked", post + "Transfer-Encoding: chunked\r\n\r\n", 400},
+      {"identity", post + "Transfer-Encoding: identity\r\n\r\n", 400},
+      {"chunked beside a length",
+       post + "Content-Length: 5\r\nTransfer-Encoding: chunked\r\n\r\n",
+       400},
+      {"negative length", post + "Content-Length: -1\r\n\r\n", 400},
+      {"signed length", post + "Content-Length: +5\r\n\r\n", 400},
+      {"non-digit length", post + "Content-Length: 5x\r\n\r\n", 400},
+      {"empty length", post + "Content-Length:\r\n\r\n", 400},
+      {"length past uint64",
+       post + "Content-Length: 99999999999999999999\r\n\r\n", 400},
+      {"body over the limit", post + "Content-Length: 65\r\n\r\n", 413},
+      {"head over the limit", std::string(kMaxHeaderBytes + 1, 'a'), 431},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(Parse(c.bytes).status, c.status) << c.name;
+  }
+}
+
+TEST(HttpParse, IncompleteHeadAsksForMoreBytes) {
+  EXPECT_EQ(Parse("").status, kHeadIncomplete);
+  EXPECT_EQ(Parse("GET /healthz HTTP/1.1\r\nHost: t\r\n").status,
+            kHeadIncomplete);
+  // At the cap it still waits; one byte past it is a 431.
+  EXPECT_EQ(Parse(std::string(kMaxHeaderBytes, 'a')).status, kHeadIncomplete);
+}
+
+TEST(HttpParse, ParsesRequestLineHeadersAndLength) {
+  const std::string head =
+      "POST /v1/route HTTP/1.1\r\nHOST: t\r\nContent-Length:\t64 \r\n"
+      "X-Deadline-Ms:  25\r\nExpect: 100-Continue\r\n\r\n";
+  const RequestHead parsed = Parse(head + "body");
+  ASSERT_EQ(parsed.status, 200);
+  EXPECT_EQ(parsed.request.method, "POST");
+  EXPECT_EQ(parsed.request.target, "/v1/route");
+  EXPECT_EQ(parsed.request.Header("host"), "t");
+  EXPECT_EQ(parsed.request.Header("x-deadline-ms"), "25");
+  // A body exactly at the limit is accepted.
+  EXPECT_EQ(parsed.request.content_length, kTestBodyLimit);
+  EXPECT_EQ(parsed.body_offset, head.size());
+  EXPECT_TRUE(parsed.request.body.empty());
+  // The expectation token is case-insensitive.
+  EXPECT_TRUE(parsed.request.expect_continue);
+}
+
+TEST(HttpParse, KeepAliveDefaultsFollowTheVersion) {
+  const struct {
+    const char* head;
+    bool keep_alive;
+  } cases[] = {
+      {"GET / HTTP/1.1\r\n\r\n", true},
+      {"GET / HTTP/1.1\r\nConnection: Close\r\n\r\n", false},
+      {"GET / HTTP/1.0\r\n\r\n", false},
+      {"GET / HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n", true},
+  };
+  for (const auto& c : cases) {
+    const RequestHead parsed = Parse(c.head);
+    ASSERT_EQ(parsed.status, 200) << c.head;
+    EXPECT_EQ(parsed.request.keep_alive, c.keep_alive) << c.head;
+    EXPECT_FALSE(parsed.request.expect_continue) << c.head;
+  }
+}
+
+TEST(HttpParse, PipelinedSecondRequestStartsAfterTheFirstBody) {
+  const std::string first =
+      "POST /v1/score HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello";
+  const std::string second = "GET /healthz HTTP/1.1\r\n\r\n";
+  const std::string bytes = first + second;
+  const RequestHead one = Parse(bytes);
+  ASSERT_EQ(one.status, 200);
+  EXPECT_EQ(one.request.target, "/v1/score");
+  EXPECT_EQ(bytes.substr(one.body_offset, one.request.content_length),
+            "hello");
+  const size_t next = one.body_offset + one.request.content_length;
+  EXPECT_EQ(next, first.size());
+  const RequestHead two = Parse(bytes.substr(next));
+  ASSERT_EQ(two.status, 200);
+  EXPECT_EQ(two.request.method, "GET");
+  EXPECT_EQ(two.request.target, "/healthz");
+  EXPECT_EQ(two.body_offset, second.size());
+  EXPECT_EQ(two.request.content_length, 0u);
+}
+
 TEST(HttpProtocol, MalformedJsonIs400) {
   ServerFixture fx;
   HttpClient client;
   client.Connect(fx.server.port());
-  EXPECT_EQ(client.Request("POST", "/v1/rank", "{not json").status, 400);
-  EXPECT_EQ(client.Request("POST", "/v1/rank", "").status, 400);
+  EXPECT_EQ(client.Request("POST", "/v1/route", "{not json").status, 400);
+  EXPECT_EQ(client.Request("POST", "/v1/route", "").status, 400);
   // Valid JSON, wrong shape.
-  EXPECT_EQ(client.Request("POST", "/v1/rank", "[1,2]").status, 400);
-  EXPECT_EQ(client.Request("POST", "/v1/rank",
+  EXPECT_EQ(client.Request("POST", "/v1/route", "[1,2]").status, 400);
+  EXPECT_EQ(client.Request("POST", "/v1/route",
                            "{\"source\": 0}").status, 400);
   // Out-of-range vertex id: would be an out-of-bounds embedding lookup.
-  EXPECT_EQ(client.Request("POST", "/v1/rank",
-                           RankBody(0, 1u << 30)).status, 400);
+  EXPECT_EQ(client.Request("POST", "/v1/route",
+                           RouteBody(0, 1u << 30)).status, 400);
   // Beyond VertexId entirely: the cast itself would be UB if admitted.
-  EXPECT_EQ(client.Request("POST", "/v1/rank",
+  EXPECT_EQ(client.Request("POST", "/v1/route",
                            "{\"source\": 0, \"destination\": 1e18}").status,
             400);
-  EXPECT_EQ(client.Request("POST", "/v1/rank",
+  EXPECT_EQ(client.Request("POST", "/v1/route",
                            "{\"source\": -1, \"destination\": 1}").status,
             400);
   EXPECT_EQ(client.Request("POST", "/v1/score",
@@ -252,35 +359,57 @@ std::string RawRequest(uint16_t port, const std::string& request) {
 TEST(HttpProtocol, SmugglingShapedFramingIsRejected) {
   ServerFixture fx;
   EXPECT_EQ(RawRequest(fx.server.port(),
-                       "POST /v1/rank HTTP/1.1\r\nHost: t\r\n"
+                       "POST /v1/route HTTP/1.1\r\nHost: t\r\n"
                        "Content-Length: 5\r\nTransfer-Encoding: chunked\r\n"
                        "\r\n0\r\n\r\n")
                 .substr(0, 12),
             "HTTP/1.1 400");
   EXPECT_EQ(RawRequest(fx.server.port(),
-                       "POST /v1/rank HTTP/1.1\r\nHost: t\r\n"
+                       "POST /v1/route HTTP/1.1\r\nHost: t\r\n"
                        "Content-Length: 5\r\nContent-Length: 50\r\n"
                        "\r\nhello")
                 .substr(0, 12),
             "HTTP/1.1 400");
   EXPECT_EQ(RawRequest(fx.server.port(),
-                       "POST /v1/rank HTTP/1.1\r\nHost: t\r\n"
+                       "POST /v1/route HTTP/1.1\r\nHost: t\r\n"
                        "Content-Length: -1\r\n\r\n")
                 .substr(0, 12),
             "HTTP/1.1 400");
   EXPECT_EQ(RawRequest(fx.server.port(),
-                       "POST /v1/rank HTTP/1.1\r\nHost: t\r\n"
+                       "POST /v1/route HTTP/1.1\r\nHost: t\r\n"
                        "Content-Length: +5\r\n\r\nhello")
                 .substr(0, 12),
             "HTTP/1.1 400");
   // Whitespace before the colon would otherwise store the header under
   // "content-length " and frame the body as zero-length (desync).
   EXPECT_EQ(RawRequest(fx.server.port(),
-                       "POST /v1/rank HTTP/1.1\r\nHost: t\r\n"
+                       "POST /v1/route HTTP/1.1\r\nHost: t\r\n"
                        "Content-Length : 31\r\n\r\n"
                        "{\"source\": 1, \"destination\": 2}")
                 .substr(0, 12),
             "HTTP/1.1 400");
+}
+
+// X-Deadline-Ms has the bound of the budget_ms body field: a positive
+// integer up to INT32_MAX. A budget near 10^13 ms would overflow the
+// deadline's nanosecond count.
+TEST(HttpProtocol, XDeadlineMsIsBoundedLikeBudgetMs) {
+  ServerFixture fx;
+  const std::string body = RouteBody(0, 63);
+  const auto send = [&](const std::string& value) {
+    return RawRequest(fx.server.port(),
+                      "POST /v1/route HTTP/1.1\r\nHost: t\r\n"
+                      "Connection: close\r\nX-Deadline-Ms: " +
+                          value + "\r\nContent-Length: " +
+                          std::to_string(body.size()) + "\r\n\r\n" + body);
+  };
+  for (const char* value : {"9999999999999", "2147483648", "0", "-5", "12x"}) {
+    const std::string response = send(value);
+    EXPECT_EQ(response.substr(0, 12), "HTTP/1.1 400") << value;
+    EXPECT_NE(response.find("\"status\":\"bad_request\""), std::string::npos)
+        << value << ": " << response;
+  }
+  EXPECT_EQ(send("2147483647").substr(0, 12), "HTTP/1.1 200");
 }
 
 TEST(HttpProtocol, OversizedBodyIs413) {
@@ -288,7 +417,7 @@ TEST(HttpProtocol, OversizedBodyIs413) {
   HttpClient client;
   client.Connect(fx.server.port());
   const std::string big(fx.server.options().max_body_bytes + 1, 'x');
-  EXPECT_EQ(client.Request("POST", "/v1/rank", big).status, 413);
+  EXPECT_EQ(client.Request("POST", "/v1/route", big).status, 413);
 }
 
 TEST(HttpProtocol, UnknownRouteIs404AndWrongMethodIs405) {
@@ -296,9 +425,14 @@ TEST(HttpProtocol, UnknownRouteIs404AndWrongMethodIs405) {
   HttpClient client;
   client.Connect(fx.server.port());
   EXPECT_EQ(client.Request("GET", "/nope").status, 404);
-  EXPECT_EQ(client.Request("POST", "/v1/rankz", RankBody(0, 1)).status, 404);
-  EXPECT_EQ(client.Request("GET", "/v1/rank").status, 405);
+  EXPECT_EQ(client.Request("POST", "/v1/routez", RouteBody(0, 1)).status, 404);
+  EXPECT_EQ(client.Request("GET", "/v1/route").status, 405);
   EXPECT_EQ(client.Request("POST", "/healthz").status, 405);
+  // /v1/route is the one route endpoint: the former /v1/rank alias is an
+  // unknown path like any other.
+  const auto rank = client.Request("POST", "/v1/rank", RouteBody(0, 63));
+  EXPECT_EQ(rank.status, 404);
+  EXPECT_EQ(rank.body, "{\"error\":\"no such endpoint: /v1/rank\"}");
 }
 
 TEST(HttpConcurrency, ParallelClientsAllGetBitwiseCorrectAnswers) {
@@ -323,13 +457,13 @@ TEST(HttpConcurrency, ParallelClientsAllGetBitwiseCorrectAnswers) {
       for (size_t r = 0; r < kRequestsPerClient; ++r) {
         const size_t q = (c + r) % queries.size();
         const auto response = client.Request(
-            "POST", "/v1/rank",
-            RankBody(queries[q].source, queries[q].destination));
+            "POST", "/v1/route",
+            RouteBody(queries[q].source, queries[q].destination));
         if (response.status != 200) {
           ++failures;
           continue;
         }
-        const auto actual = ParseCandidates(response.body);
+        const auto actual = ParseCandidates(response.body, "routes");
         if (actual.size() != expected[q].size()) {
           ++failures;
           continue;
@@ -395,11 +529,11 @@ struct BlockingServerFixture {
   }
 
   /// One request on its own connection, status only.
-  std::future<int> AsyncRank(graph::VertexId s, graph::VertexId d) {
+  std::future<int> AsyncRoute(graph::VertexId s, graph::VertexId d) {
     return std::async(std::launch::async, [this, s, d] {
       HttpClient client;
       client.Connect(server.port());
-      return client.Request("POST", "/v1/rank", RankBody(s, d)).status;
+      return client.Request("POST", "/v1/route", RouteBody(s, d)).status;
     });
   }
 };
@@ -414,13 +548,13 @@ TEST(HttpAdmission, SaturatedMaxInflightSheds429WithRetryAfter) {
   BlockingServerFixture fx(options);
 
   // Client A occupies the only slot...
-  auto blocked = fx.AsyncRank(0, 1);
+  auto blocked = fx.AsyncRoute(0, 1);
   fx.WaitEntered(1);
 
   // ...so client B is shed with 429 + Retry-After.
   HttpClient prober;
   prober.Connect(fx.server.port());
-  const auto shed = prober.Request("POST", "/v1/rank", RankBody(2, 3));
+  const auto shed = prober.Request("POST", "/v1/route", RouteBody(2, 3));
   EXPECT_EQ(shed.status, 429);
   EXPECT_EQ(shed.retry_after_s, 7);
 
@@ -437,7 +571,7 @@ TEST(HttpAdmission, SaturatedMaxInflightSheds429WithRetryAfter) {
   EXPECT_EQ(blocked.get(), 200);
 
   // With the slot free again, the same endpoint admits.
-  EXPECT_EQ(prober.Request("POST", "/v1/rank", RankBody(0, 1)).status, 200);
+  EXPECT_EQ(prober.Request("POST", "/v1/route", RouteBody(0, 1)).status, 200);
   EXPECT_EQ(fx.server.stats().shed_total, 1u);
 }
 
@@ -449,11 +583,11 @@ TEST(HttpAdmission, TimedWaitAdmitsWhenSlotFreesWithinWindow) {
   options.max_queue_wait_us = 10'000'000;  // far longer than the test
   BlockingServerFixture fx(options);
 
-  auto holder = fx.AsyncRank(0, 1);
+  auto holder = fx.AsyncRoute(0, 1);
   fx.WaitEntered(1);
 
   // The second request queues for the slot instead of shedding.
-  auto waiter = fx.AsyncRank(2, 3);
+  auto waiter = fx.AsyncRoute(2, 3);
   HttpClient prober;
   prober.Connect(fx.server.port());
   const auto deadline = std::chrono::steady_clock::now() +
@@ -487,12 +621,12 @@ TEST(HttpAdmission, TimedWaitShedsAfterWindowExpires) {
   options.max_queue_wait_us = 30'000;  // 30 ms window, never released
   BlockingServerFixture fx(options);
 
-  auto holder = fx.AsyncRank(0, 1);
+  auto holder = fx.AsyncRoute(0, 1);
   fx.WaitEntered(1);
 
   HttpClient prober;
   prober.Connect(fx.server.port());
-  const auto shed = prober.Request("POST", "/v1/rank", RankBody(2, 3));
+  const auto shed = prober.Request("POST", "/v1/route", RouteBody(2, 3));
   EXPECT_EQ(shed.status, 429);
 
   fx.Release();
@@ -552,7 +686,7 @@ TEST(HttpAdversarial, SlowLorisPartialHeadersGetDisconnected) {
   // Drip a request line and half a header, then go silent: the read
   // deadline must sever the connection instead of pinning a worker.
   const int fd = RawConnect(fx.server.port());
-  const std::string drip = "POST /v1/rank HTTP/1.1\r\nHost: t\r\nConte";
+  const std::string drip = "POST /v1/route HTTP/1.1\r\nHost: t\r\nConte";
   ASSERT_EQ(::send(fd, drip.data(), drip.size(), 0),
             static_cast<ssize_t>(drip.size()));
   DrainUntilClose(fd, std::chrono::seconds(5));
@@ -570,7 +704,7 @@ TEST(HttpAdversarial, TruncatedContentLengthBodyGetsDisconnected) {
   // wait forever for the missing 95.
   const int fd = RawConnect(fx.server.port());
   const std::string lie =
-      "POST /v1/rank HTTP/1.1\r\nHost: t\r\nContent-Length: 100\r\n\r\nhello";
+      "POST /v1/route HTTP/1.1\r\nHost: t\r\nContent-Length: 100\r\n\r\nhello";
   ASSERT_EQ(::send(fd, lie.data(), lie.size(), 0),
             static_cast<ssize_t>(lie.size()));
   DrainUntilClose(fd, std::chrono::seconds(5));
@@ -587,9 +721,9 @@ TEST(HttpAdversarial, ClientDisconnectMidResponseDoesNotLeakASlot) {
   BlockingServerFixture fx(options);
   // Park a request in the backend, then vanish before the response.
   const int fd = RawConnect(fx.server.port());
-  const std::string body = RankBody(0, 1);
+  const std::string body = RouteBody(0, 1);
   const std::string request =
-      "POST /v1/rank HTTP/1.1\r\nHost: t\r\nContent-Length: " +
+      "POST /v1/route HTTP/1.1\r\nHost: t\r\nContent-Length: " +
       std::to_string(body.size()) + "\r\n\r\n" + body;
   ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
             static_cast<ssize_t>(request.size()));
@@ -607,85 +741,7 @@ TEST(HttpAdversarial, ClientDisconnectMidResponseDoesNotLeakASlot) {
   // And the only slot is usable by the next client.
   HttpClient client;
   client.Connect(fx.server.port());
-  EXPECT_EQ(client.Request("POST", "/v1/rank", RankBody(2, 3)).status, 200);
-}
-
-// ---- Client-side retries -----------------------------------------------
-
-TEST(HttpRetry, RetriesShed429UntilASlotFrees) {
-  HttpServerOptions options;
-  options.port = 0;
-  options.num_threads = 4;
-  options.max_inflight = 1;
-  options.max_queue_wait_us = 0;  // shed immediately when saturated
-  options.retry_after_s = 0;      // let the client's own backoff drive
-  BlockingServerFixture fx(options);
-
-  auto holder = fx.AsyncRank(0, 1);
-  fx.WaitEntered(1);
-
-  // A plain Request would take the 429; RequestWithRetry keeps trying
-  // while the slot-holder drains, and lands a 200 on a later attempt.
-  std::future<int> retried = std::async(std::launch::async, [&fx] {
-    HttpClient client;
-    client.Connect(fx.server.port());
-    HttpClient::RetryOptions retry;
-    retry.max_retries = 50;
-    retry.base_backoff_ms = 1;
-    retry.max_backoff_ms = 20;
-    return client.RequestWithRetry("POST", "/v1/rank", RankBody(2, 3), retry)
-        .status;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  fx.Release();
-  EXPECT_EQ(holder.get(), 200);
-  EXPECT_EQ(retried.get(), 200);
-  EXPECT_GE(fx.server.stats().shed_total, 1u);  // at least one 429 eaten
-}
-
-TEST(HttpRetry, GivesUpAfterMaxRetriesWithTheLastResponse) {
-  HttpServerOptions options;
-  options.port = 0;
-  options.num_threads = 4;
-  options.max_inflight = 1;
-  options.max_queue_wait_us = 0;
-  options.retry_after_s = 0;
-  BlockingServerFixture fx(options);
-
-  auto holder = fx.AsyncRank(0, 1);
-  fx.WaitEntered(1);  // the slot never frees during the retry loop
-
-  HttpClient client;
-  client.Connect(fx.server.port());
-  HttpClient::RetryOptions retry;
-  retry.max_retries = 3;
-  retry.base_backoff_ms = 1;
-  retry.max_backoff_ms = 4;
-  const auto response =
-      client.RequestWithRetry("POST", "/v1/rank", RankBody(2, 3), retry);
-  EXPECT_EQ(response.status, 429);                    // last answer surfaces
-  EXPECT_EQ(fx.server.stats().shed_total, 4u);        // 1 try + 3 retries
-
-  fx.Release();
-  EXPECT_EQ(holder.get(), 200);
-}
-
-TEST(HttpRetry, NonRetryableStatusReturnsImmediately) {
-  ServerFixture fx;
-  HttpClient client;
-  client.Connect(fx.server.port());
-  HttpClient::RetryOptions retry;
-  retry.max_retries = 5;
-  retry.base_backoff_ms = 1;
-  // A 400 is the caller's bug: retrying it would just repeat the bug.
-  const auto response =
-      client.RequestWithRetry("POST", "/v1/rank", "{not json", retry);
-  EXPECT_EQ(response.status, 400);
-  const auto stats = json::Parse(client.Request("GET", "/statsz").body);
-  ASSERT_TRUE(stats);
-  const json::Value* rank = stats->Find("endpoints")->Find("/v1/rank");
-  ASSERT_TRUE(rank != nullptr);
-  EXPECT_EQ(rank->Find("requests")->number_value(), 1.0);  // exactly one try
+  EXPECT_EQ(client.Request("POST", "/v1/route", RouteBody(2, 3)).status, 200);
 }
 
 TEST(HttpHealth, HealthzFlipsAcrossSwapSnapshot) {
@@ -709,10 +765,10 @@ TEST(HttpHealth, HealthzFlipsAcrossSwapSnapshot) {
   EXPECT_EQ(after->Find("swap_count")->number_value(), 1.0);
 
   // And ranking still works on the new snapshot, bitwise.
-  const auto response = client.Request("POST", "/v1/rank", RankBody(0, 63));
+  const auto response = client.Request("POST", "/v1/route", RouteBody(0, 63));
   ASSERT_EQ(response.status, 200);
   ExpectMatchesRanking(fx.planner.Plan({0, 63}).ranked,
-                       ParseCandidates(response.body));
+                       ParseCandidates(response.body, "routes"));
 }
 
 TEST(HttpStats, StatszTracksPerEndpointLatency) {
@@ -720,21 +776,26 @@ TEST(HttpStats, StatszTracksPerEndpointLatency) {
   HttpClient client;
   client.Connect(fx.server.port());
   for (int i = 0; i < 3; ++i) {
-    ASSERT_EQ(client.Request("POST", "/v1/rank", RankBody(0, 63)).status,
+    ASSERT_EQ(client.Request("POST", "/v1/route", RouteBody(0, 63)).status,
               200);
   }
+  // A rejected request counts once, as a request and as an error.
+  ASSERT_EQ(client.Request("POST", "/v1/route", "{not json").status, 400);
   const auto stats = json::Parse(client.Request("GET", "/statsz").body);
   ASSERT_TRUE(stats);
   const json::Value* endpoints = stats->Find("endpoints");
   ASSERT_TRUE(endpoints != nullptr);
-  const json::Value* rank = endpoints->Find("/v1/rank");
-  ASSERT_TRUE(rank != nullptr);
-  EXPECT_EQ(rank->Find("requests")->number_value(), 3.0);
-  EXPECT_EQ(rank->Find("errors")->number_value(), 0.0);
-  EXPECT_GT(rank->Find("latency_p50_s")->number_value(), 0.0);
-  EXPECT_GE(rank->Find("latency_p99_s")->number_value(),
-            rank->Find("latency_p50_s")->number_value());
-  EXPECT_EQ(stats->Find("requests_total")->number_value(), 4.0);
+  const json::Value* route = endpoints->Find("/v1/route");
+  ASSERT_TRUE(route != nullptr);
+  EXPECT_EQ(route->Find("requests")->number_value(), 4.0);
+  EXPECT_EQ(route->Find("errors")->number_value(), 1.0);
+  EXPECT_GT(route->Find("latency_p50_s")->number_value(), 0.0);
+  EXPECT_GE(route->Find("latency_p99_s")->number_value(),
+            route->Find("latency_p50_s")->number_value());
+  EXPECT_EQ(endpoints->Find("/v1/score")->Find("requests")->number_value(),
+            0.0);
+  EXPECT_EQ(endpoints->Find("/v1/rank"), nullptr);
+  EXPECT_EQ(stats->Find("requests_total")->number_value(), 5.0);
 }
 
 /// Server wired to a live GraphStore + epoch-aware RoutePlanner: the
@@ -793,11 +854,6 @@ struct TrafficServerFixture {
     server.Start();
   }
 };
-
-std::string RouteBody(graph::VertexId source, graph::VertexId destination) {
-  return "{\"source\": " + std::to_string(source) +
-         ", \"destination\": " + std::to_string(destination) + "}";
-}
 
 TEST(TrafficHttp, ValidBatchBumpsEpochAndInvalidatesRouteCache) {
   TrafficServerFixture fx;
@@ -863,10 +919,9 @@ std::string StatusSlug(const HttpClient::Response& response) {
   return parsed->Find("status")->string_value();
 }
 
-// /v1/rank is an alias of /v1/route: it must answer on the live graph, at
-// the current epoch. It once ranked on the boot graph and kept returning
-// routes over roads /v1/traffic had closed.
-TEST(TrafficHttp, RankAliasAnswersOnTheLiveGraph) {
+// /v1/route answers on the live graph, at the current epoch: never over
+// roads /v1/traffic has closed.
+TEST(TrafficHttp, RouteAnswersOnTheLiveGraph) {
   TrafficServerFixture fx;
   HttpClient client;
   client.Connect(fx.server.port());
@@ -892,27 +947,21 @@ TEST(TrafficHttp, RankAliasAnswersOnTheLiveGraph) {
                                       "{\"updates\": [" + updates + "]}");
   ASSERT_EQ(applied.status, 200) << applied.body;
 
-  // Same status and slug on both endpoints for the closed-off query.
+  // The closed-off query is unreachable now.
   const auto route = client.Request("POST", "/v1/route", RouteBody(0, 63));
-  const auto rank = client.Request("POST", "/v1/rank", RouteBody(0, 63));
   EXPECT_EQ(route.status, 404) << route.body;
   EXPECT_EQ(StatusSlug(route), "unreachable");
-  EXPECT_EQ(rank.status, route.status) << rank.body;
-  EXPECT_EQ(StatusSlug(rank), StatusSlug(route));
 
-  // A query that stays reachable: /v1/rank returns the same paths and
-  // scores as /v1/route and the in-process planner, at the same epoch.
+  // A query that stays reachable returns the in-process planner's paths
+  // and scores, at the same epoch.
   const RouteResult expected = fx.planner.Plan({3, 59});
   ASSERT_EQ(expected.status, RouteStatus::kOk);
   EXPECT_EQ(expected.graph_epoch, 1u);
   const auto live_route = client.Request("POST", "/v1/route", RouteBody(3, 59));
-  const auto live_rank = client.Request("POST", "/v1/rank", RouteBody(3, 59));
   ASSERT_EQ(live_route.status, 200) << live_route.body;
-  ASSERT_EQ(live_rank.status, 200) << live_rank.body;
   EXPECT_NE(live_route.body.find("\"graph_epoch\":1"), std::string::npos);
   ExpectMatchesRanking(expected.ranked,
                        ParseCandidates(live_route.body, "routes"));
-  ExpectMatchesRanking(expected.ranked, ParseCandidates(live_rank.body));
   for (const auto& scored : expected.ranked) {
     for (const auto edge : scored.path.edges) {
       EXPECT_EQ(used.count(edge), 0u) << "route over closed edge " << edge;

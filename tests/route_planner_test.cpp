@@ -4,8 +4,7 @@
 // hit returns bitwise-identical results (and byte-identical HTTP bodies
 // modulo the cache_hit flag), (3) the LRU evicts and touches correctly,
 // (4) the error taxonomy (unknown vertex, s == d, unreachable, bad k)
-// maps to 4xx over HTTP with stable status slugs, on /v1/route and on
-// its /v1/rank alias alike, (5) the cache holds answers: a hit never calls
+// maps to 4xx over HTTP with stable status slugs, (5) the cache holds answers: a hit never calls
 // the scorer, a model swap (even one that lands mid-scoring) makes the
 // next query re-score on the new snapshot, concurrent identical misses
 // score once, and a throwing scorer leaves nothing cached, and (6) the
@@ -28,6 +27,7 @@
 #include "serving/model_snapshot.h"
 #include "serving/route_planner.h"
 #include "serving/serving_engine.h"
+#include "support/http_client.h"
 
 namespace pathrank::serving {
 namespace {
@@ -482,8 +482,8 @@ TEST(RouteAnswerCache, ThrowingScorerLeavesNothingCached) {
 // ---- HTTP mapping ------------------------------------------------------
 
 /// Loopback server whose route seam is a real RoutePlanner. /v1/route
-/// and /v1/rank delegate vertex range checking to the planner regardless
-/// of backend.num_vertices (so out-of-range ids earn the unknown_vertex
+/// delegates vertex range checking to the planner regardless of
+/// backend.num_vertices (so out-of-range ids earn the unknown_vertex
 /// slug) — the taxonomy tests below therefore exercise exactly what a
 /// production `pathrank_cli serve` emits.
 struct RouteServerFixture {
@@ -599,49 +599,46 @@ TEST(RouteHttp, ErrorTaxonomyMapsTo4xx) {
   const auto n = static_cast<graph::VertexId>(fx.network.num_vertices());
   HttpClient client;
   client.Connect(fx.server.port());
-  // /v1/rank is an alias of /v1/route: same parser, same status table.
-  for (const std::string target : {"/v1/route", "/v1/rank"}) {
-    SCOPED_TRACE(target);
-    const auto unknown =
-        client.Request("POST", target, RouteBody(n, 0));
-    EXPECT_EQ(unknown.status, 400);
-    EXPECT_NE(unknown.body.find("\"status\":\"unknown_vertex\""),
-              std::string::npos)
-        << unknown.body;
+  const std::string target = "/v1/route";
+  const auto unknown =
+      client.Request("POST", target, RouteBody(n, 0));
+  EXPECT_EQ(unknown.status, 400);
+  EXPECT_NE(unknown.body.find("\"status\":\"unknown_vertex\""),
+            std::string::npos)
+      << unknown.body;
 
-    const auto same = client.Request("POST", target, RouteBody(4, 4));
-    EXPECT_EQ(same.status, 400);
-    EXPECT_NE(same.body.find("\"status\":\"same_vertex\""), std::string::npos);
+  const auto same = client.Request("POST", target, RouteBody(4, 4));
+  EXPECT_EQ(same.status, 400);
+  EXPECT_NE(same.body.find("\"status\":\"same_vertex\""), std::string::npos);
 
-    const auto bad_k =
-        client.Request("POST", target,
-                       "{\"source\": 0, \"destination\": 9, \"k\": 0}");
-    EXPECT_EQ(bad_k.status, 400);
-    // HTTP-layer validation failures carry the slug too, not a bare error.
-    EXPECT_NE(bad_k.body.find("\"status\":\"bad_request\""),
-              std::string::npos)
-        << bad_k.body;
-    const auto negative_k =
-        client.Request("POST", target,
-                       "{\"source\": 0, \"destination\": 9, \"k\": -3}");
-    EXPECT_EQ(negative_k.status, 400);
-    const auto huge_k = client.Request(
-        "POST", target, RouteBody(0, 9, fx.planner.config().max_k + 1));
-    EXPECT_EQ(huge_k.status, 400);
-    EXPECT_NE(huge_k.body.find("\"status\":\"bad_request\""),
-              std::string::npos);
+  const auto bad_k =
+      client.Request("POST", target,
+                     "{\"source\": 0, \"destination\": 9, \"k\": 0}");
+  EXPECT_EQ(bad_k.status, 400);
+  // HTTP-layer validation failures carry the slug too, not a bare error.
+  EXPECT_NE(bad_k.body.find("\"status\":\"bad_request\""),
+            std::string::npos)
+      << bad_k.body;
+  const auto negative_k =
+      client.Request("POST", target,
+                     "{\"source\": 0, \"destination\": 9, \"k\": -3}");
+  EXPECT_EQ(negative_k.status, 400);
+  const auto huge_k = client.Request(
+      "POST", target, RouteBody(0, 9, fx.planner.config().max_k + 1));
+  EXPECT_EQ(huge_k.status, 400);
+  EXPECT_NE(huge_k.body.find("\"status\":\"bad_request\""),
+            std::string::npos);
 
-    const auto bad_json =
-        client.Request("POST", target, "{\"source\": }");
-    EXPECT_EQ(bad_json.status, 400);
-    // Unparseable JSON carries the slug like every other 4xx — clients
-    // branch on "status", and this path used to return a bare error.
-    EXPECT_NE(bad_json.body.find("\"status\":\"bad_request\""),
-              std::string::npos)
-        << bad_json.body;
-    const auto wrong_method = client.Request("GET", target);
-    EXPECT_EQ(wrong_method.status, 405);
-  }
+  const auto bad_json =
+      client.Request("POST", target, "{\"source\": }");
+  EXPECT_EQ(bad_json.status, 400);
+  // Unparseable JSON carries the slug like every other 4xx — clients
+  // branch on "status", and this path used to return a bare error.
+  EXPECT_NE(bad_json.body.find("\"status\":\"bad_request\""),
+            std::string::npos)
+      << bad_json.body;
+  const auto wrong_method = client.Request("GET", target);
+  EXPECT_EQ(wrong_method.status, 405);
 }
 
 TEST(RouteHttp, UnreachablePairIs404) {
@@ -665,19 +662,17 @@ TEST(RouteHttp, UnreachablePairIs404) {
   server.Start();
   HttpClient client;
   client.Connect(server.port());
-  for (const std::string target : {"/v1/route", "/v1/rank"}) {
-    const auto response = client.Request("POST", target, RouteBody(0, 4));
-    EXPECT_EQ(response.status, 404) << target;
-    EXPECT_NE(response.body.find("\"status\":\"unreachable\""),
-              std::string::npos)
-        << target << ": " << response.body;
-  }
+  const auto response = client.Request("POST", "/v1/route", RouteBody(0, 4));
+  EXPECT_EQ(response.status, 404);
+  EXPECT_NE(response.body.find("\"status\":\"unreachable\""),
+            std::string::npos)
+      << response.body;
   server.Stop();
 }
 
 TEST(RouteHttp, MissingRouteBackendIs404) {
-  // A server wired without the route seam must answer 404 on /v1/route
-  // and its /v1/rank alias, not crash on a null std::function.
+  // A server wired without the route seam must answer 404 on /v1/route,
+  // not crash on a null std::function.
   graph::RoadNetwork network = graph::BuildTestNetwork();
   const core::PathRankModel model(network.num_vertices(), SmallConfig());
   const ServingEngine engine(network, model);
@@ -691,7 +686,6 @@ TEST(RouteHttp, MissingRouteBackendIs404) {
   HttpClient client;
   client.Connect(server.port());
   EXPECT_EQ(client.Request("POST", "/v1/route", RouteBody(0, 9)).status, 404);
-  EXPECT_EQ(client.Request("POST", "/v1/rank", RouteBody(0, 9)).status, 404);
   server.Stop();
 }
 

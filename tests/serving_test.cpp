@@ -232,17 +232,6 @@ TEST(ModelSnapshot, IsImmuneToLaterTrainingOfTheSource) {
   EXPECT_TRUE(source_changed);
 }
 
-TEST(ModelSnapshot, MaterializeRoundTrips) {
-  core::PathRankModel model(16, SmallConfig());
-  const auto snapshot = ModelSnapshot::Capture(model);
-  const auto copy = snapshot->Materialize();
-  const auto expected = model.Forward(ToyBatch());
-  const auto actual = copy->Forward(ToyBatch());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(expected[i], actual[i]);
-  }
-}
-
 // ---- serving engine ---------------------------------------------------
 
 struct EngineFixture {

@@ -31,6 +31,11 @@
 #                   PATHRANK_DEBUG_LOCK_RANK runtime checker
 #                   (common/lock_rank.h). std::once_flag/call_once stay
 #                   legal — they hold no user-visible lock.
+#   raw-stderr      fprintf(stderr, ...), std::cerr, std::cout and bare
+#                   printf()/puts() in src/ outside common/logging.*.
+#                   Library diagnostics go through common/logging
+#                   (PR_LOG_*): leveled, prefixed, one framed line each,
+#                   and silenced by the same level switch as the rest.
 #
 # Allowlist: tools/banned_patterns_allowlist.txt, lines of
 # "<rule>:<repo-relative-path>  # reason". An entry suppresses that rule
@@ -187,6 +192,19 @@ for file in "${SRC_FILES[@]}"; do
     [ -n "$hit" ] || continue
     report raw-sync "$file" "${hit%%:*}" "${hit#*:}"
   done < <(stripped "$ROOT/$file" | grep -En "$SYNC_RE" || true)
+done
+
+# ---- raw-stderr --------------------------------------------------------
+STDERR_RE='fprintf[[:space:]]*\([[:space:]]*stderr|std::(cerr|cout)[^[:alnum:]_]|(^|[^[:alnum:]_])(std::)?(printf|puts)[[:space:]]*\('
+for file in "${SRC_FILES[@]}"; do
+  case "$file" in
+    src/common/logging.cpp|src/common/logging.h) continue ;;
+  esac
+  allowlisted raw-stderr "$file" && continue
+  while IFS= read -r hit; do
+    [ -n "$hit" ] || continue
+    report raw-stderr "$file" "${hit%%:*}" "${hit#*:}"
+  done < <(stripped "$ROOT/$file" | grep -En "$STDERR_RE" || true)
 done
 
 # ---- allowlist hygiene -------------------------------------------------

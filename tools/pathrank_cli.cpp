@@ -16,8 +16,8 @@
 // request.
 //
 // `serve --http PORT` exposes the serving stack over HTTP/1.1 (POST
-// /v1/route, its /v1/rank alias, POST /v1/score, POST /v1/traffic, GET
-// /healthz, GET /statsz) until SIGINT/SIGTERM, with admission control in
+// /v1/route, POST /v1/score, POST /v1/traffic, GET /healthz, GET
+// /statsz) until SIGINT/SIGTERM, with admission control in
 // front of the engine (--max-inflight, --max-queue-wait-us; overload
 // answers 429 + Retry-After). /v1/route is the full online pipeline
 // (candidate enumeration + scoring + LRU answer cache, see
@@ -425,7 +425,7 @@ int RunHttpFrontEnd(const Args& args, const graph::RoadNetwork& network,
   // "score" and "route"), for drills and for reproducing what chaos_test
   // exercises programmatically. The wrapper goes in BEFORE the planner
   // captures backend.score, so injected scoring faults hit /v1/route
-  // and /v1/rank too.
+  // too.
   std::shared_ptr<serving::FaultInjector> faults;
   if (args.Has("fault-spec")) {
     try {
@@ -445,7 +445,7 @@ int RunHttpFrontEnd(const Args& args, const graph::RoadNetwork& network,
     };
   }
 
-  // The live graph behind /v1/route, /v1/rank and /v1/traffic: a
+  // The live graph behind /v1/route and /v1/traffic: a
   // GraphStore seeded with a copy of the boot network (epoch 0). Traffic
   // batches and --watch-graph reloads swap new snapshots in.
   serving::GraphStore graph_store(network);
@@ -475,7 +475,7 @@ int RunHttpFrontEnd(const Args& args, const graph::RoadNetwork& network,
     graph_store.EnablePreprocessing(preprocess);
   }
 
-  // The online route pipeline behind POST /v1/route and /v1/rank:
+  // The online route pipeline behind POST /v1/route:
   // candidate enumeration + scoring through the SAME seam backend.score
   // uses + LRU answer cache. Built over the GraphStore: each query
   // captures the current snapshot (and, for ALT, the preprocessing
@@ -575,8 +575,7 @@ int RunHttpFrontEnd(const Args& args, const graph::RoadNetwork& network,
                 args.Get("fault-spec", "").c_str(),
                 args.GetInt("fault-seed", 1));
   }
-  std::printf("endpoints: POST /v1/route  POST /v1/rank (alias)  "
-              "POST /v1/score  POST /v1/traffic  GET /healthz  GET /statsz  "
+  std::printf("endpoints: POST /v1/route  POST /v1/score  POST /v1/traffic  GET /healthz  GET /statsz  "
               "(Ctrl-C to stop)\n");
 
   g_http_interrupted.store(false);
@@ -595,9 +594,6 @@ int RunHttpFrontEnd(const Args& args, const graph::RoadNetwork& network,
               static_cast<unsigned long long>(stats.connections_accepted),
               static_cast<unsigned long long>(stats.requests_total),
               static_cast<unsigned long long>(stats.shed_total));
-  std::printf("rank:  %llu requests  p50 %.2f ms  p99 %.2f ms\n",
-              static_cast<unsigned long long>(stats.rank.requests),
-              stats.rank.latency_p50_s * 1e3, stats.rank.latency_p99_s * 1e3);
   std::printf("score: %llu requests  p50 %.2f ms  p99 %.2f ms\n",
               static_cast<unsigned long long>(stats.score.requests),
               stats.score.latency_p50_s * 1e3,
