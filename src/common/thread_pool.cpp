@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <exception>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "common/env.h"
@@ -223,12 +222,6 @@ size_t GetNumThreads() { return ThreadPool::Global().num_threads(); }
 
 void SetNumThreads(size_t n) { ThreadPool::Global().Resize(n); }
 
-size_t NumShardsFor(size_t range, size_t max_shards) {
-  if (range == 0) return 0;
-  size_t shards = max_shards > 0 ? max_shards : GetNumThreads();
-  return std::min(shards > 0 ? shards : 1, range);
-}
-
 void ParallelFor(size_t begin, size_t end, size_t grain,
                  const std::function<void(size_t, size_t)>& fn) {
   if (begin >= end) return;
@@ -260,48 +253,6 @@ void ParallelFor(size_t begin, size_t end, size_t grain,
     const size_t lo = begin + chunk * chunk_size;
     const size_t hi = std::min(end, lo + chunk_size);
     fn(lo, hi);
-  };
-  ThreadPool::Global().Run(batch);
-}
-
-void ParallelForShards(
-    size_t begin, size_t end,
-    const std::function<void(size_t, size_t, size_t)>& fn,
-    size_t max_shards) {
-  if (begin >= end) return;
-  const size_t range = end - begin;
-  const size_t shards = NumShardsFor(range, max_shards);
-  // Fixed decomposition: depends only on (range, shards), never on which
-  // worker runs which shard, so shard-ordered reductions are
-  // bit-reproducible for a fixed shard count.
-  const size_t base = range / shards;
-  const size_t extra = range % shards;
-  auto shard_bounds = [&](size_t s) {
-    const size_t lo = begin + s * base + std::min(s, extra);
-    return std::pair<size_t, size_t>(lo, lo + base + (s < extra ? 1 : 0));
-  };
-
-  if (shards == 1 || GetNumThreads() == 1 || t_in_parallel_region) {
-    const bool was_in_region = t_in_parallel_region;
-    t_in_parallel_region = true;
-    try {
-      for (size_t s = 0; s < shards; ++s) {
-        const auto [lo, hi] = shard_bounds(s);
-        fn(s, lo, hi);
-      }
-    } catch (...) {
-      t_in_parallel_region = was_in_region;
-      throw;
-    }
-    t_in_parallel_region = was_in_region;
-    return;
-  }
-
-  Batch batch;
-  batch.num_chunks = shards;
-  batch.run_chunk = [&](size_t s) {
-    const auto [lo, hi] = shard_bounds(s);
-    fn(s, lo, hi);
   };
   ThreadPool::Global().Run(batch);
 }

@@ -1,19 +1,18 @@
-// Process-wide worker pool and data-parallel loop primitives.
+// Process-wide worker pool and its one data-parallel loop primitive.
 //
-// Every hot path in the library (GEMM and activation kernels, walk
-// generation, skip-gram, candidate generation, evaluation) funnels through
-// ParallelFor / ParallelForShards so one knob controls all concurrency:
+// Every parallel loop in the library (GEMM and activation kernels,
+// candidate generation, evaluation) funnels through ParallelFor so one
+// knob controls all concurrency:
 //
 //   SetNumThreads(n)          — resize the pool (n >= 1; 1 = fully serial)
 //   PATHRANK_THREADS          — env override consulted on first use
 //   default                   — std::thread::hardware_concurrency()
 //
-// Determinism contract: ParallelForShards always cuts [begin, end) into
-// the SAME contiguous shards for a given (range, max_shards) regardless of
-// how many workers execute them, and shard index is passed to the body, so
-// callers can keep per-shard state (Rng streams, gradient buffers) and
-// reduce in shard order. Results are then bit-reproducible for a fixed
-// shard count no matter how the OS schedules the workers.
+// Determinism contract: ParallelFor's chunking depends on the pool size,
+// so a body must write only its own iterations' outputs and compute each
+// one the same way whatever chunk it lands in. No result then depends on
+// the pool size. A computation whose result would depend on how the range
+// is cut (an Rng stream per chunk, a reduction over chunks) stays serial.
 #pragma once
 
 #include <cstddef>
@@ -36,23 +35,9 @@ void SetNumThreads(size_t n);
 void ParallelFor(size_t begin, size_t end, size_t grain,
                  const std::function<void(size_t, size_t)>& fn);
 
-/// Number of shards ParallelForShards will use for `range` iterations
-/// capped at `max_shards` (0 = pool size). Exposed so callers can size
-/// per-shard buffers before the loop.
-size_t NumShardsFor(size_t range, size_t max_shards = 0);
-
-/// Runs fn(shard, shard_begin, shard_end) over NumShardsFor(end - begin,
-/// max_shards) contiguous shards. The decomposition depends only on the
-/// range and shard count — never on scheduling — so per-shard results can
-/// be reduced in shard order for deterministic parallel reductions.
-void ParallelForShards(
-    size_t begin, size_t end,
-    const std::function<void(size_t, size_t, size_t)>& fn,
-    size_t max_shards = 0);
-
 /// RAII guard that marks the current thread as already inside a parallel
-/// region: ParallelFor / ParallelForShards called on this thread run
-/// serially instead of dispatching to (and blocking on) the global pool.
+/// region: ParallelFor called on this thread runs serially instead of
+/// dispatching to (and blocking on) the global pool.
 ///
 /// Callers that manage their own concurrency — the serving engine scores
 /// queries on caller threads — use this so independent work neither

@@ -1,7 +1,5 @@
 #include "core/evaluator.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
@@ -32,12 +30,9 @@ void ScoreQuery(const PathRankModel& model, const InferenceTables& tables,
   predicted->assign(scores.begin(), scores.end());
 }
 
-/// Single source of truth for the evaluation shard count: below 16
-/// queries the dispatch overhead outweighs the parallelism.
-size_t EvalShards(size_t num_queries) {
-  if (num_queries < 16) return 1;
-  return std::max<size_t>(1, NumShardsFor(num_queries, 0));
-}
+/// Queries per chunk: below this many the dispatch overhead outweighs
+/// the parallelism, so smaller sets score inline.
+constexpr size_t kQueriesPerChunk = 16;
 
 }  // namespace
 
@@ -50,34 +45,20 @@ std::string EvalResult::ToString() const {
 EvalResult Evaluate(const PathRankModel& model,
                     const data::RankingDataset& dataset) {
   const size_t num_queries = dataset.queries.size();
-  // Scores are identical for any shard count — the inference kernels are
-  // bitwise stable and every shard reads the same shared parameters and
-  // tables — and metrics are accumulated in query order afterwards.
-  const size_t num_shards = EvalShards(num_queries);
+  // Scores are identical for any chunking: the inference kernels are
+  // bitwise stable and every chunk reads the same shared parameters and
+  // tables. Metrics are accumulated in query order afterwards.
   const InferenceTables tables = model.BuildInferenceTables();
   std::vector<std::vector<double>> predicted(num_queries);
   std::vector<std::vector<double>> truth(num_queries);
-
-  if (num_shards <= 1) {
+  ParallelFor(0, num_queries, kQueriesPerChunk, [&](size_t lo, size_t hi) {
     InferenceScratch scratch;
-    for (size_t q = 0; q < num_queries; ++q) {
+    for (size_t q = lo; q < hi; ++q) {
       if (dataset.queries[q].candidates.empty()) continue;
       ScoreQuery(model, tables, &scratch, dataset.queries[q], &predicted[q],
                  &truth[q]);
     }
-  } else {
-    std::vector<InferenceScratch> scratch(num_shards);
-    ParallelForShards(
-        0, num_queries,
-        [&](size_t shard, size_t lo, size_t hi) {
-          for (size_t q = lo; q < hi; ++q) {
-            if (dataset.queries[q].candidates.empty()) continue;
-            ScoreQuery(model, tables, &scratch[shard], dataset.queries[q],
-                       &predicted[q], &truth[q]);
-          }
-        },
-        num_shards);
-  }
+  });
 
   metrics::MetricAccumulator acc;
   for (size_t q = 0; q < num_queries; ++q) {

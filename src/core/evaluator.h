@@ -25,9 +25,10 @@ struct EvalResult {
 };
 
 /// Scores every query's candidates with `model` and accumulates metrics.
-/// Builds the model's inference tables once, then parallel shards score
-/// through the const inference path with per-shard scratch — the model and
-/// tables are shared read-only, never copied or mutated.
+/// Builds the model's inference tables once, then parallel chunks of
+/// queries score through the const inference path, each with its own
+/// scratch — the model and tables are shared read-only, never copied or
+/// mutated.
 EvalResult Evaluate(const PathRankModel& model,
                     const data::RankingDataset& dataset);
 

@@ -115,8 +115,8 @@ TrainHistory TrainPathRank(PathRankModel& model,
     record.learning_rate = lr;
 
     if (use_validation) {
-      // Validation scores through the const inference path, sharded with
-      // per-shard scratch.
+      // Validation scores through the const inference path, in parallel
+      // chunks with per-chunk scratch.
       const EvalResult val = Evaluate(model, validation);
       record.val_mae = val.mae;
       record.val_tau = val.kendall_tau;

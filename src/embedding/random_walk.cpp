@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 
 namespace pathrank::embedding {
 
@@ -84,9 +83,10 @@ std::vector<graph::VertexId> RandomWalker::Walk(graph::VertexId start,
 
 std::vector<std::vector<graph::VertexId>> RandomWalker::GenerateCorpus(
     pathrank::Rng& rng) const {
-  // Plan all start vertices serially (the shuffles consume the caller's
-  // stream), then walk in parallel with one forked Rng stream per shard.
-  // The corpus is deterministic for a fixed (seed, thread count).
+  // Plan every start vertex (the shuffles consume the caller's stream),
+  // then walk them in order on one forked stream, so the corpus depends
+  // on the seed alone, never on the pool size. Walking on a fork keeps a
+  // seed's corpus, and every checkpoint trained from it, bitwise stable.
   std::vector<graph::VertexId> order(network_->num_vertices());
   std::iota(order.begin(), order.end(), graph::VertexId{0});
   std::vector<graph::VertexId> starts;
@@ -97,21 +97,12 @@ std::vector<std::vector<graph::VertexId>> RandomWalker::GenerateCorpus(
     starts.insert(starts.end(), order.begin(), order.end());
   }
 
-  const size_t num_shards = NumShardsFor(starts.size());
-  std::vector<pathrank::Rng> shard_rngs;
-  shard_rngs.reserve(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) shard_rngs.push_back(rng.Fork());
-
-  std::vector<std::vector<graph::VertexId>> corpus(starts.size());
-  ParallelForShards(
-      0, starts.size(),
-      [&](size_t shard, size_t lo, size_t hi) {
-        pathrank::Rng& shard_rng = shard_rngs[shard];
-        for (size_t i = lo; i < hi; ++i) {
-          corpus[i] = Walk(starts[i], shard_rng);
-        }
-      },
-      num_shards);
+  pathrank::Rng walk_rng = rng.Fork();
+  std::vector<std::vector<graph::VertexId>> corpus;
+  corpus.reserve(starts.size());
+  for (graph::VertexId start : starts) {
+    corpus.push_back(Walk(start, walk_rng));
+  }
   return corpus;
 }
 

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "embedding/alias_table.h"
 
 namespace pathrank::embedding {
@@ -18,7 +16,7 @@ inline float Sigmoid(float x) {
   return 1.0f / (1.0f + std::exp(-x));
 }
 
-/// SGD state shared by the serial and data-parallel paths.
+/// SGD state for one training run.
 struct SgnsContext {
   const std::vector<std::vector<graph::VertexId>>* corpus = nullptr;
   const SkipGramConfig* config = nullptr;
@@ -27,21 +25,16 @@ struct SgnsContext {
   double total_steps = 0.0;
 };
 
-/// Runs the word2vec SGNS inner loop over walks
-/// walk_order[[begin, end)], updating `in`/`out` in place. `step_base` is
-/// the global token index of walk_order[begin] — the linear lr decay then
-/// matches the serial schedule exactly no matter how the range is
-/// sharded.
-void TrainWalkRange(const SgnsContext& ctx,
-                    const std::vector<size_t>& walk_order, size_t begin,
-                    size_t end, double step_base, nn::Matrix* in,
-                    nn::Matrix* out, pathrank::Rng& rng,
-                    std::vector<float>& grad_center) {
+/// Runs the word2vec SGNS inner loop over the walks in `walk_order`,
+/// updating `in`/`out` in place. `step` is the global token index of the
+/// first token; the learning rate decays linearly over ctx.total_steps.
+void TrainWalks(const SgnsContext& ctx, const std::vector<size_t>& walk_order,
+                double step, nn::Matrix* in, nn::Matrix* out,
+                pathrank::Rng& rng, std::vector<float>& grad_center) {
   const SkipGramConfig& config = *ctx.config;
   const size_t dims = ctx.dims;
-  double step = step_base;
-  for (size_t wi = begin; wi < end; ++wi) {
-    const auto& walk = (*ctx.corpus)[walk_order[wi]];
+  for (size_t wi : walk_order) {
+    const auto& walk = (*ctx.corpus)[wi];
     for (size_t pos = 0; pos < walk.size(); ++pos, ++step) {
       const double lr_frac = 1.0 - step / ctx.total_steps;
       const float lr =
@@ -124,82 +117,18 @@ nn::Matrix TrainSkipGram(
 
   std::vector<size_t> walk_order(corpus.size());
   for (size_t i = 0; i < corpus.size(); ++i) walk_order[i] = i;
-  // Token-prefix counts over the shuffled order, recomputed per epoch:
-  // pref[i] is the number of tokens in walks before position i, which
-  // anchors each shard's lr schedule at its exact serial step.
-  std::vector<size_t> pref(corpus.size() + 1, 0);
+  std::vector<float> grad_center(dims);
 
-  // Data-parallel local SGD: each round, every shard trains on a private
-  // copy of the matrices over its slice of walks (own Rng stream), then
-  // the copies are averaged in shard order. One shard degenerates to the
-  // classic serial loop on the canonical matrices. Deterministic for a
-  // fixed (seed, thread count); rounds are short enough that the averaged
-  // trajectory tracks serial SGD closely.
-  const size_t max_shards = NumShardsFor(corpus.size());
-  constexpr size_t kWalksPerShardPerRound = 64;
-  // Averaging traffic is O(vocab * dims) per round regardless of the SGD
-  // work done, so also require ~4 round tokens per vocabulary row; for
-  // large graphs this grows the round instead of letting the averaging
-  // dominate.
-  const size_t avg_walk_tokens =
-      std::max<size_t>(1, total_tokens / corpus.size());
-  const size_t min_round_walks = 4 * vocab_size / avg_walk_tokens + 1;
-  const size_t round_walks =
-      max_shards == 1
-          ? corpus.size()
-          : std::max(max_shards * kWalksPerShardPerRound, min_round_walks);
-
-  std::vector<nn::Matrix> shard_in(max_shards);
-  std::vector<nn::Matrix> shard_out(max_shards);
-  std::vector<std::vector<float>> shard_grad(max_shards,
-                                             std::vector<float>(dims));
-  std::vector<pathrank::Rng> shard_rngs;
-
+  // Classic serial SGD, one pass over the shuffled walks per epoch, so
+  // the table depends on the seed alone, never on the pool size. The
+  // per-epoch fork keeps a seed's table, and every checkpoint trained
+  // from it, bitwise stable.
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
     rng.Shuffle(walk_order);
-    for (size_t i = 0; i < walk_order.size(); ++i) {
-      pref[i + 1] = pref[i] + corpus[walk_order[i]].size();
-    }
-    const double epoch_base =
-        static_cast<double>(epoch) * static_cast<double>(total_tokens);
-
-    for (size_t r0 = 0; r0 < walk_order.size(); r0 += round_walks) {
-      const size_t r1 = std::min(walk_order.size(), r0 + round_walks);
-      const size_t shards = NumShardsFor(r1 - r0, max_shards);
-      shard_rngs.clear();
-      for (size_t s = 0; s < shards; ++s) shard_rngs.push_back(rng.Fork());
-
-      if (shards == 1) {
-        TrainWalkRange(ctx, walk_order, r0, r1,
-                       epoch_base + static_cast<double>(pref[r0]), &in,
-                       &out, shard_rngs[0], shard_grad[0]);
-        continue;
-      }
-
-      for (size_t s = 0; s < shards; ++s) {
-        shard_in[s] = in;
-        shard_out[s] = out;
-      }
-      ParallelForShards(
-          r0, r1,
-          [&](size_t s, size_t lo, size_t hi) {
-            TrainWalkRange(ctx, walk_order, lo, hi,
-                           epoch_base + static_cast<double>(pref[lo]),
-                           &shard_in[s], &shard_out[s], shard_rngs[s],
-                           shard_grad[s]);
-          },
-          shards);
-      // Shard-ordered averaging back onto the canonical matrices.
-      const float inv = 1.0f / static_cast<float>(shards);
-      in = std::move(shard_in[0]);
-      out = std::move(shard_out[0]);
-      for (size_t s = 1; s < shards; ++s) {
-        in.Add(shard_in[s]);
-        out.Add(shard_out[s]);
-      }
-      in.Scale(inv);
-      out.Scale(inv);
-    }
+    pathrank::Rng epoch_rng = rng.Fork();
+    TrainWalks(ctx, walk_order,
+               static_cast<double>(epoch) * static_cast<double>(total_tokens),
+               &in, &out, epoch_rng, grad_center);
   }
   return in;
 }

@@ -87,11 +87,13 @@ RequestHead ParseRequestHead(std::string_view bytes, size_t max_body_bytes) {
   request.keep_alive = version == "HTTP/1.1" ? connection != "close"
                                              : connection == "keep-alive";
 
-  // Body, Content-Length framed. Chunked is rejected OUTRIGHT — even
-  // alongside a Content-Length. Framing a TE+CL message by the length
-  // is the classic request-smuggling desync (RFC 7230 §3.3.3): leftover
-  // chunk bytes would be parsed as the next request on this connection.
-  if (!request.Header("transfer-encoding").empty()) return result;
+  // Body, Content-Length framed. Any Transfer-Encoding header is
+  // rejected OUTRIGHT — even alongside a Content-Length, and even with an
+  // empty value, which a proxy may read as a coding of its own. Framing a
+  // TE+CL message by the length is the classic request-smuggling desync
+  // (RFC 7230 §3.3.3): leftover chunk bytes would be parsed as the next
+  // request on this connection.
+  if (request.headers.count("transfer-encoding") > 0) return result;
   const auto length_it = request.headers.find("content-length");
   if (length_it != request.headers.end()) {
     // 1*DIGIT per RFC 9110: the whole-token unsigned parse rejects "-1",

@@ -220,6 +220,7 @@ TEST(HttpParse, RejectionsCarryTheirStatus) {
        post + "Content-Length: 2\r\ncontent-length: 2\r\n\r\n", 400},
       {"chunked", post + "Transfer-Encoding: chunked\r\n\r\n", 400},
       {"identity", post + "Transfer-Encoding: identity\r\n\r\n", 400},
+      {"empty transfer coding", post + "Transfer-Encoding:\r\n\r\n", 400},
       {"chunked beside a length",
        post + "Content-Length: 5\r\nTransfer-Encoding: chunked\r\n\r\n",
        400},

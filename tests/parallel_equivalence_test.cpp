@@ -1,7 +1,7 @@
-// Parallel-vs-serial equivalence: GEMM outputs, trained weights and
-// evaluation metrics are bitwise identical for any thread count, and
-// training is bit-reproducible for a fixed seed (the determinism
-// guarantees documented in docs/performance.md).
+// Parallel-vs-serial equivalence: GEMM outputs, node2vec walks and
+// tables, trained weights and evaluation metrics are bitwise identical
+// for any thread count, and training is bit-reproducible for a fixed seed
+// (the determinism guarantees documented in docs/performance.md).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -12,6 +12,9 @@
 #include "core/model.h"
 #include "core/trainer.h"
 #include "data/dataset.h"
+#include "embedding/node2vec.h"
+#include "embedding/random_walk.h"
+#include "graph/network_builder.h"
 #include "nn/matrix.h"
 
 namespace pathrank {
@@ -73,6 +76,31 @@ TEST_F(ParallelEquivalenceTest, GemmBitwiseStableAcrossThreadCounts) {
       GemmTN(a, b_tn, &c, 0.5f, 1.0f);
       ExpectBitwiseEqual(c, tn_ref);
     }
+  }
+}
+
+TEST_F(ParallelEquivalenceTest, Node2VecBitwiseStableAcrossThreadCounts) {
+  // Enough walks that a pool-sized split of the corpus or of the SGD
+  // would cut it into several pieces at every thread count below.
+  const graph::RoadNetwork net = graph::BuildTestNetwork();
+  embedding::Node2VecConfig cfg;
+  cfg.walk.walk_length = 12;
+  cfg.walk.walks_per_vertex = 6;
+  cfg.skipgram.dims = 8;
+  cfg.skipgram.epochs = 2;
+  cfg.seed = 23;
+  const embedding::RandomWalker walker(net, cfg.walk);
+
+  SetNumThreads(1);
+  Rng serial_rng(cfg.seed);
+  const auto serial_corpus = walker.GenerateCorpus(serial_rng);
+  const nn::Matrix serial_table = embedding::TrainNode2Vec(net, cfg);
+  for (size_t threads : {2, 4, 8}) {
+    SCOPED_TRACE(threads);
+    SetNumThreads(threads);
+    Rng rng(cfg.seed);
+    EXPECT_TRUE(walker.GenerateCorpus(rng) == serial_corpus);
+    ExpectBitwiseEqual(embedding::TrainNode2Vec(net, cfg), serial_table);
   }
 }
 

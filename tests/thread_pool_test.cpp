@@ -1,6 +1,5 @@
-// Thread pool: ParallelFor coverage/partitioning, deterministic shard
-// decomposition, exception propagation, nested-region collapse and
-// SetNumThreads/env behaviour.
+// Thread pool: ParallelFor coverage/partitioning, exception propagation,
+// nested-region collapse and SetNumThreads/env behaviour.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -44,30 +43,6 @@ TEST_F(ThreadPoolTest, EmptyAndTinyRanges) {
     total.fetch_add(static_cast<int>(hi - lo));
   });
   EXPECT_EQ(total.load(), 1);
-}
-
-TEST_F(ThreadPoolTest, ShardDecompositionIsFixed) {
-  // The (range, shards) decomposition must not depend on the pool size.
-  for (size_t threads : {1, 3}) {
-    SetNumThreads(threads);
-    std::vector<std::pair<size_t, size_t>> bounds(4);
-    ParallelForShards(
-        10, 33,
-        [&](size_t shard, size_t lo, size_t hi) { bounds[shard] = {lo, hi}; },
-        /*max_shards=*/4);
-    // 23 iterations over 4 shards: sizes 6, 6, 6, 5, contiguous.
-    const std::vector<std::pair<size_t, size_t>> expected = {
-        {10, 16}, {16, 22}, {22, 28}, {28, 33}};
-    EXPECT_EQ(bounds, expected);
-  }
-}
-
-TEST_F(ThreadPoolTest, ShardCountCappedByRange) {
-  SetNumThreads(4);
-  EXPECT_EQ(NumShardsFor(2), 2u);
-  EXPECT_EQ(NumShardsFor(100), 4u);
-  EXPECT_EQ(NumShardsFor(100, 3), 3u);
-  EXPECT_EQ(NumShardsFor(0), 0u);
 }
 
 TEST_F(ThreadPoolTest, PropagatesExceptions) {

@@ -36,6 +36,12 @@
 #                   Library diagnostics go through common/logging
 #                   (PR_LOG_*): leveled, prefixed, one framed line each,
 #                   and silenced by the same level switch as the rest.
+#   pool-size       GetNumThreads( in src/ outside common/thread_pool.*.
+#                   Sizing shards, Rng streams or reductions by the pool
+#                   makes a result depend on PATHRANK_THREADS; a parallel
+#                   loop goes through ParallelFor with a body whose output
+#                   does not depend on the chunking. A caller whose use
+#                   never changes a result is allowlisted with its reason.
 #
 # Allowlist: tools/banned_patterns_allowlist.txt, lines of
 # "<rule>:<repo-relative-path>  # reason". An entry suppresses that rule
@@ -205,6 +211,19 @@ for file in "${SRC_FILES[@]}"; do
     [ -n "$hit" ] || continue
     report raw-stderr "$file" "${hit%%:*}" "${hit#*:}"
   done < <(stripped "$ROOT/$file" | grep -En "$STDERR_RE" || true)
+done
+
+# ---- pool-size ---------------------------------------------------------
+POOL_RE='(^|[^[:alnum:]_])GetNumThreads[[:space:]]*\('
+for file in "${SRC_FILES[@]}"; do
+  case "$file" in
+    src/common/thread_pool.cpp|src/common/thread_pool.h) continue ;;
+  esac
+  allowlisted pool-size "$file" && continue
+  while IFS= read -r hit; do
+    [ -n "$hit" ] || continue
+    report pool-size "$file" "${hit%%:*}" "${hit#*:}"
+  done < <(stripped "$ROOT/$file" | grep -En "$POOL_RE" || true)
 done
 
 # ---- allowlist hygiene -------------------------------------------------
