@@ -2,11 +2,15 @@
 // the candidate generators across network sizes.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "common/rng.h"
 #include "graph/network_builder.h"
 #include "routing/cost_model.h"
 #include "routing/dijkstra.h"
 #include "routing/diversified.h"
+#include "routing/preprocessed_graph.h"
+#include "routing/shortest_path_engine.h"
 #include "routing/yen.h"
 
 namespace {
@@ -14,13 +18,35 @@ namespace {
 using namespace pathrank;
 using namespace pathrank::routing;
 
-graph::RoadNetwork MakeNetwork(int side) {
+graph::RoadNetwork MakeNetwork(int side, uint64_t seed = 13) {
   graph::SyntheticNetworkConfig cfg;
   cfg.rows = side;
   cfg.cols = side;
-  cfg.seed = 13;
+  cfg.seed = seed;
   return graph::BuildSyntheticNetwork(cfg);
 }
+
+/// Forwards to `inner` and counts its searches.
+class CountingEngine final : public ShortestPathEngine {
+ public:
+  explicit CountingEngine(ShortestPathEngine* inner) : inner_(inner) {}
+
+  SearchResult FindPath(VertexId source, VertexId target,
+                        const EdgeCostFn& cost, const BanSet* bans,
+                        const CancelToken* cancel) override {
+    ++searches_;
+    return inner_->FindPath(source, target, cost, bans, cancel);
+  }
+  const char* name() const override { return inner_->name(); }
+  size_t last_settled_count() const override {
+    return inner_->last_settled_count();
+  }
+  size_t searches() const { return searches_; }
+
+ private:
+  ShortestPathEngine* inner_;
+  size_t searches_ = 0;
+};
 
 /// Deterministic far-apart query pair for a network.
 std::pair<VertexId, VertexId> PickQuery(const graph::RoadNetwork& net,
@@ -61,6 +87,24 @@ void BM_YenTopK(benchmark::State& state) {
 }
 BENCHMARK(BM_YenTopK)->Arg(4)->Arg(8)->Arg(16);
 
+/// D-TkDI through a counting engine; `spur_searches` is the mean number
+/// of engine searches per query.
+void RunDiversified(benchmark::State& state, const graph::RoadNetwork& net,
+                    const EdgeCostFn& cost, const DiversifiedOptions& options,
+                    ShortestPathEngine* engine) {
+  CountingEngine counting(engine);
+  uint64_t salt = 0;
+  for (auto _ : state) {
+    const auto [s, t] = PickQuery(net, salt++ % 8);
+    auto paths =
+        DiversifiedTopK(net, s, t, cost, options, nullptr, &counting);
+    benchmark::DoNotOptimize(paths);
+  }
+  state.counters["spur_searches"] =
+      benchmark::Counter(static_cast<double>(counting.searches()),
+                         benchmark::Counter::kAvgIterations);
+}
+
 void BM_DiversifiedTopK(benchmark::State& state) {
   const auto net = MakeNetwork(24);
   const auto cost = EdgeCostFn::Length(net);
@@ -68,14 +112,24 @@ void BM_DiversifiedTopK(benchmark::State& state) {
   options.k = static_cast<int>(state.range(0));
   options.similarity_threshold = 0.8;
   options.max_enumerated = 300;
-  uint64_t salt = 0;
-  for (auto _ : state) {
-    const auto [s, t] = PickQuery(net, salt++ % 8);
-    auto paths = DiversifiedTopK(net, s, t, cost, options);
-    benchmark::DoNotOptimize(paths);
-  }
+  DijkstraEngine engine(net);
+  RunDiversified(state, net, cost, options, &engine);
 }
 BENCHMARK(BM_DiversifiedTopK)->Arg(4)->Arg(8)->Arg(16);
+
+/// The served configuration: perfbench's 24x24 network, travel time,
+/// k = 10, threshold 0.6, ALT with 8 landmarks.
+void BM_DiversifiedTopKServed(benchmark::State& state) {
+  const auto net = MakeNetwork(24, 42);
+  const auto cost = EdgeCostFn::TravelTime(net);
+  DiversifiedOptions options;
+  options.k = 10;
+  options.similarity_threshold = 0.6;
+  AltEngine engine(net, cost,
+                   std::make_shared<const PreprocessedGraph>(net, cost, 8));
+  RunDiversified(state, net, cost, options, &engine);
+}
+BENCHMARK(BM_DiversifiedTopKServed);
 
 void BM_NetworkConstruction(benchmark::State& state) {
   graph::SyntheticNetworkConfig cfg;

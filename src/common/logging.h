@@ -85,6 +85,15 @@ bool LogLevelEnabled(LogLevel level);
   } else                                                                    \
     ::pathrank::internal::CheckFailure(#cond, __FILE__, __LINE__).stream()
 
+// PR_DCHECK: PR_CHECK in builds without NDEBUG (Debug and the sanitizer
+// jobs); in Release the condition still compiles but is never evaluated.
+#ifdef NDEBUG
+#define PR_DCHECK(cond) \
+  while (false) PR_CHECK(cond)
+#else
+#define PR_DCHECK(cond) PR_CHECK(cond)
+#endif
+
 namespace pathrank::internal {
 
 /// Aborts the process after streaming a diagnostic message.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <queue>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -122,6 +123,38 @@ Path Dijkstra::Reconstruct(VertexId target, double dist) const {
   for (EdgeId e : path.edges) path.vertices.push_back(network_->edge(e).to);
   RecomputeTotals(*network_, &path);
   return path;
+}
+
+std::vector<double> ReverseDistances(const RoadNetwork& network,
+                                     VertexId target, const EdgeCostFn& cost,
+                                     const CancelToken* cancel) {
+  PR_CHECK(target < network.num_vertices());
+  if (cancel != nullptr && cancel->Expired()) return {};
+  std::vector<double> dist(network.num_vertices(), kInf);
+  dist[target] = 0.0;
+  using Entry = std::pair<double, VertexId>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue;
+  queue.push({0.0, target});
+  size_t pops = 0;
+  while (!queue.empty()) {
+    if (cancel != nullptr &&
+        (++pops & (Dijkstra::kCancelCheckPops - 1)) == 0 &&
+        cancel->Expired()) {
+      return {};
+    }
+    const auto [d, u] = queue.top();
+    queue.pop();
+    if (d > dist[u]) continue;
+    for (EdgeId e : network.InEdges(u)) {
+      const VertexId from = network.edge(e).from;
+      const double nd = d + cost(e);
+      if (nd < dist[from]) {
+        dist[from] = nd;
+        queue.push({nd, from});
+      }
+    }
+  }
+  return dist;
 }
 
 }  // namespace pathrank::routing

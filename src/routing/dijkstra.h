@@ -75,4 +75,12 @@ class Dijkstra {
   VertexId last_source_ = graph::kInvalidVertex;
 };
 
+/// One-to-all distances over reversed edges: d(v -> target) for every v,
+/// +inf when v cannot reach `target`. `cancel` (optional) is polled every
+/// Dijkstra::kCancelCheckPops pops; an expired token returns an empty
+/// vector.
+std::vector<double> ReverseDistances(const RoadNetwork& network,
+                                     VertexId target, const EdgeCostFn& cost,
+                                     const CancelToken* cancel = nullptr);
+
 }  // namespace pathrank::routing

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 
 #include "common/logging.h"
 #include "routing/dijkstra.h"
@@ -11,30 +10,6 @@ namespace pathrank::routing {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// One-to-all distances over *reversed* edges: d(v -> source) for all v.
-std::vector<double> ReverseDistances(const graph::RoadNetwork& net,
-                                     VertexId source, const EdgeCostFn& cost) {
-  std::vector<double> dist(net.num_vertices(), kInf);
-  dist[source] = 0.0;
-  using Entry = std::pair<double, VertexId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue;
-  queue.push({0.0, source});
-  while (!queue.empty()) {
-    const auto [d, u] = queue.top();
-    queue.pop();
-    if (d > dist[u]) continue;
-    for (graph::EdgeId e : net.InEdges(u)) {
-      const auto& rec = net.edge(e);
-      const double nd = d + cost(e);
-      if (nd < dist[rec.from]) {
-        dist[rec.from] = nd;
-        queue.push({nd, rec.from});
-      }
-    }
-  }
-  return dist;
-}
 
 PreprocessedGraph::Metric MetricOf(const EdgeCostFn& cost) {
   if (cost.is_length()) return PreprocessedGraph::Metric::kLength;

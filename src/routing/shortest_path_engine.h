@@ -25,8 +25,10 @@
 // therefore Yen candidate sets — are bitwise identical across engines.
 // Within one engine, FindPath's answer depends on its arguments alone:
 // scratch state (including ALT's per-target bound memo) never changes a
-// result. YenEnumerator's Lawler pruning relies on this to skip searches
-// that would repeat an earlier one.
+// result. YenEnumerator relies on this twice: Lawler pruning skips
+// searches that would repeat an earlier one, and postponed spur searches
+// run later than eager Yen would, with the stored bans, and must get the
+// same answer.
 #pragma once
 
 #include <memory>

@@ -1,7 +1,8 @@
 // Yen's k-shortest-paths and the diversified top-k generator, plus the
-// classic-Yen oracle: the production enumerator (Lawler's rule, narrowed
-// sharing list) must match Yen as originally specified bit for bit, and
-// must stay a correct prefix when a spur pass is cancelled.
+// classic-Yen oracle: the production enumerator (Lawler's rule, postponed
+// spur searches, narrowed sharing list) must match Yen as originally
+// specified bit for bit, and must stay a correct prefix when a search is
+// cancelled.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -369,6 +370,34 @@ class CountingEngine final : public ShortestPathEngine {
   size_t searches_ = 0;
 };
 
+/// Forwards to `inner` and counts its searches; expires `token` just
+/// before the `cancel_at`-th search, so that search is cut short inside
+/// the engine.
+class CancelInsideEngine final : public ShortestPathEngine {
+ public:
+  CancelInsideEngine(ShortestPathEngine* inner, const CancelToken* token,
+                     size_t cancel_at)
+      : inner_(inner), token_(token), cancel_at_(cancel_at) {}
+
+  SearchResult FindPath(VertexId source, VertexId target,
+                        const EdgeCostFn& cost, const BanSet* bans,
+                        const CancelToken* cancel) override {
+    if (++searches_ == cancel_at_) token_->Cancel();
+    return inner_->FindPath(source, target, cost, bans, cancel);
+  }
+  const char* name() const override { return inner_->name(); }
+  size_t last_settled_count() const override {
+    return inner_->last_settled_count();
+  }
+  size_t searches() const { return searches_; }
+
+ private:
+  ShortestPathEngine* inner_;
+  const CancelToken* token_;
+  size_t cancel_at_;
+  size_t searches_ = 0;
+};
+
 enum class EngineKind { kDijkstra, kAlt };
 
 /// One network, its metric and its ALT tables; makes fresh engines.
@@ -449,6 +478,30 @@ OracleNetwork Multigraph() {
   b.AddBidirectionalEdge(4, 5, 2.0, RoadCategory::kResidential);
   b.AddBidirectionalEdge(3, 4, 1.0, RoadCategory::kResidential);
   return OracleNetwork("multigraph", b.Build());
+}
+
+/// Costs whose float sums depend on the summation order. The shortest
+/// path is 0-3-5 (0.2). The spur search at 0 finds 0-1-2-5 at
+/// (0.3 + 0.2) + 0.1 = 0.6, but its bound sums 0.3 + (0.1 + 0.2) =
+/// 0.6000000000000001, one ulp above. The spur search at 3 finds 0-3-4-5
+/// at 0.1 + (0.2 + 0.3) = 0.6, an exact tie that sorts after 0-1-2-5.
+OracleNetwork RoundingTie() {
+  struct Segment {
+    VertexId from;
+    VertexId to;
+    double cost;
+  };
+  constexpr Segment kSegments[] = {{0, 3, 0.1}, {3, 5, 0.1}, {0, 1, 0.3},
+                                   {1, 2, 0.2}, {2, 5, 0.1}, {3, 4, 0.2},
+                                   {4, 5, 0.3}};
+  RoadNetworkBuilder b;
+  for (int i = 0; i < 6; ++i) b.AddVertex({57.0 + 0.01 * i, 9.9});
+  for (const Segment& seg : kSegments) {
+    b.AddEdge(seg.from, seg.to, 100.0, RoadCategory::kResidential);
+  }
+  OracleNetwork out("roundingtie", b.Build());
+  for (const Segment& seg : kSegments) out.weights.push_back(seg.cost);
+  return out;
 }
 
 void ExpectBitwiseEqual(const Path& want, const Path& got,
@@ -552,19 +605,22 @@ std::vector<Path> Diversify(const RoadNetwork& network, Enumerator& yen,
 
 /// D-TkDI (k = 10, threshold 0.6) through DiversifiedTopK equals the same
 /// selection over ClassicYen, bit for bit.
-void ExpectDtkdiMatchesOracle(OracleNetwork& network, EngineKind kind,
-                              VertexId s, VertexId t) {
+SearchCounts ExpectDtkdiMatchesOracle(OracleNetwork& network, EngineKind kind,
+                                      VertexId s, VertexId t) {
   const std::string where = Where(network, kind, s, t);
   const EdgeCostFn cost = network.cost();
   DiversifiedOptions options;
   options.k = 10;
   options.similarity_threshold = 0.6;
-  auto lawler_engine = network.MakeEngine(kind);
-  auto classic_engine = network.MakeEngine(kind);
+  auto lawler_inner = network.MakeEngine(kind);
+  auto classic_inner = network.MakeEngine(kind);
+  CountingEngine lawler_engine(lawler_inner.get());
+  CountingEngine classic_engine(classic_inner.get());
   const std::vector<Path> got = DiversifiedTopK(
-      network.net, s, t, cost, options, nullptr, lawler_engine.get());
-  ClassicYen classic(network.net, s, t, cost, classic_engine.get());
+      network.net, s, t, cost, options, nullptr, &lawler_engine);
+  ClassicYen classic(network.net, s, t, cost, &classic_engine);
   ExpectBitwiseEqual(Diversify(network.net, classic, options), got, where);
+  return {lawler_engine.searches(), classic_engine.searches()};
 }
 
 /// Deterministic (s, t) pairs, s != t.
@@ -584,14 +640,43 @@ constexpr EngineKind kEngineKinds[] = {EngineKind::kDijkstra,
                                        EngineKind::kAlt};
 
 TEST(YenOracle, MatchesClassicYenOnRandomizedSyntheticNetworks) {
+  SearchCounts dtkdi;
   for (const uint64_t seed : {3u, 11u, 17u, 29u, 73u}) {
     OracleNetwork network = Synthetic(seed);
     for (const auto& [s, t] : Queries(network.net, seed, 6)) {
       for (const EngineKind kind : kEngineKinds) {
         ExpectTkdiMatchesOracle(network, kind, s, t, /*max_paths=*/30);
-        ExpectDtkdiMatchesOracle(network, kind, s, t);
+        const SearchCounts c = ExpectDtkdiMatchesOracle(network, kind, s, t);
+        dtkdi.lawler += c.lawler;
+        dtkdi.classic += c.classic;
       }
     }
+  }
+  EXPECT_LT(dtkdi.lawler, dtkdi.classic);
+}
+
+TEST(YenOracle, DeadEndSpurPositionsRunNoSearch) {
+  // 0 -> 3 has two simple paths, 0-1-2-3 and 0-1-6-3; the one-way edges
+  // 1 -> 4 and 2 -> 5 lead to dead ends. Every spur position except
+  // vertex 1 of the first path has only banned edges, edges into the
+  // banned root or edges into a dead end left, so it runs no search.
+  RoadNetworkBuilder b;
+  for (int i = 0; i < 7; ++i) b.AddVertex({57.0 + 0.01 * i, 9.9});
+  b.AddBidirectionalEdge(0, 1, 1.0, RoadCategory::kResidential);
+  b.AddBidirectionalEdge(1, 2, 1.0, RoadCategory::kResidential);
+  b.AddBidirectionalEdge(2, 3, 1.0, RoadCategory::kResidential);
+  b.AddBidirectionalEdge(1, 6, 2.0, RoadCategory::kResidential);
+  b.AddBidirectionalEdge(6, 3, 2.0, RoadCategory::kResidential);
+  b.AddEdge(1, 4, 1.0, RoadCategory::kResidential);
+  b.AddEdge(2, 5, 1.0, RoadCategory::kResidential);
+  OracleNetwork network("deadend", b.Build());
+  for (const EngineKind kind : kEngineKinds) {
+    const SearchCounts c =
+        ExpectTkdiMatchesOracle(network, kind, 0, 3, /*max_paths=*/0);
+    // The shortest path, then the spur at vertex 1 of 0-1-2-3.
+    EXPECT_EQ(c.lawler, 2u);
+    // Classic Yen spurs 0-1-2-3 at 0, 1, 2 and 0-1-6-3 at 0, 1, 6.
+    EXPECT_EQ(c.classic, 7u);
   }
 }
 
@@ -640,6 +725,32 @@ TEST(YenOracle, MatchesClassicYenUnderAnIntegerMetric) {
       ExpectDtkdiMatchesOracle(network, kind, s, t);
     }
   }
+}
+
+TEST(YenOracle, MatchesClassicYenUnderAZeroMetric) {
+  // Every path costs 0, so every postponed bound ties the cheapest
+  // candidate and must run before it is accepted.
+  OracleNetwork network = PerfectGrid(3, 3);
+  network.name = "zero3x3";
+  network.weights.assign(network.net.num_edges(), 0.0);
+  for (const auto& [s, t] : Queries(network.net, 9, 6)) {
+    for (const EngineKind kind : kEngineKinds) {
+      ExpectTkdiMatchesOracle(network, kind, s, t, /*max_paths=*/0);
+      ExpectDtkdiMatchesOracle(network, kind, s, t);
+    }
+  }
+}
+
+TEST(YenOracle, MatchesClassicYenWhenABoundRoundsAboveItsCost) {
+  OracleNetwork network = RoundingTie();
+  for (const EngineKind kind : kEngineKinds) {
+    ExpectTkdiMatchesOracle(network, kind, 0, 5, /*max_paths=*/0);
+  }
+  const auto paths = TopKShortestPaths(network.net, 0, 5, network.cost(), 3);
+  ASSERT_EQ(paths.size(), 3u);
+  EXPECT_EQ(paths[1].vertices, (std::vector<VertexId>{0, 1, 2, 5}));
+  EXPECT_EQ(paths[2].vertices, (std::vector<VertexId>{0, 3, 4, 5}));
+  EXPECT_EQ(paths[1].cost, paths[2].cost);
 }
 
 TEST(YenOracle, MatchesClassicYenOnAMultigraph) {
@@ -701,6 +812,46 @@ TEST(YenCancellation, CancelledEnumerationIsAPrefixOfTheFullRun) {
                 static_cast<std::ptrdiff_t>(yen.accepted().size()));
         ExpectBitwiseEqual(prefix, yen.accepted(),
                            "cancel after " + std::to_string(n));
+      }
+    }
+  }
+}
+
+TEST(YenCancellation, CancelInsideAPostponedSearchLatchesAndRunsNoMore) {
+  OracleNetwork network = Synthetic(11);
+  const EdgeCostFn cost = network.cost();
+  for (const auto& [s, t] : Queries(network.net, 11, 3)) {
+    for (const EngineKind kind : kEngineKinds) {
+      auto inner = network.MakeEngine(kind);
+      CountingEngine full_engine(inner.get());
+      YenEnumerator full(network.net, s, t, cost, nullptr, &full_engine);
+      while (full.accepted().size() < 25 && full.Next().has_value()) {
+      }
+      const size_t total = full_engine.searches();
+      ASSERT_GT(total, 4u);
+      // Search 1 finds the shortest path; every later one is postponed.
+      for (const size_t n : {size_t{2}, size_t{3}, total / 2, total}) {
+        const std::string where = Where(network, kind, s, t) +
+                                  " cancel inside search " +
+                                  std::to_string(n);
+        const CancelToken token;
+        auto cancel_inner = network.MakeEngine(kind);
+        CancelInsideEngine engine(cancel_inner.get(), &token, n);
+        YenEnumerator yen(network.net, s, t, cost, &token, &engine);
+        while (yen.accepted().size() < 25 && yen.Next().has_value()) {
+        }
+        EXPECT_TRUE(yen.cancelled()) << where;
+        EXPECT_FALSE(yen.exhausted()) << where;
+        EXPECT_EQ(engine.searches(), n) << where;
+        EXPECT_FALSE(yen.Next().has_value()) << where;
+        EXPECT_TRUE(yen.cancelled()) << where;
+        EXPECT_EQ(engine.searches(), n) << where;
+        ASSERT_LE(yen.accepted().size(), full.accepted().size()) << where;
+        const std::vector<Path> prefix(
+            full.accepted().begin(),
+            full.accepted().begin() +
+                static_cast<std::ptrdiff_t>(yen.accepted().size()));
+        ExpectBitwiseEqual(prefix, yen.accepted(), where);
       }
     }
   }
