@@ -3,6 +3,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "common/rng.h"
 #include "graph/network_builder.h"
@@ -26,7 +27,9 @@ graph::RoadNetwork MakeNetwork(int side, uint64_t seed = 13) {
   return graph::BuildSyntheticNetwork(cfg);
 }
 
-/// Forwards to `inner` and counts its searches.
+/// Forwards to `inner`, its reverse tree included (so Yen runs one reverse
+/// search per query, as served), and counts its searches and the vertices
+/// they settle.
 class CountingEngine final : public ShortestPathEngine {
  public:
   explicit CountingEngine(ShortestPathEngine* inner) : inner_(inner) {}
@@ -35,17 +38,25 @@ class CountingEngine final : public ShortestPathEngine {
                         const EdgeCostFn& cost, const BanSet* bans,
                         const CancelToken* cancel) override {
     ++searches_;
-    return inner_->FindPath(source, target, cost, bans, cancel);
+    SearchResult result = inner_->FindPath(source, target, cost, bans, cancel);
+    settled_ += inner_->last_settled_count();
+    return result;
   }
   const char* name() const override { return inner_->name(); }
   size_t last_settled_count() const override {
     return inner_->last_settled_count();
   }
+  const std::vector<double>* DistancesTo(VertexId target,
+                                         const CancelToken* cancel) override {
+    return inner_->DistancesTo(target, cancel);
+  }
   size_t searches() const { return searches_; }
+  size_t settled() const { return settled_; }
 
  private:
   ShortestPathEngine* inner_;
   size_t searches_ = 0;
+  size_t settled_ = 0;
 };
 
 /// Deterministic far-apart query pair for a network.
@@ -87,8 +98,9 @@ void BM_YenTopK(benchmark::State& state) {
 }
 BENCHMARK(BM_YenTopK)->Arg(4)->Arg(8)->Arg(16);
 
-/// D-TkDI through a counting engine; `spur_searches` is the mean number
-/// of engine searches per query.
+/// D-TkDI through a counting engine; `spur_searches` and `settled` are
+/// the mean number of engine searches and of vertices they settle per
+/// query (the one reverse search per query not included).
 void RunDiversified(benchmark::State& state, const graph::RoadNetwork& net,
                     const EdgeCostFn& cost, const DiversifiedOptions& options,
                     ShortestPathEngine* engine) {
@@ -102,6 +114,9 @@ void RunDiversified(benchmark::State& state, const graph::RoadNetwork& net,
   }
   state.counters["spur_searches"] =
       benchmark::Counter(static_cast<double>(counting.searches()),
+                         benchmark::Counter::kAvgIterations);
+  state.counters["settled"] =
+      benchmark::Counter(static_cast<double>(counting.settled()),
                          benchmark::Counter::kAvgIterations);
 }
 

@@ -46,6 +46,9 @@ int main() {
     std::printf("#%-7d %7.0fm/%4zu %7.0fm/%4zu  (settled)\n", i, pd->cost,
                 settled_d, pa->cost, settled_a);
   }
+  std::printf(
+      "(ALT's count is its A* on the target's reverse tree, without the\n"
+      " reverse search that builds the tree once per target.)\n");
 
   const VertexId s = 40;
   const VertexId t = static_cast<VertexId>(network.num_vertices() - 40);

@@ -94,7 +94,11 @@ RoadNetwork RoadNetworkBuilder::BuildFrom(
     net.in_edge_ids_[in_cursor[rec.to]++] = e;
   }
 
-  // Sort each out-row by target id so FindEdge can binary search.
+  // Sort each out-row by target id so FindEdge can binary search; parallel
+  // edges are then adjacent in their row.
+  const auto same_head = [&net](EdgeId a, EdgeId b) {
+    return net.edge_records_[a].to == net.edge_records_[b].to;
+  };
   for (VertexId v = 0; v < n; ++v) {
     auto begin = net.out_edge_ids_.begin() + net.out_offsets_[v];
     auto end = net.out_edge_ids_.begin() + net.out_offsets_[v + 1];
@@ -104,6 +108,9 @@ RoadNetwork RoadNetworkBuilder::BuildFrom(
       if (ra.to != rb.to) return ra.to < rb.to;
       return ra.length_m < rb.length_m;
     });
+    if (std::adjacent_find(begin, end, same_head) != end) {
+      net.has_parallel_edges_ = true;
+    }
   }
 
   for (const Coordinate& c : net.coordinates_) net.bounds_.Extend(c);

@@ -91,6 +91,11 @@ class RoadNetwork {
             in_offsets_[v + 1] - in_offsets_[v]};
   }
 
+  /// True when some vertex has two open edges to the same head: another
+  /// edge sequence can then visit the same vertices at a different cost.
+  /// Closed edges are in no adjacency row, so they never count.
+  bool has_parallel_edges() const { return has_parallel_edges_; }
+
   /// Out-degree of `v`.
   size_t OutDegree(VertexId v) const {
     return out_offsets_[v + 1] - out_offsets_[v];
@@ -122,6 +127,7 @@ class RoadNetwork {
   std::vector<EdgeId> out_edge_ids_;
   std::vector<uint32_t> in_offsets_;
   std::vector<EdgeId> in_edge_ids_;
+  bool has_parallel_edges_ = false;
   BoundingBox bounds_;
 };
 

@@ -125,13 +125,14 @@ Path Dijkstra::Reconstruct(VertexId target, double dist) const {
   return path;
 }
 
-std::vector<double> ReverseDistances(const RoadNetwork& network,
-                                     VertexId target, const EdgeCostFn& cost,
-                                     const CancelToken* cancel) {
+TargetTree ReverseTree(const RoadNetwork& network, VertexId target,
+                       const EdgeCostFn& cost, const CancelToken* cancel) {
   PR_CHECK(target < network.num_vertices());
   if (cancel != nullptr && cancel->Expired()) return {};
-  std::vector<double> dist(network.num_vertices(), kInf);
-  dist[target] = 0.0;
+  TargetTree tree;
+  tree.dist.assign(network.num_vertices(), kInf);
+  tree.next_edge.assign(network.num_vertices(), graph::kInvalidEdge);
+  tree.dist[target] = 0.0;
   using Entry = std::pair<double, VertexId>;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue;
   queue.push({0.0, target});
@@ -144,17 +145,18 @@ std::vector<double> ReverseDistances(const RoadNetwork& network,
     }
     const auto [d, u] = queue.top();
     queue.pop();
-    if (d > dist[u]) continue;
+    if (d > tree.dist[u]) continue;
     for (EdgeId e : network.InEdges(u)) {
       const VertexId from = network.edge(e).from;
       const double nd = d + cost(e);
-      if (nd < dist[from]) {
-        dist[from] = nd;
+      if (nd < tree.dist[from]) {
+        tree.dist[from] = nd;
+        tree.next_edge[from] = e;
         queue.push({nd, from});
       }
     }
   }
-  return dist;
+  return tree;
 }
 
 }  // namespace pathrank::routing

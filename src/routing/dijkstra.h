@@ -75,12 +75,21 @@ class Dijkstra {
   VertexId last_source_ = graph::kInvalidVertex;
 };
 
-/// One-to-all distances over reversed edges: d(v -> target) for every v,
-/// +inf when v cannot reach `target`. `cancel` (optional) is polled every
-/// Dijkstra::kCancelCheckPops pops; an expired token returns an empty
-/// vector.
-std::vector<double> ReverseDistances(const RoadNetwork& network,
-                                     VertexId target, const EdgeCostFn& cost,
-                                     const CancelToken* cancel = nullptr);
+/// The shortest-path tree toward one target: `dist[v]` is d(v -> target),
+/// +inf when v cannot reach it, and `next_edge[v]` is the first edge of
+/// v's tree path to it (kInvalidEdge at the target and at vertices that
+/// cannot reach it). Following `next_edge` from any reaching vertex walks
+/// a shortest path to the target.
+struct TargetTree {
+  std::vector<double> dist;
+  std::vector<EdgeId> next_edge;
+};
+
+/// One-to-all Dijkstra over reversed edges from `target`. `cancel`
+/// (optional) is polled every Dijkstra::kCancelCheckPops pops; an expired
+/// token returns an empty tree.
+TargetTree ReverseTree(const RoadNetwork& network, VertexId target,
+                       const EdgeCostFn& cost,
+                       const CancelToken* cancel = nullptr);
 
 }  // namespace pathrank::routing

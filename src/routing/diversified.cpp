@@ -23,6 +23,8 @@ std::vector<Path> DiversifiedTopK(const RoadNetwork& network, VertexId source,
   // a well-formed (just shorter) candidate set.
   YenEnumerator yen(network, source, target, cost, cancel, engine);
   std::vector<Path> accepted;
+  // accepted[i]'s edge set, sorted once for every later comparison.
+  std::vector<std::vector<EdgeId>> accepted_sets;
   std::vector<Path> rejected;
   int enumerated = 0;
   while (static_cast<int>(accepted.size()) < options.k &&
@@ -30,9 +32,10 @@ std::vector<Path> DiversifiedTopK(const RoadNetwork& network, VertexId source,
     auto next = yen.Next();
     if (!next.has_value()) break;
     ++enumerated;
+    std::vector<EdgeId> set = SortedEdgeSet(next->edges);
     bool diverse = true;
-    for (const Path& a : accepted) {
-      if (WeightedJaccard(network, next->edges, a.edges) >
+    for (const std::vector<EdgeId>& a : accepted_sets) {
+      if (WeightedJaccardSorted(network, set, a) >
           options.similarity_threshold) {
         diverse = false;
         break;
@@ -40,6 +43,7 @@ std::vector<Path> DiversifiedTopK(const RoadNetwork& network, VertexId source,
     }
     if (diverse) {
       accepted.push_back(std::move(*next));
+      accepted_sets.push_back(std::move(set));
     } else if (options.pad_with_rejected) {
       rejected.push_back(std::move(*next));
     }

@@ -16,12 +16,21 @@ std::vector<Id> SortedUnique(std::span<const Id> ids) {
 
 }  // namespace
 
+std::vector<graph::EdgeId> SortedEdgeSet(
+    std::span<const graph::EdgeId> edges) {
+  return SortedUnique(edges);
+}
+
 double WeightedJaccard(const graph::RoadNetwork& network,
                        std::span<const graph::EdgeId> a,
                        std::span<const graph::EdgeId> b) {
-  if (a.empty() && b.empty()) return 1.0;
-  const auto sa = SortedUnique(a);
-  const auto sb = SortedUnique(b);
+  return WeightedJaccardSorted(network, SortedUnique(a), SortedUnique(b));
+}
+
+double WeightedJaccardSorted(const graph::RoadNetwork& network,
+                             std::span<const graph::EdgeId> sa,
+                             std::span<const graph::EdgeId> sb) {
+  if (sa.empty() && sb.empty()) return 1.0;
   double inter = 0.0;
   double uni = 0.0;
   size_t i = 0;

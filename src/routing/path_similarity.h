@@ -8,6 +8,7 @@
 #pragma once
 
 #include <span>
+#include <vector>
 
 #include "graph/road_network.h"
 
@@ -19,6 +20,17 @@ namespace pathrank::routing {
 double WeightedJaccard(const graph::RoadNetwork& network,
                        std::span<const graph::EdgeId> a,
                        std::span<const graph::EdgeId> b);
+
+/// The sorted, duplicate-free edge ids of `edges`: the set form that
+/// WeightedJaccardSorted merges.
+std::vector<graph::EdgeId> SortedEdgeSet(std::span<const graph::EdgeId> edges);
+
+/// WeightedJaccard over two SortedEdgeSet results, bitwise equal to
+/// WeightedJaccard on the original edge lists. A caller that compares one
+/// path against many sorts each path once.
+double WeightedJaccardSorted(const graph::RoadNetwork& network,
+                             std::span<const graph::EdgeId> sorted_a,
+                             std::span<const graph::EdgeId> sorted_b);
 
 /// Unweighted Jaccard similarity of two edge-id sets.
 double EdgeJaccard(std::span<const graph::EdgeId> a,

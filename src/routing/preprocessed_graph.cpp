@@ -1,7 +1,7 @@
 #include "routing/preprocessed_graph.h"
 
-#include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "common/logging.h"
 #include "routing/dijkstra.h"
@@ -38,7 +38,7 @@ PreprocessedGraph::PreprocessedGraph(const RoadNetwork& network,
     for (VertexId v = 0; v < network.num_vertices(); ++v) {
       if (dijkstra.Reached(v)) from[v] = dijkstra.DistanceTo(v);
     }
-    dist_to_.push_back(ReverseDistances(network, current, cost));
+    dist_to_.push_back(ReverseTree(network, current, cost).dist);
     dist_from_.push_back(std::move(from));
 
     // Update farthest-point bookkeeping and pick the next landmark.
@@ -68,23 +68,6 @@ bool PreprocessedGraph::CompatibleWith(const EdgeCostFn& cost) const {
       return !cost.is_length() && !cost.is_travel_time();
   }
   return false;
-}
-
-double PreprocessedGraph::LowerBound(VertexId v, VertexId target) const {
-  double best = 0.0;
-  for (size_t l = 0; l < landmarks_.size(); ++l) {
-    const double from_l_t = dist_from_[l][target];
-    const double from_l_v = dist_from_[l][v];
-    if (from_l_t != kInf && from_l_v != kInf) {
-      best = std::max(best, from_l_t - from_l_v);
-    }
-    const double to_l_v = dist_to_[l][v];
-    const double to_l_t = dist_to_[l][target];
-    if (to_l_v != kInf && to_l_t != kInf) {
-      best = std::max(best, to_l_v - to_l_t);
-    }
-  }
-  return best;
 }
 
 }  // namespace pathrank::routing

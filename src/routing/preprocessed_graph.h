@@ -14,8 +14,9 @@
 // The type is deliberately a plain data holder (no network pointer, no
 // query scratch) so one instance can be shared read-only across any
 // number of concurrent AltRouter/AltEngine instances and outlive the
-// query that captured it. It is designed to grow — a CH-lite shortcut
-// overlay would live here next to the landmark tables.
+// query that captured it. No query reads the distance tables: AltRouter
+// runs on the target's exact reverse tree instead (routing/alt.h), which
+// dominates every landmark bound.
 #pragma once
 
 #include <cstdint>
@@ -55,11 +56,6 @@ class PreprocessedGraph {
   /// be compared through the type-erased view, so kCustom tables accept
   /// any custom cost — matching them is the caller's contract.
   bool CompatibleWith(const EdgeCostFn& cost) const;
-
-  /// Admissible lower bound on d(v, target) under the preprocessing
-  /// metric. Never negative; 0 when no landmark pair gives a finite
-  /// bound.
-  double LowerBound(VertexId v, VertexId target) const;
 
  private:
   Metric metric_;

@@ -36,8 +36,9 @@ AltEngine::AltEngine(const RoadNetwork& network, const EdgeCostFn& cost,
 SearchResult AltEngine::FindPath(VertexId source, VertexId target,
                                  const EdgeCostFn& cost, const BanSet* bans,
                                  const CancelToken* cancel) {
-  // The landmark bounds are only lower bounds for the preprocessing
-  // metric; a mismatched query metric would silently return wrong paths.
+  // The router's target tree (and its tables) are built under the
+  // preprocessing metric; a mismatched query metric would silently return
+  // wrong paths.
   PR_CHECK(tables_->CompatibleWith(cost))
       << "AltEngine query metric does not match the preprocessing metric";
   return Classify(alt_.ShortestPath(source, target, bans, cancel), cancel);

@@ -12,7 +12,7 @@
 // empty under the bans, kCancelled means the token expired before the
 // search finished (the caller must NOT conclude anything about
 // reachability). Yen's spur searches run through this seam, which is what
-// lets the serving cold path swap plain Dijkstra for ALT landmarks.
+// lets the serving cold path swap plain Dijkstra for ALT.
 //
 // Engine instances are single-threaded scratch holders (like the routers
 // they wrap): create one per enumeration/thread. They borrow the network
@@ -24,14 +24,14 @@
 // When shortest paths are unique (no cost ties) the returned paths — and
 // therefore Yen candidate sets — are bitwise identical across engines.
 // Within one engine, FindPath's answer depends on its arguments alone:
-// scratch state (including ALT's per-target bound memo) never changes a
-// result. YenEnumerator relies on this twice: Lawler pruning skips
-// searches that would repeat an earlier one, and postponed spur searches
-// run later than eager Yen would, with the stored bans, and must get the
-// same answer.
+// scratch state (including ALT's per-target tree) never changes a result.
+// YenEnumerator relies on this twice: Lawler pruning skips searches that
+// would repeat an earlier one, and postponed spur searches run later than
+// eager Yen would, with the stored bans, and must get the same answer.
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "common/deadline.h"
 #include "routing/alt.h"
@@ -95,6 +95,19 @@ class ShortestPathEngine {
 
   /// Vertices settled by the last FindPath (diagnostics/benchmarks).
   virtual size_t last_settled_count() const = 0;
+
+  /// d(v -> target) for every vertex in the unbanned graph under the
+  /// engine's metric (+inf when v cannot reach the target), when the
+  /// engine keeps the target's reverse tree for its own searches; a
+  /// caller that needs those distances reads them here instead of running
+  /// a second reverse search. The vector stays valid, and unchanged, until
+  /// a call on the engine names another target; it is empty when `cancel`
+  /// expired during the build. nullptr when the engine keeps no tree (the
+  /// default); the caller then computes ReverseTree itself.
+  virtual const std::vector<double>* DistancesTo(
+      VertexId /*target*/, const CancelToken* /*cancel*/) {
+    return nullptr;
+  }
 };
 
 /// Plain Dijkstra. The default spur engine; YenEnumerator without an
@@ -119,8 +132,11 @@ class DijkstraEngine final : public ShortestPathEngine {
 /// for one (network, metric) pair. The per-call cost function MUST be the
 /// metric the tables were preprocessed under — checked for the length and
 /// travel-time kinds, the caller's responsibility for custom metrics.
-/// Landmark lower bounds stay admissible under bans (removing edges only
-/// increases true distances), so results stay exact.
+/// Every query runs as A* on the target's exact reverse tree, with an
+/// early stop where the tree suffix is clear of the bans (routing/alt.h);
+/// the bound stays admissible under bans (removing edges only increases
+/// true distances), so results stay exact. DistancesTo shares that tree,
+/// so an enumeration through this engine runs one reverse search.
 class AltEngine final : public ShortestPathEngine {
  public:
   /// `cost` must be the metric `tables` was preprocessed under.
@@ -133,6 +149,10 @@ class AltEngine final : public ShortestPathEngine {
   const char* name() const override { return "alt"; }
   size_t last_settled_count() const override {
     return alt_.last_settled_count();
+  }
+  const std::vector<double>* DistancesTo(VertexId target,
+                                         const CancelToken* cancel) override {
+    return &alt_.DistancesTo(target, cancel);
   }
 
  private:

@@ -133,10 +133,16 @@ std::optional<Path> YenEnumerator::Next() {
 }
 
 bool YenEnumerator::Postpone(size_t base_index) {
-  if (potential_.empty()) {
-    potential_ = ReverseDistances(*network_, target_, cost_, cancel_);
-    if (potential_.empty()) return false;
+  if (potential_ == nullptr) {
+    // One reverse search per enumeration: the engine's own tree when it
+    // keeps one for its spur searches, else a fresh one.
+    potential_ = engine_->DistancesTo(target_, cancel_);
+    if (potential_ == nullptr) {
+      own_potential_ = ReverseTree(*network_, target_, cost_, cancel_).dist;
+      potential_ = &own_potential_;
+    }
   }
+  if (potential_->empty()) return false;
   // For each spur position i on the base path: root = base[0..i], banned
   // (a) the i-th edge of every accepted path sharing that root and (b) all
   // root vertices except the spur node. Positions below the deviation
@@ -189,7 +195,7 @@ bool YenEnumerator::Postpone(size_t base_index) {
     for (EdgeId e : network_->OutEdges(spur)) {
       const VertexId head = network_->edge(e).to;
       if (bans_.IsEdgeBanned(e) || bans_.IsVertexBanned(head)) continue;
-      best = std::min(best, cost_(e) + potential_[head]);
+      best = std::min(best, cost_(e) + (*potential_)[head]);
     }
     if (best == kInf) {
       // No allowed edge reaches the target: the search would find nothing.
@@ -221,6 +227,8 @@ bool YenEnumerator::Run(const Postponed& entry) {
   Candidate cand;
   cand.spur_index = i;
   cand.generation = entry.generation;
+  cand.path.edges.reserve(i + spur_path.edges.size());
+  cand.path.vertices.reserve(i + spur_path.vertices.size());
   cand.path.edges.assign(base.edges.begin(), base.edges.begin() + i);
   cand.path.edges.insert(cand.path.edges.end(), spur_path.edges.begin(),
                          spur_path.edges.end());
@@ -251,7 +259,10 @@ bool YenEnumerator::Run(const Postponed& entry) {
 }
 
 bool YenEnumerator::MakeEarlierRootsDue(const Candidate& cand) {
-  if (!UsesParallelEdge(*network_, cand.path)) return false;
+  if (!network_->has_parallel_edges() ||
+      !UsesParallelEdge(*network_, cand.path)) {
+    return false;
+  }
   const std::vector<VertexId>& seq = cand.path.vertices;
   bool any = false;
   for (Postponed& entry : postponed_) {

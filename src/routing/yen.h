@@ -6,9 +6,10 @@
 //
 // Spur searches run through the pluggable ShortestPathEngine seam: by
 // default an owned plain Dijkstra, or any caller-supplied engine — the
-// serving layer passes an ALT engine over per-epoch landmark tables to
-// accelerate cold routes. Because every engine is exact, the candidate
-// sets are identical across engines whenever shortest paths are unique.
+// serving layer passes an ALT engine, which runs the spur searches on the
+// target's reverse tree and shares that tree as the enumerator's
+// potential. Because every engine is exact, the candidate sets are
+// identical across engines whenever shortest paths are unique.
 #pragma once
 
 #include <cstdint>
@@ -42,20 +43,22 @@ namespace pathrank::routing {
 /// cost and banned next-edges and is keyed by a lower bound on the cost
 /// of the path it can find: the root cost plus the cheapest allowed
 /// first edge plus that edge's head's distance to the target in the
-/// unbanned graph (`potential_`, one reverse Dijkstra per enumeration),
-/// deflated by 1e-9 against summation-order rounding. Next() runs an
-/// entry only while its bound is at most the cheapest pooled candidate's
-/// cost, and drops an entry whose bound is infinite unsearched. Entries
-/// are numbered in the order eager Yen would run them (`generation`);
-/// when two searches find the same vertex sequence the earlier one keeps
-/// it, replacing a later one still in the pool. On a multigraph, where
-/// two searches can find one vertex sequence at different costs, the
-/// earlier entries whose root is a prefix of a candidate that uses a
-/// parallel edge run before that candidate is accepted. Because every engine answers from its
-/// arguments alone, running a search late returns what running it early
-/// would have. The output is therefore bitwise identical to classic Yen,
-/// which spurs every path from index 0 at once (docs/routing.md has the
-/// argument; yen_test checks it against a classic-Yen oracle).
+/// unbanned graph (`potential_`, one reverse Dijkstra per enumeration:
+/// the engine's own tree through DistancesTo when it keeps one, else
+/// ReverseTree), deflated by 1e-9 against summation-order rounding.
+/// Next() runs an entry only while its bound is at most the cheapest
+/// pooled candidate's cost, and drops an entry whose bound is infinite
+/// unsearched. Entries are numbered in the order eager Yen would run them
+/// (`generation`); when two searches find the same vertex sequence the
+/// earlier one keeps it, replacing a later one still in the pool. On a
+/// multigraph, where two searches can find one vertex sequence at
+/// different costs, the earlier entries whose root is a prefix of a
+/// candidate that uses a parallel edge run before that candidate is
+/// accepted. Because every engine answers from its arguments alone,
+/// running a search late returns what running it early would have. The
+/// output is therefore bitwise identical to classic Yen, which spurs
+/// every path from index 0 at once (docs/routing.md has the argument;
+/// yen_test checks it against a classic-Yen oracle).
 ///
 /// Spur bookkeeping is incremental along the base path: the accepted
 /// paths sharing the root are collected once at the deviation index and
@@ -74,7 +77,9 @@ class YenEnumerator {
   /// `engine` (optional, borrowed — must outlive the enumerator; not
   /// shareable across concurrent enumerators) runs every shortest-path
   /// search, including the spur searches. nullptr = an internally owned
-  /// plain Dijkstra.
+  /// plain Dijkstra. While the enumerator is in use the engine must not
+  /// be queried toward another target: the potential may be the engine's
+  /// own tree (DistancesTo), valid only until such a query.
   YenEnumerator(const RoadNetwork& network, VertexId source, VertexId target,
                 const EdgeCostFn& cost, const CancelToken* cancel = nullptr,
                 ShortestPathEngine* engine = nullptr);
@@ -157,7 +162,8 @@ class YenEnumerator {
   /// When `cand` uses a parallel edge, gives every entry generated before
   /// it whose root is a prefix of it the bound -inf, so they run, in
   /// generation order, before `cand` can be accepted. Returns whether
-  /// there was any.
+  /// there was any. On a network without parallel edges it returns false
+  /// at once.
   bool MakeEarlierRootsDue(const Candidate& cand);
 
   const RoadNetwork* network_;
@@ -177,8 +183,11 @@ class YenEnumerator {
   // parallel-edge variant of a generated path is not a new path.
   std::unordered_map<std::vector<VertexId>, Generated, SequenceHash>
       generated_;
-  // d(v -> target) in the unbanned graph; empty until the first spur pass.
-  std::vector<double> potential_;
+  // d(v -> target) in the unbanned graph; nullptr until the first spur
+  // pass. The engine's tree (DistancesTo), or own_potential_ when the
+  // engine keeps none; empty when its build was cancelled.
+  const std::vector<double>* potential_ = nullptr;
+  std::vector<double> own_potential_;
   std::vector<Postponed> postponed_;  // min-heap on (bound, generation)
   std::vector<EdgeId> banned_edges_;  // backs Postponed::bans_*
   uint64_t next_generation_ = 1;

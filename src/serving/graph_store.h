@@ -73,9 +73,9 @@ struct TrafficResult {
 
 /// Routing-preprocessing configuration for EnablePreprocessing.
 struct PreprocessOptions {
-  /// ALT landmarks per artifact. More landmarks = tighter lower bounds =
-  /// fewer settled vertices per query, at num_landmarks Dijkstra sweeps
-  /// of rebuild cost and two doubles per (landmark, vertex) of memory.
+  /// ALT landmarks per artifact: num_landmarks Dijkstra sweeps of
+  /// rebuild cost and two doubles per (landmark, vertex) of memory.
+  /// AltRouter's queries no longer read the tables (routing/alt.h).
   int num_landmarks = 8;
   /// Test seam: runs on the worker thread before each BACKGROUND rebuild
   /// starts building tables (never for the synchronous boot-time build).

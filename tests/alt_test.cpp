@@ -5,7 +5,9 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
+#include "common/deadline.h"
 #include "common/rng.h"
 #include "graph/network_builder.h"
 #include "routing/alt.h"
@@ -97,11 +99,12 @@ TEST(Alt, SettlesFewerVerticesThanDijkstra) {
 }
 
 TEST(Alt, BoundMemoFollowsTheTargetAcrossInterleavedQueries) {
-  // One engine keeps its per-target lower-bound memo across queries; a
-  // fresh engine per query has none. Targets alternate and repeat, ban
-  // sets vary, so a memo entry that outlived its target (or a stale one
-  // surviving a ban change) would change the search order and show up as
-  // a different path, cost bit or settled count.
+  // One engine keeps its per-target tree (and its per-search suffix memo)
+  // across queries; a fresh engine per query has neither. Targets
+  // alternate and repeat, ban sets vary, so a tree that outlived its
+  // target (or a memo entry surviving a ban change) would change the
+  // search order and show up as a different path, cost bit or settled
+  // count.
   SyntheticNetworkConfig cfg;
   cfg.rows = 14;
   cfg.cols = 14;
@@ -142,6 +145,68 @@ TEST(Alt, BoundMemoFollowsTheTargetAcrossInterleavedQueries) {
               std::bit_cast<uint64_t>(got.path.cost))
         << "query " << q;
   }
+}
+
+TEST(Alt, DistancesToIsTheReverseTree) {
+  SyntheticNetworkConfig cfg;
+  cfg.rows = 12;
+  cfg.cols = 12;
+  cfg.seed = 3;
+  const RoadNetwork net = BuildSyntheticNetwork(cfg);
+  const auto cost = EdgeCostFn::TravelTime(net);
+  AltEngine engine(net, cost,
+                   std::make_shared<const PreprocessedGraph>(net, cost, 4));
+  BanSet bans(net.num_vertices(), net.num_edges());
+  bans.BanVertex(5);
+  // Alternate targets; each query builds the tree when its target changed.
+  for (const VertexId t : {VertexId{17}, VertexId{90}, VertexId{17}}) {
+    engine.FindPath(0, t, cost, &bans, nullptr);
+    const std::vector<double>* got = engine.DistancesTo(t, nullptr);
+    ASSERT_NE(got, nullptr);
+    const std::vector<double> want = ReverseTree(net, t, cost).dist;
+    ASSERT_EQ(want.size(), got->size());
+    for (size_t v = 0; v < want.size(); ++v) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(want[v]),
+                std::bit_cast<uint64_t>((*got)[v]))
+          << "target " << t << " vertex " << v;
+    }
+  }
+}
+
+TEST(Alt, TreeBuildCancelledReportsCancelledThenRecovers) {
+  SyntheticNetworkConfig cfg;
+  cfg.rows = 12;
+  cfg.cols = 12;
+  cfg.seed = 9;
+  const RoadNetwork net = BuildSyntheticNetwork(cfg);
+  const auto cost = EdgeCostFn::TravelTime(net);
+  const auto tables = std::make_shared<const PreprocessedGraph>(net, cost, 4);
+  AltEngine engine(net, cost, tables);
+  BanSet bans(net.num_vertices(), net.num_edges());
+  bans.BanVertex(40);
+  const VertexId s = 3;
+  const VertexId t = 130;
+  // Expired() passes the query's entry check and the tree build's, then
+  // trips at the build's first in-loop poll (pop 64 of 144 vertices).
+  CancelToken token;
+  token.TripAfterChecks(2);
+  EXPECT_EQ(engine.FindPath(s, t, cost, &bans, &token).outcome,
+            SearchOutcome::kCancelled);
+  const std::vector<double>* cut = engine.DistancesTo(t, &token);
+  ASSERT_NE(cut, nullptr);
+  EXPECT_TRUE(cut->empty());
+
+  // A later query to the same target answers like a fresh engine.
+  AltEngine fresh(net, cost, tables);
+  const SearchResult want = fresh.FindPath(s, t, cost, &bans, nullptr);
+  const SearchResult got = engine.FindPath(s, t, cost, &bans, nullptr);
+  ASSERT_EQ(want.outcome, SearchOutcome::kFound);
+  ASSERT_EQ(want.outcome, got.outcome);
+  EXPECT_EQ(want.path.vertices, got.path.vertices);
+  EXPECT_EQ(want.path.edges, got.path.edges);
+  EXPECT_EQ(std::bit_cast<uint64_t>(want.path.cost),
+            std::bit_cast<uint64_t>(got.path.cost));
+  EXPECT_EQ(fresh.last_settled_count(), engine.last_settled_count());
 }
 
 TEST(Alt, LandmarksAreDistinct) {

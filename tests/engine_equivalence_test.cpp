@@ -1,19 +1,21 @@
 // Engine-equivalence suite for the pluggable shortest-path seam: both
 // ShortestPathEngine adapters (dijkstra, alt) must be EXACT, so
 // (1) point-to-point answers agree bitwise across engines on randomized
-// synthetic networks, with and without BanSet bans, (2) Yen candidate
-// sets produced through any engine are bitwise identical to the
-// plain-Dijkstra reference — the acceptance bar for swapping a spur
-// engine in production, (3) the tri-state SearchResult separates
-// unreachable from cancelled, and (4) a RoutePlanner over a
-// live GraphStore never pairs a new snapshot with stale ALT tables: a
-// query racing a rebuild falls back to exact Dijkstra (algo "dijkstra",
-// alt_fallbacks ticks) and returns to "alt" once the artifact catches
-// up. Runs under the ASan and TSan CI jobs.
+// synthetic networks, with and without BanSet bans (bans on ALT's target
+// tree included), (2) Yen candidate sets produced through any engine are
+// bitwise identical to the plain-Dijkstra reference — the acceptance bar
+// for swapping a spur engine in production, (3) the tri-state
+// SearchResult separates unreachable from cancelled, and (4) a
+// RoutePlanner over a live GraphStore never pairs a new snapshot with
+// stale ALT tables: a query racing a rebuild falls back to exact Dijkstra
+// (algo "dijkstra", alt_fallbacks ticks) and returns to "alt" once the
+// artifact catches up. Runs under the ASan and TSan CI jobs.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <thread>
@@ -25,6 +27,7 @@
 #include "graph/network_builder.h"
 #include "routing/ban_set.h"
 #include "routing/cost_model.h"
+#include "routing/dijkstra.h"
 #include "routing/path.h"
 #include "routing/preprocessed_graph.h"
 #include "routing/shortest_path_engine.h"
@@ -131,6 +134,54 @@ TEST(EngineEquivalence, AllEnginesAgreeUnderBanPermutations) {
           << engine->name() << " round " << round;
       if (ref.found()) ExpectSamePath(ref.path, got.path, engine->name());
     }
+  }
+}
+
+/// ALT runs every query on the target's tree and stops where the tree
+/// suffix is clear. A ban deep on the source's tree suffix, or on the
+/// tree edge out of the source itself, pushes the answer off the tree;
+/// it must still be Dijkstra's, bit for bit.
+TEST(EngineEquivalence, BansOnTheTargetTreeMatchDijkstra) {
+  for (const uint64_t seed : {5u, 11u, 29u}) {
+    const graph::RoadNetwork net = SmallSynthetic(seed);
+    EngineSet engines(net);
+    const size_t n = net.num_vertices();
+    BanSet bans(net.num_vertices(), net.num_edges());
+    int checked = 0;
+    for (int q = 0; q < 30; ++q) {
+      const auto s = static_cast<graph::VertexId>(Mix(seed * 17 + q) % n);
+      const auto t =
+          static_cast<graph::VertexId>(Mix(seed * 17 + q + 300) % n);
+      if (s == t) continue;
+      const TargetTree tree = ReverseTree(net, t, engines.cost);
+      std::vector<graph::VertexId> suffix;  // s's tree path after s
+      for (graph::VertexId v = s; v != t;) {
+        v = net.edge(tree.next_edge[v]).to;
+        suffix.push_back(v);
+      }
+      if (suffix.size() < 4) continue;
+      ++checked;
+      for (int variant = 0; variant < 2; ++variant) {
+        bans.Clear();
+        if (variant == 0) {
+          bans.BanVertex(suffix[suffix.size() - 3]);
+        } else {
+          bans.BanEdge(tree.next_edge[s]);
+        }
+        const SearchResult want =
+            engines.dijkstra.FindPath(s, t, engines.cost, &bans, nullptr);
+        const SearchResult got =
+            engines.alt.FindPath(s, t, engines.cost, &bans, nullptr);
+        ASSERT_EQ(want.outcome, got.outcome)
+            << "seed " << seed << " query " << q << " variant " << variant;
+        if (want.found()) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(want.path.cost),
+                    std::bit_cast<uint64_t>(got.path.cost));
+          ExpectSamePath(want.path, got.path, "alt");
+        }
+      }
+    }
+    EXPECT_GE(checked, 10) << "seed " << seed;
   }
 }
 

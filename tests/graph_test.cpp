@@ -7,6 +7,7 @@
 #include <fstream>
 #include <queue>
 #include <set>
+#include <vector>
 
 #include "graph/graph_io.h"
 #include "graph/network_builder.h"
@@ -62,6 +63,46 @@ TEST(RoadNetwork, FindEdgePresentAndAbsent) {
   EXPECT_NE(net.FindEdge(2, 0), kInvalidEdge);
   EXPECT_EQ(net.FindEdge(0, 2), kInvalidEdge);  // directed: only 2->0 exists
   EXPECT_EQ(net.FindEdge(1, 1), kInvalidEdge);
+}
+
+TEST(RoadNetwork, ParallelEdgesFlagCountsOpenEdgesOnly) {
+  EXPECT_FALSE(MakeTriangle().has_parallel_edges());
+  EXPECT_FALSE(BuildTestNetwork().has_parallel_edges());
+
+  // Vertex 0's row is 0->1, 0->2, 0->1 in insertion order: the two 0->1
+  // edges meet only once the row is sorted by head. 1->0 runs the other
+  // way and is no parallel edge of either.
+  RoadNetworkBuilder b;
+  b.AddVertex({57.0, 9.9});
+  b.AddVertex({57.01, 9.9});
+  b.AddVertex({57.0, 9.92});
+  const EdgeId first = b.AddEdge(0, 1, 1000.0, RoadCategory::kResidential);
+  const EdgeId other = b.AddEdge(0, 2, 1500.0, RoadCategory::kPrimary);
+  const EdgeId second = b.AddEdge(0, 1, 1200.0, RoadCategory::kPrimary);
+  b.AddEdge(1, 0, 1000.0, RoadCategory::kResidential);
+  const RoadNetwork multi = b.Build();
+  EXPECT_TRUE(multi.has_parallel_edges());
+
+  // The same records rebuilt with one edge closed: a closed edge is in no
+  // adjacency row, so closing either 0->1 leaves a simple graph.
+  std::vector<Coordinate> coordinates;
+  for (VertexId v = 0; v < multi.num_vertices(); ++v) {
+    coordinates.push_back(multi.coordinate(v));
+  }
+  std::vector<EdgeRecord> records;
+  for (EdgeId e = 0; e < multi.num_edges(); ++e) {
+    records.push_back(multi.edge(e));
+  }
+  const auto rebuilt_closing = [&](EdgeId closed_edge) {
+    std::vector<uint8_t> closed(records.size(), 0);
+    closed[closed_edge] = 1;
+    return RoadNetworkBuilder::BuildFrom(coordinates, records, closed);
+  };
+  EXPECT_FALSE(rebuilt_closing(first).has_parallel_edges());
+  EXPECT_FALSE(rebuilt_closing(second).has_parallel_edges());
+  EXPECT_TRUE(rebuilt_closing(other).has_parallel_edges());
+  EXPECT_TRUE(
+      RoadNetworkBuilder::BuildFrom(coordinates, records).has_parallel_edges());
 }
 
 TEST(RoadNetwork, DefaultTravelTimeUsesCategorySpeed) {

@@ -1,6 +1,12 @@
 // Weighted Jaccard and plain Jaccard similarity properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <set>
+#include <vector>
+
 #include "common/rng.h"
 #include "graph/network_builder.h"
 #include "routing/cost_model.h"
@@ -91,6 +97,53 @@ TEST_P(SimilarityProperty, RangeAndSymmetry) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimilarityProperty,
                          ::testing::Values(4, 14, 24, 64));
+
+TEST(WeightedJaccard, SortedSetFormIsBitwiseEqual) {
+  // Random edge lists with repeats, compared both ways round: the sorted
+  // sets merged by WeightedJaccardSorted give WeightedJaccard's bits, and
+  // both equal a plain std::set reference summed in ascending id order.
+  const RoadNetwork net = BuildTestNetwork(7);
+  const auto m = static_cast<uint32_t>(net.num_edges());
+  pathrank::Rng rng(91);
+  const auto random_list = [&] {
+    std::vector<EdgeId> edges(rng.NextBounded(12));
+    // Ids from a narrow window, so lists overlap and repeat ids.
+    const auto base = static_cast<EdgeId>(rng.NextBounded(m - 16));
+    for (EdgeId& e : edges) {
+      e = base + static_cast<EdgeId>(rng.NextBounded(16));
+    }
+    return edges;
+  };
+  for (int i = 0; i < 500; ++i) {
+    const std::vector<EdgeId> a = random_list();
+    const std::vector<EdgeId> b = random_list();
+    const std::vector<EdgeId> sa = SortedEdgeSet(a);
+    const std::vector<EdgeId> sb = SortedEdgeSet(b);
+    EXPECT_TRUE(std::is_sorted(sa.begin(), sa.end()));
+    EXPECT_EQ(std::adjacent_find(sa.begin(), sa.end()), sa.end());
+
+    const std::set<EdgeId> set_a(a.begin(), a.end());
+    const std::set<EdgeId> set_b(b.begin(), b.end());
+    std::set<EdgeId> all = set_a;
+    all.insert(set_b.begin(), set_b.end());
+    double inter = 0.0;
+    double uni = 0.0;
+    for (EdgeId e : all) {
+      const double len = net.edge(e).length_m;
+      if (set_a.count(e) != 0 && set_b.count(e) != 0) inter += len;
+      uni += len;
+    }
+    const double want =
+        all.empty() ? 1.0 : (uni > 0.0 ? inter / uni : 1.0);
+
+    const double got = WeightedJaccardSorted(net, sa, sb);
+    EXPECT_EQ(std::bit_cast<uint64_t>(want), std::bit_cast<uint64_t>(got))
+        << "pair " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(WeightedJaccard(net, a, b)),
+              std::bit_cast<uint64_t>(got))
+        << "pair " << i;
+  }
+}
 
 TEST(EdgeJaccard, CountsCorrectly) {
   const std::vector<EdgeId> a{1, 2, 3};

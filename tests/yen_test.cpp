@@ -340,7 +340,8 @@ class ClassicYen {
   bool exhausted_ = false;
 };
 
-/// Forwards to `inner` and counts its searches; when `token` is given,
+/// Forwards to `inner` (its reverse tree included, as the planner's
+/// engine serves it) and counts its searches; when `token` is given,
 /// cancels it once `cancel_after` searches have run.
 class CountingEngine final : public ShortestPathEngine {
  public:
@@ -360,6 +361,10 @@ class CountingEngine final : public ShortestPathEngine {
   const char* name() const override { return inner_->name(); }
   size_t last_settled_count() const override {
     return inner_->last_settled_count();
+  }
+  const std::vector<double>* DistancesTo(VertexId target,
+                                         const CancelToken* cancel) override {
+    return inner_->DistancesTo(target, cancel);
   }
   size_t searches() const { return searches_; }
 
@@ -388,6 +393,10 @@ class CancelInsideEngine final : public ShortestPathEngine {
   const char* name() const override { return inner_->name(); }
   size_t last_settled_count() const override {
     return inner_->last_settled_count();
+  }
+  const std::vector<double>* DistancesTo(VertexId target,
+                                         const CancelToken* cancel) override {
+    return inner_->DistancesTo(target, cancel);
   }
   size_t searches() const { return searches_; }
 
