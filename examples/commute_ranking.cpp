@@ -65,7 +65,7 @@ int main() {
   planner_cfg.candidates = gen_cfg;
   const serving::RoutePlanner planner(
       planner_cfg, [&engine](std::vector<routing::Path> paths) {
-        return engine.ScoreBatch(paths);
+        return engine.ScoreBatch(std::move(paths));
       });
   routing::Dijkstra dijkstra(network);
   const auto length_cost = routing::EdgeCostFn::Length(network);

@@ -88,7 +88,7 @@ int main() {
   planner_cfg.candidates = gen_cfg;
   const serving::RoutePlanner planner(
       planner_cfg, [&engine](std::vector<routing::Path> paths) {
-        return engine.ScoreBatch(paths);
+        return engine.ScoreBatch(std::move(paths));
       });
   const auto ranked =
       planner.Plan({query_trip.source, query_trip.destination}).ranked;

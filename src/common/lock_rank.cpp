@@ -16,6 +16,7 @@ const char* LockRankName(int rank) {
     case LockRank::kRouteFlight: return "planner.flight";
     case LockRank::kRouteCache: return "planner.cache";
     case LockRank::kEngineSnapshot: return "engine.snapshot";
+    case LockRank::kEngineScoreMemo: return "engine.score_memo";
     case LockRank::kPoolRegion: return "pool.region";
     case LockRank::kPoolState: return "pool.state";
     case LockRank::kPoolError: return "pool.error";

@@ -77,6 +77,10 @@ struct LockRank {
   // -- model serving -----------------------------------------------------
   /// ServingEngine::snapshot_mu_ — the served-snapshot slot.
   static constexpr int kEngineSnapshot = 100;
+  /// ServingEngine::ScoreMemo::mu_ — one snapshot's score memo. Never
+  /// held with engine.snapshot or a replica lock: ScoreBatch looks up,
+  /// releases, scores, then inserts.
+  static constexpr int kEngineScoreMemo = 110;
 
   // -- global thread pool ------------------------------------------------
   /// ThreadPool::region_mutex_ — one parallel region at a time; held by

@@ -22,7 +22,7 @@
 //   serving::RoutePlannerConfig config;
 //   config.network = &network;
 //   serving::RoutePlanner planner(config, [&engine](auto paths) {
-//     return engine.ScoreBatch(paths);
+//     return engine.ScoreBatch(std::move(paths));
 //   });
 //   auto ranked = planner.Plan({source, destination}).ranked;  // one query
 //   auto scored = engine.ScoreBatch(candidatePaths);     // own candidates

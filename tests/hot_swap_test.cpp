@@ -1,8 +1,8 @@
 // Model hot-swap: atomic cut-over semantics (every response attributable
 // to exactly one snapshot, no torn reads), old-snapshot lifetime (freed
 // only after the last in-flight reference drops, and never pinned by a
-// RoutePlanner's cached answers), and swap under concurrent load with no
-// lost requests.
+// RoutePlanner's cached answers or by the score memo, which a swap
+// replaces), and swap under concurrent load with no lost requests.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -109,6 +109,40 @@ TEST(HotSwap, OldSnapshotFreedOnlyAfterLastInFlightReference) {
   EXPECT_FALSE(weak_a.expired());
   in_flight.reset();
   EXPECT_TRUE(weak_a.expired());
+}
+
+TEST(HotSwap, ScoreMemoLivesAndDiesWithItsSnapshot) {
+  SwapFixture fx;
+  auto snap_a = ModelSnapshot::Capture(fx.model_a);
+  std::weak_ptr<const ModelSnapshot> weak_a = snap_a;
+  ServingEngine engine(fx.network, std::move(snap_a));
+
+  // Fill A's memo, and hit it.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto& q : fx.queries) engine.ScoreBatch(q);
+  }
+  const uint64_t hits_on_a = engine.memo_stats().hits;
+  ASSERT_GT(hits_on_a, 0u);
+  ASSERT_GT(engine.memo_stats().held_ids, 0u);
+
+  // The swap installs an empty memo, and A is still freed as soon as the
+  // returned handle drops: its memo pins nothing.
+  engine.SwapSnapshot(ModelSnapshot::Capture(fx.model_b)).reset();
+  EXPECT_TRUE(weak_a.expired());
+  EXPECT_EQ(engine.memo_stats().held_ids, 0u);
+
+  // Every score on B equals a fresh engine's on B: the first pass misses
+  // every row (no score of A is served), the second hits every row.
+  const ServingEngine fresh_b(fx.network, ModelSnapshot::Capture(fx.model_b));
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto& q : fx.queries) {
+      EXPECT_TRUE(SameRanking(fresh_b.ScoreBatch(q), engine.ScoreBatch(q)));
+    }
+    if (pass == 0) {
+      EXPECT_EQ(engine.memo_stats().hits, hits_on_a);
+    }
+  }
+  EXPECT_EQ(engine.memo_stats().hits, 2 * hits_on_a);
 }
 
 TEST(HotSwap, CachedRouteAnswersPinNoSnapshot) {

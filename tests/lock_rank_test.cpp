@@ -26,6 +26,8 @@ TEST(LockRankRegistry, NamesRoundTrip) {
   EXPECT_STREQ(common::LockRankName(LockRank::kHttpStop), "http.stop");
   EXPECT_STREQ(common::LockRankName(LockRank::kPoolState), "pool.state");
   EXPECT_STREQ(common::LockRankName(LockRank::kStderrLog), "log.stderr");
+  EXPECT_STREQ(common::LockRankName(LockRank::kEngineScoreMemo),
+               "engine.score_memo");
   EXPECT_STREQ(common::LockRankName(0), "unranked");
   EXPECT_STREQ(common::LockRankName(-5), "unranked");
 }
@@ -38,10 +40,10 @@ TEST(LockRankRegistry, RanksAreStrictlyIncreasingInTableOrder) {
       LockRank::kHttpAdmit,        LockRank::kGraphRebuild,
       LockRank::kGraphStore,       LockRank::kRouteFlightTable,
       LockRank::kRouteFlight,      LockRank::kRouteCache,
-      LockRank::kEngineSnapshot,   LockRank::kPoolRegion,
-      LockRank::kPoolState,        LockRank::kPoolError,
-      LockRank::kEngineReplica,    LockRank::kHttpEndpointStats,
-      LockRank::kStderrLog,
+      LockRank::kEngineSnapshot,   LockRank::kEngineScoreMemo,
+      LockRank::kPoolRegion,       LockRank::kPoolState,
+      LockRank::kPoolError,        LockRank::kEngineReplica,
+      LockRank::kHttpEndpointStats, LockRank::kStderrLog,
   };
   for (size_t i = 1; i < std::size(ranks); ++i) {
     EXPECT_LT(ranks[i - 1], ranks[i]) << "registry slot " << i;

@@ -7,7 +7,9 @@
 // maps to 4xx over HTTP with stable status slugs, (5) the cache holds answers: a hit never calls
 // the scorer, a model swap (even one that lands mid-scoring) makes the
 // next query re-score on the new snapshot, concurrent identical misses
-// score once, and a throwing scorer leaves nothing cached, and (6) the
+// score once, a throwing scorer leaves nothing cached, and a
+// re-enumeration after a traffic batch reuses the engine's memoised
+// scores bitwise, and (6) the
 // --spur-engine parser accepts exactly "dijkstra" and "alt".
 #include <gtest/gtest.h>
 
@@ -22,6 +24,7 @@
 #include "core/model.h"
 #include "data/candidate_generation.h"
 #include "graph/network_builder.h"
+#include "serving/graph_store.h"
 #include "serving/http_server.h"
 #include "serving/json.h"
 #include "serving/model_snapshot.h"
@@ -477,6 +480,49 @@ TEST(RouteAnswerCache, ThrowingScorerLeavesNothingCached) {
     EXPECT_EQ(fx.planner.enumerations(), 2u);
     EXPECT_EQ(fx.planner.cache_size(), 1u);
   }
+}
+
+TEST(RouteAnswerCache, ReEnumerationAfterTrafficReusesScoresBitwise) {
+  // Every traffic batch invalidates every cached answer; the candidates
+  // the re-enumeration finds again are served from the engine's score
+  // memo, and each answer still equals the offline pipeline at its epoch
+  // scored by an engine that has never seen these paths.
+  const graph::RoadNetwork network = graph::BuildTestNetwork();
+  const core::PathRankModel model(network.num_vertices(), SmallConfig());
+  const ServingEngine engine(network, model);
+  GraphStore store(graph::BuildTestNetwork());
+  RoutePlannerConfig config;
+  config.store = &store;
+  config.candidates = GenConfig();
+  const RoutePlanner planner(config, [&engine](std::vector<routing::Path> paths) {
+    return engine.ScoreBatch(std::move(paths));
+  });
+
+  const std::vector<RouteRequest> requests{{0, 63}, {7, 56}, {3, 60}, {21, 42}};
+  for (size_t round = 0; round < 4; ++round) {
+    SCOPED_TRACE(round);
+    for (const auto& request : requests) {
+      const RouteResult result = planner.Plan(request);
+      ASSERT_EQ(result.status, RouteStatus::kOk);
+      EXPECT_FALSE(result.cache_hit);
+      EXPECT_EQ(result.graph_epoch, round);
+      const ServingEngine fresh(network, model);
+      ExpectSameRanking(
+          result.ranked,
+          fresh.ScoreBatch(data::GenerateCandidatePaths(
+              store.Current()->network(), request.source,
+              request.destination, config.candidates)));
+    }
+    // Slow one edge a little: the epoch moves, most candidates do not.
+    graph::TrafficUpdate update;
+    update.edge = static_cast<graph::EdgeId>(7 * round);
+    update.travel_time_s =
+        store.Current()->network().edge(update.edge).travel_time_s * 1.5;
+    update.has_travel_time = true;
+    ASSERT_EQ(store.ApplyTraffic({update}).status, TrafficStatus::kOk);
+  }
+  EXPECT_EQ(planner.invalidations(), 3 * requests.size());
+  EXPECT_GT(engine.memo_stats().hits, 0u);
 }
 
 // ---- HTTP mapping ------------------------------------------------------

@@ -1,18 +1,22 @@
 // Serving stack: const inference path equivalence (every cell / pooling /
 // multi-task / direction configuration), skip-init construction, immutable
-// snapshots, and the replica-pool ServingEngine scorer (concurrent-vs-
-// serial bitwise equivalence).
+// snapshots, the replica-pool ServingEngine scorer (concurrent-vs-
+// serial bitwise equivalence), and its per-snapshot score memo (a hit
+// equals a fresh score bitwise, the memo stays within its bound, and a
+// failed batch stores nothing).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <functional>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/model.h"
 #include "data/candidate_generation.h"
@@ -329,10 +333,17 @@ TEST(ServingEngine, ConcurrentScoreBatchIsBitwiseEqualToSerial) {
   const ServingEngine engine(fx.network, fx.model, options);
   const auto sets = QueryCandidates(fx);
 
-  // Serial reference through the same engine.
+  // Serial reference through a second engine over the same model, so the
+  // shared engine's memo starts empty: the threads race to miss, score
+  // and insert the same rows, and hit what the others stored.
+  const ServingEngine reference(fx.network, fx.model);
   std::vector<std::vector<ScoredPath>> expected;
   expected.reserve(sets.size());
-  for (const auto& paths : sets) expected.push_back(engine.ScoreBatch(paths));
+  size_t rows = 0;
+  for (const auto& paths : sets) {
+    expected.push_back(reference.ScoreBatch(paths));
+    rows += paths.size();
+  }
 
   // N external threads x M rounds over one shared engine. Every result
   // must be bitwise identical to the serial reference.
@@ -357,6 +368,11 @@ TEST(ServingEngine, ConcurrentScoreBatchIsBitwiseEqualToSerial) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(mismatches.load(), 0);
+  const ScoreMemoStats memo = engine.memo_stats();
+  EXPECT_EQ(memo.hits + memo.misses, kThreads * kRounds * rows);
+  EXPECT_GE(memo.misses, rows);
+  EXPECT_GT(memo.hits, 0u);
+  EXPECT_EQ(memo.rows_scored, memo.misses);
 }
 
 TEST(ServingEngine, EmptyPathsAreFine) {
@@ -373,6 +389,135 @@ TEST(ServingEngine, TwoEnginesOverOneModelAgreeBitwise) {
   const ServingEngine second(fx.network, fx.model);
   const auto paths = data::GenerateCandidatePaths(fx.network, 0, 63, fx.gen);
   EXPECT_TRUE(SameRanking(first.ScoreBatch(paths), second.ScoreBatch(paths)));
+}
+
+// ---- score memo ---------------------------------------------------------
+
+/// True when every path of `scored` has exactly its score in `expected`.
+bool SameScores(const std::vector<ScoredPath>& scored,
+                const std::map<std::vector<graph::VertexId>, double>& expected) {
+  for (const auto& s : scored) {
+    const auto it = expected.find(s.path.vertices);
+    if (it == expected.end() || it->second != s.score) return false;
+  }
+  return !scored.empty();
+}
+
+TEST(ScoreMemo, HitIsBitwiseEqualToAFreshScoreAloneOrInAnyBatch) {
+  for (const core::PathRankConfig& cfg : AllConfigs()) {
+    SCOPED_TRACE(ConfigName(cfg));
+    EngineFixture fx;
+    const core::PathRankModel model(fx.network.num_vertices(), cfg);
+    const auto snapshot = ModelSnapshot::Capture(model);
+    std::vector<routing::Path> all;
+    for (auto& paths : QueryCandidates(fx)) {
+      for (auto& p : paths) all.push_back(std::move(p));
+    }
+    const std::vector<routing::Path> half(all.begin(),
+                                          all.begin() + all.size() / 2);
+
+    // Reference: each row scored alone, each by its own fresh engine.
+    std::map<std::vector<graph::VertexId>, double> alone;
+    for (const auto& p : all) {
+      const ServingEngine fresh(fx.network, snapshot);
+      alone[p.vertices] = fresh.ScoreBatch({p}).at(0).score;
+    }
+
+    const ServingEngine engine(fx.network, snapshot);
+    // Misses in one batch, then a batch that mixes hits and misses...
+    EXPECT_TRUE(SameScores(engine.ScoreBatch(half), alone));
+    EXPECT_TRUE(SameScores(engine.ScoreBatch(all), alone));
+    ScoreMemoStats memo = engine.memo_stats();
+    EXPECT_EQ(memo.hits, half.size());
+    EXPECT_EQ(memo.misses, all.size());
+    // ...then all hits, in the batch and alone.
+    EXPECT_TRUE(SameScores(engine.ScoreBatch(all), alone));
+    for (const auto& p : all) {
+      EXPECT_TRUE(SameScores(engine.ScoreBatch({p}), alone));
+    }
+    memo = engine.memo_stats();
+    EXPECT_EQ(memo.hits, half.size() + 2 * all.size());
+    EXPECT_EQ(memo.rows_scored, all.size());
+  }
+}
+
+TEST(ScoreMemo, StaysWithinItsBoundAndScoresStayExact) {
+  EngineFixture fx;
+  const ServingEngine engine(fx.network, fx.model);
+  const auto vertices = static_cast<uint32_t>(fx.network.num_vertices());
+  Rng rng(7);
+  // Random (not road-valid) sequences: the model reads only vertex ids.
+  // Long rows, five halves' worth of ids, flip the halves by ids; then
+  // short rows flip them by index entries.
+  const auto make_batch = [&](size_t rows, size_t min_len, size_t max_len) {
+    std::vector<routing::Path> batch(rows);
+    for (auto& p : batch) {
+      const size_t len = min_len + rng.NextBounded(max_len - min_len + 1);
+      for (size_t i = 0; i < len; ++i) {
+        p.vertices.push_back(static_cast<graph::VertexId>(
+            rng.NextBounded(vertices)));
+      }
+    }
+    return batch;
+  };
+  std::vector<std::vector<routing::Path>> batches;
+  size_t ids = 0;
+  while (ids < 5 * kScoreMemoHalfIds) {
+    batches.push_back(make_batch(64, 30, 90));
+    for (const auto& p : batches.back()) ids += p.vertices.size();
+  }
+  for (int b = 0; b < 200; ++b) batches.push_back(make_batch(64, 3, 5));
+
+  // The memo-free primitive is the reference for every row.
+  std::vector<std::map<std::vector<graph::VertexId>, double>> expected;
+  for (const auto& batch : batches) {
+    std::vector<std::vector<int32_t>> seqs;
+    for (const auto& p : batch) seqs.push_back(PathToSequence(p));
+    const auto scores =
+        engine.ScoreSequences(nn::SequenceBatch::FromSequences(seqs));
+    expected.emplace_back();
+    for (size_t i = 0; i < batch.size(); ++i) {
+      expected.back()[batch[i].vertices] = scores[i];
+    }
+  }
+  for (size_t b = 0; b < batches.size(); ++b) {
+    ASSERT_TRUE(SameScores(engine.ScoreBatch(batches[b]), expected[b])) << b;
+    // Earlier batches again, after the halves have flipped under them.
+    if (b % 16 == 15) {
+      ASSERT_TRUE(SameScores(engine.ScoreBatch(batches[b / 2]),
+                             expected[b / 2])) << b;
+      ASSERT_TRUE(SameScores(engine.ScoreBatch(batches[b - 1]),
+                             expected[b - 1])) << b;
+    }
+    ASSERT_LE(engine.memo_stats().held_ids, 2 * kScoreMemoHalfIds) << b;
+  }
+  const ScoreMemoStats memo = engine.memo_stats();
+  EXPECT_GE(memo.flips, 6u);
+  EXPECT_GT(memo.hits, 0u);
+}
+
+TEST(ScoreMemo, FailedBatchStoresNothing) {
+  EngineFixture fx;
+  const ServingEngine engine(fx.network, fx.model);
+  auto good = data::GenerateCandidatePaths(fx.network, 0, 63, fx.gen);
+  ASSERT_GE(good.size(), 2u);
+  auto bad = good;
+  bad.back().vertices.back() =
+      static_cast<graph::VertexId>(fx.network.num_vertices());  // off the table
+  EXPECT_THROW(engine.ScoreBatch(bad), std::logic_error);
+  ScoreMemoStats memo = engine.memo_stats();
+  EXPECT_EQ(memo.held_ids, 0u);
+  EXPECT_EQ(memo.rows_scored, 0u);
+  EXPECT_EQ(memo.hits, 0u);
+
+  // The valid rows of the failed batch were not stored: they miss now,
+  // and score exactly as a fresh engine scores them.
+  const ServingEngine fresh(fx.network, fx.model);
+  EXPECT_TRUE(SameRanking(engine.ScoreBatch(good), fresh.ScoreBatch(good)));
+  memo = engine.memo_stats();
+  EXPECT_EQ(memo.hits, 0u);
+  EXPECT_EQ(memo.rows_scored, good.size());
+  EXPECT_GT(memo.held_ids, 0u);
 }
 
 }  // namespace

@@ -48,6 +48,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/parse.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
@@ -277,7 +278,7 @@ int CmdRank(const Args& args) {
   config.cache_capacity = 0;  // one query: nothing to reuse
   const serving::RoutePlanner planner(
       config, [&engine](std::vector<routing::Path> paths) {
-        return engine.ScoreBatch(paths);
+        return engine.ScoreBatch(std::move(paths));
       });
   const serving::RouteResult result = planner.Plan({from, to});
   if (result.status != serving::RouteStatus::kOk) {
@@ -417,7 +418,7 @@ int RunHttpFrontEnd(const Args& args, const graph::RoadNetwork& network,
   serving::HttpBackend backend;
   backend.num_vertices = network.num_vertices();
   backend.score = [engine](std::vector<routing::Path> paths) {
-    return engine->ScoreBatch(paths);
+    return engine->ScoreBatch(std::move(paths));
   };
   backend.swap_count = [engine] { return engine->swap_count(); };
 
@@ -605,6 +606,13 @@ int RunHttpFrontEnd(const Args& args, const graph::RoadNetwork& network,
               stats.route.latency_p99_s * 1e3,
               static_cast<unsigned long long>(planner.cache_hits()),
               static_cast<unsigned long long>(planner.cache_misses()));
+  // Logged (stderr), not printed: it stays in a server log whose stdout
+  // is discarded, as perfbench's server.log is.
+  const serving::ScoreMemoStats memo = engine->memo_stats();
+  PR_LOG_INFO << "score memo: " << memo.hits << " hit(s)  " << memo.misses
+              << " miss(es)  " << memo.rows_scored << " row(s) and "
+              << memo.vertices_scored << " vertices scored  " << memo.flips
+              << " flip(s)  " << memo.held_ids << " ids held";
   std::printf("graph: epoch %llu  %llu traffic batch(es)  "
               "%llu invalidation(s)  %llu single-flight wait(s)  "
               "%llu enumeration(s)\n",
