@@ -1,7 +1,5 @@
 #include "core/model.h"
 
-#include <cmath>
-
 #include "common/logging.h"
 
 namespace pathrank::core {
@@ -57,46 +55,35 @@ void MeanPoolBackward(const nn::Matrix& d_pooled,
 PathRankModel::PathRankModel(size_t vocab_size, const PathRankConfig& config,
                              InitMode init)
     : config_(config) {
+  // Skip init (snapshots, checkpoint loads) allocates every tensor but
+  // draws nothing: the caller overwrites all values. Random init draws in
+  // construction order: embedding, cells, head, auxiliary heads.
+  const bool skip = init == InitMode::kSkipInit;
+  pathrank::Rng rng(config.seed);
   const size_t head_in =
       config.bidirectional ? 2 * config.hidden_size : config.hidden_size;
-  if (init == InitMode::kSkipInit) {
-    // Replica/snapshot path: allocate every tensor but skip the RNG draws
-    // — the caller overwrites all values (CopyParametersFrom, LoadModel).
-    embedding_ = std::make_unique<nn::EmbeddingLayer>(
-        vocab_size, config.embedding_dim, nn::kSkipInit);
-    fwd_cell_ = nn::MakeRecurrentLayer(config.cell, config.embedding_dim,
-                                       config.hidden_size, nn::kSkipInit,
-                                       "cell_fwd");
-    if (config.bidirectional) {
-      bwd_cell_ = nn::MakeRecurrentLayer(config.cell, config.embedding_dim,
+  auto make_cell = [&](const std::string& name) {
+    return skip ? nn::MakeRecurrentLayer(config.cell, config.embedding_dim,
                                          config.hidden_size, nn::kSkipInit,
-                                         "cell_bwd");
-    }
-    head_ = std::make_unique<nn::LinearLayer>(head_in, 1, nn::kSkipInit,
-                                              "head");
-    if (config.multi_task) {
-      aux_length_head_ = std::make_unique<nn::LinearLayer>(
-          head_in, 1, nn::kSkipInit, "aux_len");
-      aux_time_head_ = std::make_unique<nn::LinearLayer>(
-          head_in, 1, nn::kSkipInit, "aux_time");
-    }
-  } else {
-    pathrank::Rng rng(config.seed);
-    embedding_ = std::make_unique<nn::EmbeddingLayer>(
-        vocab_size, config.embedding_dim, rng);
-    fwd_cell_ = nn::MakeRecurrentLayer(config.cell, config.embedding_dim,
-                                       config.hidden_size, rng, "cell_fwd");
-    if (config.bidirectional) {
-      bwd_cell_ = nn::MakeRecurrentLayer(config.cell, config.embedding_dim,
-                                         config.hidden_size, rng, "cell_bwd");
-    }
-    head_ = std::make_unique<nn::LinearLayer>(head_in, 1, rng, "head");
-    if (config.multi_task) {
-      aux_length_head_ =
-          std::make_unique<nn::LinearLayer>(head_in, 1, rng, "aux_len");
-      aux_time_head_ =
-          std::make_unique<nn::LinearLayer>(head_in, 1, rng, "aux_time");
-    }
+                                         name)
+                : nn::MakeRecurrentLayer(config.cell, config.embedding_dim,
+                                         config.hidden_size, rng, name);
+  };
+  auto make_head = [&](const std::string& name) {
+    return skip ? std::make_unique<nn::LinearLayer>(head_in, 1, nn::kSkipInit,
+                                                    name)
+                : std::make_unique<nn::LinearLayer>(head_in, 1, rng, name);
+  };
+  embedding_ = skip ? std::make_unique<nn::EmbeddingLayer>(
+                          vocab_size, config.embedding_dim, nn::kSkipInit)
+                    : std::make_unique<nn::EmbeddingLayer>(
+                          vocab_size, config.embedding_dim, rng);
+  fwd_cell_ = make_cell("cell_fwd");
+  if (config.bidirectional) bwd_cell_ = make_cell("cell_bwd");
+  head_ = make_head("head");
+  if (config.multi_task) {
+    aux_length_head_ = make_head("aux_len");
+    aux_time_head_ = make_head("aux_time");
   }
   embedding_->set_frozen(!config.finetune_embedding);
 }
@@ -114,62 +101,58 @@ PathRankModel::Outputs PathRankModel::ForwardFull(
   PR_CHECK(batch.batch_size > 0 && batch.max_len > 0);
   batch_ = batch;
   const size_t T = batch.max_len;
-  const size_t B = batch.batch_size;
-  const size_t H = config_.hidden_size;
 
-  if (x_steps_.size() != T) x_steps_.resize(T);
-  for (size_t t = 0; t < T; ++t) {
-    embedding_->Lookup(batch_, t, &x_steps_[t]);
-  }
+  auto encode = [&](nn::RecurrentLayer& cell,
+                    const nn::SequenceBatch& cell_batch,
+                    std::vector<nn::Matrix>* x_steps, nn::Matrix* repr) {
+    if (x_steps->size() != T) x_steps->resize(T);
+    for (size_t t = 0; t < T; ++t) {
+      embedding_->Lookup(cell_batch, t, &(*x_steps)[t]);
+    }
+    cell.Forward(*x_steps, cell_batch.lengths, repr);
+    if (config_.pooling == Pooling::kMean) {
+      MeanPool(cell, cell_batch.lengths, T, repr);
+    }
+  };
   nn::Matrix repr_fwd;
-  fwd_cell_->Forward(x_steps_, batch_.lengths, &repr_fwd);
-  if (config_.pooling == Pooling::kMean) {
-    MeanPool(*fwd_cell_, batch_.lengths, T, &repr_fwd);
-  }
-
+  nn::Matrix repr_bwd;
+  encode(*fwd_cell_, batch_, &x_steps_, &repr_fwd);
   if (config_.bidirectional) {
     batch_rev_ = batch_.Reversed();
-    if (x_steps_rev_.size() != T) x_steps_rev_.resize(T);
-    for (size_t t = 0; t < T; ++t) {
-      embedding_->Lookup(batch_rev_, t, &x_steps_rev_[t]);
-    }
-    nn::Matrix repr_bwd;
-    bwd_cell_->Forward(x_steps_rev_, batch_rev_.lengths, &repr_bwd);
-    if (config_.pooling == Pooling::kMean) {
-      MeanPool(*bwd_cell_, batch_rev_.lengths, T, &repr_bwd);
-    }
+    encode(*bwd_cell_, batch_rev_, &x_steps_rev_, &repr_bwd);
+  }
+  ApplyHeads(repr_fwd, repr_bwd, &concat_h_, &logits_, &outputs_);
+  return outputs_;
+}
 
-    concat_h_.ResizeNoZero(B, 2 * H);  // fully overwritten below
+void PathRankModel::ApplyHeads(const nn::Matrix& repr_fwd,
+                               const nn::Matrix& repr_bwd, nn::Matrix* concat,
+                               nn::Matrix* logits, Outputs* out) const {
+  const size_t B = repr_fwd.rows();
+  const size_t H = config_.hidden_size;
+  if (config_.bidirectional) {
+    concat->ResizeNoZero(B, 2 * H);  // fully overwritten below
     for (size_t b = 0; b < B; ++b) {
-      float* dst = concat_h_.row(b);
+      float* dst = concat->row(b);
       std::copy(repr_fwd.row(b), repr_fwd.row(b) + H, dst);
       std::copy(repr_bwd.row(b), repr_bwd.row(b) + H, dst + H);
     }
   } else {
-    concat_h_ = repr_fwd;
+    *concat = repr_fwd;
   }
 
-  head_->Forward(concat_h_, &logits_);
-  scores_.resize(B);
-  for (size_t b = 0; b < B; ++b) {
-    scores_[b] = 1.0f / (1.0f + std::exp(-logits_.at(b, 0)));
-  }
-  outputs_.scores = scores_;
-  outputs_.aux_length.clear();
-  outputs_.aux_time.clear();
+  auto head = [&](const nn::LinearLayer& layer, std::vector<float>* probs) {
+    layer.ForwardInference(*concat, logits);
+    nn::SigmoidInPlace(logits);  // [B x 1]: one probability per row
+    probs->assign(logits->data(), logits->data() + B);
+  };
+  head(*head_, &out->scores);
+  out->aux_length.clear();
+  out->aux_time.clear();
   if (config_.multi_task) {
-    aux_length_head_->Forward(concat_h_, &aux_length_logits_);
-    aux_time_head_->Forward(concat_h_, &aux_time_logits_);
-    outputs_.aux_length.resize(B);
-    outputs_.aux_time.resize(B);
-    for (size_t b = 0; b < B; ++b) {
-      outputs_.aux_length[b] =
-          1.0f / (1.0f + std::exp(-aux_length_logits_.at(b, 0)));
-      outputs_.aux_time[b] =
-          1.0f / (1.0f + std::exp(-aux_time_logits_.at(b, 0)));
-    }
+    head(*aux_length_head_, &out->aux_length);
+    head(*aux_time_head_, &out->aux_time);
   }
-  return outputs_;
 }
 
 InferenceTables PathRankModel::BuildInferenceTables() const {
@@ -192,8 +175,6 @@ PathRankModel::Outputs PathRankModel::ForwardInferenceFull(
     InferenceScratch* scratch) const {
   PR_CHECK(batch.batch_size > 0 && batch.max_len > 0);
   InferenceScratch& s = *scratch;
-  const size_t B = batch.batch_size;
-  const size_t H = config_.hidden_size;
   const bool mean_pool = config_.pooling == Pooling::kMean;
 
   fwd_cell_->ForwardInference(tables.fwd, batch, mean_pool, &s.fwd_cell,
@@ -202,34 +183,9 @@ PathRankModel::Outputs PathRankModel::ForwardInferenceFull(
     s.batch_rev = batch.Reversed();
     bwd_cell_->ForwardInference(tables.bwd, s.batch_rev, mean_pool,
                                 &s.bwd_cell, &s.repr_bwd);
-
-    s.concat_h.ResizeNoZero(B, 2 * H);  // fully overwritten below
-    for (size_t b = 0; b < B; ++b) {
-      float* dst = s.concat_h.row(b);
-      std::copy(s.repr_fwd.row(b), s.repr_fwd.row(b) + H, dst);
-      std::copy(s.repr_bwd.row(b), s.repr_bwd.row(b) + H, dst + H);
-    }
-  } else {
-    s.concat_h = s.repr_fwd;
   }
-
-  head_->ForwardInference(s.concat_h, &s.logits);
   Outputs out;
-  out.scores.resize(B);
-  for (size_t b = 0; b < B; ++b) {
-    out.scores[b] = 1.0f / (1.0f + std::exp(-s.logits.at(b, 0)));
-  }
-  if (config_.multi_task) {
-    aux_length_head_->ForwardInference(s.concat_h, &s.aux_length_logits);
-    aux_time_head_->ForwardInference(s.concat_h, &s.aux_time_logits);
-    out.aux_length.resize(B);
-    out.aux_time.resize(B);
-    for (size_t b = 0; b < B; ++b) {
-      out.aux_length[b] =
-          1.0f / (1.0f + std::exp(-s.aux_length_logits.at(b, 0)));
-      out.aux_time[b] = 1.0f / (1.0f + std::exp(-s.aux_time_logits.at(b, 0)));
-    }
-  }
+  ApplyHeads(s.repr_fwd, s.repr_bwd, &s.concat_h, &s.logits, &out);
   return out;
 }
 
@@ -244,56 +200,53 @@ void PathRankModel::BackwardFull(const std::vector<float>& d_scores,
   const size_t H = config_.hidden_size;
   const size_t T = batch_.max_len;
   PR_CHECK(d_scores.size() == B) << "gradient batch-size mismatch";
-
-  // Through the sigmoid: dL/dlogit = dL/ds * s * (1 - s).
-  nn::Matrix d_logits(B, 1);
-  for (size_t b = 0; b < B; ++b) {
-    const float s = scores_[b];
-    d_logits.at(b, 0) = d_scores[b] * s * (1.0f - s);
-  }
-
-  nn::Matrix d_concat;
-  head_->Backward(d_logits, &d_concat);
-
-  // Auxiliary heads contribute to the shared representation's gradient.
-  auto add_aux = [&](nn::LinearLayer& aux_head, const nn::Matrix& logits,
-                     const std::vector<float>& outputs,
-                     const std::vector<float>& d_out) {
-    if (d_out.empty()) return;
-    PR_CHECK(d_out.size() == B);
-    (void)logits;
-    nn::Matrix d_aux_logits(B, 1);
-    for (size_t b = 0; b < B; ++b) {
-      const float s = outputs[b];
-      d_aux_logits.at(b, 0) = d_out[b] * s * (1.0f - s);
-    }
-    nn::Matrix d_aux_concat;
-    aux_head.Backward(d_aux_logits, &d_aux_concat);
-    d_concat.Add(d_aux_concat);
-  };
-  if (config_.multi_task) {
-    add_aux(*aux_length_head_, aux_length_logits_, outputs_.aux_length,
-            d_aux_length);
-    add_aux(*aux_time_head_, aux_time_logits_, outputs_.aux_time, d_aux_time);
-  } else {
+  if (!config_.multi_task) {
     PR_CHECK(d_aux_length.empty() && d_aux_time.empty())
         << "auxiliary gradients require multi_task";
   }
 
-  auto backprop_cell = [&](nn::RecurrentLayer& cell,
-                           const nn::Matrix& d_repr,
-                           const nn::SequenceBatch& cell_batch,
-                           std::vector<nn::Matrix>* d_x_steps) {
+  // Through a head's sigmoid, dL/dlogit = dL/ds * s * (1 - s); writes the
+  // head's input gradient into `d_in`.
+  auto backprop_head = [&](nn::LinearLayer& head,
+                           const std::vector<float>& probs,
+                           const std::vector<float>& d_probs,
+                           nn::Matrix* d_in) {
+    PR_CHECK(d_probs.size() == B);
+    nn::Matrix d_logits(B, 1);
+    for (size_t b = 0; b < B; ++b) {
+      const float s = probs[b];
+      d_logits.at(b, 0) = d_probs[b] * s * (1.0f - s);
+    }
+    head.Backward(concat_h_, d_logits, d_in);
+  };
+  nn::Matrix d_concat;
+  backprop_head(*head_, outputs_.scores, d_scores, &d_concat);
+  // Auxiliary heads add to the shared representation's gradient.
+  nn::Matrix d_aux;
+  if (!d_aux_length.empty()) {
+    backprop_head(*aux_length_head_, outputs_.aux_length, d_aux_length, &d_aux);
+    d_concat.Add(d_aux);
+  }
+  if (!d_aux_time.empty()) {
+    backprop_head(*aux_time_head_, outputs_.aux_time, d_aux_time, &d_aux);
+    d_concat.Add(d_aux);
+  }
+
+  std::vector<nn::Matrix> d_x_steps;
+  auto backprop_cell = [&](nn::RecurrentLayer& cell, const nn::Matrix& d_repr,
+                           const nn::SequenceBatch& cell_batch) {
     if (config_.pooling == Pooling::kMean) {
       std::vector<nn::Matrix> d_h_steps;
       MeanPoolBackward(d_repr, cell_batch.lengths, T, &d_h_steps);
-      cell.BackwardSteps(d_h_steps, d_x_steps);
+      cell.BackwardSteps(d_h_steps, &d_x_steps);
     } else {
-      cell.Backward(d_repr, d_x_steps);
+      cell.Backward(d_repr, &d_x_steps);
+    }
+    for (size_t t = 0; t < T; ++t) {
+      embedding_->AccumulateGrad(cell_batch, t, d_x_steps[t]);
     }
   };
 
-  std::vector<nn::Matrix> d_x_steps;
   if (config_.bidirectional) {
     nn::Matrix d_repr_fwd(B, H);
     nn::Matrix d_repr_bwd(B, H);
@@ -302,19 +255,10 @@ void PathRankModel::BackwardFull(const std::vector<float>& d_scores,
       std::copy(src, src + H, d_repr_fwd.row(b));
       std::copy(src + H, src + 2 * H, d_repr_bwd.row(b));
     }
-    backprop_cell(*fwd_cell_, d_repr_fwd, batch_, &d_x_steps);
-    for (size_t t = 0; t < T; ++t) {
-      embedding_->AccumulateGrad(batch_, t, d_x_steps[t]);
-    }
-    backprop_cell(*bwd_cell_, d_repr_bwd, batch_rev_, &d_x_steps);
-    for (size_t t = 0; t < T; ++t) {
-      embedding_->AccumulateGrad(batch_rev_, t, d_x_steps[t]);
-    }
+    backprop_cell(*fwd_cell_, d_repr_fwd, batch_);
+    backprop_cell(*bwd_cell_, d_repr_bwd, batch_rev_);
   } else {
-    backprop_cell(*fwd_cell_, d_concat, batch_, &d_x_steps);
-    for (size_t t = 0; t < T; ++t) {
-      embedding_->AccumulateGrad(batch_, t, d_x_steps[t]);
-    }
+    backprop_cell(*fwd_cell_, d_concat, batch_);
   }
 }
 

@@ -52,8 +52,6 @@ struct InferenceScratch {
   nn::Matrix repr_bwd;
   nn::Matrix concat_h;
   nn::Matrix logits;
-  nn::Matrix aux_length_logits;
-  nn::Matrix aux_time_logits;
 };
 
 /// Trainable path-scoring network.
@@ -132,6 +130,13 @@ class PathRankModel {
   size_t NumParameters() const;
 
  private:
+  /// Concatenates the chains' representations into `concat` (`repr_bwd`
+  /// is read only when bidirectional), then runs every head and its
+  /// sigmoid into `out`. ForwardFull and ForwardInferenceFull both end
+  /// here, so their head arithmetic is one code path.
+  void ApplyHeads(const nn::Matrix& repr_fwd, const nn::Matrix& repr_bwd,
+                  nn::Matrix* concat, nn::Matrix* logits, Outputs* out) const;
+
   PathRankConfig config_;
   std::unique_ptr<nn::EmbeddingLayer> embedding_;
   std::unique_ptr<nn::RecurrentLayer> fwd_cell_;
@@ -145,12 +150,9 @@ class PathRankModel {
   nn::SequenceBatch batch_rev_;
   std::vector<nn::Matrix> x_steps_;
   std::vector<nn::Matrix> x_steps_rev_;
-  nn::Matrix concat_h_;
+  nn::Matrix concat_h_;  // the heads' input, read by BackwardFull
   nn::Matrix logits_;
-  nn::Matrix aux_length_logits_;
-  nn::Matrix aux_time_logits_;
   Outputs outputs_;
-  std::vector<float> scores_;
 };
 
 }  // namespace pathrank::core

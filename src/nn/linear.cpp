@@ -6,7 +6,7 @@ namespace pathrank::nn {
 
 LinearLayer::LinearLayer(size_t input_size, size_t output_size,
                          pathrank::Rng& rng, const std::string& p)
-    : w_(p + ".w", input_size, output_size), b_(p + ".b", 1, output_size) {
+    : LinearLayer(input_size, output_size, kSkipInit, p) {
   XavierInit(&w_.value, rng);
 }
 
@@ -28,14 +28,12 @@ void LinearLayer::ForwardInference(const Matrix& x, Matrix* y) const {
   AddRowBroadcast(b_.value, y);
 }
 
-void LinearLayer::Backward(const Matrix& d_y, Matrix* d_x) {
-  PR_CHECK(d_y.rows() == x_cache_.rows() && d_y.cols() == output_size());
-  GemmTN(x_cache_, d_y, &w_.grad, 1.0f, 1.0f);
+void LinearLayer::Backward(const Matrix& x, const Matrix& d_y, Matrix* d_x) {
+  PR_CHECK(d_y.rows() == x.rows() && d_y.cols() == output_size());
+  GemmTN(x, d_y, &w_.grad, 1.0f, 1.0f);
   AddColumnSums(d_y, &b_.grad);
   if (d_x != nullptr) {
-    if (!d_x->SameShape(x_cache_)) {
-      d_x->Resize(x_cache_.rows(), x_cache_.cols());
-    }
+    if (!d_x->SameShape(x)) d_x->Resize(x.rows(), x.cols());
     GemmNT(d_y, w_.value, d_x, 1.0f, 0.0f);
   }
 }

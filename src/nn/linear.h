@@ -17,16 +17,21 @@ class LinearLayer {
   LinearLayer(size_t input_size, size_t output_size, SkipInit,
               const std::string& name_prefix = "fc");
 
-  /// Y[B x out] = X[B x in] W + b. Caches X.
+  /// Y[B x out] = X[B x in] W + b. Caches X for Backward(d_y, d_x).
   void Forward(const Matrix& x, Matrix* y);
 
-  /// Inference-only forward: same arithmetic as Forward but no input
-  /// cache, so it never mutates the layer and is safe to call from many
-  /// threads concurrently.
+  /// Forward without the input cache: it never mutates the layer, so
+  /// many threads may call it at once.
   void ForwardInference(const Matrix& x, Matrix* y) const;
 
-  /// Accumulates dW, db and writes dX.
-  void Backward(const Matrix& d_y, Matrix* d_x);
+  /// Backward for input `x`: accumulates dW, db and writes dX (skipped
+  /// when `d_x` is null).
+  void Backward(const Matrix& x, const Matrix& d_y, Matrix* d_x);
+
+  /// Backward for the last Forward's input.
+  void Backward(const Matrix& d_y, Matrix* d_x) {
+    Backward(x_cache_, d_y, d_x);
+  }
 
   ParameterList Parameters() { return {&w_, &b_}; }
   ConstParameterList Parameters() const { return {&w_, &b_}; }

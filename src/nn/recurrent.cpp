@@ -43,6 +43,16 @@ void GatherRows(const Matrix& src, const std::vector<uint32_t>& rows,
   }
 }
 
+/// Rows of `next` past their length at step `t` take `prev`'s row:
+/// padded steps carry the last real state forward.
+void KeepFinishedRows(const std::vector<int32_t>& lengths, size_t t,
+                      const Matrix& prev, Matrix* next) {
+  for (size_t b = 0; b < lengths.size(); ++b) {
+    if (static_cast<int32_t>(t) < lengths[b]) continue;
+    std::copy(prev.row(b), prev.row(b) + prev.cols(), next->row(b));
+  }
+}
+
 }  // namespace
 
 std::string CellTypeName(CellType type) {
@@ -87,7 +97,9 @@ void RecurrentLayer::ForwardInference(const InputTable& table,
                                       Matrix* out) const {
   const size_t batch_size = batch.batch_size;
   PR_CHECK(batch_size > 0 && batch.max_len > 0);
-  PR_CHECK(!table.gates.empty()) << "empty input table";
+  PR_CHECK(table.gates.size() == InputWeights().size())
+      << "input table has " << table.gates.size() << " gates, cell "
+      << InputWeights().size();
   const size_t hidden = hidden_size();
   const size_t vocab = table.gates[0].rows();
   const std::vector<int32_t>& lengths = batch.lengths;
@@ -127,8 +139,18 @@ void RecurrentLayer::ForwardInference(const InputTable& table,
           static_cast<uint32_t>(s->parent.size() - 1);
     }
 
+    StepIo io{&s->h_prev, nullptr, {}, &s->aux, &s->h, nullptr};
     GatherRows(s->h_last, s->parent, &s->h_prev);
-    StepInference(table, s);
+    if (has_cell_state()) {
+      GatherRows(s->c_last, s->parent, &s->c_prev);
+      io.c_prev = &s->c_prev;
+      io.c = &s->c;
+    }
+    for (size_t g = 0; g < table.gates.size(); ++g) {
+      GatherRows(table.gates[g], s->vertex, &s->gates[g]);
+      io.gates[g] = &s->gates[g];
+    }
+    Step(io);
 
     // Pool in ascending step order, as MeanPool does; copy final states
     // out at each row's own length and drop the finished rows.
@@ -163,15 +185,7 @@ void RecurrentLayer::ForwardInference(const InputTable& table,
 
 GruLayer::GruLayer(size_t input_size, size_t hidden_size, pathrank::Rng& rng,
                    const std::string& p)
-    : wz_(p + ".wz", input_size, hidden_size),
-      wr_(p + ".wr", input_size, hidden_size),
-      wh_(p + ".wh", input_size, hidden_size),
-      uz_(p + ".uz", hidden_size, hidden_size),
-      ur_(p + ".ur", hidden_size, hidden_size),
-      uh_(p + ".uh", hidden_size, hidden_size),
-      bz_(p + ".bz", 1, hidden_size),
-      br_(p + ".br", 1, hidden_size),
-      bh_(p + ".bh", 1, hidden_size) {
+    : GruLayer(input_size, hidden_size, kSkipInit, p) {
   for (Parameter* w : {&wz_, &wr_, &wh_, &uz_, &ur_, &uh_}) {
     XavierInit(&w->value, rng);
   }
@@ -210,45 +224,13 @@ void GruLayer::Forward(const std::vector<Matrix>& x_steps,
 
   for (size_t t = 0; t < num_steps; ++t) {
     const Matrix& x = x_steps[t];
-    const Matrix& h_prev = h_[t];
     PR_CHECK(x.cols() == input_size());
-
-    Matrix& z = z_[t];
-    GemmNN(x, wz_.value, &z);
-    GemmNN(h_prev, uz_.value, &z, 1.0f, 1.0f);
-    AddRowBroadcast(bz_.value, &z);
-    SigmoidInPlace(&z);
-
-    Matrix& r = r_[t];
-    GemmNN(x, wr_.value, &r);
-    GemmNN(h_prev, ur_.value, &r, 1.0f, 1.0f);
-    AddRowBroadcast(br_.value, &r);
-    SigmoidInPlace(&r);
-
-    Hadamard(r, h_prev, &rh_[t]);
-
-    Matrix& hhat = hhat_[t];
-    GemmNN(x, wh_.value, &hhat);
-    GemmNN(rh_[t], uh_.value, &hhat, 1.0f, 1.0f);
-    AddRowBroadcast(bh_.value, &hhat);
-    TanhInPlace(&hhat);
-
-    // h_new = h_prev + m*z*(hhat - h_prev): masked rows keep h_prev.
-    const auto mask = StepMask(lengths_, t);
-    Matrix& h_new = h_[t + 1];
-    for (size_t b = 0; b < batch; ++b) {
-      float* hn = h_new.row(b);
-      const float* hp = h_prev.row(b);
-      if (mask[b] == 0.0f) {
-        std::copy(hp, hp + hidden, hn);
-        continue;
-      }
-      const float* zz = z.row(b);
-      const float* hh = hhat.row(b);
-      for (size_t c = 0; c < hidden; ++c) {
-        hn[c] = (1.0f - zz[c]) * hp[c] + zz[c] * hh[c];
-      }
-    }
+    GemmNN(x, wz_.value, &z_[t]);
+    GemmNN(x, wr_.value, &r_[t]);
+    GemmNN(x, wh_.value, &hhat_[t]);
+    Step({&h_[t], nullptr, {&z_[t], &r_[t], &hhat_[t]}, &rh_[t], &h_[t + 1],
+          nullptr});
+    KeepFinishedRows(lengths_, t, h_[t], &h_[t + 1]);
   }
   *final_h = h_[num_steps];
 }
@@ -257,38 +239,32 @@ std::vector<const Matrix*> GruLayer::InputWeights() const {
   return {&wz_.value, &wr_.value, &wh_.value};
 }
 
-void GruLayer::StepInference(const InputTable& table,
-                             RecurrentScratch* s) const {
-  // Forward's step arithmetic, row for row; the table row stands in for
-  // GemmNN(x, W).
-  const Matrix& h_prev = s->h_prev;
-  const size_t n = h_prev.rows();
-  const size_t hidden = hidden_size();
-  Matrix& z = s->g1;
-  Matrix& r = s->g2;
-  Matrix& hhat = s->g3;
-  Matrix& rh = s->g4;
+void GruLayer::Step(const StepIo& io) const {
+  const Matrix& h_prev = *io.h_prev;
+  Matrix& z = *io.gates[0];
+  Matrix& r = *io.gates[1];
+  Matrix& hhat = *io.gates[2];
+  Matrix& rh = *io.aux;
 
-  GatherRows(table.gates[0], s->vertex, &z);
   GemmNN(h_prev, uz_.value, &z, 1.0f, 1.0f);
   AddRowBroadcast(bz_.value, &z);
   SigmoidInPlace(&z);
 
-  GatherRows(table.gates[1], s->vertex, &r);
   GemmNN(h_prev, ur_.value, &r, 1.0f, 1.0f);
   AddRowBroadcast(br_.value, &r);
   SigmoidInPlace(&r);
 
   Hadamard(r, h_prev, &rh);
 
-  GatherRows(table.gates[2], s->vertex, &hhat);
   GemmNN(rh, uh_.value, &hhat, 1.0f, 1.0f);
   AddRowBroadcast(bh_.value, &hhat);
   TanhInPlace(&hhat);
 
-  s->h.ResizeNoZero(n, hidden);
-  for (size_t b = 0; b < n; ++b) {
-    float* hn = s->h.row(b);
+  // h_new = (1 - z) * h_prev + z * hhat.
+  const size_t hidden = hidden_size();
+  io.h->ResizeNoZero(h_prev.rows(), hidden);
+  for (size_t b = 0; b < h_prev.rows(); ++b) {
+    float* hn = io.h->row(b);
     const float* hp = h_prev.row(b);
     const float* zz = z.row(b);
     const float* hh = hhat.row(b);
@@ -399,9 +375,7 @@ ConstParameterList GruLayer::Parameters() const {
 
 RnnLayer::RnnLayer(size_t input_size, size_t hidden_size, pathrank::Rng& rng,
                    const std::string& p)
-    : w_(p + ".w", input_size, hidden_size),
-      u_(p + ".u", hidden_size, hidden_size),
-      b_(p + ".b", 1, hidden_size) {
+    : RnnLayer(input_size, hidden_size, kSkipInit, p) {
   XavierInit(&w_.value, rng);
   XavierInit(&u_.value, rng);
 }
@@ -426,20 +400,9 @@ void RnnLayer::Forward(const std::vector<Matrix>& x_steps,
   h_[0].Zero();
 
   for (size_t t = 0; t < num_steps; ++t) {
-    const Matrix& x = x_steps[t];
-    const Matrix& h_prev = h_[t];
-    Matrix& hnew = hnew_[t];
-    GemmNN(x, w_.value, &hnew);
-    GemmNN(h_prev, u_.value, &hnew, 1.0f, 1.0f);
-    AddRowBroadcast(b_.value, &hnew);
-    TanhInPlace(&hnew);
-
-    const auto mask = StepMask(lengths_, t);
-    Matrix& h_new = h_[t + 1];
-    for (size_t bb = 0; bb < batch; ++bb) {
-      const float* src = mask[bb] == 0.0f ? h_prev.row(bb) : hnew.row(bb);
-      std::copy(src, src + hidden, h_new.row(bb));
-    }
+    GemmNN(x_steps[t], w_.value, &hnew_[t]);
+    Step({&h_[t], nullptr, {&hnew_[t]}, nullptr, &h_[t + 1], nullptr});
+    KeepFinishedRows(lengths_, t, h_[t], &h_[t + 1]);
   }
   *final_h = h_[num_steps];
 }
@@ -448,12 +411,12 @@ std::vector<const Matrix*> RnnLayer::InputWeights() const {
   return {&w_.value};
 }
 
-void RnnLayer::StepInference(const InputTable& table,
-                             RecurrentScratch* s) const {
-  GatherRows(table.gates[0], s->vertex, &s->h);
-  GemmNN(s->h_prev, u_.value, &s->h, 1.0f, 1.0f);
-  AddRowBroadcast(b_.value, &s->h);
-  TanhInPlace(&s->h);
+void RnnLayer::Step(const StepIo& io) const {
+  Matrix& hnew = *io.gates[0];
+  GemmNN(*io.h_prev, u_.value, &hnew, 1.0f, 1.0f);
+  AddRowBroadcast(b_.value, &hnew);
+  TanhInPlace(&hnew);
+  *io.h = hnew;
 }
 
 void RnnLayer::BackwardImpl(const Matrix* d_final_h,
@@ -511,18 +474,7 @@ ConstParameterList RnnLayer::Parameters() const { return {&w_, &u_, &b_}; }
 
 LstmLayer::LstmLayer(size_t input_size, size_t hidden_size,
                      pathrank::Rng& rng, const std::string& p)
-    : wi_(p + ".wi", input_size, hidden_size),
-      wf_(p + ".wf", input_size, hidden_size),
-      wo_(p + ".wo", input_size, hidden_size),
-      wg_(p + ".wg", input_size, hidden_size),
-      ui_(p + ".ui", hidden_size, hidden_size),
-      uf_(p + ".uf", hidden_size, hidden_size),
-      uo_(p + ".uo", hidden_size, hidden_size),
-      ug_(p + ".ug", hidden_size, hidden_size),
-      bi_(p + ".bi", 1, hidden_size),
-      bf_(p + ".bf", 1, hidden_size),
-      bo_(p + ".bo", 1, hidden_size),
-      bg_(p + ".bg", 1, hidden_size) {
+    : LstmLayer(input_size, hidden_size, kSkipInit, p) {
   for (Parameter* w : {&wi_, &wf_, &wo_, &wg_, &ui_, &uf_, &uo_, &ug_}) {
     XavierInit(&w->value, rng);
   }
@@ -560,67 +512,20 @@ void LstmLayer::Forward(const std::vector<Matrix>& x_steps,
   EnsureStepShapes(&f_, num_steps, batch, hidden);
   EnsureStepShapes(&o_, num_steps, batch, hidden);
   EnsureStepShapes(&g_, num_steps, batch, hidden);
-  EnsureStepShapes(&c_new_, num_steps, batch, hidden);
   EnsureStepShapes(&tanh_c_new_, num_steps, batch, hidden);
   h_[0].Zero();
   c_[0].Zero();
 
-  // Gates are computed directly into their cache slot.
-  auto gate = [](const Matrix& x, const Matrix& h_prev, const Parameter& w,
-                 const Parameter& u, const Parameter& b, bool is_tanh,
-                 Matrix* out) {
-    GemmNN(x, w.value, out);
-    GemmNN(h_prev, u.value, out, 1.0f, 1.0f);
-    AddRowBroadcast(b.value, out);
-    if (is_tanh) {
-      TanhInPlace(out);
-    } else {
-      SigmoidInPlace(out);
-    }
-  };
-
   for (size_t t = 0; t < num_steps; ++t) {
     const Matrix& x = x_steps[t];
-    const Matrix& h_prev = h_[t];
-    const Matrix& c_prev = c_[t];
-    gate(x, h_prev, wi_, ui_, bi_, false, &i_[t]);
-    gate(x, h_prev, wf_, uf_, bf_, false, &f_[t]);
-    gate(x, h_prev, wo_, uo_, bo_, false, &o_[t]);
-    gate(x, h_prev, wg_, ug_, bg_, true, &g_[t]);
-
-    Matrix& cn = c_new_[t];
-    for (size_t bb = 0; bb < batch; ++bb) {
-      const float* pf = f_[t].row(bb);
-      const float* pi = i_[t].row(bb);
-      const float* pg = g_[t].row(bb);
-      const float* pc = c_prev.row(bb);
-      float* pcn = cn.row(bb);
-      for (size_t cidx = 0; cidx < hidden; ++cidx) {
-        pcn[cidx] = pf[cidx] * pc[cidx] + pi[cidx] * pg[cidx];
-      }
-    }
-    tanh_c_new_[t] = cn;
-    TanhInPlace(&tanh_c_new_[t]);
-
-    const auto mask = StepMask(lengths_, t);
-    Matrix& h_next = h_[t + 1];
-    Matrix& c_next = c_[t + 1];
-    for (size_t bb = 0; bb < batch; ++bb) {
-      float* ph = h_next.row(bb);
-      float* pc = c_next.row(bb);
-      if (mask[bb] == 0.0f) {
-        std::copy(h_prev.row(bb), h_prev.row(bb) + hidden, ph);
-        std::copy(c_prev.row(bb), c_prev.row(bb) + hidden, pc);
-        continue;
-      }
-      const float* po = o_[t].row(bb);
-      const float* ptc = tanh_c_new_[t].row(bb);
-      const float* pcn = cn.row(bb);
-      for (size_t cidx = 0; cidx < hidden; ++cidx) {
-        ph[cidx] = po[cidx] * ptc[cidx];
-        pc[cidx] = pcn[cidx];
-      }
-    }
+    GemmNN(x, wi_.value, &i_[t]);
+    GemmNN(x, wf_.value, &f_[t]);
+    GemmNN(x, wo_.value, &o_[t]);
+    GemmNN(x, wg_.value, &g_[t]);
+    Step({&h_[t], &c_[t], {&i_[t], &f_[t], &o_[t], &g_[t]}, &tanh_c_new_[t],
+          &h_[t + 1], &c_[t + 1]});
+    KeepFinishedRows(lengths_, t, h_[t], &h_[t + 1]);
+    KeepFinishedRows(lengths_, t, c_[t], &c_[t + 1]);
   }
   *final_h = h_[num_steps];
 }
@@ -629,36 +534,30 @@ std::vector<const Matrix*> LstmLayer::InputWeights() const {
   return {&wi_.value, &wf_.value, &wo_.value, &wg_.value};
 }
 
-void LstmLayer::StepInference(const InputTable& table,
-                              RecurrentScratch* s) const {
-  GatherRows(s->c_last, s->parent, &s->c_prev);
-  const Matrix& h_prev = s->h_prev;
-  const Matrix& c_prev = s->c_prev;
+void LstmLayer::Step(const StepIo& io) const {
+  const Matrix& h_prev = *io.h_prev;
+  const Matrix& c_prev = *io.c_prev;
+  const Parameter* u[] = {&ui_, &uf_, &uo_, &ug_};
+  const Parameter* bias[] = {&bi_, &bf_, &bo_, &bg_};
+  for (size_t k = 0; k < 4; ++k) {
+    Matrix* gate = io.gates[k];
+    GemmNN(h_prev, u[k]->value, gate, 1.0f, 1.0f);
+    AddRowBroadcast(bias[k]->value, gate);
+    if (k == 3) {
+      TanhInPlace(gate);  // cell candidate g
+    } else {
+      SigmoidInPlace(gate);  // i, f, o
+    }
+  }
+
+  // c_new = f * c_prev + i * g;  h_new = o * tanh(c_new).
+  const Matrix& ig = *io.gates[0];
+  const Matrix& fg = *io.gates[1];
+  const Matrix& og = *io.gates[2];
+  const Matrix& gg = *io.gates[3];
   const size_t n = h_prev.rows();
   const size_t hidden = hidden_size();
-  Matrix& ig = s->g1;
-  Matrix& fg = s->g2;
-  Matrix& og = s->g3;
-  Matrix& gg = s->g4;
-  Matrix& tanh_cn = s->tanh_c;
-
-  auto gate = [&](const Matrix& projected, const Parameter& u,
-                  const Parameter& b, bool is_tanh, Matrix* out) {
-    GatherRows(projected, s->vertex, out);
-    GemmNN(h_prev, u.value, out, 1.0f, 1.0f);
-    AddRowBroadcast(b.value, out);
-    if (is_tanh) {
-      TanhInPlace(out);
-    } else {
-      SigmoidInPlace(out);
-    }
-  };
-  gate(table.gates[0], ui_, bi_, false, &ig);
-  gate(table.gates[1], uf_, bf_, false, &fg);
-  gate(table.gates[2], uo_, bo_, false, &og);
-  gate(table.gates[3], ug_, bg_, true, &gg);
-
-  Matrix& cn = s->c;
+  Matrix& cn = *io.c;
   cn.ResizeNoZero(n, hidden);
   for (size_t bb = 0; bb < n; ++bb) {
     const float* pf = fg.row(bb);
@@ -670,14 +569,15 @@ void LstmLayer::StepInference(const InputTable& table,
       pcn[cidx] = pf[cidx] * pc[cidx] + pi[cidx] * pg[cidx];
     }
   }
+  Matrix& tanh_cn = *io.aux;
   tanh_cn = cn;
   TanhInPlace(&tanh_cn);
 
-  s->h.ResizeNoZero(n, hidden);
+  io.h->ResizeNoZero(n, hidden);
   for (size_t bb = 0; bb < n; ++bb) {
     const float* po = og.row(bb);
     const float* ptc = tanh_cn.row(bb);
-    float* ph = s->h.row(bb);
+    float* ph = io.h->row(bb);
     for (size_t cidx = 0; cidx < hidden; ++cidx) {
       ph[cidx] = po[cidx] * ptc[cidx];
     }

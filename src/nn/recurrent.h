@@ -1,18 +1,24 @@
 // Recurrent sequence encoders: GRU (the paper's choice), vanilla tanh RNN
 // and LSTM (ablations). All share one interface:
 //
-//   Forward(x_steps, lengths, &final_h)   — x_steps[t] is the [B x input]
-//     embedding of timestep t; final_h receives the hidden state of each
-//     row after its true length (padding is masked, not processed).
-//   Backward(d_final_h, &d_x_steps)       — exact BPTT; returns gradients
-//     with respect to every input step and accumulates parameter grads.
-//   ForwardInference(table, batch, ...)   — const scoring path over a
-//     frozen input-projection table (see InputTable).
+//   Forward(x_steps, lengths, &final_h)   — training forward; x_steps[t] is
+//     the [B x input] embedding of timestep t; final_h receives each row's
+//     hidden state after its true length (padded steps carry it forward).
+//   Backward(d_final_h, &d_x_steps)       — exact BPTT over the activations
+//     the matching Forward cached; returns gradients with respect to every
+//     input step and accumulates parameter grads.
+//   ForwardInference(table, batch, ...)   — const scoring over a frozen
+//     input-projection table (see InputTable), sharing prefix steps.
 //
-// Implementations cache activations in Forward; a Backward call must follow
-// the matching Forward call (standard training loop discipline).
+// Each cell writes its step once, in a private Step: given gate buffers
+// that already hold the input projection x W and the previous state, it
+// adds the recurrent GEMMs and biases, applies the activations and writes
+// the new state. Forward fills the gates with GemmNN(x, W) into its
+// per-step caches; ForwardInference gathers them from the table. Both
+// call the same Step, so inference is bitwise training by construction.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -51,8 +57,8 @@ struct RecurrentScratch {
   Matrix h, c;            // node states after the current step
   Matrix h_last, c_last;  // node states after the previous step; one
                           // zero root row before step 0
-  Matrix g1, g2, g3, g4;  // per-step gate scratch
-  Matrix tanh_c;          // LSTM tanh(cell) per step
+  std::array<Matrix, 4> gates;  // per-step gate buffers
+  Matrix aux;                   // GRU r * h_prev, LSTM tanh(cell)
 };
 
 /// Abstract masked recurrent encoder.
@@ -70,10 +76,10 @@ class RecurrentLayer {
   /// input weights (see InputTable). Build once per frozen weight set.
   InputTable BuildInputTable(const Matrix& embedding) const;
 
-  /// Inference-only forward over vertex-id sequences. Each row's
-  /// arithmetic equals Forward's, so its result is bitwise the same, but
-  /// a hidden state depends only on its prefix: rows that share a prefix
-  /// share its steps, and finished rows drop out. `out` [B x hidden]
+  /// Inference-only forward over vertex-id sequences. It calls Forward's
+  /// Step, so each row's result is bitwise the same, but a hidden state
+  /// depends only on its prefix: rows that share a prefix share its
+  /// steps, and finished rows drop out. `out` [B x hidden]
   /// receives each row's final state, or with `mean_pool` the mean of its
   /// states over its length. Everything lands in `scratch`, so the layer
   /// is never mutated and many threads may call this at once. Throws
@@ -111,12 +117,24 @@ class RecurrentLayer {
   /// The input weights, in InputTable gate order.
   virtual std::vector<const Matrix*> InputWeights() const = 0;
 
-  /// One inference step over the nodes of the current step: reads the
-  /// parents' states `s->h_prev` [n x hidden] (LSTM also gathers its cell
-  /// states from `s->c_last` by `s->parent`) and the nodes' vertex ids
-  /// `s->vertex`; writes the new states into `s->h` (and `s->c`).
-  virtual void StepInference(const InputTable& table,
-                             RecurrentScratch* s) const = 0;
+  /// The buffers of one step over n rows. On entry `gates[g]` holds the
+  /// input projection x W of gate g (InputTable order); Step activates it
+  /// in place. GRU and RNN leave `c_prev` and `c` null.
+  struct StepIo {
+    const Matrix* h_prev;  // [n x hidden]
+    const Matrix* c_prev;  // LSTM cell state
+    std::array<Matrix*, 4> gates;
+    Matrix* aux;  // GRU r * h_prev, LSTM tanh(c); unused by the RNN
+    Matrix* h;    // new state
+    Matrix* c;    // LSTM new cell state
+  };
+
+  /// One step for every row, finished or not: the caller restores the
+  /// rows past their length. Rows never read each other.
+  virtual void Step(const StepIo& io) const = 0;
+
+  /// True for the LSTM, whose state is (h, c).
+  virtual bool has_cell_state() const { return false; }
 
   /// Exactly one of `d_final_h` / `d_h_steps` is non-null.
   virtual void BackwardImpl(const Matrix* d_final_h,
@@ -151,13 +169,13 @@ class GruLayer final : public RecurrentLayer {
 
  protected:
   std::vector<const Matrix*> InputWeights() const override;
-  void StepInference(const InputTable& table,
-                     RecurrentScratch* s) const override;
   void BackwardImpl(const Matrix* d_final_h,
                     const std::vector<Matrix>* d_h_steps,
                     std::vector<Matrix>* d_x_steps) override;
 
  private:
+  void Step(const StepIo& io) const override;
+
   Parameter wz_, wr_, wh_;  // [input x hidden]
   Parameter uz_, ur_, uh_;  // [hidden x hidden]
   Parameter bz_, br_, bh_;  // [1 x hidden]
@@ -191,13 +209,13 @@ class RnnLayer final : public RecurrentLayer {
 
  protected:
   std::vector<const Matrix*> InputWeights() const override;
-  void StepInference(const InputTable& table,
-                     RecurrentScratch* s) const override;
   void BackwardImpl(const Matrix* d_final_h,
                     const std::vector<Matrix>* d_h_steps,
                     std::vector<Matrix>* d_x_steps) override;
 
  private:
+  void Step(const StepIo& io) const override;
+
   Parameter w_, u_, b_;
 
   const std::vector<Matrix>* x_steps_ = nullptr;
@@ -225,22 +243,23 @@ class LstmLayer final : public RecurrentLayer {
 
  protected:
   std::vector<const Matrix*> InputWeights() const override;
-  void StepInference(const InputTable& table,
-                     RecurrentScratch* s) const override;
   void BackwardImpl(const Matrix* d_final_h,
                     const std::vector<Matrix>* d_h_steps,
                     std::vector<Matrix>* d_x_steps) override;
 
  private:
+  void Step(const StepIo& io) const override;
+  bool has_cell_state() const override { return true; }
+
   Parameter wi_, wf_, wo_, wg_;  // [input x hidden]
   Parameter ui_, uf_, uo_, ug_;  // [hidden x hidden]
   Parameter bi_, bf_, bo_, bg_;  // [1 x hidden]
 
   const std::vector<Matrix>* x_steps_ = nullptr;
   std::vector<int32_t> lengths_;
-  std::vector<Matrix> h_, c_;               // masked states; index 0 = 0
-  std::vector<Matrix> i_, f_, o_, g_;       // gates per step
-  std::vector<Matrix> c_new_, tanh_c_new_;  // unmasked cell and tanh(cell)
+  std::vector<Matrix> h_, c_;          // masked states; index 0 = 0
+  std::vector<Matrix> i_, f_, o_, g_;  // gates per step
+  std::vector<Matrix> tanh_c_new_;     // tanh of the unmasked new cell
 };
 
 /// Factory for the configured cell type. `name_prefix` namespaces the

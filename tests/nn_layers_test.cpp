@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 
 #include "nn/embedding_layer.h"
@@ -144,6 +145,69 @@ TEST_P(RecurrentShapes, MaskingMatchesTruncatedSequence) {
   cell->Forward(x_short, {3}, &h_short);
   for (size_t i = 0; i < h_short.size(); ++i) {
     EXPECT_NEAR(h_padded.data()[i], h_short.data()[i], 1e-6f);
+  }
+}
+
+TEST_P(RecurrentShapes, TrainingCacheReuseAcrossGeometriesIsStable) {
+  // Forward and Backward keep their per-step buffers across calls and
+  // only reshape them. A layer that trained on a larger batch first must
+  // train on a smaller one bitwise like a fresh layer with the same
+  // weights.
+  pathrank::Rng rng(11);
+  auto reused = MakeRecurrentLayer(GetParam(), 3, 4, rng, "cell");
+  auto fresh = MakeRecurrentLayer(GetParam(), 3, 4, kSkipInit, "cell");
+  const ParameterList reused_params = reused->Parameters();
+  const ParameterList fresh_params = fresh->Parameters();
+  for (size_t i = 0; i < reused_params.size(); ++i) {
+    fresh_params[i]->value = reused_params[i]->value;
+  }
+
+  pathrank::Rng data_rng(12);
+  auto random_steps = [&](size_t steps, size_t rows) {
+    std::vector<Matrix> x(steps, Matrix(rows, 3));
+    for (Matrix& m : x) {
+      for (size_t i = 0; i < m.size(); ++i) {
+        m.data()[i] = static_cast<float>(data_rng.NextUniform(-1, 1));
+      }
+    }
+    return x;
+  };
+  auto expect_bitwise_equal = [](const Matrix& a, const Matrix& b) {
+    ASSERT_TRUE(a.SameShape(b))
+        << a.ShapeString() << " vs " << b.ShapeString();
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
+  };
+
+  std::vector<Matrix> dx_reused, dx_fresh;
+  const std::vector<Matrix> x_big = random_steps(5, 3);
+  Matrix h_big;
+  reused->Forward(x_big, {5, 2, 4}, &h_big);
+  Matrix d_big(3, 4);
+  d_big.Fill(0.5f);
+  reused->Backward(d_big, &dx_reused);
+  for (Parameter* p : reused_params) p->ZeroGrad();
+
+  const std::vector<Matrix> x_small = random_steps(3, 2);
+  const std::vector<int32_t> lengths{3, 1};
+  Matrix d_final(2, 4);
+  for (size_t i = 0; i < d_final.size(); ++i) {
+    d_final.data()[i] = static_cast<float>(data_rng.NextUniform(-1, 1));
+  }
+  Matrix h_reused, h_fresh;
+  reused->Forward(x_small, lengths, &h_reused);
+  reused->Backward(d_final, &dx_reused);
+  fresh->Forward(x_small, lengths, &h_fresh);
+  fresh->Backward(d_final, &dx_fresh);
+
+  expect_bitwise_equal(h_reused, h_fresh);
+  ASSERT_EQ(dx_reused.size(), 3u);
+  ASSERT_EQ(dx_fresh.size(), 3u);
+  for (size_t t = 0; t < dx_reused.size(); ++t) {
+    expect_bitwise_equal(dx_reused[t], dx_fresh[t]);
+  }
+  for (size_t i = 0; i < reused_params.size(); ++i) {
+    SCOPED_TRACE(reused_params[i]->name);
+    expect_bitwise_equal(reused_params[i]->grad, fresh_params[i]->grad);
   }
 }
 

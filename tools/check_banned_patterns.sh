@@ -42,6 +42,12 @@
 #                   loop goes through ParallelFor with a body whose output
 #                   does not depend on the chunking. A caller whose use
 #                   never changes a result is allowlisted with its reason.
+#   activation      std::exp / std::tanh (and the bare exp, expf, tanh,
+#                   tanhf calls) in src/nn/ and src/core/ outside
+#                   src/nn/matrix.cpp. The model's activations live in
+#                   SigmoidInPlace and TanhInPlace there, so training and
+#                   inference share one definition of each and a faster
+#                   or different activation is a one-file change.
 #
 # Allowlist: tools/banned_patterns_allowlist.txt, lines of
 # "<rule>:<repo-relative-path>  # reason". An entry suppresses that rule
@@ -108,11 +114,14 @@ report() {
 }
 
 # Rule scopes. Library + drivers for the parse/random rules; the
-# serving layer only for naked-new; everything for locked-sleep.
+# serving layer only for naked-new; the model's layers for activation;
+# everything for locked-sleep.
 mapfile -t ALL_FILES < <(cd "$ROOT" && find src tests tools bench examples \
   -name '*.cpp' -o -name '*.h' | sort)
 mapfile -t SRC_FILES < <(cd "$ROOT" && find src -name '*.cpp' -o -name '*.h' | sort)
 mapfile -t SERVING_FILES < <(cd "$ROOT" && find src/serving \
+  -name '*.cpp' -o -name '*.h' | sort)
+mapfile -t MODEL_FILES < <(cd "$ROOT" && find src/nn src/core \
   -name '*.cpp' -o -name '*.h' | sort)
 
 # ---- numeric-parse -----------------------------------------------------
@@ -224,6 +233,19 @@ for file in "${SRC_FILES[@]}"; do
     [ -n "$hit" ] || continue
     report pool-size "$file" "${hit%%:*}" "${hit#*:}"
   done < <(stripped "$ROOT/$file" | grep -En "$POOL_RE" || true)
+done
+
+# ---- activation --------------------------------------------------------
+ACTIVATION_RE='(^|[^[:alnum:]_.])(std::)?(exp|expf|tanh|tanhf)[[:space:]]*\('
+for file in "${MODEL_FILES[@]}"; do
+  case "$file" in
+    src/nn/matrix.cpp) continue ;;
+  esac
+  allowlisted activation "$file" && continue
+  while IFS= read -r hit; do
+    [ -n "$hit" ] || continue
+    report activation "$file" "${hit%%:*}" "${hit#*:}"
+  done < <(stripped "$ROOT/$file" | grep -En "$ACTIVATION_RE" || true)
 done
 
 # ---- allowlist hygiene -------------------------------------------------

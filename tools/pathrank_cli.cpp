@@ -589,64 +589,66 @@ int RunHttpFrontEnd(const Args& args, const graph::RoadNetwork& network,
   std::signal(SIGTERM, SIG_DFL);
   server.Stop();
 
+  // The shutdown report is logged (stderr), so a server log whose stdout
+  // is discarded still holds it.
   const auto stats = server.stats();
-  std::printf("\nshutting down: %llu connections, %llu requests, "
-              "%llu shed\n",
-              static_cast<unsigned long long>(stats.connections_accepted),
-              static_cast<unsigned long long>(stats.requests_total),
-              static_cast<unsigned long long>(stats.shed_total));
-  std::printf("score: %llu requests  p50 %.2f ms  p99 %.2f ms\n",
-              static_cast<unsigned long long>(stats.score.requests),
-              stats.score.latency_p50_s * 1e3,
-              stats.score.latency_p99_s * 1e3);
-  std::printf("route: %llu requests  p50 %.2f ms  p99 %.2f ms  "
-              "cache %llu hit / %llu miss\n",
-              static_cast<unsigned long long>(stats.route.requests),
-              stats.route.latency_p50_s * 1e3,
-              stats.route.latency_p99_s * 1e3,
-              static_cast<unsigned long long>(planner.cache_hits()),
-              static_cast<unsigned long long>(planner.cache_misses()));
-  // Logged (stderr), not printed: it stays in a server log whose stdout
-  // is discarded, as perfbench's server.log is.
+  PR_LOG_INFO << StrFormat(
+      "shutting down: %llu connections, %llu requests, %llu shed",
+      static_cast<unsigned long long>(stats.connections_accepted),
+      static_cast<unsigned long long>(stats.requests_total),
+      static_cast<unsigned long long>(stats.shed_total));
+  PR_LOG_INFO << StrFormat(
+      "score: %llu requests  p50 %.2f ms  p99 %.2f ms",
+      static_cast<unsigned long long>(stats.score.requests),
+      stats.score.latency_p50_s * 1e3, stats.score.latency_p99_s * 1e3);
+  PR_LOG_INFO << StrFormat(
+      "route: %llu requests  p50 %.2f ms  p99 %.2f ms  "
+      "cache %llu hit / %llu miss",
+      static_cast<unsigned long long>(stats.route.requests),
+      stats.route.latency_p50_s * 1e3, stats.route.latency_p99_s * 1e3,
+      static_cast<unsigned long long>(planner.cache_hits()),
+      static_cast<unsigned long long>(planner.cache_misses()));
   const serving::ScoreMemoStats memo = engine->memo_stats();
   PR_LOG_INFO << "score memo: " << memo.hits << " hit(s)  " << memo.misses
               << " miss(es)  " << memo.rows_scored << " row(s) and "
               << memo.vertices_scored << " vertices scored  " << memo.flips
               << " flip(s)  " << memo.held_ids << " ids held";
-  std::printf("graph: epoch %llu  %llu traffic batch(es)  "
-              "%llu invalidation(s)  %llu single-flight wait(s)  "
-              "%llu enumeration(s)\n",
-              static_cast<unsigned long long>(graph_store.epoch()),
-              static_cast<unsigned long long>(graph_store.traffic_batches()),
-              static_cast<unsigned long long>(planner.invalidations()),
-              static_cast<unsigned long long>(planner.single_flight_waits()),
-              static_cast<unsigned long long>(planner.enumerations()));
+  PR_LOG_INFO << StrFormat(
+      "graph: epoch %llu  %llu traffic batch(es)  %llu invalidation(s)  "
+      "%llu single-flight wait(s)  %llu enumeration(s)",
+      static_cast<unsigned long long>(graph_store.epoch()),
+      static_cast<unsigned long long>(graph_store.traffic_batches()),
+      static_cast<unsigned long long>(planner.invalidations()),
+      static_cast<unsigned long long>(planner.single_flight_waits()),
+      static_cast<unsigned long long>(planner.enumerations()));
   if (spur_engine == serving::SpurEngine::kAlt) {
     const serving::PreprocessingStats pre = graph_store.preprocessing_stats();
-    std::printf("preprocessing: %d landmarks  %llu rebuild(s)  "
-                "p50 %.1f ms  p99 %.1f ms  %llu ALT fallback(s)\n",
-                pre.landmarks,
-                static_cast<unsigned long long>(pre.rebuilds),
-                pre.rebuild_p50_s * 1e3, pre.rebuild_p99_s * 1e3,
-                static_cast<unsigned long long>(planner.alt_fallbacks()));
+    PR_LOG_INFO << StrFormat(
+        "preprocessing: %d landmarks  %llu rebuild(s)  p50 %.1f ms  "
+        "p99 %.1f ms  %llu ALT fallback(s)",
+        pre.landmarks, static_cast<unsigned long long>(pre.rebuilds),
+        pre.rebuild_p50_s * 1e3, pre.rebuild_p99_s * 1e3,
+        static_cast<unsigned long long>(planner.alt_fallbacks()));
   }
-  std::printf("deadlines: %llu exceeded (504), %llu degraded (partial), "
-              "route timeouts %llu\n",
-              static_cast<unsigned long long>(stats.deadline_exceeded_total),
-              static_cast<unsigned long long>(stats.degraded_total),
-              static_cast<unsigned long long>(stats.route.timeouts));
+  PR_LOG_INFO << StrFormat(
+      "deadlines: %llu exceeded (504), %llu degraded (partial), "
+      "route timeouts %llu",
+      static_cast<unsigned long long>(stats.deadline_exceeded_total),
+      static_cast<unsigned long long>(stats.degraded_total),
+      static_cast<unsigned long long>(stats.route.timeouts));
   if (faults != nullptr && faults->enabled()) {
-    std::printf("fault injection: %llu delay(s), %llu error(s) fired\n",
-                static_cast<unsigned long long>(faults->injected_delays()),
-                static_cast<unsigned long long>(faults->injected_errors()));
+    PR_LOG_INFO << StrFormat(
+        "fault injection: %llu delay(s), %llu error(s) fired",
+        static_cast<unsigned long long>(faults->injected_delays()),
+        static_cast<unsigned long long>(faults->injected_errors()));
   }
   if (model_watcher != nullptr) {
-    std::printf("watch-model: %llu hot swap(s) while serving\n",
-                static_cast<unsigned long long>(model_watcher->swaps()));
+    PR_LOG_INFO << "watch-model: " << model_watcher->swaps()
+                << " hot swap(s) while serving";
   }
   if (graph_watcher != nullptr) {
-    std::printf("watch-graph: %llu hot swap(s) while serving\n",
-                static_cast<unsigned long long>(graph_watcher->swaps()));
+    PR_LOG_INFO << "watch-graph: " << graph_watcher->swaps()
+                << " hot swap(s) while serving";
   }
   return 0;
 }
