@@ -17,9 +17,6 @@ const char* LockRankName(int rank) {
     case LockRank::kRouteCache: return "planner.cache";
     case LockRank::kEngineSnapshot: return "engine.snapshot";
     case LockRank::kEngineScoreMemo: return "engine.score_memo";
-    case LockRank::kPoolRegion: return "pool.region";
-    case LockRank::kPoolState: return "pool.state";
-    case LockRank::kPoolError: return "pool.error";
     case LockRank::kEngineReplica: return "engine.replica";
     case LockRank::kHttpEndpointStats: return "http.endpoint_stats";
     case LockRank::kStderrLog: return "log.stderr";

@@ -82,22 +82,10 @@ struct LockRank {
   /// releases, scores, then inserts.
   static constexpr int kEngineScoreMemo = 110;
 
-  // -- global thread pool ------------------------------------------------
-  /// ThreadPool::region_mutex_ — one parallel region at a time; held by
-  /// the region owner for the region's whole lifetime (during which its
-  /// chunks may take any lock ranked below).
-  static constexpr int kPoolRegion = 120;
-  /// ThreadPool::mutex_ — scheduler state (current batch, stop flag).
-  static constexpr int kPoolState = 130;
-  /// Batch::error_mutex — first-exception slot; taken by chunk bodies
-  /// (no pool lock held) and by the region owner under region_mutex_.
-  static constexpr int kPoolError = 140;
-
   // -- leaves ------------------------------------------------------------
   /// ServingEngine round-robin Replica::mu — per-caller scoring scratch.
   /// A caller holds exactly one replica, so all replicas share this rank.
-  /// The inference under it runs serially (SerialRegionScope) — it never
-  /// re-enters the pool.
+  /// The inference under it runs serially on the caller's thread.
   static constexpr int kEngineReplica = 150;
   /// HttpServer::Endpoint::mu — per-endpoint latency/error counters.
   static constexpr int kHttpEndpointStats = 160;
@@ -106,7 +94,7 @@ struct LockRank {
   static constexpr int kStderrLog = 170;
 };
 
-/// Hierarchy name for a registry rank above ("http.stop", "pool.state",
+/// Hierarchy name for a registry rank above ("http.stop", "engine.replica",
 /// ...); "unranked" for 0 and anything not in the table. For logs, tests
 /// and the checker's abort message.
 const char* LockRankName(int rank);

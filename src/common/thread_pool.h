@@ -1,18 +1,24 @@
-// Process-wide worker pool and its one data-parallel loop primitive.
+// The library's one data-parallel loop primitive and its thread count.
 //
-// Every parallel loop in the library (GEMM and activation kernels,
-// candidate generation, evaluation) funnels through ParallelFor so one
-// knob controls all concurrency:
+// Parallelism lives across queries: candidate generation and evaluation
+// each run one ParallelFor over their queries. The nn kernels, training
+// and serving run serially on their calling thread. One knob sets how
+// many threads a ParallelFor uses:
 //
-//   SetNumThreads(n)          — resize the pool (n >= 1; 1 = fully serial)
+//   SetNumThreads(n)          — n >= 1; 1 = fully serial
 //   PATHRANK_THREADS          — env override consulted on first use
 //   default                   — std::thread::hardware_concurrency()
 //
-// Determinism contract: ParallelFor's chunking depends on the pool size,
-// so a body must write only its own iterations' outputs and compute each
-// one the same way whatever chunk it lands in. No result then depends on
-// the pool size. A computation whose result would depend on how the range
-// is cut (an Rng stream per chunk, a reduction over chunks) stays serial.
+// ParallelFor keeps no state between calls: each call starts its own
+// short-lived threads and joins them before it returns, so no lock is
+// held and no worker outlives a call.
+//
+// Determinism contract: ParallelFor's chunking depends on the thread
+// count, so a body must write only its own iterations' outputs and
+// compute each one the same way whatever chunk it lands in. No result
+// then depends on the thread count. A computation whose result would
+// depend on how the range is cut (an Rng stream per chunk, a reduction
+// over chunks) stays serial.
 #pragma once
 
 #include <cstddef>
@@ -20,38 +26,19 @@
 
 namespace pathrank {
 
-/// Number of worker threads the pool runs with (>= 1).
+/// Number of threads a ParallelFor runs with (>= 1).
 size_t GetNumThreads();
 
-/// Resizes the global pool. n == 0 means "hardware concurrency".
-/// Safe to call between parallel regions; not from inside one.
+/// Sets the thread count. n == 0 means "hardware concurrency". A call
+/// already running keeps the count it started with.
 void SetNumThreads(size_t n);
 
 /// Runs fn(chunk_begin, chunk_end) over a partition of [begin, end) with
-/// chunks of at least `grain` iterations. Blocks until every chunk
-/// finished. Exceptions thrown by `fn` are rethrown (the first one) in the
-/// caller. Calls from inside a worker run serially (nested parallelism is
-/// collapsed rather than deadlocking the pool).
+/// chunks of at least `grain` iterations, on the caller and up to
+/// GetNumThreads() - 1 threads started for this call. Blocks until every
+/// chunk finished. If chunks threw, the exception of the lowest-numbered
+/// one is rethrown in the caller. Calls from inside a chunk run serially.
 void ParallelFor(size_t begin, size_t end, size_t grain,
                  const std::function<void(size_t, size_t)>& fn);
-
-/// RAII guard that marks the current thread as already inside a parallel
-/// region: ParallelFor called on this thread runs serially instead of
-/// dispatching to (and blocking on) the global pool.
-///
-/// Callers that manage their own concurrency — the serving engine scores
-/// queries on caller threads — use this so independent work neither
-/// serialises on the pool's one-region-at-a-time lock nor deadlocks when a
-/// pool region is waiting on a lock this thread holds.
-class SerialRegionScope {
- public:
-  SerialRegionScope();
-  ~SerialRegionScope();
-  SerialRegionScope(const SerialRegionScope&) = delete;
-  SerialRegionScope& operator=(const SerialRegionScope&) = delete;
-
- private:
-  bool previous_;
-};
 
 }  // namespace pathrank

@@ -273,37 +273,19 @@ void PathRankModel::CopyParametersFrom(const PathRankModel& other) {
   }
 }
 
-nn::ParameterList PathRankModel::Parameters() {
-  nn::ParameterList params;
-  params.push_back(&embedding_->parameter());
-  for (nn::Parameter* p : fwd_cell_->Parameters()) params.push_back(p);
-  if (bwd_cell_ != nullptr) {
-    for (nn::Parameter* p : bwd_cell_->Parameters()) params.push_back(p);
-  }
-  for (nn::Parameter* p : head_->Parameters()) params.push_back(p);
-  if (aux_length_head_ != nullptr) {
-    for (nn::Parameter* p : aux_length_head_->Parameters()) params.push_back(p);
-    for (nn::Parameter* p : aux_time_head_->Parameters()) params.push_back(p);
-  }
-  return params;
-}
-
 nn::ConstParameterList PathRankModel::Parameters() const {
-  nn::ConstParameterList params;
-  params.push_back(&embedding_->parameter());
-  const auto& fwd = *fwd_cell_;
-  for (const nn::Parameter* p : fwd.Parameters()) params.push_back(p);
-  if (bwd_cell_ != nullptr) {
-    const auto& bwd = *bwd_cell_;
-    for (const nn::Parameter* p : bwd.Parameters()) params.push_back(p);
-  }
-  const auto& head = *head_;
-  for (const nn::Parameter* p : head.Parameters()) params.push_back(p);
+  nn::ConstParameterList params = {&embedding_->parameter()};
+  // Bound as const, so every layer returns its const walk.
+  const auto append = [&params](const auto& layer) {
+    const nn::ConstParameterList more = layer.Parameters();
+    params.insert(params.end(), more.begin(), more.end());
+  };
+  append(*fwd_cell_);
+  if (bwd_cell_ != nullptr) append(*bwd_cell_);
+  append(*head_);
   if (aux_length_head_ != nullptr) {
-    const auto& aux_len = *aux_length_head_;
-    const auto& aux_time = *aux_time_head_;
-    for (const nn::Parameter* p : aux_len.Parameters()) params.push_back(p);
-    for (const nn::Parameter* p : aux_time.Parameters()) params.push_back(p);
+    append(*aux_length_head_);
+    append(*aux_time_head_);
   }
   return params;
 }

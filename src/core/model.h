@@ -10,6 +10,7 @@
 #pragma once
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/config.h"
@@ -111,12 +112,14 @@ class PathRankModel {
                     const std::vector<float>& d_aux_length,
                     const std::vector<float>& d_aux_time);
 
-  /// All trainable parameters (embedding respects the PR-A1 freeze).
-  nn::ParameterList Parameters();
-
-  /// Read-only parameter walk, same order as the mutable overload — the
-  /// basis for snapshots and checkpointing of const models.
+  /// Every parameter in checkpoint order, a frozen embedding included
+  /// (optimizers skip it) — the basis for snapshots and checkpointing.
   nn::ConstParameterList Parameters() const;
+
+  /// The same walk with mutation rights, for training and loading.
+  nn::ParameterList Parameters() {
+    return nn::MutableParameters(std::as_const(*this).Parameters());
+  }
 
   /// Copies every parameter value from `other` (must share architecture).
   /// Used by ModelSnapshot to capture and materialise immutable copies of

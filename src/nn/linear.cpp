@@ -14,11 +14,6 @@ LinearLayer::LinearLayer(size_t input_size, size_t output_size, SkipInit,
                          const std::string& p)
     : w_(p + ".w", input_size, output_size), b_(p + ".b", 1, output_size) {}
 
-void LinearLayer::Forward(const Matrix& x, Matrix* y) {
-  x_cache_ = x;
-  ForwardInference(x, y);
-}
-
 void LinearLayer::ForwardInference(const Matrix& x, Matrix* y) const {
   PR_CHECK(x.cols() == input_size());
   if (y->rows() != x.rows() || y->cols() != output_size()) {

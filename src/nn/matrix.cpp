@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 
 namespace pathrank::nn {
 
@@ -63,23 +62,14 @@ std::string Matrix::ShapeString() const {
 //     L1 across a K panel.
 //   * Output rows are computed four at a time, which reuses every loaded
 //     B row (NN/TN) or lets four dot-product chains run in parallel (NT).
-// The M loop shards across the thread pool above kParallelMinFlops of
-// work. Each output element's accumulation order depends only on the
-// blocking constants — never on the shard boundaries or the 4-row/1-row
-// kernel split — so results are bitwise identical for any thread count.
+// The kernels run serially on the calling thread (parallelism lives
+// across queries, not inside a kernel). Each output element's
+// accumulation order depends only on the blocking constants — never on
+// the 4-row/1-row kernel split — so results are bitwise reproducible.
 
 namespace {
 
 constexpr size_t kKBlock = 256;
-// Parallelise when the multiply-add count crosses ~128K (where region
-// dispatch overhead drops below ~10% of kernel time).
-constexpr size_t kParallelMinFlops = 128 * 1024;
-
-size_t GemmRowGrain(size_t m, size_t flops_per_row) {
-  const size_t grain =
-      flops_per_row > 0 ? kParallelMinFlops / flops_per_row : m;
-  return std::max<size_t>(1, std::min(grain, m));
-}
 
 // Register-tile width: 16 floats = two AVX2 vectors. With 4 output rows
 // the accumulators occupy 8 vector registers and are written to memory
@@ -184,8 +174,13 @@ inline void GemmNNTile1x4(const float* a_row, const Matrix& b, float alpha,
   }
 }
 
+// The three *Rows drivers stay out of line: inlined into their one caller,
+// GCC 12 also inlines the register tiles into the loop nest, and
+// BM_GemmNN/128 and /256 (bench_nn) ran 30-40 % slower.
+
 /// C rows [i_begin, i_end) of C[M x N] += A[M x K] * B[K x N], A scaled by
 /// alpha. C must already hold the beta-scaled base.
+[[gnu::noinline]]
 void GemmNNRows(const Matrix& a, const Matrix& b, Matrix* c, float alpha,
                 size_t i_begin, size_t i_end) {
   const size_t k = a.cols();
@@ -243,6 +238,7 @@ inline float DotSplit8(const float* a, const float* b, size_t k) {
 }
 
 /// C rows [i_begin, i_end) of C[M x N] (+)= A[M x K] * B^T, B is [N x K].
+[[gnu::noinline]]
 void GemmNTRows(const Matrix& a, const Matrix& b, Matrix* c, float alpha,
                 float beta, size_t i_begin, size_t i_end) {
   const size_t k = a.cols();
@@ -350,8 +346,8 @@ inline void GemmTNTile1(const Matrix& a, const Matrix& b, float alpha,
 
 /// C rows [kk_begin, kk_end) of C[K x N] += A^T * B with A [M x K],
 /// B [M x N]. Per element, accumulation over i is ascending within fixed
-/// kKBlock panels regardless of the shard boundaries or which tile width
-/// computed it.
+/// kKBlock panels regardless of which tile width computed it.
+[[gnu::noinline]]
 void GemmTNRows(const Matrix& a, const Matrix& b, Matrix* c, float alpha,
                 size_t kk_begin, size_t kk_end) {
   const size_t m = a.rows();
@@ -393,15 +389,7 @@ void GemmNN(const Matrix& a, const Matrix& b, Matrix* c, float alpha,
   PR_CHECK(b.rows() == k) << "GemmNN inner-dim mismatch";
   PR_CHECK(c->rows() == m && c->cols() == n) << "GemmNN output shape";
   if (beta == 0.0f) c->Zero();
-  const size_t flops_per_row = k * n;
-  if (m * flops_per_row >= kParallelMinFlops) {
-    ParallelFor(0, m, GemmRowGrain(m, flops_per_row),
-                [&](size_t lo, size_t hi) {
-                  GemmNNRows(a, b, c, alpha, lo, hi);
-                });
-  } else {
-    GemmNNRows(a, b, c, alpha, 0, m);
-  }
+  GemmNNRows(a, b, c, alpha, 0, m);
 }
 
 void GemmNT(const Matrix& a, const Matrix& b, Matrix* c, float alpha,
@@ -411,15 +399,7 @@ void GemmNT(const Matrix& a, const Matrix& b, Matrix* c, float alpha,
   const size_t n = b.rows();
   PR_CHECK(b.cols() == k) << "GemmNT inner-dim mismatch";
   PR_CHECK(c->rows() == m && c->cols() == n) << "GemmNT output shape";
-  const size_t flops_per_row = k * n;
-  if (m * flops_per_row >= kParallelMinFlops) {
-    ParallelFor(0, m, GemmRowGrain(m, flops_per_row),
-                [&](size_t lo, size_t hi) {
-                  GemmNTRows(a, b, c, alpha, beta, lo, hi);
-                });
-  } else {
-    GemmNTRows(a, b, c, alpha, beta, 0, m);
-  }
+  GemmNTRows(a, b, c, alpha, beta, 0, m);
 }
 
 void GemmTN(const Matrix& a, const Matrix& b, Matrix* c, float alpha,
@@ -430,16 +410,7 @@ void GemmTN(const Matrix& a, const Matrix& b, Matrix* c, float alpha,
   PR_CHECK(b.rows() == m) << "GemmTN inner-dim mismatch";
   PR_CHECK(c->rows() == k && c->cols() == n) << "GemmTN output shape";
   if (beta == 0.0f) c->Zero();
-  // Sharding over C rows = columns of A; every shard scans all of B.
-  const size_t flops_per_row = m * n;
-  if (k * flops_per_row >= kParallelMinFlops) {
-    ParallelFor(0, k, GemmRowGrain(k, flops_per_row),
-                [&](size_t lo, size_t hi) {
-                  GemmTNRows(a, b, c, alpha, lo, hi);
-                });
-  } else {
-    GemmTNRows(a, b, c, alpha, 0, k);
-  }
+  GemmTNRows(a, b, c, alpha, 0, k);
 }
 
 void AddRowBroadcast(const Matrix& bias, Matrix* y) {
@@ -461,26 +432,16 @@ void Hadamard(const Matrix& a, const Matrix& b, Matrix* out) {
   for (size_t i = 0; i < n; ++i) po[i] = pa[i] * pb[i];
 }
 
-// Element-wise transcendentals are ~20x the cost of an FMA, so they are
-// worth sharding at much smaller sizes than the GEMMs.
-constexpr size_t kElementwiseGrain = 4096;
-
 void SigmoidInPlace(Matrix* m) {
   float* p = m->data();
-  ParallelFor(0, m->size(), kElementwiseGrain, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      p[i] = 1.0f / (1.0f + std::exp(-p[i]));
-    }
-  });
+  const size_t n = m->size();
+  for (size_t i = 0; i < n; ++i) p[i] = 1.0f / (1.0f + std::exp(-p[i]));
 }
 
 void TanhInPlace(Matrix* m) {
   float* p = m->data();
-  ParallelFor(0, m->size(), kElementwiseGrain, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      p[i] = std::tanh(p[i]);
-    }
-  });
+  const size_t n = m->size();
+  for (size_t i = 0; i < n; ++i) p[i] = std::tanh(p[i]);
 }
 
 void UniformInit(Matrix* m, float limit, pathrank::Rng& rng) {

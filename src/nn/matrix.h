@@ -1,8 +1,9 @@
 // Dense row-major float matrix and the linear-algebra kernels the neural
-// layers are built on. The GEMM kernels are register/cache blocked and
-// shard their independent output rows across the global thread pool above
-// a size threshold; per-element accumulation order is fixed, so results
-// are bitwise identical for any thread count (see docs/performance.md).
+// layers are built on. The GEMM kernels are register/cache blocked and run
+// serially on the calling thread (parallelism lives across queries);
+// per-element accumulation order is fixed by the blocking constants, so
+// results are bitwise identical for any thread count (see
+// docs/performance.md).
 #pragma once
 
 #include <cstddef>

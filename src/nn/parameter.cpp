@@ -29,4 +29,13 @@ void ZeroGradients(const ParameterList& params) {
   for (Parameter* p : params) p->ZeroGrad();
 }
 
+ParameterList MutableParameters(const ConstParameterList& params) {
+  ParameterList mutable_params;
+  mutable_params.reserve(params.size());
+  for (const Parameter* p : params) {
+    mutable_params.push_back(const_cast<Parameter*>(p));
+  }
+  return mutable_params;
+}
+
 }  // namespace pathrank::nn

@@ -1,6 +1,6 @@
 // Named trainable parameter (value + gradient) and parameter registry.
-// Layers expose their parameters through CollectParameters(); optimizers
-// iterate the registry.
+// Layers expose their parameters through Parameters(); optimizers iterate
+// the registry.
 #pragma once
 
 #include <string>
@@ -33,6 +33,12 @@ using ParameterList = std::vector<Parameter*>;
 /// API (snapshots, checkpointing) walks parameters without mutation
 /// rights.
 using ConstParameterList = std::vector<const Parameter*>;
+
+/// The mutable view of an owner's const parameter walk. Each owner writes
+/// its list once, as `Parameters() const`; its mutable `Parameters()`
+/// passes that walk through here, which is sound because the owner is
+/// then non-const.
+ParameterList MutableParameters(const ConstParameterList& params);
 
 /// Tag selecting a construction path that skips random weight
 /// initialisation. Used by snapshot builders and checkpoint loads whose

@@ -363,10 +363,6 @@ void GruLayer::BackwardImpl(const Matrix* d_final_h,
   x_steps_ = nullptr;
 }
 
-ParameterList GruLayer::Parameters() {
-  return {&wz_, &wr_, &wh_, &uz_, &ur_, &uh_, &bz_, &br_, &bh_};
-}
-
 ConstParameterList GruLayer::Parameters() const {
   return {&wz_, &wr_, &wh_, &uz_, &ur_, &uh_, &bz_, &br_, &bh_};
 }
@@ -465,8 +461,6 @@ void RnnLayer::BackwardImpl(const Matrix* d_final_h,
   }
   x_steps_ = nullptr;
 }
-
-ParameterList RnnLayer::Parameters() { return {&w_, &u_, &b_}; }
 
 ConstParameterList RnnLayer::Parameters() const { return {&w_, &u_, &b_}; }
 
@@ -669,11 +663,6 @@ void LstmLayer::BackwardImpl(const Matrix* d_final_h,
     std::swap(dc, dc_prev);
   }
   x_steps_ = nullptr;
-}
-
-ParameterList LstmLayer::Parameters() {
-  return {&wi_, &wf_, &wo_, &wg_, &ui_, &uf_, &uo_, &ug_,
-          &bi_, &bf_, &bo_, &bg_};
 }
 
 ConstParameterList LstmLayer::Parameters() const {

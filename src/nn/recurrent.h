@@ -107,8 +107,11 @@ class RecurrentLayer {
     BackwardImpl(nullptr, &d_h_steps, d_x_steps);
   }
 
-  virtual ParameterList Parameters() = 0;
+  /// Every parameter, in checkpoint order.
   virtual ConstParameterList Parameters() const = 0;
+  ParameterList Parameters() {
+    return MutableParameters(std::as_const(*this).Parameters());
+  }
   virtual size_t input_size() const = 0;
   virtual size_t hidden_size() const = 0;
   virtual std::string Name() const = 0;
@@ -161,7 +164,6 @@ class GruLayer final : public RecurrentLayer {
   void Forward(const std::vector<Matrix>& x_steps,
                const std::vector<int32_t>& lengths, Matrix* final_h) override;
   const Matrix& hidden_state(size_t t) const override { return h_[t + 1]; }
-  ParameterList Parameters() override;
   ConstParameterList Parameters() const override;
   size_t input_size() const override { return wz_.value.rows(); }
   size_t hidden_size() const override { return wz_.value.cols(); }
@@ -201,7 +203,6 @@ class RnnLayer final : public RecurrentLayer {
   void Forward(const std::vector<Matrix>& x_steps,
                const std::vector<int32_t>& lengths, Matrix* final_h) override;
   const Matrix& hidden_state(size_t t) const override { return h_[t + 1]; }
-  ParameterList Parameters() override;
   ConstParameterList Parameters() const override;
   size_t input_size() const override { return w_.value.rows(); }
   size_t hidden_size() const override { return w_.value.cols(); }
@@ -235,7 +236,6 @@ class LstmLayer final : public RecurrentLayer {
   void Forward(const std::vector<Matrix>& x_steps,
                const std::vector<int32_t>& lengths, Matrix* final_h) override;
   const Matrix& hidden_state(size_t t) const override { return h_[t + 1]; }
-  ParameterList Parameters() override;
   ConstParameterList Parameters() const override;
   size_t input_size() const override { return wi_.value.rows(); }
   size_t hidden_size() const override { return wi_.value.cols(); }

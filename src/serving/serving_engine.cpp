@@ -195,17 +195,8 @@ ServingEngine::ServingEngine(const graph::RoadNetwork& network,
       << "model/network vertex-count mismatch";
   served_.snapshot = std::move(snapshot);
   served_.memo = std::make_shared<ScoreMemo>();
-  // Touch the global pool now, while this thread holds no engine lock.
-  // Replica locks rank ABOVE the pool bands (src/common/lock_rank.h), so
-  // if an inference call's ParallelFor were also the process's FIRST pool
-  // use, the lazy ThreadPool::Global() constructor would acquire
-  // pool.region under engine.replica — a rank inversion (and the one
-  // pool-under-replica path the SerialRegionScope in ScoreOn cannot
-  // prevent). Engine construction is the one point that can guarantee a
-  // lock-free context before any replica lock exists.
-  const size_t pool_threads = std::max<size_t>(1, GetNumThreads());
   const size_t n =
-      options.num_replicas > 0 ? options.num_replicas : pool_threads;
+      options.num_replicas > 0 ? options.num_replicas : GetNumThreads();
   replicas_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     replicas_.push_back(std::make_unique<Replica>());
@@ -255,7 +246,7 @@ ScoreMemoStats ServingEngine::memo_stats() const {
 
 std::vector<float> ServingEngine::ScoreOn(
     const ModelSnapshot& snap, const nn::SequenceBatch& batch) const {
-  // cuBERT-style dispatch: round-robin over the pool, blocking on the
+  // cuBERT-style dispatch: round-robin over the replicas, blocking on the
   // chosen replica's lock. Scratch contents never influence scores, so the
   // choice only affects contention, not results.
   const uint32_t idx =
@@ -263,10 +254,6 @@ std::vector<float> ServingEngine::ScoreOn(
       static_cast<uint32_t>(replicas_.size());
   Replica& replica = *replicas_[idx];
   common::MutexLock lock(replica.mu);
-  // Score serially on this thread: parallelism lives across callers, and
-  // a caller that holds a replica lock must never block on the global
-  // pool — a pool worker could be waiting on this very lock.
-  SerialRegionScope serial;
   return snap.model().ForwardInference(batch, snap.tables(),
                                        &replica.scratch);
 }

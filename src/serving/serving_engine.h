@@ -52,7 +52,7 @@ struct ScoredPath {
 
 /// Engine construction options.
 struct ServingOptions {
-  /// Scoring replicas (scratch + lock). 0 = one per global pool thread.
+  /// Scoring replicas (scratch + lock). 0 = GetNumThreads() replicas.
   size_t num_replicas = 0;
   /// Read by nothing in the library; only the benchmark's in-process
   /// replay (perfbench/inproc) still sets it. Candidate strategy belongs

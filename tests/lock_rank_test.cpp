@@ -24,7 +24,8 @@ using common::MutexLock;
 
 TEST(LockRankRegistry, NamesRoundTrip) {
   EXPECT_STREQ(common::LockRankName(LockRank::kHttpStop), "http.stop");
-  EXPECT_STREQ(common::LockRankName(LockRank::kPoolState), "pool.state");
+  EXPECT_STREQ(common::LockRankName(LockRank::kEngineReplica),
+               "engine.replica");
   EXPECT_STREQ(common::LockRankName(LockRank::kStderrLog), "log.stderr");
   EXPECT_STREQ(common::LockRankName(LockRank::kEngineScoreMemo),
                "engine.score_memo");
@@ -41,9 +42,8 @@ TEST(LockRankRegistry, RanksAreStrictlyIncreasingInTableOrder) {
       LockRank::kGraphStore,       LockRank::kRouteFlightTable,
       LockRank::kRouteFlight,      LockRank::kRouteCache,
       LockRank::kEngineSnapshot,   LockRank::kEngineScoreMemo,
-      LockRank::kPoolRegion,       LockRank::kPoolState,
-      LockRank::kPoolError,        LockRank::kEngineReplica,
-      LockRank::kHttpEndpointStats, LockRank::kStderrLog,
+      LockRank::kEngineReplica,    LockRank::kHttpEndpointStats,
+      LockRank::kStderrLog,
   };
   for (size_t i = 1; i < std::size(ranks); ++i) {
     EXPECT_LT(ranks[i - 1], ranks[i]) << "registry slot " << i;

@@ -69,16 +69,13 @@ TEST(GradCheck, LinearLayer) {
 
   auto loss_fn = [&]() {
     Matrix y;
-    LinearLayer& mutable_fc = fc;
-    mutable_fc.Forward(x, &y);
+    fc.ForwardInference(x, &y);
     return WeightedSum(y, r);
   };
 
-  Matrix y;
-  fc.Forward(x, &y);
   for (Parameter* p : fc.Parameters()) p->ZeroGrad();
   Matrix dx;
-  fc.Backward(r, &dx);
+  fc.Backward(x, r, &dx);
 
   CheckParameterGradient(*fc.Parameters()[0], loss_fn,
                          fc.Parameters()[0]->grad, "linear W");

@@ -90,7 +90,7 @@ TEST(LinearLayer, ForwardIsAffine) {
   x.at(0, 1) = 2.0f;
   x.at(0, 2) = 3.0f;
   Matrix y;
-  fc.Forward(x, &y);
+  fc.ForwardInference(x, &y);
   EXPECT_NEAR(y.at(0, 0), 6.5f, 1e-6f);
   EXPECT_NEAR(y.at(0, 1), 6.5f, 1e-6f);
 }

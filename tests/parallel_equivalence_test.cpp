@@ -41,8 +41,9 @@ void ExpectBitwiseEqual(const nn::Matrix& a, const nn::Matrix& b) {
 }
 
 TEST_F(ParallelEquivalenceTest, GemmBitwiseStableAcrossThreadCounts) {
-  // Odd shapes exercise the remainder tiles; sizes are above the parallel
-  // threshold so the pool actually shards the work.
+  // Odd shapes exercise the remainder tiles. The kernels run serially on
+  // the calling thread, so the thread count must leave every bit alone;
+  // this guards against a kernel that starts reading it.
   struct Shape {
     size_t m, k, n;
   };
@@ -80,7 +81,7 @@ TEST_F(ParallelEquivalenceTest, GemmBitwiseStableAcrossThreadCounts) {
 }
 
 TEST_F(ParallelEquivalenceTest, Node2VecBitwiseStableAcrossThreadCounts) {
-  // Enough walks that a pool-sized split of the corpus or of the SGD
+  // Enough walks that a thread-count-sized split of the corpus or of the SGD
   // would cut it into several pieces at every thread count below.
   const graph::RoadNetwork net = graph::BuildTestNetwork();
   embedding::Node2VecConfig cfg;
@@ -172,7 +173,7 @@ TEST_F(ParallelEquivalenceTest, TrainingDeterministicForFixedThreadCount) {
 }
 
 TEST_F(ParallelEquivalenceTest, TrainingBitwiseStableAcrossThreadCounts) {
-  // One optimizer step per batch whatever the pool size: weights trained
+  // One optimizer step per batch whatever the thread count: weights trained
   // (with validation and best-weight restore) at any thread count equal
   // the serial ones bit for bit, with and without the auxiliary heads.
   for (bool multi_task : {false, true}) {

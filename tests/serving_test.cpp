@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "core/model.h"
 #include "data/candidate_generation.h"
 #include "graph/network_builder.h"

@@ -37,10 +37,11 @@
 #                   (PR_LOG_*): leveled, prefixed, one framed line each,
 #                   and silenced by the same level switch as the rest.
 #   pool-size       GetNumThreads( in src/ outside common/thread_pool.*.
-#                   Sizing shards, Rng streams or reductions by the pool
-#                   makes a result depend on PATHRANK_THREADS; a parallel
-#                   loop goes through ParallelFor with a body whose output
-#                   does not depend on the chunking. A caller whose use
+#                   Sizing shards, Rng streams or reductions by the
+#                   thread count makes a result depend on
+#                   PATHRANK_THREADS; a parallel loop goes through
+#                   ParallelFor with a body whose output does not depend
+#                   on the chunking. A caller whose use
 #                   never changes a result is allowlisted with its reason.
 #   activation      std::exp / std::tanh (and the bare exp, expf, tanh,
 #                   tanhf calls) in src/nn/ and src/core/ outside

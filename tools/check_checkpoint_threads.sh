@@ -2,7 +2,7 @@
 # Checkpoint thread-invariance check: trains the same small model with
 # pathrank_cli at PATHRANK_THREADS=1 and =4 and fails (non-zero exit)
 # unless the two checkpoints are byte-identical. No result may depend on
-# the pool size, and a checkpoint covers the whole training pipeline:
+# the thread count, and a checkpoint covers the whole training pipeline:
 # node2vec walks and skip-gram, candidate generation and TrainPathRank.
 # Registered as the `checkpoint_thread_check` ctest.
 #

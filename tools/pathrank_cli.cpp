@@ -9,7 +9,7 @@
 //   pathrank_cli evaluate --network net --trips trips.csv --model model.bin
 //   pathrank_cli rank     --network net --model model.bin --from 12 --to 245
 //   pathrank_cli serve    --network net --model model.bin --http 8080
-//                         [--threads 4] [--watch-model 1] [--watch-graph 1]
+//                         [--replicas 4] [--watch-model 1] [--watch-graph 1]
 //
 // `rank` answers one query through a RoutePlanner over the loaded
 // network: the same enumerate-then-score pipeline `serve` runs per
@@ -51,7 +51,6 @@
 #include "common/logging.h"
 #include "common/parse.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "core/model_io.h"
 #include "pathrank.h"
 #include "graph/graph_io.h"
@@ -682,13 +681,6 @@ int CmdServe(const Args& args) {
     std::fprintf(stderr, "model/network vertex-count mismatch\n");
     return 1;
   }
-  const int threads = args.GetInt("threads", 0);
-  if (threads < 0) {
-    std::fprintf(stderr, "--threads must be >= 0\n");
-    return 2;
-  }
-  if (threads > 0) SetNumThreads(static_cast<size_t>(threads));
-
   const int replicas = args.GetInt("replicas", 0);
   if (replicas < 0) {
     std::fprintf(stderr, "--replicas must be >= 0 (0 = one per thread)\n");
@@ -739,7 +731,7 @@ void PrintUsage() {
       "            [--strategy tkdi|dtkdi|penalty --k K --threshold T]\n"
       "  serve     (--network PREFIX | --graph EDGES.csv) --model MODEL.bin\n"
       "            --http PORT\n"
-      "            [--threads T --replicas R --strategy ... --k K "
+      "            [--replicas R --strategy ... --k K "
       "--threshold T]\n"
       "            [--watch-model 0|1 --watch-interval-ms M]\n"
       "            [--http-addr A --max-inflight N\n"
@@ -780,7 +772,7 @@ int main(int argc, char** argv) {
       {"rank",
        {"network", "model", "from", "to", "strategy", "k", "threshold"}},
       {"serve",
-       {"network", "graph", "model", "threads", "replicas", "strategy", "k",
+       {"network", "graph", "model", "replicas", "strategy", "k",
         "threshold", "watch-model", "watch-graph", "watch-interval-ms",
         "http", "http-addr", "http-threads", "max-inflight",
         "max-queue-wait-us", "route-cache", "spur-engine", "landmarks",
