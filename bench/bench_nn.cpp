@@ -46,7 +46,7 @@ void BM_RecurrentForward(benchmark::State& state) {
   const size_t batch = 32;
   const size_t steps = 30;
   Rng rng(2);
-  auto cell = MakeRecurrentLayer(kCell, hidden, hidden, rng, "cell");
+  auto cell = MakeRecurrentLayer(kCell, hidden, hidden, &rng, "cell");
   std::vector<Matrix> x_steps;
   for (size_t t = 0; t < steps; ++t) {
     x_steps.push_back(RandomMatrix(batch, hidden, rng));
@@ -69,7 +69,7 @@ void BM_GruForwardBackward(benchmark::State& state) {
   const size_t batch = 32;
   const size_t steps = 30;
   Rng rng(3);
-  GruLayer gru(hidden, hidden, rng);
+  GruLayer gru(hidden, hidden, &rng);
   std::vector<Matrix> x_steps;
   for (size_t t = 0; t < steps; ++t) {
     x_steps.push_back(RandomMatrix(batch, hidden, rng));

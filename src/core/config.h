@@ -4,9 +4,7 @@
 #include <cstdint>
 #include <string>
 
-#include "nn/loss.h"
 #include "nn/recurrent.h"
-#include "nn/scheduler.h"
 
 namespace pathrank::core {
 
@@ -53,15 +51,14 @@ struct PathRankConfig {
   }
 };
 
-/// Optimisation settings.
+/// Optimisation settings. The recipe itself is fixed (see
+/// core/trainer.h); these set its length, batch, step size, early
+/// stopping, seed and logging.
 struct TrainerConfig {
   int epochs = 10;
   size_t batch_size = 32;
+  /// Adam's learning rate at epoch 0; the cosine schedule ends at 1/100.
   double learning_rate = 1e-3;
-  /// Global gradient-norm clip (0 disables).
-  double clip_norm = 5.0;
-  nn::LossType loss = nn::LossType::kMse;
-  nn::ScheduleType schedule = nn::ScheduleType::kCosine;
   /// Early stopping: stop after `patience` epochs without validation-MAE
   /// improvement (0 disables). The best-epoch weights are restored.
   int patience = 3;

@@ -63,11 +63,9 @@ PathRankModel::PathRankModel(size_t vocab_size, const PathRankConfig& config,
   const size_t head_in =
       config.bidirectional ? 2 * config.hidden_size : config.hidden_size;
   auto make_cell = [&](const std::string& name) {
-    return skip ? nn::MakeRecurrentLayer(config.cell, config.embedding_dim,
-                                         config.hidden_size, nn::kSkipInit,
-                                         name)
-                : nn::MakeRecurrentLayer(config.cell, config.embedding_dim,
-                                         config.hidden_size, rng, name);
+    return nn::MakeRecurrentLayer(config.cell, config.embedding_dim,
+                                  config.hidden_size, skip ? nullptr : &rng,
+                                  name);
   };
   auto make_head = [&](const std::string& name) {
     return skip ? std::make_unique<nn::LinearLayer>(head_in, 1, nn::kSkipInit,

@@ -7,9 +7,13 @@
 #include "common/stopwatch.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
+#include "nn/scheduler.h"
 
 namespace pathrank::core {
 namespace {
+
+/// Global gradient-norm clip applied before every Adam step.
+constexpr double kClipNorm = 5.0;
 
 /// Copies parameter values into `snap`, reusing its storage (the snapshot
 /// is refreshed on every validation improvement, so reallocation here was
@@ -43,21 +47,17 @@ TrainHistory TrainPathRank(PathRankModel& model,
   pathrank::Rng rng(config.seed);
   data::Batcher batcher(data::FlattenDataset(train), config.batch_size);
 
-  nn::ScheduleConfig schedule;
-  schedule.type = config.schedule;
-  schedule.base_lr = config.learning_rate;
-  schedule.total_epochs = config.epochs;
-  schedule.min_lr = config.learning_rate * 0.01;
+  const double min_lr = config.learning_rate * 0.01;
 
   // One model, one optimizer, one step per batch: the mini-batch is the
-  // method's, whatever the thread count. The only parallelism is inside
-  // the nn kernels, which partition their outputs and so stay bitwise equal
-  // across thread counts; training is therefore bit-reproducible for a
-  // fixed seed on any pool size.
+  // method's, whatever the thread count. Training runs serially on the
+  // calling thread (only validation's Evaluate runs a ParallelFor, over
+  // the const inference path), so it is bit-reproducible for a fixed seed
+  // at any thread count.
   const nn::ParameterList params = model.Parameters();
   nn::Adam optimizer(config.learning_rate);
   std::vector<float> d_scores;
-  std::vector<float> d_aux_length;
+  std::vector<float> d_aux_length;  // both stay empty unless multi-task
   std::vector<float> d_aux_time;
 
   TrainHistory history;
@@ -72,7 +72,9 @@ TrainHistory TrainPathRank(PathRankModel& model,
 
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
     pathrank::Stopwatch watch;
-    const double lr = nn::LearningRateAt(schedule, epoch);
+    const double lr =
+        nn::CosineLearningRate(config.learning_rate, min_lr, epoch,
+                               config.epochs);
     optimizer.set_learning_rate(lr);
     batcher.Reshuffle(rng);
 
@@ -81,16 +83,14 @@ TrainHistory TrainPathRank(PathRankModel& model,
     for (size_t b = 0; b < batcher.num_batches(); ++b) {
       const data::ModelBatch batch = batcher.GetBatch(b);
       const auto outputs = model.ForwardFull(batch.sequences);
-      double loss =
-          nn::ComputeLoss(config.loss, outputs.scores, batch.labels, &d_scores);
+      double loss = nn::MseLoss(outputs.scores, batch.labels, &d_scores);
       if (multi_task) {
         // Auxiliary regression on the candidate's normalised length and
         // travel time; gradients scaled by the auxiliary weight.
-        loss += aux_weight * nn::ComputeLoss(config.loss, outputs.aux_length,
-                                             batch.norm_lengths,
-                                             &d_aux_length);
-        loss += aux_weight * nn::ComputeLoss(config.loss, outputs.aux_time,
-                                             batch.norm_times, &d_aux_time);
+        loss += aux_weight * nn::MseLoss(outputs.aux_length,
+                                         batch.norm_lengths, &d_aux_length);
+        loss += aux_weight *
+                nn::MseLoss(outputs.aux_time, batch.norm_times, &d_aux_time);
         for (float& grad : d_aux_length) grad *= aux_weight;
         for (float& grad : d_aux_time) grad *= aux_weight;
       }
@@ -98,14 +98,8 @@ TrainHistory TrainPathRank(PathRankModel& model,
       example_count += outputs.scores.size();
 
       nn::ZeroGradients(params);
-      if (multi_task) {
-        model.BackwardFull(d_scores, d_aux_length, d_aux_time);
-      } else {
-        model.Backward(d_scores);
-      }
-      if (config.clip_norm > 0.0) {
-        nn::ClipGradientNorm(params, config.clip_norm);
-      }
+      model.BackwardFull(d_scores, d_aux_length, d_aux_time);
+      nn::ClipGradientNorm(params, kClipNorm);
       optimizer.Step(params);
     }
 

@@ -1,7 +1,10 @@
-// Mini-batch training loop for PathRank: MSE regression against the
-// weighted-Jaccard ground truth, Adam, cosine learning-rate schedule,
-// gradient clipping and validation-based early stopping with best-weight
-// restoration.
+// Mini-batch training loop for PathRank. There is one recipe: MSE
+// regression against the weighted-Jaccard ground truth (plus, in
+// multi-task mode, MSE on the auxiliary heads scaled by aux_loss_weight);
+// Adam with beta1 0.9, beta2 0.999 and epsilon 1e-8; a cosine learning-rate
+// schedule from learning_rate down to learning_rate / 100; a global
+// gradient-norm clip of 5.0 before every step; and validation-based early
+// stopping with best-weight restoration.
 #pragma once
 
 #include <vector>

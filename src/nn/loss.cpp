@@ -1,7 +1,5 @@
 #include "nn/loss.h"
 
-#include <cmath>
-
 #include "common/logging.h"
 
 namespace pathrank::nn {
@@ -19,59 +17,6 @@ double MseLoss(std::span<const float> predicted, std::span<const float> truth,
     (*d_predicted)[i] = 2.0f * diff * inv_n;
   }
   return loss / static_cast<double>(n);
-}
-
-double MaeLoss(std::span<const float> predicted, std::span<const float> truth,
-               std::vector<float>* d_predicted) {
-  PR_CHECK(predicted.size() == truth.size() && !predicted.empty());
-  const size_t n = predicted.size();
-  d_predicted->assign(n, 0.0f);
-  double loss = 0.0;
-  const float inv_n = 1.0f / static_cast<float>(n);
-  for (size_t i = 0; i < n; ++i) {
-    const float diff = predicted[i] - truth[i];
-    loss += std::abs(static_cast<double>(diff));
-    (*d_predicted)[i] = (diff > 0.0f ? 1.0f : (diff < 0.0f ? -1.0f : 0.0f)) *
-                        inv_n;
-  }
-  return loss / static_cast<double>(n);
-}
-
-double HuberLoss(std::span<const float> predicted,
-                 std::span<const float> truth, float delta,
-                 std::vector<float>* d_predicted) {
-  PR_CHECK(predicted.size() == truth.size() && !predicted.empty());
-  PR_CHECK(delta > 0.0f);
-  const size_t n = predicted.size();
-  d_predicted->assign(n, 0.0f);
-  double loss = 0.0;
-  const float inv_n = 1.0f / static_cast<float>(n);
-  for (size_t i = 0; i < n; ++i) {
-    const float diff = predicted[i] - truth[i];
-    const float ad = std::abs(diff);
-    if (ad <= delta) {
-      loss += 0.5 * static_cast<double>(diff) * diff;
-      (*d_predicted)[i] = diff * inv_n;
-    } else {
-      loss += static_cast<double>(delta) * (ad - 0.5 * delta);
-      (*d_predicted)[i] = (diff > 0.0f ? delta : -delta) * inv_n;
-    }
-  }
-  return loss / static_cast<double>(n);
-}
-
-double ComputeLoss(LossType type, std::span<const float> predicted,
-                   std::span<const float> truth,
-                   std::vector<float>* d_predicted) {
-  switch (type) {
-    case LossType::kMse:
-      return MseLoss(predicted, truth, d_predicted);
-    case LossType::kMae:
-      return MaeLoss(predicted, truth, d_predicted);
-    case LossType::kHuber:
-      return HuberLoss(predicted, truth, 0.1f, d_predicted);
-  }
-  return 0.0;
 }
 
 }  // namespace pathrank::nn

@@ -1,5 +1,5 @@
-// Regression losses over a batch of scalar predictions. Each returns the
-// mean loss and writes d(loss)/d(pred) (already divided by batch size).
+// The training loss: mean squared error over a batch of scalar
+// predictions.
 #pragma once
 
 #include <span>
@@ -7,25 +7,9 @@
 
 namespace pathrank::nn {
 
-/// Loss selector.
-enum class LossType { kMse, kMae, kHuber };
-
-/// Mean squared error: L = mean((p - t)^2).
+/// Mean squared error: L = mean((p - t)^2). Returns L and writes
+/// d(L)/d(p), already divided by the batch size, into `d_predicted`.
 double MseLoss(std::span<const float> predicted, std::span<const float> truth,
                std::vector<float>* d_predicted);
-
-/// Mean absolute error: L = mean(|p - t|). Subgradient 0 at p == t.
-double MaeLoss(std::span<const float> predicted, std::span<const float> truth,
-               std::vector<float>* d_predicted);
-
-/// Huber loss with threshold `delta`.
-double HuberLoss(std::span<const float> predicted,
-                 std::span<const float> truth, float delta,
-                 std::vector<float>* d_predicted);
-
-/// Dispatch on LossType (Huber uses delta = 0.1).
-double ComputeLoss(LossType type, std::span<const float> predicted,
-                   std::span<const float> truth,
-                   std::vector<float>* d_predicted);
 
 }  // namespace pathrank::nn

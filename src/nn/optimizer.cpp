@@ -4,47 +4,14 @@
 
 namespace pathrank::nn {
 
-Sgd::Sgd(double lr, double momentum) : Optimizer(lr), momentum_(momentum) {}
-
-void Sgd::Step(const ParameterList& params) {
-  const auto lr = static_cast<float>(lr_);
-  for (Parameter* p : params) {
-    if (p->frozen) continue;
-    if (momentum_ > 0.0) {
-      Matrix& vel = velocity_[p];
-      if (!vel.SameShape(p->value)) vel.Resize(p->value.rows(), p->value.cols());
-      const auto mu = static_cast<float>(momentum_);
-      float* v = vel.data();
-      const float* g = p->grad.data();
-      float* w = p->value.data();
-      const size_t n = p->value.size();
-      for (size_t i = 0; i < n; ++i) {
-        v[i] = mu * v[i] + g[i];
-        w[i] -= lr * v[i];
-      }
-    } else {
-      p->value.Axpy(-lr, p->grad);
-    }
-  }
-}
-
-Adam::Adam(double lr, double beta1, double beta2, double epsilon,
-           double weight_decay)
-    : Optimizer(lr),
-      beta1_(beta1),
-      beta2_(beta2),
-      epsilon_(epsilon),
-      weight_decay_(weight_decay) {}
-
 void Adam::Step(const ParameterList& params) {
   ++t_;
-  const double bias1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bias2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  const double bias1 = 1.0 - std::pow(kBeta1, static_cast<double>(t_));
+  const double bias2 = 1.0 - std::pow(kBeta2, static_cast<double>(t_));
   const auto lr = static_cast<float>(lr_);
-  const auto b1 = static_cast<float>(beta1_);
-  const auto b2 = static_cast<float>(beta2_);
-  const auto eps = static_cast<float>(epsilon_);
-  const auto wd = static_cast<float>(weight_decay_);
+  const auto b1 = static_cast<float>(kBeta1);
+  const auto b2 = static_cast<float>(kBeta2);
+  const auto eps = static_cast<float>(kEpsilon);
   const auto inv_bias1 = static_cast<float>(1.0 / bias1);
   const auto inv_bias2 = static_cast<float>(1.0 / bias2);
 
@@ -65,7 +32,7 @@ void Adam::Step(const ParameterList& params) {
       v[i] = b2 * v[i] + (1.0f - b2) * g[i] * g[i];
       const float mhat = m[i] * inv_bias1;
       const float vhat = v[i] * inv_bias2;
-      w[i] -= lr * (mhat / (std::sqrt(vhat) + eps) + wd * w[i]);
+      w[i] -= lr * (mhat / (std::sqrt(vhat) + eps));
     }
   }
 }

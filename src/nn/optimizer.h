@@ -1,66 +1,37 @@
-// First-order optimizers over a ParameterList. Frozen parameters are
-// skipped (their state slots exist but are never advanced), which is how
-// PR-A1 keeps the node2vec embedding matrix fixed.
+// The training optimizer: Adam (Kingma & Ba 2015) with bias correction at
+// the paper's defaults, beta1 0.9, beta2 0.999 and epsilon 1e-8, no weight
+// decay. Frozen parameters are skipped (their state slots are never
+// created), which is how PR-A1 keeps the node2vec embedding matrix fixed.
 #pragma once
 
-#include <memory>
-#include <string>
+#include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "nn/parameter.h"
 
 namespace pathrank::nn {
 
-/// Abstract optimizer. Step() consumes the current gradients.
-class Optimizer {
+/// Adam over a ParameterList. Step() consumes the current gradients.
+class Adam {
  public:
-  virtual ~Optimizer() = default;
+  static constexpr double kBeta1 = 0.9;
+  static constexpr double kBeta2 = 0.999;
+  static constexpr double kEpsilon = 1e-8;
+
+  explicit Adam(double lr) : lr_(lr) {}
 
   /// Applies one update using each parameter's current gradient.
-  virtual void Step(const ParameterList& params) = 0;
+  void Step(const ParameterList& params);
 
-  /// Current learning rate.
-  double learning_rate() const { return lr_; }
-  /// Sets the learning rate (called by schedulers between steps).
+  /// Sets the learning rate (the trainer's schedule, between epochs).
   void set_learning_rate(double lr) { lr_ = lr; }
-
-  virtual std::string Name() const = 0;
-
- protected:
-  explicit Optimizer(double lr) : lr_(lr) {}
-  double lr_;
-};
-
-/// SGD with optional classical momentum.
-class Sgd final : public Optimizer {
- public:
-  explicit Sgd(double lr, double momentum = 0.0);
-  void Step(const ParameterList& params) override;
-  std::string Name() const override { return "sgd"; }
-
- private:
-  double momentum_;
-  std::unordered_map<const Parameter*, Matrix> velocity_;
-};
-
-/// Adam (Kingma & Ba 2015) with bias correction; optional decoupled weight
-/// decay turns it into AdamW.
-class Adam final : public Optimizer {
- public:
-  Adam(double lr, double beta1 = 0.9, double beta2 = 0.999,
-       double epsilon = 1e-8, double weight_decay = 0.0);
-  void Step(const ParameterList& params) override;
-  std::string Name() const override {
-    return weight_decay_ > 0.0 ? "adamw" : "adam";
-  }
 
  private:
   struct State {
     Matrix m;
     Matrix v;
   };
-  double beta1_, beta2_, epsilon_, weight_decay_;
+  double lr_;
   int64_t t_ = 0;
   std::unordered_map<const Parameter*, State> state_;
 };

@@ -74,7 +74,51 @@ CellType ParseCellType(const std::string& name) {
   throw std::invalid_argument("unknown cell type: " + name);
 }
 
-// ------------------------------------------------ shared inference ----
+// ------------------------------------------------------ shared steps ----
+
+void RecurrentLayer::Forward(const std::vector<Matrix>& x_steps,
+                             const std::vector<int32_t>& lengths,
+                             Matrix* final_h) {
+  const size_t num_steps = x_steps.size();
+  PR_CHECK(num_steps > 0);
+  const size_t batch = x_steps[0].rows();
+  const size_t hidden = hidden_size();
+  const std::vector<const Matrix*> weights = InputWeights();
+  const bool cell = has_cell_state();
+
+  x_steps_ = &x_steps;
+  lengths_ = lengths;
+  // Gates are computed directly into their cache slot, so each step
+  // allocates nothing.
+  EnsureStepShapes(&h_, num_steps + 1, batch, hidden);
+  h_[0].Zero();  // zero initial state
+  if (cell) {
+    EnsureStepShapes(&c_, num_steps + 1, batch, hidden);
+    c_[0].Zero();
+  }
+  for (size_t g = 0; g < weights.size(); ++g) {
+    EnsureStepShapes(&gates_[g], num_steps, batch, hidden);
+  }
+  aux_.resize(num_steps);  // Step shapes its aux; the RNN has none
+
+  for (size_t t = 0; t < num_steps; ++t) {
+    const Matrix& x = x_steps[t];
+    PR_CHECK(x.cols() == input_size());
+    StepIo io{&h_[t], nullptr, {}, &aux_[t], &h_[t + 1], nullptr};
+    for (size_t g = 0; g < weights.size(); ++g) {
+      GemmNN(x, *weights[g], &gates_[g][t]);
+      io.gates[g] = &gates_[g][t];
+    }
+    if (cell) {
+      io.c_prev = &c_[t];
+      io.c = &c_[t + 1];
+    }
+    Step(io);
+    KeepFinishedRows(lengths_, t, h_[t], &h_[t + 1]);
+    if (cell) KeepFinishedRows(lengths_, t, c_[t], &c_[t + 1]);
+  }
+  *final_h = h_[num_steps];
+}
 
 InputTable RecurrentLayer::BuildInputTable(const Matrix& embedding) const {
   PR_CHECK(embedding.cols() == input_size())
@@ -183,17 +227,10 @@ void RecurrentLayer::ForwardInference(const InputTable& table,
 
 // ---------------------------------------------------------------- GRU ----
 
-GruLayer::GruLayer(size_t input_size, size_t hidden_size, pathrank::Rng& rng,
+GruLayer::GruLayer(size_t input_size, size_t hidden_size, pathrank::Rng* rng,
                    const std::string& p)
-    : GruLayer(input_size, hidden_size, kSkipInit, p) {
-  for (Parameter* w : {&wz_, &wr_, &wh_, &uz_, &ur_, &uh_}) {
-    XavierInit(&w->value, rng);
-  }
-}
-
-GruLayer::GruLayer(size_t input_size, size_t hidden_size, SkipInit,
-                   const std::string& p)
-    : wz_(p + ".wz", input_size, hidden_size),
+    : RecurrentLayer(input_size, hidden_size),
+      wz_(p + ".wz", input_size, hidden_size),
       wr_(p + ".wr", input_size, hidden_size),
       wh_(p + ".wh", input_size, hidden_size),
       uz_(p + ".uz", hidden_size, hidden_size),
@@ -201,38 +238,11 @@ GruLayer::GruLayer(size_t input_size, size_t hidden_size, SkipInit,
       uh_(p + ".uh", hidden_size, hidden_size),
       bz_(p + ".bz", 1, hidden_size),
       br_(p + ".br", 1, hidden_size),
-      bh_(p + ".bh", 1, hidden_size) {}
-
-void GruLayer::Forward(const std::vector<Matrix>& x_steps,
-                       const std::vector<int32_t>& lengths, Matrix* final_h) {
-  const size_t num_steps = x_steps.size();
-  PR_CHECK(num_steps > 0);
-  const size_t batch = x_steps[0].rows();
-  const size_t hidden = hidden_size();
-
-  x_steps_ = &x_steps;
-  lengths_ = lengths;
-  // Caches persist across calls; only reshaped (never reallocated when the
-  // batch geometry repeats). Gates are computed directly into their cache
-  // slot, so each step allocates nothing.
-  EnsureStepShapes(&h_, num_steps + 1, batch, hidden);
-  EnsureStepShapes(&z_, num_steps, batch, hidden);
-  EnsureStepShapes(&r_, num_steps, batch, hidden);
-  EnsureStepShapes(&hhat_, num_steps, batch, hidden);
-  EnsureStepShapes(&rh_, num_steps, batch, hidden);
-  h_[0].Zero();  // zero initial state
-
-  for (size_t t = 0; t < num_steps; ++t) {
-    const Matrix& x = x_steps[t];
-    PR_CHECK(x.cols() == input_size());
-    GemmNN(x, wz_.value, &z_[t]);
-    GemmNN(x, wr_.value, &r_[t]);
-    GemmNN(x, wh_.value, &hhat_[t]);
-    Step({&h_[t], nullptr, {&z_[t], &r_[t], &hhat_[t]}, &rh_[t], &h_[t + 1],
-          nullptr});
-    KeepFinishedRows(lengths_, t, h_[t], &h_[t + 1]);
+      bh_(p + ".bh", 1, hidden_size) {
+  if (rng == nullptr) return;
+  for (Parameter* w : {&wz_, &wr_, &wh_, &uz_, &ur_, &uh_}) {
+    XavierInit(&w->value, *rng);
   }
-  *final_h = h_[num_steps];
 }
 
 std::vector<const Matrix*> GruLayer::InputWeights() const {
@@ -298,9 +308,9 @@ void GruLayer::BackwardImpl(const Matrix* d_final_h,
     if (d_h_steps != nullptr) dh.Add((*d_h_steps)[t]);
     const Matrix& x = x_steps[t];
     const Matrix& h_prev = h_[t];
-    const Matrix& z = z_[t];
-    const Matrix& r = r_[t];
-    const Matrix& hhat = hhat_[t];
+    const Matrix& z = gates_[0][t];
+    const Matrix& r = gates_[1][t];
+    const Matrix& hhat = gates_[2][t];
     const auto mask = StepMask(lengths_, t);
 
     Matrix& dx = (*d_x_steps)[t];
@@ -327,7 +337,7 @@ void GruLayer::BackwardImpl(const Matrix* d_final_h,
     // Candidate branch.
     TanhBackward(dhhat, hhat, &da);
     GemmTN(x, da, &wh_.grad, 1.0f, 1.0f);
-    GemmTN(rh_[t], da, &uh_.grad, 1.0f, 1.0f);
+    GemmTN(aux_[t], da, &uh_.grad, 1.0f, 1.0f);
     AddColumnSums(da, &bh_.grad);
     GemmNT(da, wh_.value, &dx, 1.0f, 0.0f);
     GemmNT(da, uh_.value, &drh, 1.0f, 0.0f);
@@ -369,38 +379,15 @@ ConstParameterList GruLayer::Parameters() const {
 
 // ---------------------------------------------------------------- RNN ----
 
-RnnLayer::RnnLayer(size_t input_size, size_t hidden_size, pathrank::Rng& rng,
+RnnLayer::RnnLayer(size_t input_size, size_t hidden_size, pathrank::Rng* rng,
                    const std::string& p)
-    : RnnLayer(input_size, hidden_size, kSkipInit, p) {
-  XavierInit(&w_.value, rng);
-  XavierInit(&u_.value, rng);
-}
-
-RnnLayer::RnnLayer(size_t input_size, size_t hidden_size, SkipInit,
-                   const std::string& p)
-    : w_(p + ".w", input_size, hidden_size),
+    : RecurrentLayer(input_size, hidden_size),
+      w_(p + ".w", input_size, hidden_size),
       u_(p + ".u", hidden_size, hidden_size),
-      b_(p + ".b", 1, hidden_size) {}
-
-void RnnLayer::Forward(const std::vector<Matrix>& x_steps,
-                       const std::vector<int32_t>& lengths, Matrix* final_h) {
-  const size_t num_steps = x_steps.size();
-  PR_CHECK(num_steps > 0);
-  const size_t batch = x_steps[0].rows();
-  const size_t hidden = hidden_size();
-
-  x_steps_ = &x_steps;
-  lengths_ = lengths;
-  EnsureStepShapes(&h_, num_steps + 1, batch, hidden);
-  EnsureStepShapes(&hnew_, num_steps, batch, hidden);
-  h_[0].Zero();
-
-  for (size_t t = 0; t < num_steps; ++t) {
-    GemmNN(x_steps[t], w_.value, &hnew_[t]);
-    Step({&h_[t], nullptr, {&hnew_[t]}, nullptr, &h_[t + 1], nullptr});
-    KeepFinishedRows(lengths_, t, h_[t], &h_[t + 1]);
-  }
-  *final_h = h_[num_steps];
+      b_(p + ".b", 1, hidden_size) {
+  if (rng == nullptr) return;
+  XavierInit(&w_.value, *rng);
+  XavierInit(&u_.value, *rng);
 }
 
 std::vector<const Matrix*> RnnLayer::InputWeights() const {
@@ -449,7 +436,7 @@ void RnnLayer::BackwardImpl(const Matrix* d_final_h,
       }
     }
 
-    TanhBackward(dhnew, hnew_[t], &da);
+    TanhBackward(dhnew, gates_[0][t], &da);
     GemmTN(x, da, &w_.grad, 1.0f, 1.0f);
     GemmTN(h_prev, da, &u_.grad, 1.0f, 1.0f);
     AddColumnSums(da, &b_.grad);
@@ -467,17 +454,9 @@ ConstParameterList RnnLayer::Parameters() const { return {&w_, &u_, &b_}; }
 // --------------------------------------------------------------- LSTM ----
 
 LstmLayer::LstmLayer(size_t input_size, size_t hidden_size,
-                     pathrank::Rng& rng, const std::string& p)
-    : LstmLayer(input_size, hidden_size, kSkipInit, p) {
-  for (Parameter* w : {&wi_, &wf_, &wo_, &wg_, &ui_, &uf_, &uo_, &ug_}) {
-    XavierInit(&w->value, rng);
-  }
-  bf_.value.Fill(1.0f);  // standard forget-gate bias init
-}
-
-LstmLayer::LstmLayer(size_t input_size, size_t hidden_size, SkipInit,
-                     const std::string& p)
-    : wi_(p + ".wi", input_size, hidden_size),
+                     pathrank::Rng* rng, const std::string& p)
+    : RecurrentLayer(input_size, hidden_size),
+      wi_(p + ".wi", input_size, hidden_size),
       wf_(p + ".wf", input_size, hidden_size),
       wo_(p + ".wo", input_size, hidden_size),
       wg_(p + ".wg", input_size, hidden_size),
@@ -488,40 +467,12 @@ LstmLayer::LstmLayer(size_t input_size, size_t hidden_size, SkipInit,
       bi_(p + ".bi", 1, hidden_size),
       bf_(p + ".bf", 1, hidden_size),
       bo_(p + ".bo", 1, hidden_size),
-      bg_(p + ".bg", 1, hidden_size) {}
-
-void LstmLayer::Forward(const std::vector<Matrix>& x_steps,
-                        const std::vector<int32_t>& lengths,
-                        Matrix* final_h) {
-  const size_t num_steps = x_steps.size();
-  PR_CHECK(num_steps > 0);
-  const size_t batch = x_steps[0].rows();
-  const size_t hidden = hidden_size();
-
-  x_steps_ = &x_steps;
-  lengths_ = lengths;
-  EnsureStepShapes(&h_, num_steps + 1, batch, hidden);
-  EnsureStepShapes(&c_, num_steps + 1, batch, hidden);
-  EnsureStepShapes(&i_, num_steps, batch, hidden);
-  EnsureStepShapes(&f_, num_steps, batch, hidden);
-  EnsureStepShapes(&o_, num_steps, batch, hidden);
-  EnsureStepShapes(&g_, num_steps, batch, hidden);
-  EnsureStepShapes(&tanh_c_new_, num_steps, batch, hidden);
-  h_[0].Zero();
-  c_[0].Zero();
-
-  for (size_t t = 0; t < num_steps; ++t) {
-    const Matrix& x = x_steps[t];
-    GemmNN(x, wi_.value, &i_[t]);
-    GemmNN(x, wf_.value, &f_[t]);
-    GemmNN(x, wo_.value, &o_[t]);
-    GemmNN(x, wg_.value, &g_[t]);
-    Step({&h_[t], &c_[t], {&i_[t], &f_[t], &o_[t], &g_[t]}, &tanh_c_new_[t],
-          &h_[t + 1], &c_[t + 1]});
-    KeepFinishedRows(lengths_, t, h_[t], &h_[t + 1]);
-    KeepFinishedRows(lengths_, t, c_[t], &c_[t + 1]);
+      bg_(p + ".bg", 1, hidden_size) {
+  if (rng == nullptr) return;
+  for (Parameter* w : {&wi_, &wf_, &wo_, &wg_, &ui_, &uf_, &uo_, &ug_}) {
+    XavierInit(&w->value, *rng);
   }
-  *final_h = h_[num_steps];
+  bf_.value.Fill(1.0f);  // standard forget-gate bias init
 }
 
 std::vector<const Matrix*> LstmLayer::InputWeights() const {
@@ -604,6 +555,11 @@ void LstmLayer::BackwardImpl(const Matrix* d_final_h,
     const Matrix& x = x_steps[t];
     const Matrix& h_prev = h_[t];
     const Matrix& c_prev = c_[t];
+    const Matrix& ig = gates_[0][t];
+    const Matrix& fg = gates_[1][t];
+    const Matrix& og = gates_[2][t];
+    const Matrix& gg = gates_[3][t];
+    const Matrix& tanh_c_new = aux_[t];
     const auto mask = StepMask(lengths_, t);
 
     Matrix& dx = (*d_x_steps)[t];
@@ -613,9 +569,9 @@ void LstmLayer::BackwardImpl(const Matrix* d_final_h,
       const float m = mask[bb];
       const float* pdh = dh.row(bb);
       const float* pdc = dc.row(bb);
-      const float* po = o_[t].row(bb);
-      const float* ptc = tanh_c_new_[t].row(bb);
-      const float* pf = f_[t].row(bb);
+      const float* po = og.row(bb);
+      const float* ptc = tanh_c_new.row(bb);
+      const float* pf = fg.row(bb);
       float* pdhn = dh_new.row(bb);
       float* pdcn = dc_new.row(bb);
       float* pdhp = dh_prev.row(bb);
@@ -647,17 +603,17 @@ void LstmLayer::BackwardImpl(const Matrix* d_final_h,
     };
 
     // Output gate: dO = dh_new * tanh_c_new.
-    Hadamard(dh_new, tanh_c_new_[t], &dgate);
-    backprop_gate(dgate, o_[t], false, wo_, uo_, bo_, /*first_dx=*/true);
+    Hadamard(dh_new, tanh_c_new, &dgate);
+    backprop_gate(dgate, og, false, wo_, uo_, bo_, /*first_dx=*/true);
     // Input gate: dI = dc_new * g.
-    Hadamard(dc_new, g_[t], &dgate);
-    backprop_gate(dgate, i_[t], false, wi_, ui_, bi_, false);
+    Hadamard(dc_new, gg, &dgate);
+    backprop_gate(dgate, ig, false, wi_, ui_, bi_, false);
     // Forget gate: dF = dc_new * c_prev.
     Hadamard(dc_new, c_prev, &dgate);
-    backprop_gate(dgate, f_[t], false, wf_, uf_, bf_, false);
+    backprop_gate(dgate, fg, false, wf_, uf_, bf_, false);
     // Cell candidate: dG = dc_new * i.
-    Hadamard(dc_new, i_[t], &dgate);
-    backprop_gate(dgate, g_[t], true, wg_, ug_, bg_, false);
+    Hadamard(dc_new, ig, &dgate);
+    backprop_gate(dgate, gg, true, wg_, ug_, bg_, false);
 
     std::swap(dh, dh_prev);
     std::swap(dc, dc_prev);
@@ -671,7 +627,7 @@ ConstParameterList LstmLayer::Parameters() const {
 }
 
 std::unique_ptr<RecurrentLayer> MakeRecurrentLayer(
-    CellType type, size_t input_size, size_t hidden_size, pathrank::Rng& rng,
+    CellType type, size_t input_size, size_t hidden_size, pathrank::Rng* rng,
     const std::string& name_prefix) {
   switch (type) {
     case CellType::kGru:
@@ -682,23 +638,6 @@ std::unique_ptr<RecurrentLayer> MakeRecurrentLayer(
                                         name_prefix);
     case CellType::kLstm:
       return std::make_unique<LstmLayer>(input_size, hidden_size, rng,
-                                         name_prefix);
-  }
-  return nullptr;
-}
-
-std::unique_ptr<RecurrentLayer> MakeRecurrentLayer(
-    CellType type, size_t input_size, size_t hidden_size, SkipInit,
-    const std::string& name_prefix) {
-  switch (type) {
-    case CellType::kGru:
-      return std::make_unique<GruLayer>(input_size, hidden_size, kSkipInit,
-                                        name_prefix);
-    case CellType::kRnn:
-      return std::make_unique<RnnLayer>(input_size, hidden_size, kSkipInit,
-                                        name_prefix);
-    case CellType::kLstm:
-      return std::make_unique<LstmLayer>(input_size, hidden_size, kSkipInit,
                                          name_prefix);
   }
   return nullptr;

@@ -10,12 +10,14 @@
 //   ForwardInference(table, batch, ...)   — const scoring over a frozen
 //     input-projection table (see InputTable), sharing prefix steps.
 //
-// Each cell writes its step once, in a private Step: given gate buffers
-// that already hold the input projection x W and the previous state, it
-// adds the recurrent GEMMs and biases, applies the activations and writes
-// the new state. Forward fills the gates with GemmNN(x, W) into its
-// per-step caches; ForwardInference gathers them from the table. Both
-// call the same Step, so inference is bitwise training by construction.
+// Forward and ForwardInference are written once, in RecurrentLayer; a
+// cell supplies only its parameters, its Step and its BackwardImpl. Step
+// is given gate buffers that already hold the input projection x W and
+// the previous state; it adds the recurrent GEMMs and biases, applies the
+// activations and writes the new state. Forward fills the gates with
+// GemmNN(x, W) into the base class's per-step caches, which BackwardImpl
+// reads; ForwardInference gathers them from the table. Both call the same
+// Step, so inference is bitwise training by construction.
 #pragma once
 
 #include <array>
@@ -61,16 +63,20 @@ struct RecurrentScratch {
   Matrix aux;                   // GRU r * h_prev, LSTM tanh(cell)
 };
 
-/// Abstract masked recurrent encoder.
+/// Masked recurrent encoder. The step loops live here; a cell supplies
+/// its parameters, Step and BackwardImpl.
 class RecurrentLayer {
  public:
   virtual ~RecurrentLayer() = default;
 
   /// Consumes `x_steps` (one [B x input_size] matrix per timestep) and
   /// writes the per-row final hidden state into `final_h` [B x hidden].
-  virtual void Forward(const std::vector<Matrix>& x_steps,
-                       const std::vector<int32_t>& lengths,
-                       Matrix* final_h) = 0;
+  /// Each step computes GemmNN(x, W_g) for every gate in InputWeights()
+  /// order, calls Step, then carries the finished rows' state forward.
+  /// Caches every step's activations for Backward; `x_steps` must outlive
+  /// it.
+  void Forward(const std::vector<Matrix>& x_steps,
+               const std::vector<int32_t>& lengths, Matrix* final_h);
 
   /// Projects an embedding table [vocab x input] through this cell's
   /// input weights (see InputTable). Build once per frozen weight set.
@@ -90,7 +96,7 @@ class RecurrentLayer {
 
   /// Hidden state after step `t` of the last Forward ([B x hidden]).
   /// Padded rows carry the last real state forward.
-  virtual const Matrix& hidden_state(size_t t) const = 0;
+  const Matrix& hidden_state(size_t t) const { return h_[t + 1]; }
 
   /// Backpropagates `d_final_h` [B x hidden]; writes input gradients into
   /// `d_x_steps` (resized to match the last Forward) and accumulates
@@ -112,11 +118,13 @@ class RecurrentLayer {
   ParameterList Parameters() {
     return MutableParameters(std::as_const(*this).Parameters());
   }
-  virtual size_t input_size() const = 0;
-  virtual size_t hidden_size() const = 0;
-  virtual std::string Name() const = 0;
+  size_t input_size() const { return input_size_; }
+  size_t hidden_size() const { return hidden_size_; }
 
  protected:
+  RecurrentLayer(size_t input_size, size_t hidden_size)
+      : input_size_(input_size), hidden_size_(hidden_size) {}
+
   /// The input weights, in InputTable gate order.
   virtual std::vector<const Matrix*> InputWeights() const = 0;
 
@@ -139,10 +147,25 @@ class RecurrentLayer {
   /// True for the LSTM, whose state is (h, c).
   virtual bool has_cell_state() const { return false; }
 
-  /// Exactly one of `d_final_h` / `d_h_steps` is non-null.
+  /// Exactly one of `d_final_h` / `d_h_steps` is non-null. Reads the
+  /// caches of the last Forward and clears `x_steps_`.
   virtual void BackwardImpl(const Matrix* d_final_h,
                             const std::vector<Matrix>* d_h_steps,
                             std::vector<Matrix>* d_x_steps) = 0;
+
+  // Forward caches. They persist across calls and are only reshaped, so a
+  // repeated batch geometry allocates nothing.
+  const std::vector<Matrix>* x_steps_ = nullptr;
+  std::vector<int32_t> lengths_;
+  std::vector<Matrix> h_;  // h_[t] = state before step t; h_[0] = 0
+  std::vector<Matrix> c_;  // LSTM cell state, indexed like h_
+  // gates_[g][t]: gate g of step t (InputTable order), as Step left it.
+  std::array<std::vector<Matrix>, 4> gates_;
+  std::vector<Matrix> aux_;  // StepIo::aux per step; empty for the RNN
+
+ private:
+  size_t input_size_;
+  size_t hidden_size_;
 };
 
 /// Cell selector used by configs and the ablation bench.
@@ -151,23 +174,20 @@ enum class CellType { kGru, kRnn, kLstm };
 std::string CellTypeName(CellType type);
 CellType ParseCellType(const std::string& name);
 
+// Each cell draws Xavier weights from `rng` at construction (zero biases;
+// the LSTM's forget bias starts at 1). A null `rng` leaves every weight
+// zero, for snapshot and checkpoint builders that copy values in (see
+// SkipInit).
+
 /// GRU with update gate z, reset gate r:
 ///   z = sigmoid(x Wz + h Uz + bz),  r = sigmoid(x Wr + h Ur + br)
 ///   hhat = tanh(x Wh + (r*h) Uh + bh),  h' = (1-z)*h + z*hhat
+/// Gates z, r, hhat; aux r * h_prev.
 class GruLayer final : public RecurrentLayer {
  public:
-  GruLayer(size_t input_size, size_t hidden_size, pathrank::Rng& rng,
+  GruLayer(size_t input_size, size_t hidden_size, pathrank::Rng* rng,
            const std::string& name_prefix = "gru");
-  GruLayer(size_t input_size, size_t hidden_size, SkipInit,
-           const std::string& name_prefix = "gru");
-
-  void Forward(const std::vector<Matrix>& x_steps,
-               const std::vector<int32_t>& lengths, Matrix* final_h) override;
-  const Matrix& hidden_state(size_t t) const override { return h_[t + 1]; }
   ConstParameterList Parameters() const override;
-  size_t input_size() const override { return wz_.value.rows(); }
-  size_t hidden_size() const override { return wz_.value.cols(); }
-  std::string Name() const override { return "gru"; }
 
  protected:
   std::vector<const Matrix*> InputWeights() const override;
@@ -181,32 +201,15 @@ class GruLayer final : public RecurrentLayer {
   Parameter wz_, wr_, wh_;  // [input x hidden]
   Parameter uz_, ur_, uh_;  // [hidden x hidden]
   Parameter bz_, br_, bh_;  // [1 x hidden]
-
-  // Forward caches.
-  const std::vector<Matrix>* x_steps_ = nullptr;
-  std::vector<int32_t> lengths_;
-  std::vector<Matrix> h_;     // h_[t] = state after step t; h_[0] = 0
-  std::vector<Matrix> z_;     // raw update gate per step
-  std::vector<Matrix> r_;     // raw reset gate per step
-  std::vector<Matrix> hhat_;  // candidate state per step
-  std::vector<Matrix> rh_;    // r * h_prev per step
 };
 
-/// Vanilla tanh RNN: h' = tanh(x W + h U + b).
+/// Vanilla tanh RNN: h' = tanh(x W + h U + b). One gate, the unmasked new
+/// state.
 class RnnLayer final : public RecurrentLayer {
  public:
-  RnnLayer(size_t input_size, size_t hidden_size, pathrank::Rng& rng,
+  RnnLayer(size_t input_size, size_t hidden_size, pathrank::Rng* rng,
            const std::string& name_prefix = "rnn");
-  RnnLayer(size_t input_size, size_t hidden_size, SkipInit,
-           const std::string& name_prefix = "rnn");
-
-  void Forward(const std::vector<Matrix>& x_steps,
-               const std::vector<int32_t>& lengths, Matrix* final_h) override;
-  const Matrix& hidden_state(size_t t) const override { return h_[t + 1]; }
   ConstParameterList Parameters() const override;
-  size_t input_size() const override { return w_.value.rows(); }
-  size_t hidden_size() const override { return w_.value.cols(); }
-  std::string Name() const override { return "rnn"; }
 
  protected:
   std::vector<const Matrix*> InputWeights() const override;
@@ -218,28 +221,15 @@ class RnnLayer final : public RecurrentLayer {
   void Step(const StepIo& io) const override;
 
   Parameter w_, u_, b_;
-
-  const std::vector<Matrix>* x_steps_ = nullptr;
-  std::vector<int32_t> lengths_;
-  std::vector<Matrix> h_;      // masked states; h_[0] = 0
-  std::vector<Matrix> hnew_;   // unmasked tanh output per step
 };
 
-/// LSTM with forget/input/output gates and cell state.
+/// LSTM with forget/input/output gates and cell state. Gates i, f, o, g;
+/// aux tanh of the unmasked new cell.
 class LstmLayer final : public RecurrentLayer {
  public:
-  LstmLayer(size_t input_size, size_t hidden_size, pathrank::Rng& rng,
+  LstmLayer(size_t input_size, size_t hidden_size, pathrank::Rng* rng,
             const std::string& name_prefix = "lstm");
-  LstmLayer(size_t input_size, size_t hidden_size, SkipInit,
-            const std::string& name_prefix = "lstm");
-
-  void Forward(const std::vector<Matrix>& x_steps,
-               const std::vector<int32_t>& lengths, Matrix* final_h) override;
-  const Matrix& hidden_state(size_t t) const override { return h_[t + 1]; }
   ConstParameterList Parameters() const override;
-  size_t input_size() const override { return wi_.value.rows(); }
-  size_t hidden_size() const override { return wi_.value.cols(); }
-  std::string Name() const override { return "lstm"; }
 
  protected:
   std::vector<const Matrix*> InputWeights() const override;
@@ -254,25 +244,14 @@ class LstmLayer final : public RecurrentLayer {
   Parameter wi_, wf_, wo_, wg_;  // [input x hidden]
   Parameter ui_, uf_, uo_, ug_;  // [hidden x hidden]
   Parameter bi_, bf_, bo_, bg_;  // [1 x hidden]
-
-  const std::vector<Matrix>* x_steps_ = nullptr;
-  std::vector<int32_t> lengths_;
-  std::vector<Matrix> h_, c_;          // masked states; index 0 = 0
-  std::vector<Matrix> i_, f_, o_, g_;  // gates per step
-  std::vector<Matrix> tanh_c_new_;     // tanh of the unmasked new cell
 };
 
-/// Factory for the configured cell type. `name_prefix` namespaces the
+/// Factory for the configured cell type; `rng` as for the cell
+/// constructors (null: weights left zero). `name_prefix` namespaces the
 /// parameters (must be unique per layer instance within a model so
 /// checkpoints can address them).
 std::unique_ptr<RecurrentLayer> MakeRecurrentLayer(
-    CellType type, size_t input_size, size_t hidden_size, pathrank::Rng& rng,
-    const std::string& name_prefix);
-
-/// Skip-init factory variant for replica/snapshot builders: weights are
-/// left zero and must be copied into before use.
-std::unique_ptr<RecurrentLayer> MakeRecurrentLayer(
-    CellType type, size_t input_size, size_t hidden_size, SkipInit,
+    CellType type, size_t input_size, size_t hidden_size, pathrank::Rng* rng,
     const std::string& name_prefix);
 
 }  // namespace pathrank::nn

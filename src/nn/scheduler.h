@@ -1,5 +1,5 @@
-// Learning-rate schedules. Stateless functions of the epoch index applied
-// to an optimizer between epochs.
+// The learning-rate schedule: a stateless function of the epoch index,
+// applied to the optimizer between epochs.
 #pragma once
 
 #include <algorithm>
@@ -7,38 +7,15 @@
 
 namespace pathrank::nn {
 
-/// Schedule selector.
-enum class ScheduleType { kConstant, kStepDecay, kCosine };
-
-/// Schedule parameters.
-struct ScheduleConfig {
-  ScheduleType type = ScheduleType::kConstant;
-  double base_lr = 1e-3;
-  /// kStepDecay: multiply by `decay` every `step_every` epochs.
-  double decay = 0.5;
-  int step_every = 4;
-  /// kCosine: anneal to `min_lr` over `total_epochs`.
-  double min_lr = 1e-5;
-  int total_epochs = 10;
-};
-
-/// Learning rate for `epoch` (0-based).
-inline double LearningRateAt(const ScheduleConfig& cfg, int epoch) {
-  switch (cfg.type) {
-    case ScheduleType::kConstant:
-      return cfg.base_lr;
-    case ScheduleType::kStepDecay: {
-      const int steps = cfg.step_every > 0 ? epoch / cfg.step_every : 0;
-      return cfg.base_lr * std::pow(cfg.decay, steps);
-    }
-    case ScheduleType::kCosine: {
-      const double T = std::max(1, cfg.total_epochs - 1);
-      const double frac = std::clamp(epoch / T, 0.0, 1.0);
-      return cfg.min_lr + 0.5 * (cfg.base_lr - cfg.min_lr) *
-                              (1.0 + std::cos(3.14159265358979323846 * frac));
-    }
-  }
-  return cfg.base_lr;
+/// Cosine annealing from `base_lr` at epoch 0 to `min_lr` at epoch
+/// `total_epochs - 1`; `epoch` is 0-based and later epochs stay at
+/// `min_lr`.
+inline double CosineLearningRate(double base_lr, double min_lr, int epoch,
+                                 int total_epochs) {
+  const double T = std::max(1, total_epochs - 1);
+  const double frac = std::clamp(epoch / T, 0.0, 1.0);
+  return min_lr + 0.5 * (base_lr - min_lr) *
+                      (1.0 + std::cos(3.14159265358979323846 * frac));
 }
 
 }  // namespace pathrank::nn

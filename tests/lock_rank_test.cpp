@@ -58,9 +58,13 @@ TEST(LockRankChecker, CorrectOrderIsSilentAndFullyReleased) {
   Mutex high(20, "test.high");
   {
     MutexLock outer(low);
-    if (LockRankCheckingEnabled()) EXPECT_EQ(LockRankHeldCount(), 1u);
+    if (LockRankCheckingEnabled()) {
+      EXPECT_EQ(LockRankHeldCount(), 1u);
+    }
     MutexLock inner(high);
-    if (LockRankCheckingEnabled()) EXPECT_EQ(LockRankHeldCount(), 2u);
+    if (LockRankCheckingEnabled()) {
+      EXPECT_EQ(LockRankHeldCount(), 2u);
+    }
   }
   EXPECT_EQ(LockRankHeldCount(), 0u);
 }
@@ -73,7 +77,9 @@ TEST(LockRankChecker, UnrankedMutexIsInvisible) {
   Mutex high(20, "test.high");
   MutexLock outer(high);
   MutexLock inner(unranked);  // "descending" into rank 0: fine
-  if (LockRankCheckingEnabled()) EXPECT_EQ(LockRankHeldCount(), 1u);
+  if (LockRankCheckingEnabled()) {
+    EXPECT_EQ(LockRankHeldCount(), 1u);
+  }
 }
 
 TEST(LockRankChecker, ManualUnlockMayReleaseOutOfLifoOrder) {
@@ -84,7 +90,9 @@ TEST(LockRankChecker, ManualUnlockMayReleaseOutOfLifoOrder) {
   low.lock();
   high.lock();
   low.unlock();  // out of LIFO order
-  if (LockRankCheckingEnabled()) EXPECT_EQ(LockRankHeldCount(), 1u);
+  if (LockRankCheckingEnabled()) {
+    EXPECT_EQ(LockRankHeldCount(), 1u);
+  }
   high.unlock();
   EXPECT_EQ(LockRankHeldCount(), 0u);
 }
@@ -98,7 +106,9 @@ TEST(LockRankChecker, TryLockBelowHeldRankIsAllowed) {
   Mutex high(20, "test.high");
   MutexLock outer(high);
   if (low.try_lock()) {
-    if (LockRankCheckingEnabled()) EXPECT_EQ(LockRankHeldCount(), 2u);
+    if (LockRankCheckingEnabled()) {
+      EXPECT_EQ(LockRankHeldCount(), 2u);
+    }
     low.unlock();
   } else {
     ADD_FAILURE() << "uncontended try_lock failed";

@@ -130,7 +130,7 @@ class RecurrentGradCheck : public ::testing::TestWithParam<CellType> {};
 
 TEST_P(RecurrentGradCheck, ParameterAndInputGradients) {
   pathrank::Rng rng(23 + static_cast<int>(GetParam()));
-  auto cell = MakeRecurrentLayer(GetParam(), 2, 3, rng, "cell");
+  auto cell = MakeRecurrentLayer(GetParam(), 2, 3, &rng, "cell");
   const std::vector<int32_t> lengths{3, 2};  // includes a masked tail
 
   std::vector<Matrix> x_steps(3, Matrix(2, 2));
@@ -152,7 +152,7 @@ TEST_P(RecurrentGradCheck, ParameterAndInputGradients) {
 
   for (Parameter* p : cell->Parameters()) {
     CheckParameterGradient(*p, loss_fn, p->grad,
-                           cell->Name() + " param " + p->name);
+                           CellTypeName(GetParam()) + " param " + p->name);
   }
 
   // Input gradients, including that masked steps produce zero gradient for
@@ -165,8 +165,9 @@ TEST_P(RecurrentGradCheck, ParameterAndInputGradients) {
       x_steps[t].data()[i] = saved - kEps;
       const double down = loss_fn();
       x_steps[t].data()[i] = saved;
-      ExpectGradClose(dx[t].data()[i], (up - down) / (2.0 * kEps),
-                      cell->Name() + " dX step " + std::to_string(t));
+      ExpectGradClose(
+          dx[t].data()[i], (up - down) / (2.0 * kEps),
+          CellTypeName(GetParam()) + " dX step " + std::to_string(t));
     }
   }
 }
@@ -175,7 +176,7 @@ TEST_P(RecurrentGradCheck, PerStepGradients) {
   // BackwardSteps: loss reads EVERY hidden state, weighted per step —
   // the mean-pooling head's gradient path.
   pathrank::Rng rng(41 + static_cast<int>(GetParam()));
-  auto cell = MakeRecurrentLayer(GetParam(), 2, 3, rng, "cell");
+  auto cell = MakeRecurrentLayer(GetParam(), 2, 3, &rng, "cell");
   const std::vector<int32_t> lengths{3, 2};
 
   std::vector<Matrix> x_steps(3, Matrix(2, 2));
@@ -208,8 +209,9 @@ TEST_P(RecurrentGradCheck, PerStepGradients) {
   cell->BackwardSteps(r, &dx);
 
   for (Parameter* p : cell->Parameters()) {
-    CheckParameterGradient(*p, loss_fn, p->grad,
-                           cell->Name() + " step-grad param " + p->name);
+    CheckParameterGradient(
+        *p, loss_fn, p->grad,
+        CellTypeName(GetParam()) + " step-grad param " + p->name);
   }
   for (size_t t = 0; t < x_steps.size(); ++t) {
     for (size_t i = 0; i < x_steps[t].size(); ++i) {
@@ -220,7 +222,7 @@ TEST_P(RecurrentGradCheck, PerStepGradients) {
       const double down = loss_fn();
       x_steps[t].data()[i] = saved;
       ExpectGradClose(dx[t].data()[i], (up - down) / (2.0 * kEps),
-                      cell->Name() + " step-grad dX step " +
+                      CellTypeName(GetParam()) + " step-grad dX step " +
                           std::to_string(t));
     }
   }
@@ -228,7 +230,7 @@ TEST_P(RecurrentGradCheck, PerStepGradients) {
 
 TEST_P(RecurrentGradCheck, HiddenStateAccessorMatchesFinal) {
   pathrank::Rng rng(51);
-  auto cell = MakeRecurrentLayer(GetParam(), 2, 3, rng, "cell");
+  auto cell = MakeRecurrentLayer(GetParam(), 2, 3, &rng, "cell");
   std::vector<Matrix> x_steps(4, Matrix(2, 2));
   for (auto& x : x_steps) FillRandom(&x, rng);
   const std::vector<int32_t> lengths{4, 4};
@@ -242,7 +244,7 @@ TEST_P(RecurrentGradCheck, HiddenStateAccessorMatchesFinal) {
 
 TEST_P(RecurrentGradCheck, MaskedStepsGetZeroInputGradient) {
   pathrank::Rng rng(31);
-  auto cell = MakeRecurrentLayer(GetParam(), 2, 3, rng, "cell");
+  auto cell = MakeRecurrentLayer(GetParam(), 2, 3, &rng, "cell");
   const std::vector<int32_t> lengths{1};  // only step 0 is real
   std::vector<Matrix> x_steps(3, Matrix(1, 2));
   for (auto& x : x_steps) FillRandom(&x, rng);
@@ -255,7 +257,7 @@ TEST_P(RecurrentGradCheck, MaskedStepsGetZeroInputGradient) {
   for (size_t t = 1; t < 3; ++t) {
     for (size_t i = 0; i < dx[t].size(); ++i) {
       EXPECT_EQ(dx[t].data()[i], 0.0f)
-          << cell->Name() << " step " << t << " should be masked";
+          << CellTypeName(GetParam()) << " step " << t << " should be masked";
     }
   }
 }

@@ -1,5 +1,5 @@
 // Behavioural tests of the layers: shapes, masking semantics, freezing,
-// determinism, sequence-batch utilities, losses and serialization.
+// determinism, sequence-batch utilities, the loss and serialization.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -99,7 +99,7 @@ class RecurrentShapes : public ::testing::TestWithParam<CellType> {};
 
 TEST_P(RecurrentShapes, FinalStateShapeAndDeterminism) {
   pathrank::Rng rng(6);
-  auto cell = MakeRecurrentLayer(GetParam(), 3, 5, rng, "cell");
+  auto cell = MakeRecurrentLayer(GetParam(), 3, 5, &rng, "cell");
   ASSERT_NE(cell, nullptr);
   EXPECT_EQ(cell->input_size(), 3u);
   EXPECT_EQ(cell->hidden_size(), 5u);
@@ -127,7 +127,7 @@ TEST_P(RecurrentShapes, MaskingMatchesTruncatedSequence) {
   // Row with length L inside a longer padded batch must produce the same
   // final state as running the truncated sequence alone.
   pathrank::Rng rng(8);
-  auto cell = MakeRecurrentLayer(GetParam(), 2, 4, rng, "cell");
+  auto cell = MakeRecurrentLayer(GetParam(), 2, 4, &rng, "cell");
 
   pathrank::Rng data_rng(9);
   std::vector<Matrix> x_long(5, Matrix(1, 2));
@@ -154,8 +154,8 @@ TEST_P(RecurrentShapes, TrainingCacheReuseAcrossGeometriesIsStable) {
   // train on a smaller one bitwise like a fresh layer with the same
   // weights.
   pathrank::Rng rng(11);
-  auto reused = MakeRecurrentLayer(GetParam(), 3, 4, rng, "cell");
-  auto fresh = MakeRecurrentLayer(GetParam(), 3, 4, kSkipInit, "cell");
+  auto reused = MakeRecurrentLayer(GetParam(), 3, 4, &rng, "cell");
+  auto fresh = MakeRecurrentLayer(GetParam(), 3, 4, nullptr, "cell");
   const ParameterList reused_params = reused->Parameters();
   const ParameterList fresh_params = fresh->Parameters();
   for (size_t i = 0; i < reused_params.size(); ++i) {
@@ -213,7 +213,7 @@ TEST_P(RecurrentShapes, TrainingCacheReuseAcrossGeometriesIsStable) {
 
 TEST_P(RecurrentShapes, BackwardRequiresForward) {
   pathrank::Rng rng(10);
-  auto cell = MakeRecurrentLayer(GetParam(), 2, 3, rng, "cell");
+  auto cell = MakeRecurrentLayer(GetParam(), 2, 3, &rng, "cell");
   Matrix d(1, 3);
   std::vector<Matrix> dx;
   EXPECT_THROW(cell->Backward(d, &dx), std::logic_error);
@@ -238,28 +238,6 @@ TEST(Loss, MseValueAndGradient) {
   EXPECT_NEAR(loss, 0.5, 1e-6);  // (1 + 0) / 2
   EXPECT_NEAR(d[0], 1.0f, 1e-6f);  // 2*1/2
   EXPECT_NEAR(d[1], 0.0f, 1e-6f);
-}
-
-TEST(Loss, MaeValueAndGradient) {
-  const std::vector<float> p{1.0f, -1.0f};
-  const std::vector<float> t{0.0f, 0.0f};
-  std::vector<float> d;
-  const double loss = MaeLoss(p, t, &d);
-  EXPECT_NEAR(loss, 1.0, 1e-6);
-  EXPECT_NEAR(d[0], 0.5f, 1e-6f);
-  EXPECT_NEAR(d[1], -0.5f, 1e-6f);
-}
-
-TEST(Loss, HuberBlendsRegimes) {
-  const std::vector<float> small_err{0.05f};
-  const std::vector<float> big_err{1.0f};
-  const std::vector<float> t{0.0f};
-  std::vector<float> d;
-  const double l_small = HuberLoss(small_err, t, 0.1f, &d);
-  EXPECT_NEAR(l_small, 0.5 * 0.05 * 0.05, 1e-9);  // quadratic zone
-  const double l_big = HuberLoss(big_err, t, 0.1f, &d);
-  EXPECT_NEAR(l_big, 0.1 * (1.0 - 0.05), 1e-6);  // linear zone
-  EXPECT_NEAR(d[0], 0.1f, 1e-6f);
 }
 
 TEST(Serialize, MatrixRoundTrip) {

@@ -1,5 +1,5 @@
-// Optimizers: SGD step identity, momentum accumulation, Adam convergence,
-// frozen-parameter semantics and gradient clipping.
+// The optimizer and schedule: Adam's exact update, convergence and
+// frozen-parameter semantics, gradient clipping and the cosine schedule.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,36 +10,6 @@
 
 namespace pathrank::nn {
 namespace {
-
-TEST(Sgd, PlainStepIsAxpy) {
-  Parameter p("w", 1, 2);
-  p.value.Fill(1.0f);
-  p.grad.Fill(0.5f);
-  Sgd sgd(0.1);
-  sgd.Step({&p});
-  EXPECT_NEAR(p.value.at(0, 0), 0.95f, 1e-6f);
-}
-
-TEST(Sgd, MomentumAccumulates) {
-  Parameter p("w", 1, 1);
-  p.value.Fill(0.0f);
-  p.grad.Fill(1.0f);
-  Sgd sgd(1.0, 0.9);
-  sgd.Step({&p});  // v=1, w=-1
-  EXPECT_NEAR(p.value.at(0, 0), -1.0f, 1e-6f);
-  sgd.Step({&p});  // v=1.9, w=-2.9
-  EXPECT_NEAR(p.value.at(0, 0), -2.9f, 1e-6f);
-}
-
-TEST(Sgd, FrozenParameterUntouched) {
-  Parameter p("w", 1, 1);
-  p.value.Fill(3.0f);
-  p.grad.Fill(1.0f);
-  p.frozen = true;
-  Sgd sgd(0.5);
-  sgd.Step({&p});
-  EXPECT_EQ(p.value.at(0, 0), 3.0f);
-}
 
 TEST(Adam, FirstStepHasUnitScale) {
   // With bias correction, the first Adam step is ~lr * sign(grad).
@@ -75,13 +45,48 @@ TEST(Adam, FrozenParameterUntouched) {
   }
 }
 
-TEST(Adam, WeightDecayShrinksWeights) {
-  Parameter p("w", 1, 1);
-  p.value.Fill(10.0f);
-  p.grad.Fill(0.0f);
-  Adam adamw(0.1, 0.9, 0.999, 1e-8, 0.1);
-  adamw.Step({&p});
-  EXPECT_LT(p.value.at(0, 0), 10.0f);
+TEST(Adam, StepMatchesScalarReference) {
+  // Adam's exact bits: several steps of a two-element parameter against
+  // the update written out per element, in the optimizer's float
+  // arithmetic with beta1 0.9, beta2 0.999, epsilon 1e-8 and no decay.
+  // The second element's gradients are small enough that epsilon moves
+  // its update by about 1%.
+  Parameter p("w", 1, 2);
+  p.value.at(0, 0) = 0.75f;
+  p.value.at(0, 1) = -1.25f;
+  const float grads[4][2] = {
+      {0.5f, -2e-6f}, {-0.125f, 3e-6f}, {0.0f, -6.25e-8f}, {1.5f, 2.5e-7f}};
+  const double lrs[4] = {0.01, 0.01, 0.003, 0.02};
+  Adam adam(lrs[0]);
+
+  float w[2] = {0.75f, -1.25f};
+  float m[2] = {0.0f, 0.0f};
+  float v[2] = {0.0f, 0.0f};
+  const auto b1 = static_cast<float>(0.9);
+  const auto b2 = static_cast<float>(0.999);
+  const auto eps = static_cast<float>(1e-8);
+  for (int step = 0; step < 4; ++step) {
+    p.grad.at(0, 0) = grads[step][0];
+    p.grad.at(0, 1) = grads[step][1];
+    adam.set_learning_rate(lrs[step]);
+    adam.Step({&p});
+
+    const double t = step + 1;
+    const auto inv_bias1 = static_cast<float>(1.0 / (1.0 - std::pow(0.9, t)));
+    const auto inv_bias2 =
+        static_cast<float>(1.0 / (1.0 - std::pow(0.999, t)));
+    const auto lr = static_cast<float>(lrs[step]);
+    for (int i = 0; i < 2; ++i) {
+      const float g = grads[step][i];
+      m[i] = b1 * m[i] + (1.0f - b1) * g;
+      v[i] = b2 * v[i] + (1.0f - b2) * g * g;
+      const float mhat = m[i] * inv_bias1;
+      const float vhat = v[i] * inv_bias2;
+      w[i] -= lr * (mhat / (std::sqrt(vhat) + eps));
+      EXPECT_EQ(p.value.at(0, i), w[i]) << "step " << step << ", element "
+                                        << i;
+    }
+  }
 }
 
 TEST(Clip, NormAboveThresholdIsScaled) {
@@ -111,38 +116,16 @@ TEST(ZeroGradients, ClearsAll) {
   EXPECT_DOUBLE_EQ(b.grad.SquaredNorm(), 0.0);
 }
 
-TEST(Schedule, ConstantIsConstant) {
-  ScheduleConfig cfg;
-  cfg.type = ScheduleType::kConstant;
-  cfg.base_lr = 0.003;
-  EXPECT_DOUBLE_EQ(LearningRateAt(cfg, 0), 0.003);
-  EXPECT_DOUBLE_EQ(LearningRateAt(cfg, 100), 0.003);
-}
-
-TEST(Schedule, StepDecayHalves) {
-  ScheduleConfig cfg;
-  cfg.type = ScheduleType::kStepDecay;
-  cfg.base_lr = 1.0;
-  cfg.decay = 0.5;
-  cfg.step_every = 2;
-  EXPECT_DOUBLE_EQ(LearningRateAt(cfg, 0), 1.0);
-  EXPECT_DOUBLE_EQ(LearningRateAt(cfg, 1), 1.0);
-  EXPECT_DOUBLE_EQ(LearningRateAt(cfg, 2), 0.5);
-  EXPECT_DOUBLE_EQ(LearningRateAt(cfg, 4), 0.25);
-}
-
 TEST(Schedule, CosineAnnealsToMin) {
-  ScheduleConfig cfg;
-  cfg.type = ScheduleType::kCosine;
-  cfg.base_lr = 1.0;
-  cfg.min_lr = 0.1;
-  cfg.total_epochs = 11;
-  EXPECT_NEAR(LearningRateAt(cfg, 0), 1.0, 1e-12);
-  EXPECT_NEAR(LearningRateAt(cfg, 10), 0.1, 1e-12);
-  EXPECT_NEAR(LearningRateAt(cfg, 5), 0.55, 1e-12);  // midpoint
+  auto lr_at = [](int epoch) {
+    return CosineLearningRate(1.0, 0.1, epoch, 11);
+  };
+  EXPECT_NEAR(lr_at(0), 1.0, 1e-12);
+  EXPECT_NEAR(lr_at(10), 0.1, 1e-12);
+  EXPECT_NEAR(lr_at(5), 0.55, 1e-12);  // midpoint
   // Monotone decreasing.
   for (int e = 1; e <= 10; ++e) {
-    EXPECT_LE(LearningRateAt(cfg, e), LearningRateAt(cfg, e - 1) + 1e-12);
+    EXPECT_LE(lr_at(e), lr_at(e - 1) + 1e-12);
   }
 }
 

@@ -46,6 +46,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -182,26 +183,55 @@ int CmdSimulate(const Args& args) {
   return 0;
 }
 
-data::RankingDataset BuildDataset(const graph::RoadNetwork& network,
-                                  const std::vector<traj::TripPath>& trips,
-                                  const Args& args) {
+data::CandidateGenConfig GenConfigFromArgs(const Args& args) {
   data::CandidateGenConfig gen;
   gen.strategy = ParseStrategy(args.Get("strategy", "dtkdi"));
   gen.k = args.GetInt("k", 10);
+  // One default for training and serving, so serving candidates match a
+  // model trained with the defaults.
   gen.similarity_threshold = args.GetDouble("threshold", 0.6);
+  return gen;
+}
+
+data::RankingDataset BuildDataset(const graph::RoadNetwork& network,
+                                  const std::vector<traj::TripPath>& trips,
+                                  const data::CandidateGenConfig& gen) {
   data::RankingDataset dataset;
   dataset.queries = data::GenerateQueries(network, trips, gen);
   return dataset;
 }
 
 int CmdTrain(const Args& args) {
+  // Every flag is checked before any work starts, so a bad value exits 2
+  // at once and writes nothing.
+  const data::CandidateGenConfig gen = GenConfigFromArgs(args);
+  const int m = args.GetInt("m", 64);
+  const int hidden = args.GetInt("hidden", 64);
+  const int epochs = args.GetInt("epochs", 20);
+  const double lr = args.GetDouble("lr", 3e-3);  // finite: GetDouble checks
+  const std::string out = args.Require("out");
+  const std::pair<bool, const char*> checks[] = {
+      {epochs >= 1, "--epochs must be at least 1"},
+      {m >= 1, "--m must be at least 1"},
+      {hidden >= 1, "--hidden must be at least 1"},
+      {gen.k >= 1, "--k must be at least 1"},
+      {lr > 0.0, "--lr must be positive"},
+      {gen.similarity_threshold > 0.0 && gen.similarity_threshold <= 1.0,
+       "--threshold must be in (0, 1]"},
+  };
+  for (const auto& [ok, message] : checks) {
+    if (!ok) {
+      std::fprintf(stderr, "%s\n", message);
+      return 2;
+    }
+  }
+
   const auto network = graph::LoadNetworkCsv(args.Require("network"));
   const auto trips = traj::LoadTrips(network, args.Require("trips"));
-  auto dataset = BuildDataset(network, trips, args);
+  auto dataset = BuildDataset(network, trips, gen);
   Rng rng(static_cast<uint64_t>(args.GetInt("seed", 11)));
   const auto split = data::SplitDataset(dataset, 0.8, 0.1, rng);
 
-  const int m = args.GetInt("m", 64);
   embedding::Node2VecConfig n2v;
   n2v.skipgram.dims = m;
   n2v.seed = static_cast<uint64_t>(args.GetInt("seed", 11)) + 1;
@@ -210,15 +240,15 @@ int CmdTrain(const Args& args) {
 
   core::PathRankConfig model_cfg;
   model_cfg.embedding_dim = static_cast<size_t>(m);
-  model_cfg.hidden_size = static_cast<size_t>(args.GetInt("hidden", 64));
+  model_cfg.hidden_size = static_cast<size_t>(hidden);
   model_cfg.finetune_embedding = args.GetInt("finetune", 1) != 0;
   model_cfg.multi_task = args.GetInt("multitask", 0) != 0;
   core::PathRankModel model(network.num_vertices(), model_cfg);
   model.InitializeEmbedding(table);
 
   core::TrainerConfig train_cfg;
-  train_cfg.epochs = args.GetInt("epochs", 20);
-  train_cfg.learning_rate = args.GetDouble("lr", 3e-3);
+  train_cfg.epochs = epochs;
+  train_cfg.learning_rate = lr;
   train_cfg.verbose = true;
   SetLogLevel(LogLevel::kInfo);
   std::printf("training PathRank (%s)...\n",
@@ -227,7 +257,6 @@ int CmdTrain(const Args& args) {
 
   const auto result = core::Evaluate(model, split.test);
   std::printf("held-out test: %s\n", result.ToString().c_str());
-  const std::string out = args.Require("out");
   core::SaveModel(model, out);
   std::printf("wrote model checkpoint to %s\n", out.c_str());
   return 0;
@@ -236,7 +265,7 @@ int CmdTrain(const Args& args) {
 int CmdEvaluate(const Args& args) {
   const auto network = graph::LoadNetworkCsv(args.Require("network"));
   const auto trips = traj::LoadTrips(network, args.Require("trips"));
-  auto dataset = BuildDataset(network, trips, args);
+  auto dataset = BuildDataset(network, trips, GenConfigFromArgs(args));
   auto model = core::LoadModel(args.Require("model"));
   if (model->vocab_size() != network.num_vertices()) {
     std::fprintf(stderr, "model/network vertex-count mismatch\n");
@@ -245,16 +274,6 @@ int CmdEvaluate(const Args& args) {
   const auto result = core::Evaluate(*model, dataset);
   std::printf("%s\n", result.ToString().c_str());
   return 0;
-}
-
-data::CandidateGenConfig GenConfigFromArgs(const Args& args) {
-  data::CandidateGenConfig gen;
-  gen.strategy = ParseStrategy(args.Get("strategy", "dtkdi"));
-  gen.k = args.GetInt("k", 10);
-  // Same default BuildDataset uses, so serving candidates match a model
-  // trained with the defaults.
-  gen.similarity_threshold = args.GetDouble("threshold", 0.6);
-  return gen;
 }
 
 int CmdRank(const Args& args) {
