@@ -60,10 +60,4 @@ bool StartsWith(const std::string& s, const std::string& prefix) {
          s.compare(0, prefix.size(), prefix) == 0;
 }
 
-std::string ToLower(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
-}
-
 }  // namespace pathrank

@@ -23,7 +23,4 @@ std::string StrFormat(const char* fmt, ...)
 /// Returns true when `s` starts with `prefix`.
 bool StartsWith(const std::string& s, const std::string& prefix);
 
-/// Lower-cases ASCII characters.
-std::string ToLower(const std::string& s);
-
 }  // namespace pathrank

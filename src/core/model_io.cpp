@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "nn/serialize.h"
@@ -98,13 +99,37 @@ std::unique_ptr<PathRankModel> LoadModel(const std::string& path) {
   PathRankConfig cfg;
   cfg.embedding_dim = Get64(in);
   cfg.hidden_size = Get64(in);
-  cfg.cell = static_cast<nn::CellType>(Get32(in));
+  const uint32_t cell = Get32(in);
+  if (cell > static_cast<uint32_t>(nn::CellType::kLstm)) {
+    throw std::runtime_error("unknown cell type " + std::to_string(cell) +
+                             " in " + path);
+  }
+  cfg.cell = static_cast<nn::CellType>(cell);
   cfg.bidirectional = Get32(in) != 0;
-  cfg.pooling = static_cast<Pooling>(Get32(in));
+  const uint32_t pooling = Get32(in);
+  if (pooling > static_cast<uint32_t>(Pooling::kMean)) {
+    throw std::runtime_error("unknown pooling " + std::to_string(pooling) +
+                             " in " + path);
+  }
+  cfg.pooling = static_cast<Pooling>(pooling);
   cfg.finetune_embedding = Get32(in) != 0;
   cfg.multi_task = Get32(in) != 0;
   cfg.aux_loss_weight = GetF64(in);
   cfg.seed = Get64(in);
+
+  // The model allocates an embedding table [vocab x M] and cell weights
+  // [M x hidden] and [hidden x hidden], and the file must hold each of
+  // them. Checking that before the model is built keeps a corrupt size
+  // field from allocating more than the file itself could fill.
+  const uint64_t floats_left = nn::BytesLeft(in) / sizeof(float);
+  const auto fits = [floats_left](uint64_t rows, uint64_t cols) {
+    return cols == 0 || rows <= floats_left / cols;
+  };
+  if (!fits(vocab, cfg.embedding_dim) ||
+      !fits(cfg.embedding_dim, cfg.hidden_size) ||
+      !fits(cfg.hidden_size, cfg.hidden_size)) {
+    throw std::runtime_error("model sizes exceed the file: " + path);
+  }
 
   // Skip-init: every parameter is required to be present in the
   // checkpoint below, so the random init would be overwritten anyway.
@@ -115,6 +140,9 @@ std::unique_ptr<PathRankModel> LoadModel(const std::string& path) {
   std::unordered_map<std::string, nn::Matrix> loaded;
   for (uint32_t i = 0; i < count; ++i) {
     const uint32_t name_len = Get32(in);
+    if (name_len > nn::BytesLeft(in)) {
+      throw std::runtime_error("truncated model file");
+    }
     std::string name(name_len, '\0');
     in.read(name.data(), name_len);
     if (!in) throw std::runtime_error("truncated model file");

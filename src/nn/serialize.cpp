@@ -1,15 +1,13 @@
 #include "nn/serialize.h"
 
-#include <cstdint>
-#include <fstream>
+#include <istream>
+#include <ostream>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace pathrank::nn {
 namespace {
 
 constexpr uint32_t kMatrixMagic = 0x50524D31;  // "PRM1"
-constexpr uint32_t kParamsMagic = 0x50525031;  // "PRP1"
 
 void Put32(std::ostream& out, uint32_t v) {
   out.write(reinterpret_cast<const char*>(&v), sizeof(v));
@@ -20,19 +18,6 @@ uint32_t Get32(std::istream& in) {
   in.read(reinterpret_cast<char*>(&v), sizeof(v));
   if (!in) throw std::runtime_error("truncated stream");
   return v;
-}
-
-void PutString(std::ostream& out, const std::string& s) {
-  Put32(out, static_cast<uint32_t>(s.size()));
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-std::string GetString(std::istream& in) {
-  const uint32_t n = Get32(in);
-  std::string s(n, '\0');
-  in.read(s.data(), n);
-  if (!in) throw std::runtime_error("truncated stream");
-  return s;
 }
 
 }  // namespace
@@ -51,6 +36,9 @@ Matrix ReadMatrix(std::istream& in) {
   }
   const uint32_t rows = Get32(in);
   const uint32_t cols = Get32(in);
+  if (static_cast<uint64_t>(rows) * cols > BytesLeft(in) / sizeof(float)) {
+    throw std::runtime_error("truncated matrix payload");
+  }
   Matrix m(rows, cols);
   in.read(reinterpret_cast<char*>(m.data()),
           static_cast<std::streamsize>(m.size() * sizeof(float)));
@@ -58,53 +46,15 @@ Matrix ReadMatrix(std::istream& in) {
   return m;
 }
 
-void SaveParameters(const ParameterList& params, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot open " + path);
-  Put32(out, kParamsMagic);
-  Put32(out, static_cast<uint32_t>(params.size()));
-  for (const Parameter* p : params) {
-    PutString(out, p->name);
-    WriteMatrix(out, p->value);
+uint64_t BytesLeft(std::istream& in) {
+  const std::streampos here = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streampos end = in.tellg();
+  in.seekg(here);
+  if (here < 0 || end < here || !in) {
+    throw std::runtime_error("stream is not seekable");
   }
-  if (!out) throw std::runtime_error("write failed: " + path);
-}
-
-void LoadParameters(const ParameterList& params, const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  if (Get32(in) != kParamsMagic) {
-    throw std::runtime_error("bad params magic in " + path);
-  }
-  const uint32_t count = Get32(in);
-  std::unordered_map<std::string, Matrix> loaded;
-  for (uint32_t i = 0; i < count; ++i) {
-    std::string name = GetString(in);
-    loaded.emplace(std::move(name), ReadMatrix(in));
-  }
-  for (Parameter* p : params) {
-    auto it = loaded.find(p->name);
-    if (it == loaded.end()) {
-      throw std::runtime_error("parameter not in checkpoint: " + p->name);
-    }
-    if (!it->second.SameShape(p->value)) {
-      throw std::runtime_error("shape mismatch for parameter: " + p->name);
-    }
-    p->value = std::move(it->second);
-  }
-}
-
-void SaveMatrix(const Matrix& m, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot open " + path);
-  WriteMatrix(out, m);
-  if (!out) throw std::runtime_error("write failed: " + path);
-}
-
-Matrix LoadMatrix(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  return ReadMatrix(in);
+  return static_cast<uint64_t>(end - here);
 }
 
 }  // namespace pathrank::nn

@@ -1,33 +1,24 @@
-// Binary (de)serialization of matrices and named parameter collections —
-// model checkpoints and pre-trained embedding tables.
+// Binary (de)serialization of one matrix: the tensor record inside
+// core::SaveModel checkpoints, the one checkpoint format.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
-#include <string>
-#include <vector>
 
-#include "nn/parameter.h"
+#include "nn/matrix.h"
 
 namespace pathrank::nn {
 
 /// Writes one matrix (shape header + row-major floats).
 void WriteMatrix(std::ostream& out, const Matrix& m);
 
-/// Reads one matrix; throws std::runtime_error on malformed input.
+/// Reads one matrix; throws std::runtime_error on malformed input,
+/// including a shape that needs more bytes than `in` has left (checked
+/// before allocating).
 Matrix ReadMatrix(std::istream& in);
 
-/// Saves named parameter values (not gradients) to `path`.
-void SaveParameters(const ParameterList& params, const std::string& path);
-
-/// Loads parameter values by name from `path` into `params`. Every
-/// parameter in `params` must be present in the file with matching shape;
-/// extra entries in the file are ignored.
-void LoadParameters(const ParameterList& params, const std::string& path);
-
-/// Saves a bare matrix to `path` (embedding tables).
-void SaveMatrix(const Matrix& m, const std::string& path);
-
-/// Loads a bare matrix from `path`.
-Matrix LoadMatrix(const std::string& path);
+/// Bytes between `in`'s read position and its end; `in` must be
+/// seekable. Throws std::runtime_error when it is not.
+uint64_t BytesLeft(std::istream& in);
 
 }  // namespace pathrank::nn

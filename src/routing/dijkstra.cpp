@@ -101,11 +101,6 @@ double Dijkstra::DistanceTo(VertexId v) const {
 
 bool Dijkstra::Reached(VertexId v) const { return stamp_[v] == epoch_; }
 
-std::optional<Path> Dijkstra::PathTo(VertexId v) const {
-  if (!Reached(v)) return std::nullopt;
-  return Reconstruct(v, dist_[v]);
-}
-
 Path Dijkstra::Reconstruct(VertexId target, double dist) const {
   Path path;
   path.cost = dist;

@@ -36,7 +36,7 @@ class Dijkstra {
   static constexpr size_t kCancelCheckPops = 64;
 
   /// Full one-to-all relaxation from `source`. After the call,
-  /// DistanceTo/PathTo answer queries for any target.
+  /// DistanceTo/Reached answer queries for any target.
   void ComputeAllFrom(VertexId source, const EdgeCostFn& cost);
 
   /// Distance from the last ComputeAllFrom source; +inf when unreachable.
@@ -44,10 +44,6 @@ class Dijkstra {
 
   /// True when v was reached by the last search.
   bool Reached(VertexId v) const;
-
-  /// Reconstructs the path to `v` after ComputeAllFrom (empty optional when
-  /// unreachable).
-  std::optional<Path> PathTo(VertexId v) const;
 
   /// Number of vertices settled by the last search (for benchmarks).
   size_t last_settled_count() const { return settled_count_; }

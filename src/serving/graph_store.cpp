@@ -61,7 +61,6 @@ std::shared_ptr<const graph::GraphSnapshot> GraphStore::Publish(
     old = std::move(current_);
     current_ = std::move(next);
   }
-  swap_count_.fetch_add(1, std::memory_order_relaxed);
   // The artifact (if any) now trails the served epoch; wake the worker.
   // Harmless when preprocessing is off — nobody is waiting.
   pre_cv_.NotifyAll();

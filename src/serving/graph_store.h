@@ -180,10 +180,6 @@ class GraphStore {
   uint64_t traffic_batches() const {
     return traffic_batches_.load(std::memory_order_relaxed);
   }
-  /// Snapshot publishes (ApplyTraffic + SwapNetwork) since construction.
-  uint64_t swap_count() const {
-    return swap_count_.load(std::memory_order_relaxed);
-  }
 
  private:
   /// Publishes `next` as the served snapshot and returns the old one.
@@ -218,7 +214,6 @@ class GraphStore {
   mutable common::Mutex mu_{common::LockRank::kGraphStore, "graph.store"};
   std::shared_ptr<const graph::GraphSnapshot> current_ GUARDED_BY(mu_);
   std::atomic<uint64_t> traffic_batches_{0};
-  std::atomic<uint64_t> swap_count_{0};
 
   // --- preprocessing lifecycle (all inert until EnablePreprocessing) ---
   /// Newest completed artifact; trails current_ while a rebuild runs.

@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "common/deadline.h"
@@ -57,11 +58,17 @@ struct Response {
   int retry_after_s = -1;
 };
 
-Response ErrorResponse(int status, const std::string& message) {
+/// An error body: {"error": message}, plus {"status": slug} when a
+/// taxonomy slug is given. /v1/route and /v1/traffic always give one, so
+/// their clients can branch on "unreachable" vs "unknown_vertex" without
+/// string-matching prose.
+Response ErrorResponse(int status, const std::string& message,
+                       const char* slug = nullptr) {
   Response response;
   response.status = status;
   json::Object object;
   object["error"] = json::Value(message);
+  if (slug != nullptr) object["status"] = json::Value(slug);
   response.body = json::Dump(json::Value(std::move(object)));
   return response;
 }
@@ -143,8 +150,22 @@ ReadResult ReadRequest(int fd, std::string* buffer, HttpRequest* request,
   return ReadResult::kOk;
 }
 
+/// The integer `value` holds, when it is a JSON number with an integral
+/// value in [min, T's max]; nullopt otherwise. Checked before the cast,
+/// because casting an out-of-range double is UB.
+template <typename T>
+std::optional<T> JsonInteger(const json::Value& value, T min) {
+  if (!value.is_number()) return std::nullopt;
+  const double d = value.number_value();
+  if (d < static_cast<double>(min) || d != std::floor(d) ||
+      d > static_cast<double>(std::numeric_limits<T>::max())) {
+    return std::nullopt;
+  }
+  return static_cast<T>(d);
+}
+
 /// Extracts a vertex id (integral, in [0, num_vertices)) or returns
-/// false with a message.
+/// false with a message. num_vertices == 0 skips the range check.
 bool ParseVertexId(const json::Value* value, size_t num_vertices,
                    const char* what, graph::VertexId* out,
                    std::string* message) {
@@ -152,23 +173,28 @@ bool ParseVertexId(const json::Value* value, size_t num_vertices,
     *message = std::string("missing or non-numeric \"") + what + "\"";
     return false;
   }
-  const double d = value->number_value();
-  // The VertexId-representability bound is unconditional — casting an
-  // out-of-range double would be UB even when the num_vertices check is
-  // disabled.
-  if (d < 0 || d != std::floor(d) ||
-      d > static_cast<double>(std::numeric_limits<graph::VertexId>::max())) {
+  const auto id = JsonInteger<graph::VertexId>(*value, 0);
+  if (!id) {
     *message = std::string("\"") + what +
                "\" must be a non-negative integer vertex id";
     return false;
   }
-  if (num_vertices > 0 && d >= static_cast<double>(num_vertices)) {
+  if (num_vertices > 0 && *id >= num_vertices) {
     *message = std::string("\"") + what + "\" is out of range (network has " +
                std::to_string(num_vertices) + " vertices)";
     return false;
   }
-  *out = static_cast<graph::VertexId>(d);
+  *out = *id;
   return true;
+}
+
+/// A vertex- or edge-id list as a JSON array.
+template <typename Id>
+json::Value IdArray(const std::vector<Id>& ids) {
+  json::Array array;
+  array.reserve(ids.size());
+  for (const Id id : ids) array.emplace_back(static_cast<uint64_t>(id));
+  return json::Value(std::move(array));
 }
 
 /// /v1/score's body: {"candidates": [{"score", "vertices"}, ...]}.
@@ -178,12 +204,7 @@ json::Value RankingJson(const std::vector<ScoredPath>& ranking) {
   for (const auto& scored : ranking) {
     json::Object candidate;
     candidate["score"] = json::Value(scored.score);
-    json::Array vertices;
-    vertices.reserve(scored.path.vertices.size());
-    for (const auto v : scored.path.vertices) {
-      vertices.emplace_back(static_cast<uint64_t>(v));
-    }
-    candidate["vertices"] = json::Value(std::move(vertices));
+    candidate["vertices"] = IdArray(scored.path.vertices);
     candidates.push_back(json::Value(std::move(candidate)));
   }
   json::Object object;
@@ -191,15 +212,11 @@ json::Value RankingJson(const std::vector<ScoredPath>& ranking) {
   return json::Value(std::move(object));
 }
 
+// The handlers answer every client error themselves and let a backend
+// exception propagate: ServeConnection turns it into the 500.
 Response HandleScore(const HttpBackend& backend, const std::string& body);
-/// What /v1/route did beyond the status code — feeds the server-level
-/// deadline/degradation counters ServeConnection maintains.
-struct RouteOutcome {
-  bool deadline_exceeded = false;
-  bool degraded = false;
-};
 Response HandleRoute(const HttpBackend& backend, const HttpRequest& request,
-                     const HttpServerOptions& options, RouteOutcome* outcome);
+                     const HttpServerOptions& options);
 Response HandleTraffic(const HttpBackend& backend, const std::string& body);
 json::Value StatszJson(const HttpServerStats& stats,
                        const HttpServerOptions& options);
@@ -215,17 +232,14 @@ struct HttpServer::Endpoint {
                            "http.endpoint_stats"};
   uint64_t requests GUARDED_BY(mu) = 0;
   uint64_t errors GUARDED_BY(mu) = 0;
-  uint64_t timeouts GUARDED_BY(mu) = 0;
   double latency_sum_s GUARDED_BY(mu) = 0;
   std::vector<double> ring GUARDED_BY(mu);
   size_t ring_next GUARDED_BY(mu) = 0;
 
-  void Record(double latency_s, bool error, bool timeout = false)
-      EXCLUDES(mu) {
+  void Record(double latency_s, bool error) EXCLUDES(mu) {
     common::MutexLock lock(mu);
     ++requests;
     if (error) ++errors;
-    if (timeout) ++timeouts;
     latency_sum_s += latency_s;
     if (ring.size() < kLatencyRing) {
       ring.push_back(latency_s);
@@ -246,7 +260,6 @@ struct HttpServer::Endpoint {
       common::MutexLock lock(mu);
       stats.requests = requests;
       stats.errors = errors;
-      stats.timeouts = timeouts;
       if (requests > 0) {
         stats.latency_mean_s = latency_sum_s / static_cast<double>(requests);
       }
@@ -568,31 +581,30 @@ void HttpServer::ServeConnection(int fd) {
         response.retry_after_s = options_.retry_after_s;
       } else {
         Stopwatch watch;
-        RouteOutcome outcome;
+        // The one place an exception becomes a 500. Nothing may escape
+        // this std::thread — std::terminate would take the whole server
+        // down — or leak the admission slot. The server log gets the
+        // details; the wire gets a generic body, because the exception
+        // text can name internal paths or state and the default bind is
+        // 0.0.0.0.
         try {
-          response = is_route ? HandleRoute(backend_, request, options_,
-                                            &outcome)
+          response = is_route ? HandleRoute(backend_, request, options_)
                      : is_traffic ? HandleTraffic(backend_, request.body)
                                   : HandleScore(backend_, request.body);
+        } catch (const std::exception& e) {
+          PR_LOG_ERROR << "http: " << request.target
+                       << " backend error: " << e.what();
+          response = ErrorResponse(500, "internal error");
         } catch (...) {
-          // Non-std exceptions from the backend seam (and bad_alloc in
-          // the response path) must not escape this std::thread —
-          // std::terminate would take the whole server down — and must
-          // not leak the admission slot.
+          PR_LOG_ERROR << "http: " << request.target
+                       << " backend error (non-std)";
           response = ErrorResponse(500, "internal error");
         }
         Release();
-        if (outcome.deadline_exceeded) {
-          deadline_exceeded_total_.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (outcome.degraded) {
-          degraded_total_.fetch_add(1, std::memory_order_relaxed);
-        }
         (is_route     ? route_stats_
          : is_traffic ? traffic_stats_
                       : score_stats_)
-            ->Record(watch.ElapsedSeconds(), response.status >= 400,
-                     response.status == 504);
+            ->Record(watch.ElapsedSeconds(), response.status >= 400);
       }
     } else {
       response = ErrorResponse(404, "no such endpoint: " + request.target);
@@ -634,19 +646,11 @@ Response HandleScore(const HttpBackend& backend, const std::string& body) {
     }
     paths.push_back(std::move(path));
   }
-  try {
-    std::vector<ScoredPath> ranking;
-    if (!paths.empty()) ranking = backend.score(std::move(paths));
-    Response response;
-    response.body = json::Dump(RankingJson(ranking));
-    return response;
-  } catch (const std::exception& e) {
-    PR_LOG_ERROR << "http: /v1/score backend error: " << e.what();
-    return ErrorResponse(500, "internal error");
-  } catch (...) {
-    PR_LOG_ERROR << "http: /v1/score backend error (non-std)";
-    return ErrorResponse(500, "internal error");
-  }
+  std::vector<ScoredPath> ranking;
+  if (!paths.empty()) ranking = backend.score(std::move(paths));
+  Response response;
+  response.body = json::Dump(RankingJson(ranking));
+  return response;
 }
 
 /// Renders a RouteResult's ranked paths: score, enumeration cost, length,
@@ -662,18 +666,8 @@ json::Value RouteJson(const RouteResult& result) {
     route["cost"] = json::Value(scored.path.cost);
     route["length_m"] = json::Value(scored.path.length_m);
     route["time_s"] = json::Value(scored.path.time_s);
-    json::Array vertices;
-    vertices.reserve(scored.path.vertices.size());
-    for (const auto v : scored.path.vertices) {
-      vertices.emplace_back(static_cast<uint64_t>(v));
-    }
-    route["vertices"] = json::Value(std::move(vertices));
-    json::Array edges;
-    edges.reserve(scored.path.edges.size());
-    for (const auto e : scored.path.edges) {
-      edges.emplace_back(static_cast<uint64_t>(e));
-    }
-    route["edges"] = json::Value(std::move(edges));
+    route["vertices"] = IdArray(scored.path.vertices);
+    route["edges"] = IdArray(scored.path.edges);
     routes.push_back(json::Value(std::move(route)));
   }
   json::Object object;
@@ -695,30 +689,15 @@ json::Value RouteJson(const RouteResult& result) {
   return json::Value(std::move(object));
 }
 
-/// Route error bodies carry the taxonomy slug next to the message so
-/// clients can branch on "unreachable" vs "unknown_vertex" without
-/// string-matching prose.
-Response RouteErrorResponse(int http_status, const RouteResult& result) {
-  Response response;
-  response.status = http_status;
-  json::Object object;
-  object["error"] = json::Value(result.message);
-  object["status"] = json::Value(RouteStatusSlug(result.status));
-  response.body = json::Dump(json::Value(std::move(object)));
-  return response;
-}
-
 Response HandleRoute(const HttpBackend& backend, const HttpRequest& request,
-                     const HttpServerOptions& options, RouteOutcome* outcome) {
+                     const HttpServerOptions& options) {
   // Local validation failures carry the taxonomy slug too — clients
   // branching on body["status"] per the docs must never see a bare
   // {"error": ...} from this endpoint. That includes the parse failure
   // below: unparseable JSON is as much a bad request as a bad field.
-  const auto bad_request = [](std::string message) {
-    RouteResult result;
-    result.status = RouteStatus::kBadRequest;
-    result.message = std::move(message);
-    return RouteErrorResponse(400, result);
+  const auto bad_request = [](const std::string& message) {
+    return ErrorResponse(400, message,
+                         RouteStatusSlug(RouteStatus::kBadRequest));
   };
   std::string parse_error;
   const auto parsed = json::Parse(request.body, &parse_error);
@@ -739,15 +718,11 @@ Response HandleRoute(const HttpBackend& backend, const HttpRequest& request,
   }
   int k = 0;  // 0 = the planner's configured default
   if (const json::Value* k_value = parsed->Find("k"); k_value != nullptr) {
-    const double d = k_value->number_value();
-    // The int-representability bound is checked here because casting an
-    // out-of-range double is UB; the planner's max_k policy cap comes
-    // after.
-    if (!k_value->is_number() || d < 1 || d != std::floor(d) ||
-        d > static_cast<double>(std::numeric_limits<int>::max())) {
-      return bad_request("\"k\" must be a positive integer");
-    }
-    k = static_cast<int>(d);
+    // Only int-representability is checked here; the planner's max_k
+    // policy cap comes after.
+    const auto parsed_k = JsonInteger<int>(*k_value, 1);
+    if (!parsed_k) return bad_request("\"k\" must be a positive integer");
+    k = *parsed_k;
   }
   // Budget: the budget_ms body field wins over the X-Deadline-Ms header
   // (the field travels with the query; the header is for clients that
@@ -757,12 +732,11 @@ Response HandleRoute(const HttpBackend& backend, const HttpRequest& request,
   // against the budget rather than extending it.
   int64_t budget_ms = -1;  // -1 = client sent nothing
   if (const json::Value* b = parsed->Find("budget_ms"); b != nullptr) {
-    const double d = b->number_value();
-    if (!b->is_number() || d < 1 || d != std::floor(d) ||
-        d > static_cast<double>(std::numeric_limits<int32_t>::max())) {
+    const auto parsed_budget = JsonInteger<int32_t>(*b, 1);
+    if (!parsed_budget) {
       return bad_request("\"budget_ms\" must be a positive integer");
     }
-    budget_ms = static_cast<int64_t>(d);
+    budget_ms = *parsed_budget;
   } else if (const std::string header = request.Header("x-deadline-ms");
              !header.empty()) {
     // The body field's bound: Deadline::AfterMs converts to nanoseconds,
@@ -782,59 +756,25 @@ Response HandleRoute(const HttpBackend& backend, const HttpRequest& request,
   }
   RouteRequest route_request{source, destination, k};
   if (budget_ms > 0) route_request.deadline = Deadline::AfterMs(budget_ms);
-  try {
-    const RouteResult result = backend.route(route_request);
-    outcome->deadline_exceeded =
-        result.status == RouteStatus::kDeadlineExceeded;
-    outcome->degraded = result.degraded;
-    switch (result.status) {
-      case RouteStatus::kOk: {
-        Response response;
-        response.body = json::Dump(RouteJson(result));
-        return response;
-      }
-      case RouteStatus::kUnreachable:
-        return RouteErrorResponse(404, result);
-      case RouteStatus::kDeadlineExceeded:
-        return RouteErrorResponse(504, result);
-      default:
-        return RouteErrorResponse(400, result);
-    }
-  } catch (const std::exception& e) {
-    // Server log gets the details; the wire gets a generic body — the
-    // exception text can name internal paths/state, and the default
-    // bind is 0.0.0.0.
-    PR_LOG_ERROR << "http: " << request.target
-                 << " backend error: " << e.what();
-    return ErrorResponse(500, "internal error");
-  } catch (...) {
-    PR_LOG_ERROR << "http: " << request.target
-                 << " backend error (non-std)";
-    return ErrorResponse(500, "internal error");
+  const RouteResult result = backend.route(route_request);
+  if (result.status == RouteStatus::kOk) {
+    Response response;
+    response.body = json::Dump(RouteJson(result));
+    return response;
   }
-}
-
-/// Traffic error bodies mirror the /v1/route convention: prose message
-/// plus the stable TrafficStatusSlug for clients to branch on.
-Response TrafficErrorResponse(int http_status, const TrafficResult& result) {
-  Response response;
-  response.status = http_status;
-  json::Object object;
-  object["error"] = json::Value(result.message);
-  object["status"] = json::Value(TrafficStatusSlug(result.status));
-  response.body = json::Dump(json::Value(std::move(object)));
-  return response;
+  const int status = result.status == RouteStatus::kUnreachable        ? 404
+                     : result.status == RouteStatus::kDeadlineExceeded ? 504
+                                                                       : 400;
+  return ErrorResponse(status, result.message, RouteStatusSlug(result.status));
 }
 
 Response HandleTraffic(const HttpBackend& backend, const std::string& body) {
   // Shape/type errors found here and semantic errors found by the
   // backend (GraphStore::ApplyTraffic) share one taxonomy; this layer
   // only ever earns the generic bad_request slug.
-  const auto bad_request = [](std::string message) {
-    TrafficResult result;
-    result.status = TrafficStatus::kBadUpdate;
-    result.message = std::move(message);
-    return TrafficErrorResponse(400, result);
+  const auto bad_request = [](const std::string& message) {
+    return ErrorResponse(400, message,
+                         TrafficStatusSlug(TrafficStatus::kBadUpdate));
   };
   std::string parse_error;
   const auto parsed = json::Parse(body, &parse_error);
@@ -854,15 +794,14 @@ Response HandleTraffic(const HttpBackend& backend, const std::string& body) {
     if (edge == nullptr || !edge->is_number()) {
       return bad_request("missing or non-numeric \"edge\"");
     }
-    const double d = edge->number_value();
-    // The EdgeId-representability bound is checked here because casting
-    // an out-of-range double is UB; the existence check against the
-    // CURRENT graph belongs to the backend (unknown_edge slug).
-    if (d < 0 || d != std::floor(d) ||
-        d > static_cast<double>(std::numeric_limits<graph::EdgeId>::max())) {
+    // Only EdgeId-representability is checked here; the existence check
+    // against the CURRENT graph belongs to the backend (unknown_edge
+    // slug).
+    const auto edge_id = JsonInteger<graph::EdgeId>(*edge, 0);
+    if (!edge_id) {
       return bad_request("\"edge\" must be a non-negative integer edge id");
     }
-    update.edge = static_cast<graph::EdgeId>(d);
+    update.edge = *edge_id;
     if (const json::Value* tt = update_value.Find("travel_time_s");
         tt != nullptr) {
       // Type check only — positivity/finiteness is the backend's call so
@@ -884,28 +823,20 @@ Response HandleTraffic(const HttpBackend& backend, const std::string& body) {
     }
     updates.push_back(update);
   }
-  try {
-    const TrafficResult result = backend.traffic(updates);
-    if (result.status != TrafficStatus::kOk) {
-      return TrafficErrorResponse(400, result);
-    }
-    Response response;
-    json::Object object;
-    object["epoch"] = json::Value(result.epoch);
-    object["cost_updates"] =
-        json::Value(static_cast<uint64_t>(result.cost_updates));
-    object["closures"] = json::Value(static_cast<uint64_t>(result.closures));
-    object["reopenings"] =
-        json::Value(static_cast<uint64_t>(result.reopenings));
-    response.body = json::Dump(json::Value(std::move(object)));
-    return response;
-  } catch (const std::exception& e) {
-    PR_LOG_ERROR << "http: /v1/traffic backend error: " << e.what();
-    return ErrorResponse(500, "internal error");
-  } catch (...) {
-    PR_LOG_ERROR << "http: /v1/traffic backend error (non-std)";
-    return ErrorResponse(500, "internal error");
+  const TrafficResult result = backend.traffic(updates);
+  if (result.status != TrafficStatus::kOk) {
+    return ErrorResponse(400, result.message,
+                         TrafficStatusSlug(result.status));
   }
+  Response response;
+  json::Object object;
+  object["epoch"] = json::Value(result.epoch);
+  object["cost_updates"] =
+      json::Value(static_cast<uint64_t>(result.cost_updates));
+  object["closures"] = json::Value(static_cast<uint64_t>(result.closures));
+  object["reopenings"] = json::Value(static_cast<uint64_t>(result.reopenings));
+  response.body = json::Dump(json::Value(std::move(object)));
+  return response;
 }
 
 json::Value StatszJson(const HttpServerStats& stats,
@@ -915,8 +846,8 @@ json::Value StatszJson(const HttpServerStats& stats,
   object["requests_total"] = json::Value(stats.requests_total);
   object["shed_total"] = json::Value(stats.shed_total);
   object["deadline_exceeded_count"] =
-      json::Value(stats.deadline_exceeded_total);
-  object["degraded_count"] = json::Value(stats.degraded_total);
+      json::Value(stats.route_planner.deadline_exceeded);
+  object["degraded_count"] = json::Value(stats.route_planner.degraded);
   object["inflight"] = json::Value(stats.inflight);
   object["admission_waiting"] = json::Value(stats.admission_waiting);
   object["max_inflight"] =
@@ -956,7 +887,6 @@ json::Value StatszJson(const HttpServerStats& stats,
     json::Object endpoint;
     endpoint["requests"] = json::Value(endpoint_stats.requests);
     endpoint["errors"] = json::Value(endpoint_stats.errors);
-    endpoint["timeouts"] = json::Value(endpoint_stats.timeouts);
     endpoint["latency_mean_s"] = json::Value(endpoint_stats.latency_mean_s);
     endpoint["latency_p50_s"] = json::Value(endpoint_stats.latency_p50_s);
     endpoint["latency_p99_s"] = json::Value(endpoint_stats.latency_p99_s);
@@ -977,9 +907,6 @@ HttpServerStats HttpServer::stats() const {
       connections_accepted_.load(std::memory_order_relaxed);
   stats.requests_total = requests_total_.load(std::memory_order_relaxed);
   stats.shed_total = shed_total_.load(std::memory_order_relaxed);
-  stats.deadline_exceeded_total =
-      deadline_exceeded_total_.load(std::memory_order_relaxed);
-  stats.degraded_total = degraded_total_.load(std::memory_order_relaxed);
   {
     common::MutexLock lock(admit_mu_);
     stats.inflight = inflight_;

@@ -29,7 +29,19 @@
 //                    backend is set — see docs/serving.md.)
 //   GET  /healthz    -> {"status": "ok", "swap_count": n, ...}
 //   GET  /statsz     -> queue depth, shed count, per-endpoint latency,
-//                       graph_epoch + route-planner cache counters
+//                       graph_epoch + route-planner counters
+//
+// Each event is counted once, by the component that produces it: the
+// server counts connections, requests, sheds and per-endpoint
+// latencies; route deadline expiries, degraded answers and cache
+// traffic are the planner's counters, which /statsz reads through the
+// route_planner_stats seam.
+//
+// Errors: every handler answers client errors itself, as
+// {"error": message} (plus a taxonomy "status" slug on /v1/route and
+// /v1/traffic). A backend exception propagates to the connection loop,
+// the one place it becomes `500 {"error":"internal error"}` and a
+// "backend error" line in the server log.
 //
 // Admission control: the three /v1/* endpoints share a bounded in-flight
 // budget (`max_inflight`). A request that cannot take a slot within
@@ -120,7 +132,6 @@ struct HttpServerOptions {
 struct HttpEndpointStats {
   uint64_t requests = 0;      ///< admitted + completed (any status)
   uint64_t errors = 0;        ///< completed with a 4xx/5xx status
-  uint64_t timeouts = 0;      ///< completed with 504 (subset of errors)
   double latency_mean_s = 0;  ///< over all completed requests
   double latency_p50_s = 0;   ///< over a ring of recent completions
   double latency_p99_s = 0;
@@ -131,17 +142,15 @@ struct HttpServerStats {
   uint64_t connections_accepted = 0;
   uint64_t requests_total = 0;  ///< every parsed request, any endpoint
   uint64_t shed_total = 0;      ///< requests refused with 429
-  /// /v1/route answered 504
-  uint64_t deadline_exceeded_total = 0;
-  /// /v1/route answered with a partial set
-  uint64_t degraded_total = 0;
   uint64_t inflight = 0;        ///< currently past admission
   uint64_t admission_waiting = 0;  ///< currently queued for a slot
   /// Epoch of the graph snapshot currently served (0 when the server has
   /// no live-graph backend — the boot graph is epoch 0 by definition).
   uint64_t graph_epoch = 0;
-  /// Route-planner cache/coalescing counters (all zero when no
-  /// route_planner_stats seam is set).
+  /// Route-planner counters (all zero when no route_planner_stats seam
+  /// is set): cache and coalescing, and the deadline expiries (504s) and
+  /// degraded answers /statsz reports as deadline_exceeded_count and
+  /// degraded_count.
   RoutePlannerStats route_planner;
   /// ALT preprocessing lifecycle counters (disabled/zero when no
   /// preprocessing_stats seam is set).
@@ -173,8 +182,9 @@ struct HttpBackend {
   /// Optional: the served graph epoch (GraphStore::epoch), surfaced in
   /// /healthz and /statsz as "graph_epoch".
   std::function<uint64_t()> graph_epoch;
-  /// Optional: the planner's cache/coalescing counters
-  /// (RoutePlanner::stats), surfaced in /statsz as "route_planner".
+  /// Optional: the planner's counters (RoutePlanner::stats), surfaced
+  /// in /statsz as "route_planner", "deadline_exceeded_count" and
+  /// "degraded_count".
   std::function<RoutePlannerStats()> route_planner_stats;
   /// Optional: the graph store's ALT preprocessing counters
   /// (GraphStore::preprocessing_stats), surfaced in /statsz as
@@ -255,8 +265,6 @@ class HttpServer {
   std::atomic<uint64_t> connections_accepted_{0};
   std::atomic<uint64_t> requests_total_{0};
   std::atomic<uint64_t> shed_total_{0};
-  std::atomic<uint64_t> deadline_exceeded_total_{0};
-  std::atomic<uint64_t> degraded_total_{0};
   std::unique_ptr<Endpoint> score_stats_;
   std::unique_ptr<Endpoint> route_stats_;
   std::unique_ptr<Endpoint> traffic_stats_;

@@ -119,12 +119,15 @@ size_t RoutePlanner::cache_size() const {
 
 RoutePlannerStats RoutePlanner::stats() const {
   RoutePlannerStats s;
-  s.cache_hits = cache_hits();
-  s.cache_misses = cache_misses();
-  s.invalidations = invalidations();
-  s.single_flight_waits = single_flight_waits();
-  s.enumerations = enumerations();
-  s.alt_fallbacks = alt_fallbacks();
+  s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
+  s.cache_misses = cache_misses_.load(std::memory_order_relaxed);
+  s.invalidations = invalidations_.load(std::memory_order_relaxed);
+  s.single_flight_waits =
+      single_flight_waits_.load(std::memory_order_relaxed);
+  s.enumerations = enumerations_.load(std::memory_order_relaxed);
+  s.alt_fallbacks = alt_fallbacks_.load(std::memory_order_relaxed);
+  s.deadline_exceeded = deadline_exceeded_.load(std::memory_order_relaxed);
+  s.degraded = degraded_.load(std::memory_order_relaxed);
   return s;
 }
 

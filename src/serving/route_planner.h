@@ -50,6 +50,10 @@
 // alt_fallbacks). Every engine returns exact shortest paths, so the
 // response body is independent of the engine modulo the "algo" field.
 //
+// Counters: the planner counts cache hits and misses, invalidations,
+// single-flight waits, enumerations, ALT fallbacks, deadline expiries
+// and degraded answers, and stats() is their one read path.
+//
 // Thread-safety: Plan may be called concurrently from any number of
 // threads (the HTTP worker pool does). The cache is guarded by one
 // mutex; enumeration and scoring run outside it. Deadline-bounded or
@@ -223,9 +227,11 @@ struct RoutePlannerConfig {
 };
 
 /// Point-in-time snapshot of the planner's counters, as one coherent
-/// struct so /statsz renders them together. Individual fields may be a
-/// tick apart under concurrent load (each is an independent relaxed
-/// atomic); each is individually exact.
+/// struct so /statsz renders them together. The planner is the only
+/// counter of these events: the HTTP layer and the CLI's shutdown report
+/// read them here. Individual fields may be a tick apart under
+/// concurrent load (each is an independent relaxed atomic); each is
+/// individually exact.
 struct RoutePlannerStats {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
@@ -242,6 +248,10 @@ struct RoutePlannerStats {
   /// current-epoch artifact was available (preprocessing disabled, or a
   /// rebuild still in flight). Always 0 for non-ALT planners.
   uint64_t alt_fallbacks = 0;
+  /// Queries that ran out of budget with zero candidates (-> 504).
+  uint64_t deadline_exceeded = 0;
+  /// Queries answered with a partial candidate set (degraded == true).
+  uint64_t degraded = 0;
 };
 
 /// The query -> candidates -> ranked-paths pipeline behind POST
@@ -270,43 +280,10 @@ class RoutePlanner {
   RouteResult Plan(const RouteRequest& request) const
       EXCLUDES(cache_mu_, flight_mu_);
 
-  /// Queries answered from / past the answer cache so far.
-  uint64_t cache_hits() const {
-    return cache_hits_.load(std::memory_order_relaxed);
-  }
-  uint64_t cache_misses() const {
-    return cache_misses_.load(std::memory_order_relaxed);
-  }
-  /// Cache entries lazily evicted because the graph epoch or the model
-  /// generation moved on.
-  uint64_t invalidations() const {
-    return invalidations_.load(std::memory_order_relaxed);
-  }
-  /// Queries that waited on another thread's identical enumeration.
-  uint64_t single_flight_waits() const {
-    return single_flight_waits_.load(std::memory_order_relaxed);
-  }
-  /// Candidate enumerations actually executed (each miss that enumerates
-  /// also makes one scoring call, unless nothing was found).
-  uint64_t enumerations() const {
-    return enumerations_.load(std::memory_order_relaxed);
-  }
-  /// Queries that ran out of budget with zero candidates (-> 504).
-  uint64_t deadline_exceeded_count() const {
-    return deadline_exceeded_.load(std::memory_order_relaxed);
-  }
-  /// Queries answered with a partial candidate set (degraded == true).
-  uint64_t degraded_count() const {
-    return degraded_.load(std::memory_order_relaxed);
-  }
-  /// ALT enumerations that ran on the Dijkstra fallback.
-  uint64_t alt_fallbacks() const {
-    return alt_fallbacks_.load(std::memory_order_relaxed);
-  }
   /// Answers currently cached (<= config().cache_capacity).
   size_t cache_size() const EXCLUDES(cache_mu_);
 
-  /// All counters in one struct (see RoutePlannerStats).
+  /// The counters' one read path (see RoutePlannerStats).
   RoutePlannerStats stats() const;
 
   const RoutePlannerConfig& config() const { return config_; }

@@ -163,8 +163,8 @@ TEST(PlannerDegradation, EveryCancellationCutPointYieldsALegalOutcome) {
   EXPECT_GT(exceeded, 0) << "no cut point hit the 504 path";
   EXPECT_GT(degraded, 0) << "no cut point hit the degraded path";
   EXPECT_GT(clean, 0) << "no cut point let the query finish";
-  EXPECT_EQ(planner->deadline_exceeded_count(), static_cast<uint64_t>(exceeded));
-  EXPECT_EQ(planner->degraded_count(), static_cast<uint64_t>(degraded));
+  EXPECT_EQ(planner->stats().deadline_exceeded, static_cast<uint64_t>(exceeded));
+  EXPECT_EQ(planner->stats().degraded, static_cast<uint64_t>(degraded));
 }
 
 TEST(PlannerDegradation, PartialResultsNeverPoisonTheCache) {
@@ -234,7 +234,7 @@ TEST(PlannerDeadline, AlreadyExpiredBudgetIs504NotUnreachable) {
   const RouteResult result = planner->Plan(request);
   EXPECT_EQ(result.status, RouteStatus::kDeadlineExceeded);
   EXPECT_TRUE(result.ranked.empty());
-  EXPECT_EQ(planner->deadline_exceeded_count(), 1u);
+  EXPECT_EQ(planner->stats().deadline_exceeded, 1u);
   // The poisoning rule again: the pair is NOT "unreachable" now.
   const RouteResult retry = planner->Plan({0, 63, /*k=*/8});
   EXPECT_EQ(retry.status, RouteStatus::kOk);
@@ -365,6 +365,7 @@ struct ChaosServerFixture {
       if (faults->enabled()) faults->Inject("route");
       return planner->Plan(request);
     };
+    backend.route_planner_stats = [this] { return planner->stats(); };
 
     server = std::make_unique<HttpServer>(std::move(backend), options);
     server->Start();
@@ -410,7 +411,8 @@ TEST(HttpDeadline, InjectedStallBeforePlanConsumesTheBudget) {
   EXPECT_NE(response.body.find("\"deadline_exceeded\""), std::string::npos)
       << response.body;
 
-  // The counters saw it: server-level, /statsz, and per-endpoint.
+  // The planner counted it once, and /statsz reads that count.
+  EXPECT_EQ(fx.planner->stats().deadline_exceeded, 1u);
   const auto statsz = json::Parse(client.Request("GET", "/statsz").body);
   ASSERT_TRUE(statsz);
   EXPECT_EQ(statsz->Find("deadline_exceeded_count")->number_value(), 1.0);
@@ -418,8 +420,9 @@ TEST(HttpDeadline, InjectedStallBeforePlanConsumesTheBudget) {
   const json::Value* route_stats =
       statsz->Find("endpoints")->Find("/v1/route");
   ASSERT_NE(route_stats, nullptr);
-  EXPECT_EQ(route_stats->Find("timeouts")->number_value(), 1.0);
-  EXPECT_EQ(fx.server->stats().deadline_exceeded_total, 1u);
+  EXPECT_EQ(route_stats->Find("errors")->number_value(), 1.0);
+  EXPECT_EQ(route_stats->Find("timeouts"), nullptr);
+  EXPECT_EQ(fx.server->stats().route_planner.deadline_exceeded, 1u);
 
   // Same request without a budget: the stall just makes it slower.
   EXPECT_EQ(client.Request("POST", "/v1/route", RouteBody(0, 63, 4)).status,

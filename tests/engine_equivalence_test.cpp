@@ -293,7 +293,7 @@ TEST(AltArtifactPairing, MidRebuildQueryFallsBackThenRecovers) {
   const serving::RouteResult warm = planner.Plan({0, 63});
   ASSERT_EQ(warm.status, serving::RouteStatus::kOk);
   EXPECT_EQ(warm.algo, "alt");
-  EXPECT_EQ(planner.alt_fallbacks(), 0u);
+  EXPECT_EQ(planner.stats().alt_fallbacks, 0u);
 
   // Swap to epoch 1 while the rebuild is gated: the snapshot moves, the
   // artifact cannot. The planner must refuse the stale tables.
@@ -309,7 +309,7 @@ TEST(AltArtifactPairing, MidRebuildQueryFallsBackThenRecovers) {
   EXPECT_EQ(during.algo, "dijkstra")
       << "query paired a new snapshot with stale ALT tables";
   EXPECT_EQ(during.graph_epoch, 1u);
-  EXPECT_GE(planner.alt_fallbacks(), 1u);
+  EXPECT_GE(planner.stats().alt_fallbacks, 1u);
 
   // Release the rebuild and wait for the artifact to catch up.
   hold.store(false);

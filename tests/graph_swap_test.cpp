@@ -400,7 +400,7 @@ TEST(EpochCache, HitAtEpochNIsMissAtEpochNPlusOne) {
   ASSERT_EQ(after.status, RouteStatus::kOk);
   EXPECT_FALSE(after.cache_hit);
   EXPECT_EQ(after.graph_epoch, 1u);
-  EXPECT_EQ(fx.planner.invalidations(), 1u);
+  EXPECT_EQ(fx.planner.stats().invalidations, 1u);
 
   // Bitwise equal to a fresh planner pinned to the new graph — the
   // re-enumeration really ran against the swapped-in snapshot.
@@ -468,7 +468,7 @@ TEST(EpochCache, NegativeUnreachableEntriesInvalidateToo) {
       << "stale negative verdict served after reopening";
   EXPECT_FALSE(reopened.cache_hit);
   EXPECT_EQ(reopened.graph_epoch, 2u);
-  EXPECT_GE(planner.invalidations(), 1u);
+  EXPECT_GE(planner.stats().invalidations, 1u);
   ASSERT_FALSE(reopened.ranked.empty());
 }
 
@@ -487,7 +487,7 @@ TEST(SingleFlight, StampedeRunsYenExactlyOnceAndAllSharesAreIdentical) {
     // incremented BEFORE blocking, so waits == kThreads - 1 proves it.
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (planner_ptr->single_flight_waits() <
+    while (planner_ptr->stats().single_flight_waits <
                static_cast<uint64_t>(kThreads - 1) &&
            std::chrono::steady_clock::now() < deadline) {
       std::this_thread::yield();
@@ -512,9 +512,9 @@ TEST(SingleFlight, StampedeRunsYenExactlyOnceAndAllSharesAreIdentical) {
   gate_armed.store(false);
 
   // Exactly ONE Yen run served all eight queries.
-  EXPECT_EQ(fx.planner.enumerations(), 1u);
-  EXPECT_EQ(fx.planner.cache_misses(), static_cast<uint64_t>(kThreads));
-  EXPECT_EQ(fx.planner.single_flight_waits(),
+  EXPECT_EQ(fx.planner.stats().enumerations, 1u);
+  EXPECT_EQ(fx.planner.stats().cache_misses, static_cast<uint64_t>(kThreads));
+  EXPECT_EQ(fx.planner.stats().single_flight_waits,
             static_cast<uint64_t>(kThreads - 1));
 
   // All callers (leader and followers alike) got the complete set,
@@ -530,7 +530,7 @@ TEST(SingleFlight, StampedeRunsYenExactlyOnceAndAllSharesAreIdentical) {
   // The flight is gone: the next identical query is a plain cache hit.
   const RouteResult hit = fx.planner.Plan({0, 63});
   EXPECT_TRUE(hit.cache_hit);
-  EXPECT_EQ(fx.planner.enumerations(), 1u);
+  EXPECT_EQ(fx.planner.stats().enumerations, 1u);
 }
 
 TEST(SingleFlight, LeaderExceptionReachesEveryFollowerAndFlightRetires) {
@@ -545,7 +545,7 @@ TEST(SingleFlight, LeaderExceptionReachesEveryFollowerAndFlightRetires) {
     // and start a flight of their own, THEN fail the enumeration.
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (planner_ptr->single_flight_waits() <
+    while (planner_ptr->stats().single_flight_waits <
                static_cast<uint64_t>(kThreads - 1) &&
            std::chrono::steady_clock::now() < deadline) {
       std::this_thread::yield();
@@ -581,8 +581,8 @@ TEST(SingleFlight, LeaderExceptionReachesEveryFollowerAndFlightRetires) {
   // got a stale or half-built candidate set back.
   EXPECT_EQ(threw.load(), kThreads);
   EXPECT_EQ(returned.load(), 0);
-  EXPECT_EQ(fx.planner.enumerations(), 1u);
-  EXPECT_EQ(fx.planner.single_flight_waits(),
+  EXPECT_EQ(fx.planner.stats().enumerations, 1u);
+  EXPECT_EQ(fx.planner.stats().single_flight_waits,
             static_cast<uint64_t>(kThreads - 1));
 
   // Nothing was cached, the dead flight was retired: the next query runs
@@ -590,7 +590,7 @@ TEST(SingleFlight, LeaderExceptionReachesEveryFollowerAndFlightRetires) {
   const RouteResult recovered = fx.planner.Plan({7, 56});
   ASSERT_EQ(recovered.status, RouteStatus::kOk);
   EXPECT_FALSE(recovered.cache_hit);
-  EXPECT_EQ(fx.planner.enumerations(), 2u);
+  EXPECT_EQ(fx.planner.stats().enumerations, 2u);
 }
 
 TEST(SingleFlight, DeadlineBoundedQueriesBypassTheGate) {
@@ -602,8 +602,8 @@ TEST(SingleFlight, DeadlineBoundedQueriesBypassTheGate) {
   request.deadline = Deadline::AfterMs(60'000);
   const RouteResult result = fx.planner.Plan(request);
   ASSERT_EQ(result.status, RouteStatus::kOk);
-  EXPECT_EQ(fx.planner.single_flight_waits(), 0u);
-  EXPECT_EQ(fx.planner.enumerations(), 1u);
+  EXPECT_EQ(fx.planner.stats().single_flight_waits, 0u);
+  EXPECT_EQ(fx.planner.stats().enumerations, 1u);
 }
 
 }  // namespace

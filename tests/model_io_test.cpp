@@ -1,9 +1,14 @@
-// Model checkpointing: save/load round trips, config restoration, and
-// multi-task model behaviour.
+// Model checkpointing: save/load round trips, config restoration,
+// rejection of corrupt checkpoints, and multi-task model behaviour.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <stdexcept>
+#include <string>
 
 #include "core/model.h"
 #include "core/model_io.h"
@@ -86,6 +91,110 @@ TEST(ModelIo, RejectsGarbage) {
   }
   EXPECT_THROW(LoadModel(path), std::runtime_error);
   std::remove(path.c_str());
+}
+
+// ---- corrupt checkpoints -------------------------------------------------
+
+// Byte offsets of SaveModel's header fields.
+constexpr size_t kVocabOffset = 8;
+constexpr size_t kEmbeddingDimOffset = 16;
+constexpr size_t kCellOffset = 32;
+constexpr size_t kPoolingOffset = 40;
+constexpr size_t kMultiTaskOffset = 48;
+constexpr size_t kFirstNameLengthOffset = 72;
+
+/// The bytes of a small single-task checkpoint (vocab 4, M 2, hidden 3).
+std::string SmallCheckpoint() {
+  PathRankConfig cfg;
+  cfg.embedding_dim = 2;
+  cfg.hidden_size = 3;
+  const PathRankModel model(4, cfg);
+  const std::string path = TempPath("pr_model_small.bin");
+  SaveModel(model, path);
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  return bytes;
+}
+
+template <typename T>
+void Patch(std::string* bytes, size_t offset, T value) {
+  ASSERT_LE(offset + sizeof(value), bytes->size());
+  std::memcpy(bytes->data() + offset, &value, sizeof(value));
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Loads `bytes` as a checkpoint file and returns the std::runtime_error
+/// message; fails the test when the load succeeds or throws another type.
+std::string LoadError(const std::string& bytes) {
+  const std::string path = TempPath("pr_model_corrupt.bin");
+  WriteFile(path, bytes);
+  std::string message;
+  try {
+    LoadModel(path);
+    ADD_FAILURE() << "a corrupt checkpoint of " << bytes.size()
+                  << " bytes loaded";
+  } catch (const std::runtime_error& e) {
+    message = e.what();
+  }
+  std::remove(path.c_str());
+  return message;
+}
+
+TEST(ModelIoCorrupt, UnknownCellTypeThrows) {
+  std::string bytes = SmallCheckpoint();
+  Patch<uint32_t>(&bytes, kCellOffset, 7);
+  EXPECT_NE(LoadError(bytes).find("cell"), std::string::npos);
+}
+
+TEST(ModelIoCorrupt, UnknownPoolingThrows) {
+  std::string bytes = SmallCheckpoint();
+  Patch<uint32_t>(&bytes, kPoolingOffset, 9);
+  EXPECT_NE(LoadError(bytes).find("pooling"), std::string::npos);
+}
+
+TEST(ModelIoCorrupt, VocabBeyondTheFileThrowsBeforeAllocating) {
+  std::string bytes = SmallCheckpoint();
+  Patch<uint64_t>(&bytes, kVocabOffset, uint64_t{1} << 40);
+  EXPECT_NE(LoadError(bytes).find("exceed"), std::string::npos);
+}
+
+TEST(ModelIoCorrupt, NameLengthBeyondTheFileThrowsBeforeAllocating) {
+  std::string bytes = SmallCheckpoint();
+  Patch<uint32_t>(&bytes, kFirstNameLengthOffset, 0xFFFFFFFFu);
+  EXPECT_NE(LoadError(bytes).find("truncated"), std::string::npos);
+}
+
+TEST(ModelIoCorrupt, EveryTruncationThrows) {
+  const std::string bytes = SmallCheckpoint();
+  for (size_t size = 0; size < bytes.size(); ++size) {
+    EXPECT_FALSE(LoadError(bytes.substr(0, size)).empty()) << size;
+  }
+  // The whole file loads: the throws above come from the truncation.
+  const std::string path = TempPath("pr_model_whole.bin");
+  WriteFile(path, bytes);
+  EXPECT_EQ(LoadModel(path)->vocab_size(), 4u);
+  std::remove(path.c_str());
+}
+
+TEST(ModelIoCorrupt, MissingParameterThrows) {
+  // A multi-task header over single-task tensors: the auxiliary heads'
+  // parameters are not in the file.
+  std::string bytes = SmallCheckpoint();
+  Patch<uint32_t>(&bytes, kMultiTaskOffset, 1);
+  EXPECT_NE(LoadError(bytes).find("parameter missing"), std::string::npos);
+}
+
+TEST(ModelIoCorrupt, WrongShapeParameterThrows) {
+  // M = 3 in the header, but the stored tensors were built with M = 2.
+  std::string bytes = SmallCheckpoint();
+  Patch<uint64_t>(&bytes, kEmbeddingDimOffset, 3);
+  EXPECT_NE(LoadError(bytes).find("shape mismatch"), std::string::npos);
 }
 
 TEST(MultiTask, AuxOutputsPresentAndBounded) {

@@ -1,17 +1,15 @@
 // Behavioural tests of the layers: shapes, masking semantics, freezing,
-// determinism, sequence-batch utilities, the loss and serialization.
+// determinism, sequence-batch utilities and the loss. Checkpoint
+// serialization is model_io_test's.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstring>
-#include <filesystem>
 
 #include "nn/embedding_layer.h"
 #include "nn/linear.h"
 #include "nn/loss.h"
 #include "nn/recurrent.h"
 #include "nn/sequence_batch.h"
-#include "nn/serialize.h"
 
 namespace pathrank::nn {
 namespace {
@@ -238,51 +236,6 @@ TEST(Loss, MseValueAndGradient) {
   EXPECT_NEAR(loss, 0.5, 1e-6);  // (1 + 0) / 2
   EXPECT_NEAR(d[0], 1.0f, 1e-6f);  // 2*1/2
   EXPECT_NEAR(d[1], 0.0f, 1e-6f);
-}
-
-TEST(Serialize, MatrixRoundTrip) {
-  Matrix m(3, 5);
-  pathrank::Rng rng(11);
-  for (size_t i = 0; i < m.size(); ++i) {
-    m.data()[i] = static_cast<float>(rng.NextUniform(-2, 2));
-  }
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "pr_mat.bin").string();
-  SaveMatrix(m, path);
-  const Matrix loaded = LoadMatrix(path);
-  ASSERT_TRUE(loaded.SameShape(m));
-  for (size_t i = 0; i < m.size(); ++i) {
-    EXPECT_EQ(loaded.data()[i], m.data()[i]);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(Serialize, ParametersRoundTripByName) {
-  Parameter a("layer.w", 2, 3);
-  Parameter b("layer.b", 1, 3);
-  a.value.Fill(1.5f);
-  b.value.Fill(-0.5f);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "pr_params.bin").string();
-  SaveParameters({&a, &b}, path);
-  Parameter a2("layer.w", 2, 3);
-  Parameter b2("layer.b", 1, 3);
-  LoadParameters({&b2, &a2}, path);  // order independence
-  EXPECT_EQ(a2.value.at(1, 2), 1.5f);
-  EXPECT_EQ(b2.value.at(0, 0), -0.5f);
-  std::remove(path.c_str());
-}
-
-TEST(Serialize, LoadRejectsMissingParameter) {
-  Parameter a("layer.w", 2, 2);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "pr_params2.bin").string();
-  SaveParameters({&a}, path);
-  Parameter missing("layer.other", 2, 2);
-  EXPECT_THROW(LoadParameters({&missing}, path), std::runtime_error);
-  Parameter wrong_shape("layer.w", 3, 2);
-  EXPECT_THROW(LoadParameters({&wrong_shape}, path), std::runtime_error);
-  std::remove(path.c_str());
 }
 
 }  // namespace

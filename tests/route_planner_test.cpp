@@ -142,14 +142,14 @@ TEST(RoutePlanner, CacheHitIsBitwiseIdenticalAndSkipsEnumeration) {
   const RouteResult miss = fx.planner.Plan({5, 60});
   ASSERT_EQ(miss.status, RouteStatus::kOk);
   EXPECT_FALSE(miss.cache_hit);
-  EXPECT_EQ(fx.planner.cache_misses(), 1u);
-  EXPECT_EQ(fx.planner.cache_hits(), 0u);
+  EXPECT_EQ(fx.planner.stats().cache_misses, 1u);
+  EXPECT_EQ(fx.planner.stats().cache_hits, 0u);
 
   const RouteResult hit = fx.planner.Plan({5, 60});
   ASSERT_EQ(hit.status, RouteStatus::kOk);
   EXPECT_TRUE(hit.cache_hit);
-  EXPECT_EQ(fx.planner.cache_hits(), 1u);
-  EXPECT_EQ(fx.planner.cache_misses(), 1u);
+  EXPECT_EQ(fx.planner.stats().cache_hits, 1u);
+  EXPECT_EQ(fx.planner.stats().cache_misses, 1u);
   ExpectSameRanking(hit.ranked, miss.ranked);
 }
 
@@ -172,7 +172,7 @@ TEST(RoutePlanner, ZeroCapacityDisablesCache) {
   EXPECT_FALSE(fx.planner.Plan({0, 63}).cache_hit);
   EXPECT_FALSE(fx.planner.Plan({0, 63}).cache_hit);
   EXPECT_EQ(fx.planner.cache_size(), 0u);
-  EXPECT_EQ(fx.planner.cache_hits(), 0u);
+  EXPECT_EQ(fx.planner.stats().cache_hits, 0u);
 }
 
 TEST(RoutePlanner, ErrorTaxonomy) {
@@ -350,7 +350,7 @@ TEST(RouteAnswerCache, HitNeverCallsTheScorerAndMatchesTheMissBitwise) {
     ExpectSameRanking(hit.ranked, miss.ranked);
   }
   EXPECT_EQ(fx.score_calls.load(), 1) << "a hit re-ran the scorer";
-  EXPECT_EQ(fx.planner.enumerations(), 1u);
+  EXPECT_EQ(fx.planner.stats().enumerations, 1u);
 }
 
 TEST(RouteAnswerCache, SwapSnapshotMakesTheNextQueryRescoreOnTheNewModel) {
@@ -368,8 +368,8 @@ TEST(RouteAnswerCache, SwapSnapshotMakesTheNextQueryRescoreOnTheNewModel) {
   ASSERT_EQ(after.status, RouteStatus::kOk);
   EXPECT_FALSE(after.cache_hit);
   ExpectSameRanking(after.ranked, offline_b);
-  EXPECT_EQ(fx.planner.invalidations(), 1u);
-  EXPECT_EQ(fx.planner.enumerations(), 2u);
+  EXPECT_EQ(fx.planner.stats().invalidations, 1u);
+  EXPECT_EQ(fx.planner.stats().enumerations, 2u);
 
   // The re-scored answer is cached at the new generation.
   const int calls = fx.score_calls.load();
@@ -420,7 +420,7 @@ TEST(RouteAnswerCache, ConcurrentIdenticalMissesMakeOneScorerCall) {
     // Hold the leader until every other thread waits on its flight.
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (planner_ptr->single_flight_waits() <
+    while (planner_ptr->stats().single_flight_waits <
                static_cast<uint64_t>(kThreads - 1) &&
            std::chrono::steady_clock::now() < deadline) {
       std::this_thread::yield();
@@ -444,9 +444,9 @@ TEST(RouteAnswerCache, ConcurrentIdenticalMissesMakeOneScorerCall) {
   for (auto& thread : threads) thread.join();
   gate_armed.store(false);
 
-  EXPECT_EQ(fx.planner.single_flight_waits(),
+  EXPECT_EQ(fx.planner.stats().single_flight_waits,
             static_cast<uint64_t>(kThreads - 1));
-  EXPECT_EQ(fx.planner.enumerations(), 1u);
+  EXPECT_EQ(fx.planner.stats().enumerations, 1u);
   EXPECT_EQ(fx.score_calls.load(), 1);
   const auto offline = fx.Offline(3, 60);
   for (int t = 0; t < kThreads; ++t) {
@@ -477,7 +477,7 @@ TEST(RouteAnswerCache, ThrowingScorerLeavesNothingCached) {
     ASSERT_EQ(retry.status, RouteStatus::kOk);
     EXPECT_FALSE(retry.cache_hit);
     ExpectSameRanking(retry.ranked, fx.Offline(0, 63));
-    EXPECT_EQ(fx.planner.enumerations(), 2u);
+    EXPECT_EQ(fx.planner.stats().enumerations, 2u);
     EXPECT_EQ(fx.planner.cache_size(), 1u);
   }
 }
@@ -521,7 +521,7 @@ TEST(RouteAnswerCache, ReEnumerationAfterTrafficReusesScoresBitwise) {
     update.has_travel_time = true;
     ASSERT_EQ(store.ApplyTraffic({update}).status, TrafficStatus::kOk);
   }
-  EXPECT_EQ(planner.invalidations(), 3 * requests.size());
+  EXPECT_EQ(planner.stats().invalidations, 3 * requests.size());
   EXPECT_GT(engine.memo_stats().hits, 0u);
 }
 

@@ -4,6 +4,10 @@
 # written, before it loads or trains anything. A small valid run (with
 # --threshold at its inclusive bound 1) must still train and write its
 # checkpoint, so the rejections are not an artefact of the invocation.
+# `evaluate`, `rank` and `serve` must reject the out-of-range candidate
+# flags (--k, --threshold) the same way, with valid files to read; each
+# `serve` case runs under `timeout 10`, so a server that boots instead
+# fails the check rather than hanging it.
 # Registered as the `cli_usage_check` ctest.
 #
 # Usage: tools/check_cli_usage.sh PATH/TO/pathrank_cli
@@ -21,43 +25,21 @@ train() {
   "$CLI" train --network "$WORK/net" --trips "$WORK/trips.csv" \
     --m 4 --hidden 4 --k 3 --epochs 1 --out "$WORK/model.bin" "$@"
 }
-
-failures=0
-expect_rejected() {
-  local flag="$1" value="$2" status=0
-  rm -f "$WORK/model.bin"
-  train "--$flag" "$value" > "$WORK/stdout" 2> "$WORK/stderr" || status=$?
-  if [[ "$status" -ne 2 ]]; then
-    echo "check_cli_usage: --$flag $value exited $status, want 2"
-    failures=$((failures + 1))
-  elif ! grep -q -- "--$flag" "$WORK/stderr"; then
-    echo "check_cli_usage: --$flag $value: stderr does not name the flag:"
-    cat "$WORK/stderr"
-    failures=$((failures + 1))
-  elif [[ -s "$WORK/stdout" ]]; then
-    echo "check_cli_usage: --$flag $value started work before rejecting:"
-    cat "$WORK/stdout"
-    failures=$((failures + 1))
-  fi
-  if [[ -e "$WORK/model.bin" ]]; then
-    echo "check_cli_usage: --$flag $value wrote a checkpoint"
-    failures=$((failures + 1))
-  fi
+evaluate() {
+  "$CLI" evaluate --network "$WORK/net" --trips "$WORK/trips.csv" \
+    --model "$WORK/valid.bin" "$@"
+}
+rank() {
+  "$CLI" rank --network "$WORK/net" --model "$WORK/valid.bin" \
+    --from 0 --to 35 "$@"
+}
+serve() {
+  timeout 10 "$CLI" serve --network "$WORK/net" --model "$WORK/valid.bin" \
+    --http 0 --http-addr 127.0.0.1 "$@"
 }
 
-for value in 0 -3; do
-  for flag in epochs m hidden k; do
-    expect_rejected "$flag" "$value"
-  done
-done
-for value in 0 -1 inf nan; do
-  expect_rejected lr "$value"
-done
-for value in 0 -0.5 1.5 nan; do
-  expect_rejected threshold "$value"
-done
+failures=0
 
-rm -f "$WORK/model.bin"
 if ! train --threshold 1 > /dev/null 2> "$WORK/stderr"; then
   echo "check_cli_usage: a valid train run failed:"
   cat "$WORK/stderr"
@@ -65,10 +47,59 @@ if ! train --threshold 1 > /dev/null 2> "$WORK/stderr"; then
 elif [[ ! -s "$WORK/model.bin" ]]; then
   echo "check_cli_usage: a valid train run wrote no checkpoint"
   failures=$((failures + 1))
+else
+  mv "$WORK/model.bin" "$WORK/valid.bin"
 fi
+
+# expect_rejected COMMAND FLAG VALUE: COMMAND (one of the functions
+# above), given --FLAG VALUE, must exit 2, name the flag on stderr, print
+# nothing on stdout and write no checkpoint.
+expect_rejected() {
+  local command="$1" flag="$2" value="$3" status=0
+  local what="$command --$flag $value"
+  rm -f "$WORK/model.bin"
+  "$command" "--$flag" "$value" > "$WORK/stdout" 2> "$WORK/stderr" ||
+    status=$?
+  if [[ "$status" -ne 2 ]]; then
+    echo "check_cli_usage: $what exited $status, want 2"
+    failures=$((failures + 1))
+  elif ! grep -q -- "--$flag" "$WORK/stderr"; then
+    echo "check_cli_usage: $what: stderr does not name the flag:"
+    cat "$WORK/stderr"
+    failures=$((failures + 1))
+  elif [[ -s "$WORK/stdout" ]]; then
+    echo "check_cli_usage: $what started work before rejecting:"
+    cat "$WORK/stdout"
+    failures=$((failures + 1))
+  fi
+  if [[ -e "$WORK/model.bin" ]]; then
+    echo "check_cli_usage: $what wrote a checkpoint"
+    failures=$((failures + 1))
+  fi
+}
+
+for value in 0 -3; do
+  for flag in epochs m hidden k; do
+    expect_rejected train "$flag" "$value"
+  done
+done
+for value in 0 -1 inf nan; do
+  expect_rejected train lr "$value"
+done
+for value in 0 -0.5 1.5 nan; do
+  expect_rejected train threshold "$value"
+done
+
+for command in evaluate rank serve; do
+  for pair in "k 0" "k -3" "threshold 0" "threshold 1.5" "threshold nan"; do
+    read -r flag value <<< "$pair"
+    expect_rejected "$command" "$flag" "$value"
+  done
+done
 
 if [[ "$failures" -ne 0 ]]; then
   echo "check_cli_usage: $failures failure(s)"
   exit 1
 fi
-echo "check_cli_usage: every out-of-range train flag exits 2 and writes nothing"
+echo "check_cli_usage: every out-of-range train, evaluate, rank and serve" \
+  "flag exits 2 and writes nothing"

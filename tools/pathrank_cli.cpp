@@ -31,6 +31,10 @@
 // EDGES.csv (edges-only: vertex set inferred, coordinates zeroed —
 // enough for travel-time routing).
 //
+// `train`, `evaluate`, `rank` and `serve` all check the candidate flags
+// (--k at least 1, --threshold in (0, 1]) before reading any file, and
+// exit 2 on a bad value.
+//
 // Networks are stored as the CSV pair written by graph::SaveNetworkCsv,
 // trips as traj::SaveTrips CSV, models as core::SaveModel checkpoints.
 #include <algorithm>
@@ -183,6 +187,8 @@ int CmdSimulate(const Args& args) {
   return 0;
 }
 
+/// The candidate flags every subcommand but network/simulate shares.
+/// Checked here, before the caller reads any file: a bad value exits 2.
 data::CandidateGenConfig GenConfigFromArgs(const Args& args) {
   data::CandidateGenConfig gen;
   gen.strategy = ParseStrategy(args.Get("strategy", "dtkdi"));
@@ -190,6 +196,14 @@ data::CandidateGenConfig GenConfigFromArgs(const Args& args) {
   // One default for training and serving, so serving candidates match a
   // model trained with the defaults.
   gen.similarity_threshold = args.GetDouble("threshold", 0.6);
+  if (gen.k < 1) {
+    std::fprintf(stderr, "--k must be at least 1\n");
+    std::exit(2);
+  }
+  if (!(gen.similarity_threshold > 0.0 && gen.similarity_threshold <= 1.0)) {
+    std::fprintf(stderr, "--threshold must be in (0, 1]\n");
+    std::exit(2);
+  }
   return gen;
 }
 
@@ -214,10 +228,7 @@ int CmdTrain(const Args& args) {
       {epochs >= 1, "--epochs must be at least 1"},
       {m >= 1, "--m must be at least 1"},
       {hidden >= 1, "--hidden must be at least 1"},
-      {gen.k >= 1, "--k must be at least 1"},
       {lr > 0.0, "--lr must be positive"},
-      {gen.similarity_threshold > 0.0 && gen.similarity_threshold <= 1.0,
-       "--threshold must be in (0, 1]"},
   };
   for (const auto& [ok, message] : checks) {
     if (!ok) {
@@ -263,9 +274,10 @@ int CmdTrain(const Args& args) {
 }
 
 int CmdEvaluate(const Args& args) {
+  const data::CandidateGenConfig gen = GenConfigFromArgs(args);
   const auto network = graph::LoadNetworkCsv(args.Require("network"));
   const auto trips = traj::LoadTrips(network, args.Require("trips"));
-  auto dataset = BuildDataset(network, trips, GenConfigFromArgs(args));
+  auto dataset = BuildDataset(network, trips, gen);
   auto model = core::LoadModel(args.Require("model"));
   if (model->vocab_size() != network.num_vertices()) {
     std::fprintf(stderr, "model/network vertex-count mismatch\n");
@@ -277,6 +289,7 @@ int CmdEvaluate(const Args& args) {
 }
 
 int CmdRank(const Args& args) {
+  const data::CandidateGenConfig gen = GenConfigFromArgs(args);
   const auto network = graph::LoadNetworkCsv(args.Require("network"));
   auto model = core::LoadModel(args.Require("model"));
   const auto from = static_cast<graph::VertexId>(args.GetInt("from", 0));
@@ -292,7 +305,7 @@ int CmdRank(const Args& args) {
       network, serving::ModelSnapshot::Capture(*model), options);
   serving::RoutePlannerConfig config;
   config.network = &network;
-  config.candidates = GenConfigFromArgs(args);
+  config.candidates = gen;
   config.cache_capacity = 0;  // one query: nothing to reuse
   const serving::RoutePlanner planner(
       config, [&engine](std::vector<routing::Path> paths) {
@@ -400,7 +413,8 @@ void OnHttpSignal(int /*signum*/) { g_http_interrupted.store(true); }
 
 /// `serve --http PORT`: serves the engine over HTTP until a signal
 /// arrives, then reports the traffic counters.
-int RunHttpFrontEnd(const Args& args, const graph::RoadNetwork& network,
+int RunHttpFrontEnd(const Args& args, const data::CandidateGenConfig& gen,
+                    const graph::RoadNetwork& network,
                     serving::ServingEngine* engine,
                     const FileWatcher* model_watcher) {
   serving::HttpServerOptions options;
@@ -502,7 +516,7 @@ int RunHttpFrontEnd(const Args& args, const graph::RoadNetwork& network,
   // or a model hot swap lands.
   serving::RoutePlannerConfig route_config;
   route_config.store = &graph_store;
-  route_config.candidates = GenConfigFromArgs(args);
+  route_config.candidates = gen;
   route_config.cache_capacity =
       static_cast<size_t>(std::max(0, args.GetInt("route-cache", 1024)));
   route_config.spur_engine = spur_engine;
@@ -610,6 +624,7 @@ int RunHttpFrontEnd(const Args& args, const graph::RoadNetwork& network,
   // The shutdown report is logged (stderr), so a server log whose stdout
   // is discarded still holds it.
   const auto stats = server.stats();
+  const serving::RoutePlannerStats plan_stats = planner.stats();
   PR_LOG_INFO << StrFormat(
       "shutting down: %llu connections, %llu requests, %llu shed",
       static_cast<unsigned long long>(stats.connections_accepted),
@@ -624,8 +639,8 @@ int RunHttpFrontEnd(const Args& args, const graph::RoadNetwork& network,
       "cache %llu hit / %llu miss",
       static_cast<unsigned long long>(stats.route.requests),
       stats.route.latency_p50_s * 1e3, stats.route.latency_p99_s * 1e3,
-      static_cast<unsigned long long>(planner.cache_hits()),
-      static_cast<unsigned long long>(planner.cache_misses()));
+      static_cast<unsigned long long>(plan_stats.cache_hits),
+      static_cast<unsigned long long>(plan_stats.cache_misses));
   const serving::ScoreMemoStats memo = engine->memo_stats();
   PR_LOG_INFO << "score memo: " << memo.hits << " hit(s)  " << memo.misses
               << " miss(es)  " << memo.rows_scored << " row(s) and "
@@ -636,9 +651,9 @@ int RunHttpFrontEnd(const Args& args, const graph::RoadNetwork& network,
       "%llu single-flight wait(s)  %llu enumeration(s)",
       static_cast<unsigned long long>(graph_store.epoch()),
       static_cast<unsigned long long>(graph_store.traffic_batches()),
-      static_cast<unsigned long long>(planner.invalidations()),
-      static_cast<unsigned long long>(planner.single_flight_waits()),
-      static_cast<unsigned long long>(planner.enumerations()));
+      static_cast<unsigned long long>(plan_stats.invalidations),
+      static_cast<unsigned long long>(plan_stats.single_flight_waits),
+      static_cast<unsigned long long>(plan_stats.enumerations));
   if (spur_engine == serving::SpurEngine::kAlt) {
     const serving::PreprocessingStats pre = graph_store.preprocessing_stats();
     PR_LOG_INFO << StrFormat(
@@ -646,14 +661,12 @@ int RunHttpFrontEnd(const Args& args, const graph::RoadNetwork& network,
         "p99 %.1f ms  %llu ALT fallback(s)",
         pre.landmarks, static_cast<unsigned long long>(pre.rebuilds),
         pre.rebuild_p50_s * 1e3, pre.rebuild_p99_s * 1e3,
-        static_cast<unsigned long long>(planner.alt_fallbacks()));
+        static_cast<unsigned long long>(plan_stats.alt_fallbacks));
   }
   PR_LOG_INFO << StrFormat(
-      "deadlines: %llu exceeded (504), %llu degraded (partial), "
-      "route timeouts %llu",
-      static_cast<unsigned long long>(stats.deadline_exceeded_total),
-      static_cast<unsigned long long>(stats.degraded_total),
-      static_cast<unsigned long long>(stats.route.timeouts));
+      "deadlines: %llu exceeded (504), %llu degraded (partial)",
+      static_cast<unsigned long long>(plan_stats.deadline_exceeded),
+      static_cast<unsigned long long>(plan_stats.degraded));
   if (faults != nullptr && faults->enabled()) {
     PR_LOG_INFO << StrFormat(
         "fault injection: %llu delay(s), %llu error(s) fired",
@@ -694,6 +707,7 @@ int CmdServe(const Args& args) {
                  "(0 = any free port)\n");
     return 2;
   }
+  const data::CandidateGenConfig gen = GenConfigFromArgs(args);
   const auto network = LoadServeNetwork(args);
   auto model = core::LoadModel(args.Require("model"));
   if (model->vocab_size() != network.num_vertices()) {
@@ -732,7 +746,7 @@ int CmdServe(const Args& args) {
         "watch-model", model_path, std::move(reload),
         std::max(1, args.GetInt("watch-interval-ms", 200)));
   }
-  return RunHttpFrontEnd(args, network, &engine, model_watcher.get());
+  return RunHttpFrontEnd(args, gen, network, &engine, model_watcher.get());
 }
 
 void PrintUsage() {
@@ -744,8 +758,10 @@ void PrintUsage() {
       "  simulate  --network PREFIX --out TRIPS.csv [--trips N --drivers N]\n"
       "  train     --network PREFIX --trips TRIPS.csv --out MODEL.bin\n"
       "            [--strategy tkdi|dtkdi|penalty --k K --m M --hidden H\n"
-      "             --epochs E --lr LR --finetune 0|1 --multitask 0|1]\n"
+      "             --threshold T --epochs E --lr LR --finetune 0|1\n"
+      "             --multitask 0|1]\n"
       "  evaluate  --network PREFIX --trips TRIPS.csv --model MODEL.bin\n"
+      "            [--strategy tkdi|dtkdi|penalty --k K --threshold T]\n"
       "  rank      --network PREFIX --model MODEL.bin --from V --to V\n"
       "            [--strategy tkdi|dtkdi|penalty --k K --threshold T]\n"
       "  serve     (--network PREFIX | --graph EDGES.csv) --model MODEL.bin\n"
