@@ -7,10 +7,12 @@
 namespace pathrank {
 
 struct CsvWriter::Impl {
+  std::string path;
   std::ofstream out;
 };
 
 CsvWriter::CsvWriter(const std::string& path) : impl_(new Impl) {
+  impl_->path = path;
   impl_->out.open(path, std::ios::out | std::ios::trunc);
   if (!impl_->out) {
     delete impl_;
@@ -28,7 +30,14 @@ void CsvWriter::WriteRow(const std::vector<std::string>& fields) {
   impl_->out << '\n';
 }
 
-void CsvWriter::Close() { impl_->out.close(); }
+void CsvWriter::Close() {
+  // close() flushes the buffer; a failed write, earlier or in that flush,
+  // leaves the stream failed.
+  impl_->out.close();
+  if (!impl_->out) {
+    throw std::runtime_error("CsvWriter: write failed: " + impl_->path);
+  }
+}
 
 std::string EscapeCsvField(const std::string& field) {
   const bool needs_quotes =

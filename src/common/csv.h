@@ -21,7 +21,10 @@ class CsvWriter {
   /// Writes one row; fields are quoted only when required.
   void WriteRow(const std::vector<std::string>& fields);
 
-  /// Flushes and closes the underlying file early.
+  /// Flushes and closes the file. Throws std::runtime_error when any
+  /// write, or the final flush, failed (a full disk, say). The destructor
+  /// closes without checking, so a writer whose file must be complete
+  /// calls Close().
   void Close();
 
  private:

@@ -1,6 +1,5 @@
 #include "common/env.h"
 
-#include <algorithm>
 #include <cstdlib>
 
 #include "common/parse.h"
@@ -27,24 +26,6 @@ int64_t EnvInt(const char* name, int64_t fallback) {
   if (v == nullptr) return fallback;
   int64_t parsed = 0;
   return ParseInt64(v, &parsed) ? parsed : fallback;
-}
-
-double EnvDouble(const char* name, double fallback) {
-  const char* v = RawEnv(name);
-  if (v == nullptr) return fallback;
-  double parsed = 0.0;
-  return ParseDouble(v, &parsed) ? parsed : fallback;
-}
-
-bool EnvBool(const char* name, bool fallback) {
-  const char* v = RawEnv(name);
-  if (v == nullptr) return fallback;
-  std::string s(v);
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  if (s == "1" || s == "true" || s == "yes" || s == "on") return true;
-  if (s == "0" || s == "false" || s == "no" || s == "off") return false;
-  return fallback;
 }
 
 }  // namespace pathrank

@@ -14,10 +14,4 @@ std::string EnvString(const char* name, const std::string& fallback);
 /// Returns `name` parsed as int64, or `fallback` when unset or unparsable.
 int64_t EnvInt(const char* name, int64_t fallback);
 
-/// Returns `name` parsed as double, or `fallback` when unset or unparsable.
-double EnvDouble(const char* name, double fallback);
-
-/// Returns true for "1", "true", "yes", "on" (case-insensitive).
-bool EnvBool(const char* name, bool fallback);
-
 }  // namespace pathrank

@@ -1,6 +1,5 @@
 #include "common/string_util.h"
 
-#include <cctype>
 #include <cstdarg>
 #include <cstdio>
 
@@ -19,14 +18,6 @@ std::vector<std::string> Split(const std::string& s, char sep) {
   }
   out.push_back(std::move(cur));
   return out;
-}
-
-std::string Trim(const std::string& s) {
-  size_t b = 0;
-  size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
 }
 
 std::string Join(const std::vector<std::string>& parts,
@@ -53,11 +44,6 @@ std::string StrFormat(const char* fmt, ...) {
   }
   va_end(args_copy);
   return out;
-}
-
-bool StartsWith(const std::string& s, const std::string& prefix) {
-  return s.size() >= prefix.size() &&
-         s.compare(0, prefix.size(), prefix) == 0;
 }
 
 }  // namespace pathrank

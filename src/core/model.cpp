@@ -90,10 +90,6 @@ void PathRankModel::InitializeEmbedding(const nn::Matrix& table) {
   embedding_->LoadTable(table);
 }
 
-std::vector<float> PathRankModel::Forward(const nn::SequenceBatch& batch) {
-  return ForwardFull(batch).scores;
-}
-
 PathRankModel::Outputs PathRankModel::ForwardFull(
     const nn::SequenceBatch& batch) {
   PR_CHECK(batch.batch_size > 0 && batch.max_len > 0);
@@ -185,10 +181,6 @@ PathRankModel::Outputs PathRankModel::ForwardInferenceFull(
   Outputs out;
   ApplyHeads(s.repr_fwd, s.repr_bwd, &s.concat_h, &s.logits, &out);
   return out;
-}
-
-void PathRankModel::Backward(const std::vector<float>& d_scores) {
-  BackwardFull(d_scores, {}, {});
 }
 
 void PathRankModel::BackwardFull(const std::vector<float>& d_scores,

@@ -74,11 +74,9 @@ class PathRankModel {
     std::vector<float> aux_time;    // normalised travel time, in (0, 1)
   };
 
-  /// Scores a batch of vertex sequences; returns one score per row.
-  /// Caches activations for a subsequent Backward.
-  std::vector<float> Forward(const nn::SequenceBatch& batch);
-
-  /// Forward pass that also produces the auxiliary-head outputs.
+  /// Scores a batch of vertex sequences, one score per row, with the
+  /// auxiliary-head outputs. Caches activations for a subsequent
+  /// BackwardFull.
   Outputs ForwardFull(const nn::SequenceBatch& batch);
 
   /// Projects the embedding through each chain's input weights. The
@@ -86,13 +84,13 @@ class PathRankModel {
   InferenceTables BuildInferenceTables() const;
 
   /// Inference-only forward over `tables` (built from this model's current
-  /// weights). Each row's arithmetic equals Forward's, so scores are
+  /// weights). Each row's arithmetic equals ForwardFull's, so scores are
   /// bitwise identical, while rows that share a prefix (or, in the
   /// backward chain, a suffix) share its recurrent steps. All activations
   /// land in the caller-owned `scratch`, so the model is never mutated:
   /// many threads may score through one shared const model and one shared
-  /// `tables` concurrently, each with its own scratch. No Backward may
-  /// follow (use Forward for training).
+  /// `tables` concurrently, each with its own scratch. No BackwardFull may
+  /// follow (use ForwardFull for training).
   std::vector<float> ForwardInference(const nn::SequenceBatch& batch,
                                       const InferenceTables& tables,
                                       InferenceScratch* scratch) const;
@@ -102,12 +100,10 @@ class PathRankModel {
                                const InferenceTables& tables,
                                InferenceScratch* scratch) const;
 
-  /// Backpropagates d(loss)/d(score) for the last Forward batch and
-  /// accumulates parameter gradients.
-  void Backward(const std::vector<float>& d_scores);
-
-  /// Backward including auxiliary-head gradients (multi-task training).
-  /// Empty aux gradients are treated as zero.
+  /// Backpropagates d(loss)/d(score), and the auxiliary-head gradients
+  /// (multi-task training), for the last ForwardFull batch and
+  /// accumulates parameter gradients. Empty aux gradients are treated as
+  /// zero.
   void BackwardFull(const std::vector<float>& d_scores,
                     const std::vector<float>& d_aux_length,
                     const std::vector<float>& d_aux_time);

@@ -83,6 +83,8 @@ void SaveModel(const PathRankModel& model, const std::string& path) {
               static_cast<std::streamsize>(p->name.size()));
     nn::WriteMatrix(out, p->value);
   }
+  // A small checkpoint's only real write is the flush in close().
+  out.close();
   if (!out) throw std::runtime_error("write failed: " + path);
 }
 

@@ -4,7 +4,6 @@
 #include "common/thread_pool.h"
 #include "routing/cost_model.h"
 #include "routing/path_similarity.h"
-#include "routing/penalty_alternatives.h"
 #include "routing/yen.h"
 
 namespace pathrank::data {
@@ -15,8 +14,6 @@ std::string CandidateStrategyName(CandidateStrategy strategy) {
       return "TkDI";
     case CandidateStrategy::kDiversifiedTopK:
       return "D-TkDI";
-    case CandidateStrategy::kPenalty:
-      return "Penalty";
   }
   return "?";
 }
@@ -41,13 +38,6 @@ std::vector<routing::Path> GenerateCandidatePaths(
       options.max_enumerated = config.max_enumerated;
       return routing::DiversifiedTopK(network, source, destination, cost,
                                       options, cancel, engine);
-    }
-    case CandidateStrategy::kPenalty: {
-      routing::PenaltyOptions options;
-      options.k = config.k;
-      options.penalty_factor = config.penalty_factor;
-      return routing::PenaltyAlternatives(network, source, destination, cost,
-                                          options, cancel);
     }
   }
   return {};
@@ -83,7 +73,7 @@ std::vector<RankingQuery> GenerateQueries(
     const graph::RoadNetwork& network,
     const std::vector<traj::TripPath>& trips,
     const CandidateGenConfig& config) {
-  // Each query's enumeration (Yen / diversified / penalty search) is
+  // Each query's enumeration (Yen or diversified search) is
   // independent and draws no randomness, so the output is identical for
   // any thread count.
   std::vector<RankingQuery> queries(trips.size());

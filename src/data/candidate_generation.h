@@ -25,7 +25,6 @@ namespace pathrank::data {
 enum class CandidateStrategy {
   kTopK,             // TkDI: plain top-k shortest paths
   kDiversifiedTopK,  // D-TkDI: diversified top-k shortest paths
-  kPenalty,          // iterative penalty-method alternatives (baseline)
 };
 
 std::string CandidateStrategyName(CandidateStrategy strategy);
@@ -39,8 +38,6 @@ struct CandidateGenConfig {
   double similarity_threshold = 0.8;
   /// Yen enumeration budget for D-TkDI.
   int max_enumerated = 400;
-  /// kPenalty: multiplier applied to used edges each iteration.
-  double penalty_factor = 1.35;
 };
 
 /// One labelled candidate path.
@@ -69,10 +66,8 @@ struct RankingQuery {
 /// cooperative cancellation into the strategy's enumeration loops; when
 /// it expires mid-run the candidates found so far are returned.
 /// `engine` (optional, borrowed, not thread-safe — one per concurrent
-/// call) runs the Yen spur searches of the kTopK and kDiversifiedTopK
-/// strategies; nullptr = owned plain Dijkstra. kPenalty re-weights edges
-/// each iteration, which invalidates any preprocessing-based engine, so
-/// it always searches with its own Dijkstra and ignores `engine`.
+/// call) runs the Yen spur searches of either strategy; nullptr = owned
+/// plain Dijkstra.
 std::vector<routing::Path> GenerateCandidatePaths(
     const graph::RoadNetwork& network, graph::VertexId source,
     graph::VertexId destination, const CandidateGenConfig& config,

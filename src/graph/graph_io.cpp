@@ -36,10 +36,11 @@ struct EdgeRow {
 
 /// Parses one edges.csv data row with per-field diagnostics. Shared by
 /// the CSV-pair loader and the edges-only loader so both report
-/// malformed fields the same way. Rejects negative lengths/times outright
-/// (ParseDoubleField already rejects nan/inf): a negative edge cost
-/// breaks the shortest-path algorithms' non-negative-weight assumption,
-/// and a negative travel time would be silently replaced by the
+/// malformed fields the same way. Rejects a length that is not positive
+/// and a negative travel time outright (ParseDoubleField already rejects
+/// nan/inf): a negative edge cost breaks the shortest-path algorithms'
+/// non-negative-weight assumption, the builder requires a positive
+/// length, and a negative travel time would be silently replaced by the
 /// builder's category-speed default instead of surfacing the bad field.
 EdgeRow ParseEdgeRow(const std::vector<std::string>& row,
                      const std::string& file, size_t line) {
@@ -55,9 +56,14 @@ EdgeRow ParseEdgeRow(const std::vector<std::string>& row,
                ParseDoubleField(row[2], "length_m", file, line),
                ParseDoubleField(row[3], "travel_time_s", file, line),
                ParseRoadCategoryField(row[4], file, line)};
-  if (edge.length_m < 0 || edge.travel_time_s < 0) {
+  if (edge.length_m <= 0) {
     throw std::runtime_error(file + ":" + std::to_string(line) +
-                             ": negative edge length/travel time");
+                             ": length_m must be positive, got '" + row[2] +
+                             "'");
+  }
+  if (edge.travel_time_s < 0) {
+    throw std::runtime_error(file + ":" + std::to_string(line) +
+                             ": negative travel_time_s '" + row[3] + "'");
   }
   return edge;
 }
@@ -73,6 +79,7 @@ void SaveNetworkCsv(const RoadNetwork& network, const std::string& prefix) {
       w.WriteRow({std::to_string(v), StrFormat("%.7f", c.lat),
                   StrFormat("%.7f", c.lon)});
     }
+    w.Close();
   }
   {
     CsvWriter w(prefix + "_edges.csv");
@@ -84,11 +91,13 @@ void SaveNetworkCsv(const RoadNetwork& network, const std::string& prefix) {
                   StrFormat("%.3f", rec.travel_time_s),
                   RoadCategoryName(rec.category)});
     }
+    w.Close();
   }
 }
 
 RoadNetwork LoadNetworkCsv(const std::string& prefix) {
   RoadNetworkBuilder builder;
+  VertexId num_vertices = 0;
   {
     const std::string file = prefix + "_vertices.csv";
     CsvReader r(file);
@@ -100,8 +109,18 @@ RoadNetwork LoadNetworkCsv(const std::string& prefix) {
                                  ": expected 3 fields (id,lat,lon), got " +
                                  std::to_string(row.size()));
       }
+      // Edges name vertices by id, and the builder numbers them by row,
+      // so the ids must be 0, 1, 2, ... in row order (as SaveNetworkCsv
+      // writes them).
+      if (ParseUInt32Field(row[0], "id", file, line) != num_vertices) {
+        throw std::runtime_error(file + ":" + std::to_string(line) +
+                                 ": vertex id '" + row[0] +
+                                 "' out of order, expected " +
+                                 std::to_string(num_vertices));
+      }
       builder.AddVertex({ParseDoubleField(row[1], "lat", file, line),
                          ParseDoubleField(row[2], "lon", file, line)});
+      ++num_vertices;
     }
   }
   {
@@ -109,6 +128,13 @@ RoadNetwork LoadNetworkCsv(const std::string& prefix) {
     CsvReader r(file);
     for (size_t i = 1; i < r.num_rows(); ++i) {
       const EdgeRow edge = ParseEdgeRow(r.row(i), file, r.line(i));
+      if (edge.from >= num_vertices || edge.to >= num_vertices) {
+        throw std::runtime_error(
+            file + ":" + std::to_string(r.line(i)) + ": vertex id " +
+            std::to_string(std::max(edge.from, edge.to)) +
+            " is out of range (network has " + std::to_string(num_vertices) +
+            " vertices)");
+      }
       builder.AddEdge(edge.from, edge.to, edge.length_m, edge.category,
                       edge.travel_time_s);
     }

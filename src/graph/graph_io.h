@@ -10,11 +10,13 @@ namespace pathrank::graph {
 
 /// Writes `<prefix>_vertices.csv` (id,lat,lon) and
 /// `<prefix>_edges.csv` (from,to,length_m,travel_time_s,category).
+/// Throws std::runtime_error when a file cannot be opened or written.
 void SaveNetworkCsv(const RoadNetwork& network, const std::string& prefix);
 
 /// Loads a network previously written by SaveNetworkCsv. Throws
 /// std::runtime_error naming the file, line and offending token on
-/// malformed rows.
+/// malformed rows: a vertex id out of row order, an edge endpoint that is
+/// not a vertex, a length that is not positive.
 RoadNetwork LoadNetworkCsv(const std::string& prefix);
 
 /// Loads a network from a single edges CSV (the `<prefix>_edges.csv`
@@ -23,7 +25,7 @@ RoadNetwork LoadNetworkCsv(const std::string& prefix);
 /// every coordinate defaults to (0, 0) — sufficient for the travel-time
 /// candidate generation and serving paths (Dijkstra/Yen need topology
 /// and costs only; a zero-coordinate heuristic is admissible), not for
-/// coordinate-based tooling like map matching. Throws std::runtime_error
+/// coordinate-based tooling. Throws std::runtime_error
 /// with file:line:token context on malformed rows, and when the file has
 /// no edge rows at all.
 RoadNetwork LoadNetworkEdgesCsv(const std::string& path);

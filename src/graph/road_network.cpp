@@ -112,8 +112,6 @@ RoadNetwork RoadNetworkBuilder::BuildFrom(
       net.has_parallel_edges_ = true;
     }
   }
-
-  for (const Coordinate& c : net.coordinates_) net.bounds_.Extend(c);
   return net;
 }
 

@@ -111,9 +111,6 @@ class RoadNetwork {
   /// Sum of `travel_time_s` over a sequence of edge ids.
   double PathTravelTimeSeconds(std::span<const EdgeId> edges) const;
 
-  /// Bounding box of all vertex coordinates.
-  const BoundingBox& bounds() const { return bounds_; }
-
   /// Human-readable one-line summary ("|V|=..., |E|=...").
   std::string Summary() const;
 
@@ -128,7 +125,6 @@ class RoadNetwork {
   std::vector<uint32_t> in_offsets_;
   std::vector<EdgeId> in_edge_ids_;
   bool has_parallel_edges_ = false;
-  BoundingBox bounds_;
 };
 
 }  // namespace pathrank::graph

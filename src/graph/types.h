@@ -53,29 +53,8 @@ struct Coordinate {
 double HaversineMeters(const Coordinate& a, const Coordinate& b);
 
 /// Equirectangular approximation of distance in metres; accurate to <0.5%
-/// at regional scale and several times faster than haversine. Used by the
-/// spatial index, map matching and trip generation.
+/// at regional scale and several times faster than haversine. Used by
+/// network construction and trip generation.
 double FastDistanceMeters(const Coordinate& a, const Coordinate& b);
-
-/// Axis-aligned geographic bounding box.
-struct BoundingBox {
-  double min_lat = std::numeric_limits<double>::infinity();
-  double min_lon = std::numeric_limits<double>::infinity();
-  double max_lat = -std::numeric_limits<double>::infinity();
-  double max_lon = -std::numeric_limits<double>::infinity();
-
-  /// Grows the box to include `c`.
-  void Extend(const Coordinate& c) {
-    min_lat = std::min(min_lat, c.lat);
-    max_lat = std::max(max_lat, c.lat);
-    min_lon = std::min(min_lon, c.lon);
-    max_lon = std::max(max_lon, c.lon);
-  }
-
-  bool Contains(const Coordinate& c) const {
-    return c.lat >= min_lat && c.lat <= max_lat && c.lon >= min_lon &&
-           c.lon <= max_lon;
-  }
-};
 
 }  // namespace pathrank::graph

@@ -8,28 +8,6 @@
 
 namespace pathrank::metrics {
 
-double MeanAbsoluteError(std::span<const double> predicted,
-                         std::span<const double> truth) {
-  PR_CHECK(predicted.size() == truth.size() && !predicted.empty());
-  double sum = 0.0;
-  for (size_t i = 0; i < predicted.size(); ++i) {
-    sum += std::abs(predicted[i] - truth[i]);
-  }
-  return sum / static_cast<double>(predicted.size());
-}
-
-double MeanAbsoluteRelativeError(std::span<const double> predicted,
-                                 std::span<const double> truth) {
-  PR_CHECK(predicted.size() == truth.size() && !predicted.empty());
-  double err = 0.0;
-  double denom = 0.0;
-  for (size_t i = 0; i < predicted.size(); ++i) {
-    err += std::abs(predicted[i] - truth[i]);
-    denom += std::abs(truth[i]);
-  }
-  return denom > 0.0 ? err / denom : 0.0;
-}
-
 double KendallTau(std::span<const double> a, std::span<const double> b) {
   PR_CHECK(a.size() == b.size());
   const size_t n = a.size();

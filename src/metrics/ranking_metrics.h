@@ -12,15 +12,6 @@
 
 namespace pathrank::metrics {
 
-/// Mean absolute error. Spans must be equal-sized and non-empty.
-double MeanAbsoluteError(std::span<const double> predicted,
-                         std::span<const double> truth);
-
-/// Mean absolute relative error as defined in the PathRank evaluation:
-/// sum_i |p_i - t_i| / sum_i |t_i|.
-double MeanAbsoluteRelativeError(std::span<const double> predicted,
-                                 std::span<const double> truth);
-
 /// Kendall tau-b in [-1, 1]; tie-corrected. Returns 0 when either input is
 /// constant (no ranking information).
 double KendallTau(std::span<const double> a, std::span<const double> b);
@@ -50,7 +41,10 @@ class MetricAccumulator {
   void AddQuery(std::span<const double> predicted,
                 std::span<const double> truth);
 
+  /// Mean absolute error over every candidate added.
   double mae() const;
+  /// Mean absolute relative error as defined in the PathRank evaluation:
+  /// sum_i |p_i - t_i| / sum_i |t_i| over every candidate added.
   double mare() const;
   double mean_kendall_tau() const;
   double mean_spearman_rho() const;

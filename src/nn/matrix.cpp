@@ -35,14 +35,6 @@ void Matrix::Add(const Matrix& other) {
   for (size_t i = 0; i < n; ++i) dst[i] += src[i];
 }
 
-void Matrix::Axpy(float factor, const Matrix& other) {
-  PR_CHECK(SameShape(other));
-  const float* src = other.data();
-  float* dst = data();
-  const size_t n = size();
-  for (size_t i = 0; i < n; ++i) dst[i] += factor * src[i];
-}
-
 double Matrix::SquaredNorm() const {
   double sum = 0.0;
   for (float v : data_) sum += static_cast<double>(v) * v;
@@ -456,14 +448,6 @@ void XavierInit(Matrix* m, pathrank::Rng& rng) {
   const float limit = std::sqrt(
       6.0f / static_cast<float>(m->rows() + m->cols()));
   UniformInit(m, limit, rng);
-}
-
-void GaussianInit(Matrix* m, float stddev, pathrank::Rng& rng) {
-  float* p = m->data();
-  const size_t n = m->size();
-  for (size_t i = 0; i < n; ++i) {
-    p[i] = static_cast<float>(rng.NextGaussian(0.0, stddev));
-  }
 }
 
 }  // namespace pathrank::nn

@@ -62,9 +62,6 @@ class Matrix {
   /// this += other (same shape).
   void Add(const Matrix& other);
 
-  /// this += factor * other (same shape).
-  void Axpy(float factor, const Matrix& other);
-
   /// Sum of squares of all elements.
   double SquaredNorm() const;
 
@@ -118,8 +115,5 @@ void UniformInit(Matrix* m, float limit, pathrank::Rng& rng);
 
 /// Xavier/Glorot uniform init for a [fan_in x fan_out] weight.
 void XavierInit(Matrix* m, pathrank::Rng& rng);
-
-/// N(0, stddev) init.
-void GaussianInit(Matrix* m, float stddev, pathrank::Rng& rng);
 
 }  // namespace pathrank::nn

@@ -67,13 +67,6 @@ std::string CellTypeName(CellType type) {
   return "?";
 }
 
-CellType ParseCellType(const std::string& name) {
-  if (name == "gru") return CellType::kGru;
-  if (name == "rnn") return CellType::kRnn;
-  if (name == "lstm") return CellType::kLstm;
-  throw std::invalid_argument("unknown cell type: " + name);
-}
-
 // ------------------------------------------------------ shared steps ----
 
 void RecurrentLayer::Forward(const std::vector<Matrix>& x_steps,

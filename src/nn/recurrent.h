@@ -172,7 +172,6 @@ class RecurrentLayer {
 enum class CellType { kGru, kRnn, kLstm };
 
 std::string CellTypeName(CellType type);
-CellType ParseCellType(const std::string& name);
 
 // Each cell draws Xavier weights from `rng` at construction (zero biases;
 // the LSTM's forget bias starts at 1). A null `rng` leaves every weight

@@ -4,27 +4,19 @@
 #include <vector>
 
 namespace pathrank::routing {
-namespace {
 
-template <typename Id>
-std::vector<Id> SortedUnique(std::span<const Id> ids) {
-  std::vector<Id> v(ids.begin(), ids.end());
+std::vector<graph::EdgeId> SortedEdgeSet(
+    std::span<const graph::EdgeId> edges) {
+  std::vector<graph::EdgeId> v(edges.begin(), edges.end());
   std::sort(v.begin(), v.end());
   v.erase(std::unique(v.begin(), v.end()), v.end());
   return v;
 }
 
-}  // namespace
-
-std::vector<graph::EdgeId> SortedEdgeSet(
-    std::span<const graph::EdgeId> edges) {
-  return SortedUnique(edges);
-}
-
 double WeightedJaccard(const graph::RoadNetwork& network,
                        std::span<const graph::EdgeId> a,
                        std::span<const graph::EdgeId> b) {
-  return WeightedJaccardSorted(network, SortedUnique(a), SortedUnique(b));
+  return WeightedJaccardSorted(network, SortedEdgeSet(a), SortedEdgeSet(b));
 }
 
 double WeightedJaccardSorted(const graph::RoadNetwork& network,
@@ -53,54 +45,6 @@ double WeightedJaccardSorted(const graph::RoadNetwork& network,
   for (; i < sa.size(); ++i) uni += network.edge(sa[i]).length_m;
   for (; j < sb.size(); ++j) uni += network.edge(sb[j]).length_m;
   return uni > 0.0 ? inter / uni : 1.0;
-}
-
-double EdgeJaccard(std::span<const graph::EdgeId> a,
-                   std::span<const graph::EdgeId> b) {
-  if (a.empty() && b.empty()) return 1.0;
-  const auto sa = SortedUnique(a);
-  const auto sb = SortedUnique(b);
-  size_t inter = 0;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < sa.size() && j < sb.size()) {
-    if (sa[i] == sb[j]) {
-      ++inter;
-      ++i;
-      ++j;
-    } else if (sa[i] < sb[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  const size_t uni = sa.size() + sb.size() - inter;
-  return uni > 0 ? static_cast<double>(inter) / static_cast<double>(uni)
-                 : 1.0;
-}
-
-double VertexJaccard(std::span<const graph::VertexId> a,
-                     std::span<const graph::VertexId> b) {
-  if (a.empty() && b.empty()) return 1.0;
-  const auto sa = SortedUnique(a);
-  const auto sb = SortedUnique(b);
-  size_t inter = 0;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < sa.size() && j < sb.size()) {
-    if (sa[i] == sb[j]) {
-      ++inter;
-      ++i;
-      ++j;
-    } else if (sa[i] < sb[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  const size_t uni = sa.size() + sb.size() - inter;
-  return uni > 0 ? static_cast<double>(inter) / static_cast<double>(uni)
-                 : 1.0;
 }
 
 }  // namespace pathrank::routing

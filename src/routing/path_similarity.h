@@ -32,12 +32,4 @@ double WeightedJaccardSorted(const graph::RoadNetwork& network,
                              std::span<const graph::EdgeId> sorted_a,
                              std::span<const graph::EdgeId> sorted_b);
 
-/// Unweighted Jaccard similarity of two edge-id sets.
-double EdgeJaccard(std::span<const graph::EdgeId> a,
-                   std::span<const graph::EdgeId> b);
-
-/// Unweighted Jaccard similarity of two vertex-id sets.
-double VertexJaccard(std::span<const graph::VertexId> a,
-                     std::span<const graph::VertexId> b);
-
 }  // namespace pathrank::routing

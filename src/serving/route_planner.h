@@ -5,9 +5,8 @@
 //      taxonomy: unknown vertex, source == destination, unreachable pair,
 //      malformed k),
 //   2. enumerates candidate paths with the configured strategy (Yen
-//      TkDI / D-TkDI / penalty baselines — the same
-//      data::CandidateGenConfig training used, so served candidates match
-//      the training distribution),
+//      TkDI or D-TkDI — the same data::CandidateGenConfig training used,
+//      so served candidates match the training distribution),
 //   3. scores the candidates through the injected scoring seam (normally
 //      ServingEngine::ScoreBatch — the same seam HttpBackend::score
 //      uses), and

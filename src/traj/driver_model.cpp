@@ -68,12 +68,6 @@ PopulationPreferences SamplePopulationPreferences(pathrank::Rng& rng) {
   return p;
 }
 
-PopulationPreferences NeutralPopulation() {
-  PopulationPreferences p;
-  p.fill(1.0);
-  return p;
-}
-
 DriverPreferences SampleDriver(int driver_id, pathrank::Rng& rng,
                                const PopulationPreferences& population) {
   DriverPreferences d;
@@ -104,10 +98,6 @@ DriverPreferences SampleDriver(int driver_id, pathrank::Rng& rng,
     m[idx(graph::RoadCategory::kTertiary)] *= rng.NextUniform(0.85, 0.95);
   }
   return d;
-}
-
-DriverPreferences SampleDriver(int driver_id, pathrank::Rng& rng) {
-  return SampleDriver(driver_id, rng, NeutralPopulation());
 }
 
 std::vector<double> PersonalizedEdgeCosts(const graph::RoadNetwork& network,

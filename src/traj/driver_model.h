@@ -37,10 +37,6 @@ using PopulationPreferences = std::array<double, graph::kNumRoadCategories>;
 /// Draws the regional consensus: big roads preferred, residential avoided.
 PopulationPreferences SamplePopulationPreferences(pathrank::Rng& rng);
 
-/// Neutral consensus (all 1.0) — drivers then differ only by their own
-/// archetype and noise. Useful for tests.
-PopulationPreferences NeutralPopulation();
-
 /// Per-driver route-choice parameters.
 struct DriverPreferences {
   int driver_id = 0;
@@ -56,9 +52,6 @@ struct DriverPreferences {
 /// drivers, stronger archetypes for a minority.
 DriverPreferences SampleDriver(int driver_id, pathrank::Rng& rng,
                                const PopulationPreferences& population);
-
-/// Convenience overload with a neutral population (tests).
-DriverPreferences SampleDriver(int driver_id, pathrank::Rng& rng);
 
 /// Materialises the personalised per-edge cost vector for one driver.
 /// Deterministic in (driver, network).

@@ -1,33 +1,17 @@
-// Trajectory data types.
+// Trip-path data type.
 //
-// A *trajectory* is a timestamped GPS point sequence as recorded by a
-// vehicle; a *trip path* is the map-matched road-network path the vehicle
-// followed. The paper's pipeline consumes trip paths (trajectory paths);
-// the GPS layer exists so the full raw-GPS -> map-matched-path loop can be
-// exercised and tested.
+// A *trip path* is the road-network path one driver followed on one trip:
+// the paper's trajectory path. This reproduction simulates trip paths
+// (traj/trajectory_generator.h) or loads them as vertex sequences
+// (traj/trip_io.h); it reads no raw GPS and map-matches nothing.
 #pragma once
-
-#include <cstdint>
-#include <vector>
 
 #include "graph/types.h"
 #include "routing/path.h"
 
 namespace pathrank::traj {
 
-/// One GPS fix.
-struct GpsPoint {
-  graph::Coordinate position;
-  double timestamp_s = 0.0;
-};
-
-/// Raw GPS recording of one trip by one driver.
-struct Trajectory {
-  int driver_id = 0;
-  std::vector<GpsPoint> points;
-};
-
-/// Map-matched (or directly simulated) road-network path of one trip.
+/// Road-network path of one trip.
 struct TripPath {
   int driver_id = 0;
   routing::Path path;

@@ -21,6 +21,7 @@ void SaveTrips(const std::vector<TripPath>& trips, const std::string& path) {
     w.WriteRow({std::to_string(trip.driver_id),
                 Join(vertex_strings, ";")});
   }
+  w.Close();
 }
 
 std::vector<TripPath> LoadTrips(const graph::RoadNetwork& network,

@@ -11,7 +11,8 @@
 namespace pathrank::traj {
 
 /// Writes trips as CSV rows: driver_id, then the vertex sequence joined
-/// with ';' (edge ids are reconstructed at load time).
+/// with ';' (edge ids are reconstructed at load time). Throws
+/// std::runtime_error when the file cannot be opened or written.
 void SaveTrips(const std::vector<TripPath>& trips, const std::string& path);
 
 /// Loads trips written by SaveTrips, rebuilding edges against `network`.

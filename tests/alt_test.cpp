@@ -1,5 +1,4 @@
-// ALT (A* with landmarks) correctness and effectiveness, plus the
-// penalty-based alternative-routes generator.
+// ALT (A* with landmarks) correctness and effectiveness.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -14,8 +13,6 @@
 #include "routing/ban_set.h"
 #include "routing/cost_model.h"
 #include "routing/dijkstra.h"
-#include "routing/path_similarity.h"
-#include "routing/penalty_alternatives.h"
 #include "routing/preprocessed_graph.h"
 #include "routing/shortest_path_engine.h"
 
@@ -216,72 +213,6 @@ TEST(Alt, LandmarksAreDistinct) {
   std::sort(lm.begin(), lm.end());
   EXPECT_EQ(std::unique(lm.begin(), lm.end()), lm.end());
   EXPECT_EQ(lm.size(), 6u);
-}
-
-class PenaltyProperty : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(PenaltyProperty, PathsDistinctValidSorted) {
-  const RoadNetwork net = BuildTestNetwork(GetParam());
-  const auto cost = EdgeCostFn::TravelTime(net);
-  PenaltyOptions options;
-  options.k = 6;
-  pathrank::Rng rng(GetParam() * 3);
-  for (int i = 0; i < 5; ++i) {
-    const auto s = static_cast<VertexId>(rng.NextBounded(net.num_vertices()));
-    const auto t = static_cast<VertexId>(rng.NextBounded(net.num_vertices()));
-    if (s == t) continue;
-    const auto paths = PenaltyAlternatives(net, s, t, cost, options);
-    ASSERT_FALSE(paths.empty());
-    std::set<std::vector<VertexId>> seen;
-    for (size_t j = 0; j < paths.size(); ++j) {
-      EXPECT_TRUE(ValidatePath(net, paths[j]).empty());
-      EXPECT_EQ(paths[j].source(), s);
-      EXPECT_EQ(paths[j].destination(), t);
-      EXPECT_TRUE(seen.insert(paths[j].vertices).second);
-      if (j > 0) {
-        EXPECT_GE(paths[j].cost, paths[j - 1].cost - 1e-9);
-      }
-    }
-  }
-}
-
-TEST_P(PenaltyProperty, FirstPathIsShortest) {
-  const RoadNetwork net = BuildTestNetwork(GetParam() + 40);
-  const auto cost = EdgeCostFn::TravelTime(net);
-  Dijkstra dijkstra(net);
-  PenaltyOptions options;
-  options.k = 4;
-  const auto paths = PenaltyAlternatives(net, 2, 61, cost, options);
-  const auto sp = dijkstra.ShortestPath(2, 61, cost);
-  ASSERT_FALSE(paths.empty());
-  ASSERT_TRUE(sp.has_value());
-  EXPECT_NEAR(paths[0].cost, sp->cost, 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, PenaltyProperty, ::testing::Values(6, 16, 26));
-
-TEST(Penalty, ProducesDiverseAlternatives) {
-  const RoadNetwork net = BuildTestNetwork(9);
-  const auto cost = EdgeCostFn::TravelTime(net);
-  PenaltyOptions options;
-  options.k = 5;
-  options.penalty_factor = 1.5;
-  const auto paths = PenaltyAlternatives(net, 0, 63, cost, options);
-  ASSERT_GE(paths.size(), 3u);
-  // Later alternatives must differ substantially from the shortest.
-  const double sim =
-      WeightedJaccard(net, paths.back().edges, paths.front().edges);
-  EXPECT_LT(sim, 0.9);
-}
-
-TEST(Penalty, UnreachableYieldsEmpty) {
-  graph::RoadNetworkBuilder b;
-  b.AddVertex({57.0, 9.9});
-  b.AddVertex({57.1, 9.9});
-  b.AddEdge(1, 0, 10.0, graph::RoadCategory::kResidential);
-  const RoadNetwork net = b.Build();
-  const auto cost = EdgeCostFn::Length(net);
-  EXPECT_TRUE(PenaltyAlternatives(net, 0, 1, cost, {}).empty());
 }
 
 }  // namespace

@@ -30,7 +30,7 @@ PathRankConfig SmallConfig() {
 
 TEST(PathRankModel, ScoresAreInUnitInterval) {
   PathRankModel model(16, SmallConfig());
-  const auto scores = model.Forward(ToyBatch());
+  const auto scores = model.ForwardFull(ToyBatch()).scores;
   ASSERT_EQ(scores.size(), 3u);
   for (float s : scores) {
     EXPECT_GT(s, 0.0f);
@@ -40,24 +40,24 @@ TEST(PathRankModel, ScoresAreInUnitInterval) {
 
 TEST(PathRankModel, DeterministicForward) {
   PathRankModel model(16, SmallConfig());
-  const auto s1 = model.Forward(ToyBatch());
-  const auto s2 = model.Forward(ToyBatch());
+  const auto s1 = model.ForwardFull(ToyBatch()).scores;
+  const auto s2 = model.ForwardFull(ToyBatch()).scores;
   for (size_t i = 0; i < s1.size(); ++i) EXPECT_EQ(s1[i], s2[i]);
 }
 
 TEST(PathRankModel, SameSeedSameModel) {
   PathRankModel a(16, SmallConfig());
   PathRankModel b(16, SmallConfig());
-  const auto sa = a.Forward(ToyBatch());
-  const auto sb = b.Forward(ToyBatch());
+  const auto sa = a.ForwardFull(ToyBatch()).scores;
+  const auto sb = b.ForwardFull(ToyBatch()).scores;
   for (size_t i = 0; i < sa.size(); ++i) EXPECT_EQ(sa[i], sb[i]);
 }
 
 TEST(PathRankModel, PaddingDoesNotChangeScores) {
   PathRankModel model(16, SmallConfig());
-  const auto mixed = model.Forward(ToyBatch());
-  const auto alone = model.Forward(
-      nn::SequenceBatch::FromSequences({{5, 6}}));
+  const auto mixed = model.ForwardFull(ToyBatch()).scores;
+  const auto alone = model.ForwardFull(
+      nn::SequenceBatch::FromSequences({{5, 6}})).scores;
   EXPECT_NEAR(mixed[1], alone[0], 1e-6f);
 }
 
@@ -78,11 +78,11 @@ TEST_P(VariantTest, EmbeddingFreezeSemantics) {
   nn::Adam adam(0.05);
   const auto batch = ToyBatch();
   const std::vector<float> truth{0.9f, 0.1f, 0.5f};
-  const auto scores = model.Forward(batch);
+  const auto scores = model.ForwardFull(batch).scores;
   std::vector<float> d;
   nn::MseLoss(scores, truth, &d);
   nn::ZeroGradients(params);
-  model.Backward(d);
+  model.BackwardFull(d, {}, {});
   adam.Step(params);
 
   double delta = 0.0;
@@ -122,12 +122,12 @@ TEST_P(CellConfig, TrainingStepReducesLoss) {
   double first_loss = 0.0;
   double last_loss = 0.0;
   for (int step = 0; step < 60; ++step) {
-    const auto scores = model.Forward(batch);
+    const auto scores = model.ForwardFull(batch).scores;
     const double loss = nn::MseLoss(scores, truth, &d);
     if (step == 0) first_loss = loss;
     last_loss = loss;
     nn::ZeroGradients(params);
-    model.Backward(d);
+    model.BackwardFull(d, {}, {});
     adam.Step(params);
   }
   EXPECT_LT(last_loss, first_loss * 0.2)
@@ -153,7 +153,7 @@ TEST_P(PoolingTest, ScoresValidAndTrainable) {
   double first_loss = 0.0;
   double last_loss = 0.0;
   for (int step = 0; step < 50; ++step) {
-    const auto scores = model.Forward(batch);
+    const auto scores = model.ForwardFull(batch).scores;
     for (float s : scores) {
       ASSERT_GT(s, 0.0f);
       ASSERT_LT(s, 1.0f);
@@ -162,7 +162,7 @@ TEST_P(PoolingTest, ScoresValidAndTrainable) {
     if (step == 0) first_loss = loss;
     last_loss = loss;
     nn::ZeroGradients(params);
-    model.Backward(d);
+    model.BackwardFull(d, {}, {});
     adam.Step(params);
   }
   EXPECT_LT(last_loss, first_loss * 0.25);
@@ -172,9 +172,9 @@ TEST_P(PoolingTest, PaddingInvariance) {
   PathRankConfig cfg = SmallConfig();
   cfg.pooling = GetParam();
   PathRankModel model(16, cfg);
-  const auto mixed = model.Forward(ToyBatch());
+  const auto mixed = model.ForwardFull(ToyBatch()).scores;
   const auto alone =
-      model.Forward(nn::SequenceBatch::FromSequences({{5, 6}}));
+      model.ForwardFull(nn::SequenceBatch::FromSequences({{5, 6}})).scores;
   EXPECT_NEAR(mixed[1], alone[0], 1e-6f);
 }
 
@@ -189,8 +189,8 @@ TEST(PathRankModel, PoolingModesDiffer) {
   final_cfg.pooling = Pooling::kFinalState;
   PathRankModel a(16, mean_cfg);
   PathRankModel b(16, final_cfg);
-  const auto sa = a.Forward(ToyBatch());
-  const auto sb = b.Forward(ToyBatch());
+  const auto sa = a.ForwardFull(ToyBatch()).scores;
+  const auto sb = b.ForwardFull(ToyBatch()).scores;
   bool any_diff = false;
   for (size_t i = 0; i < sa.size(); ++i) {
     any_diff = any_diff || sa[i] != sb[i];
@@ -216,8 +216,8 @@ TEST(PathRankModel, InitializeEmbeddingIsUsed) {
   model.InitializeEmbedding(table);
   // Scores before/after must differ from a fresh model with random init.
   PathRankModel fresh(16, cfg);
-  const auto s1 = model.Forward(ToyBatch());
-  const auto s2 = fresh.Forward(ToyBatch());
+  const auto s1 = model.ForwardFull(ToyBatch()).scores;
+  const auto s2 = fresh.ForwardFull(ToyBatch()).scores;
   bool any_diff = false;
   for (size_t i = 0; i < s1.size(); ++i) {
     any_diff = any_diff || std::abs(s1[i] - s2[i]) > 1e-9f;

@@ -122,13 +122,6 @@ TEST(RoadNetwork, PathAggregates) {
   EXPECT_GT(net.PathTravelTimeSeconds(edges), 0.0);
 }
 
-TEST(RoadNetwork, BoundsContainAllVertices) {
-  const RoadNetwork net = MakeTriangle();
-  for (VertexId v = 0; v < net.num_vertices(); ++v) {
-    EXPECT_TRUE(net.bounds().Contains(net.coordinate(v)));
-  }
-}
-
 TEST(Types, HaversineKnownDistance) {
   // Aalborg to Copenhagen is roughly 223.5 km in a straight line.
   const Coordinate aalborg{57.0488, 9.9217};
@@ -343,9 +336,21 @@ TEST(GraphIo, OutOfRangeAndJunkSuffixFieldsRejected) {
        {"4294967296,1,1000.0,50.0,primary", "12x,1,1000.0,50.0,primary",
         "0,1,12,3.0,50.0,primary", "0,1,1000.0,50.0,motorbike",
         "0,1,nan,50.0,primary", "0,1,inf,50.0,primary",
-        "0,1,-1000.0,50.0,primary", "0,1,1000.0,-50.0,primary"}) {
+        "0,1,-1000.0,50.0,primary", "0,1,1000.0,-50.0,primary",
+        // An endpoint that is not a vertex row (the file has vertices 0
+        // and 1) and a zero length used to fail the builder's internal
+        // check, a std::logic_error with no file or line.
+        "1,7,1000.0,50.0,primary", "7,1,1000.0,50.0,primary",
+        "0,1,0,50.0,primary"}) {
     const std::string prefix = WriteNetworkWithEdgeRow("pr_net_bad2", row);
-    EXPECT_THROW(LoadNetworkCsv(prefix), std::runtime_error) << row;
+    try {
+      LoadNetworkCsv(prefix);
+      ADD_FAILURE() << "expected std::runtime_error for " << row;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("_edges.csv:2"),
+                std::string::npos)
+          << e.what();
+    }
     std::remove((prefix + "_vertices.csv").c_str());
     std::remove((prefix + "_edges.csv").c_str());
   }
@@ -399,6 +404,45 @@ TEST(GraphIo, MalformedVertexCoordinateReportsFileLine) {
   }
   std::remove((prefix + "_vertices.csv").c_str());
   std::remove((prefix + "_edges.csv").c_str());
+}
+
+TEST(GraphIo, VertexIdsMustFollowRowOrder) {
+  // Edges name vertices by id and the loader numbers them by row, so ids
+  // 2,0,1 would give vertex 0 the coordinates written for id 2.
+  const std::string prefix =
+      (std::filesystem::temp_directory_path() / "pr_net_order").string();
+  {
+    std::ofstream vertices(prefix + "_vertices.csv");
+    vertices << "id,lat,lon\n2,57.02,9.9\n0,57.0,9.9\n1,57.01,9.9\n";
+  }
+  {
+    std::ofstream edges(prefix + "_edges.csv");
+    edges << "from,to,length_m,travel_time_s,category\n"
+          << "0,1,1000.0,50.0,primary\n";
+  }
+  try {
+    LoadNetworkCsv(prefix);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("_vertices.csv:2"), std::string::npos) << what;
+    EXPECT_NE(what.find("'2'"), std::string::npos) << what;
+  }
+  std::remove((prefix + "_vertices.csv").c_str());
+  std::remove((prefix + "_edges.csv").c_str());
+}
+
+TEST(GraphIo, SaveReportsAFailedWrite) {
+  // Every write to /dev/full fails with ENOSPC. A network this small is
+  // written only when the file is closed.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const std::string prefix =
+      (std::filesystem::temp_directory_path() / "pr_net_full").string();
+  std::filesystem::remove(prefix + "_vertices.csv");
+  std::filesystem::create_symlink("/dev/full", prefix + "_vertices.csv");
+  EXPECT_THROW(SaveNetworkCsv(MakeTriangle(), prefix), std::runtime_error);
+  std::filesystem::remove(prefix + "_vertices.csv");
+  std::filesystem::remove(prefix + "_edges.csv");
 }
 
 TEST(GraphIo, EdgesOnlyLoaderRejectsImplausibleVertexIds) {

@@ -34,6 +34,17 @@ PathRankConfig SmallConfig() {
   return cfg;
 }
 
+TEST(ModelIo, SaveReportsAFailedWrite) {
+  // Every write to /dev/full fails with ENOSPC. A checkpoint this small
+  // is written only when the file is closed.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  PathRankConfig cfg;
+  cfg.embedding_dim = 2;
+  cfg.hidden_size = 2;
+  const PathRankModel model(4, cfg);
+  EXPECT_THROW(SaveModel(model, "/dev/full"), std::runtime_error);
+}
+
 TEST(ModelIo, RoundTripReproducesScores) {
   PathRankModel model(16, SmallConfig());
   // Perturb away from init: one training step.
@@ -41,17 +52,17 @@ TEST(ModelIo, RoundTripReproducesScores) {
   const auto batch = ToyBatch();
   const std::vector<float> truth{0.9f, 0.1f, 0.5f};
   std::vector<float> d;
-  const auto scores0 = model.Forward(batch);
+  const auto scores0 = model.ForwardFull(batch).scores;
   nn::MseLoss(scores0, truth, &d);
   nn::ZeroGradients(model.Parameters());
-  model.Backward(d);
+  model.BackwardFull(d, {}, {});
   adam.Step(model.Parameters());
 
-  const auto expected = model.Forward(batch);
+  const auto expected = model.ForwardFull(batch).scores;
   const std::string path = TempPath("pr_model.bin");
   SaveModel(model, path);
   auto loaded = LoadModel(path);
-  const auto got = loaded->Forward(batch);
+  const auto got = loaded->ForwardFull(batch).scores;
   ASSERT_EQ(got.size(), expected.size());
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i], expected[i]);
@@ -263,7 +274,7 @@ TEST(MultiTask, JointTrainingReducesAllLosses) {
 TEST(MultiTask, BackwardFullRejectsAuxWithoutMultiTask) {
   PathRankModel model(16, SmallConfig());
   const auto batch = ToyBatch();
-  model.Forward(batch);
+  model.ForwardFull(batch);
   const std::vector<float> d{0.1f, 0.1f, 0.1f};
   EXPECT_THROW(model.BackwardFull(d, d, d), std::logic_error);
 }

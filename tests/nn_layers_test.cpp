@@ -221,13 +221,6 @@ INSTANTIATE_TEST_SUITE_P(Cells, RecurrentShapes,
                          ::testing::Values(CellType::kGru, CellType::kRnn,
                                            CellType::kLstm));
 
-TEST(CellType, NamesRoundTrip) {
-  for (CellType t : {CellType::kGru, CellType::kRnn, CellType::kLstm}) {
-    EXPECT_EQ(ParseCellType(CellTypeName(t)), t);
-  }
-  EXPECT_THROW(ParseCellType("transformer"), std::invalid_argument);
-}
-
 TEST(Loss, MseValueAndGradient) {
   const std::vector<float> p{1.0f, 0.0f};
   const std::vector<float> t{0.0f, 0.0f};

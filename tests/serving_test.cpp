@@ -146,8 +146,8 @@ TEST(ForwardInference, ScratchReuseAcrossGeometriesIsStable) {
   // Alternate between batch geometries with one scratch: stale shapes
   // must never leak into results.
   const auto small = nn::SequenceBatch::FromSequences({{3, 1}});
-  const auto expected_toy = model.Forward(ToyBatch());
-  const auto expected_small = model.Forward(small);
+  const auto expected_toy = model.ForwardFull(ToyBatch()).scores;
+  const auto expected_small = model.ForwardFull(small).scores;
   for (int round = 0; round < 3; ++round) {
     const auto toy_scores =
         model.ForwardInference(ToyBatch(), tables, &scratch);
@@ -169,8 +169,8 @@ TEST(SkipInit, CopiedReplicaScoresBitwiseEqual) {
     core::PathRankModel source(16, cfg);
     core::PathRankModel replica(16, cfg, core::InitMode::kSkipInit);
     replica.CopyParametersFrom(source);
-    const auto expected = source.Forward(ToyBatch());
-    const auto actual = replica.Forward(ToyBatch());
+    const auto expected = source.ForwardFull(ToyBatch()).scores;
+    const auto actual = replica.ForwardFull(ToyBatch()).scores;
     for (size_t i = 0; i < expected.size(); ++i) {
       EXPECT_EQ(expected[i], actual[i]);
     }
@@ -203,7 +203,7 @@ TEST(ModelSnapshot, ConstSnapshotIsUsable) {
   EXPECT_EQ(snap.config().hidden_size, SmallConfig().hidden_size);
 
   core::InferenceScratch scratch;
-  const auto expected = model.Forward(ToyBatch());
+  const auto expected = model.ForwardFull(ToyBatch()).scores;
   const auto actual =
       snap.model().ForwardInference(ToyBatch(), snap.tables(), &scratch);
   for (size_t i = 0; i < expected.size(); ++i) {
@@ -224,7 +224,7 @@ TEST(ModelSnapshot, IsImmuneToLaterTrainingOfTheSource) {
       p->value.data()[i] += 0.25f;
     }
   }
-  const auto source_now = model.Forward(ToyBatch());
+  const auto source_now = model.ForwardFull(ToyBatch()).scores;
   const auto after = snapshot->model().ForwardInference(
       ToyBatch(), snapshot->tables(), &scratch);
   bool source_changed = false;
@@ -261,7 +261,7 @@ TEST(ServingEngine, ScoreBatchMatchesTrainingForward) {
     seqs.push_back(std::move(seq));
   }
   const auto scores =
-      fx.model.Forward(nn::SequenceBatch::FromSequences(seqs));
+      fx.model.ForwardFull(nn::SequenceBatch::FromSequences(seqs)).scores;
 
   auto scored = engine.ScoreBatch(candidates);
   ASSERT_EQ(scored.size(), candidates.size());

@@ -1,4 +1,4 @@
-// Weighted Jaccard and plain Jaccard similarity properties.
+// Weighted Jaccard similarity properties.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -88,10 +88,13 @@ TEST_P(SimilarityProperty, RangeAndSymmetry) {
     EXPECT_DOUBLE_EQ(ab, ba);
     EXPECT_GE(ab, 0.0);
     EXPECT_LE(ab, 1.0);
-    // Weighted and unweighted Jaccard agree on the extremes.
-    const double ej = EdgeJaccard(p1->edges, p2->edges);
-    EXPECT_EQ(ab == 1.0, ej == 1.0);
-    EXPECT_EQ(ab == 0.0, ej == 0.0);
+    // The extremes are set equality and disjointness.
+    const std::set<EdgeId> e1(p1->edges.begin(), p1->edges.end());
+    const std::set<EdgeId> e2(p2->edges.begin(), p2->edges.end());
+    EXPECT_EQ(ab == 1.0, e1 == e2);
+    EXPECT_EQ(ab == 0.0, std::none_of(e1.begin(), e1.end(), [&](EdgeId e) {
+                return e2.count(e) > 0;
+              }));
   }
 }
 
@@ -143,26 +146,6 @@ TEST(WeightedJaccard, SortedSetFormIsBitwiseEqual) {
               std::bit_cast<uint64_t>(got))
         << "pair " << i;
   }
-}
-
-TEST(EdgeJaccard, CountsCorrectly) {
-  const std::vector<EdgeId> a{1, 2, 3};
-  const std::vector<EdgeId> b{2, 3, 4, 5};
-  // intersection 2, union 5.
-  EXPECT_DOUBLE_EQ(EdgeJaccard(a, b), 0.4);
-}
-
-TEST(EdgeJaccard, DuplicatesAreIgnored) {
-  const std::vector<EdgeId> a{1, 1, 2};
-  const std::vector<EdgeId> b{2, 2, 1};
-  EXPECT_DOUBLE_EQ(EdgeJaccard(a, b), 1.0);
-}
-
-TEST(VertexJaccard, BasicOverlap) {
-  const std::vector<graph::VertexId> a{10, 11, 12};
-  const std::vector<graph::VertexId> b{12, 13};
-  // intersection 1, union 4.
-  EXPECT_DOUBLE_EQ(VertexJaccard(a, b), 0.25);
 }
 
 }  // namespace

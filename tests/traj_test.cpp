@@ -1,5 +1,5 @@
-// Trajectory substrate: driver model, trip generation (including the
-// paper's "neither shortest nor fastest" premise) and the GPS simulator.
+// Trajectory substrate: driver model and trip generation (including the
+// paper's "neither shortest nor fastest" premise).
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -8,7 +8,6 @@
 #include "routing/dijkstra.h"
 #include "routing/path.h"
 #include "traj/driver_model.h"
-#include "traj/gps_simulator.h"
 #include "traj/trajectory_generator.h"
 
 namespace pathrank::traj {
@@ -19,11 +18,19 @@ using graph::BuildTestNetwork;
 using graph::RoadNetwork;
 using graph::SyntheticNetworkConfig;
 
+// A driver around a neutral consensus (all 1.0): drivers then differ only
+// by their own jitter, archetype and noise.
+DriverPreferences NeutralDriver(int driver_id, pathrank::Rng& rng) {
+  PopulationPreferences neutral;
+  neutral.fill(1.0);
+  return SampleDriver(driver_id, rng, neutral);
+}
+
 TEST(DriverModel, DeterministicUnderSameRngSeed) {
   pathrank::Rng rng1(5);
   pathrank::Rng rng2(5);
-  const DriverPreferences a = SampleDriver(1, rng1);
-  const DriverPreferences b = SampleDriver(1, rng2);
+  const DriverPreferences a = NeutralDriver(1, rng1);
+  const DriverPreferences b = NeutralDriver(1, rng2);
   EXPECT_EQ(a.noise_seed, b.noise_seed);
   for (int i = 0; i < graph::kNumRoadCategories; ++i) {
     EXPECT_DOUBLE_EQ(a.category_multiplier[i], b.category_multiplier[i]);
@@ -33,7 +40,7 @@ TEST(DriverModel, DeterministicUnderSameRngSeed) {
 TEST(DriverModel, PersonalizedCostsPositiveAndDeterministic) {
   const RoadNetwork net = BuildTestNetwork();
   pathrank::Rng rng(6);
-  const DriverPreferences driver = SampleDriver(0, rng);
+  const DriverPreferences driver = NeutralDriver(0, rng);
   const auto costs1 = PersonalizedEdgeCosts(net, driver);
   const auto costs2 = PersonalizedEdgeCosts(net, driver);
   ASSERT_EQ(costs1.size(), net.num_edges());
@@ -46,8 +53,8 @@ TEST(DriverModel, PersonalizedCostsPositiveAndDeterministic) {
 TEST(DriverModel, DifferentDriversDifferentCosts) {
   const RoadNetwork net = BuildTestNetwork();
   pathrank::Rng rng(7);
-  const auto c1 = PersonalizedEdgeCosts(net, SampleDriver(0, rng));
-  const auto c2 = PersonalizedEdgeCosts(net, SampleDriver(1, rng));
+  const auto c1 = PersonalizedEdgeCosts(net, NeutralDriver(0, rng));
+  const auto c2 = PersonalizedEdgeCosts(net, NeutralDriver(1, rng));
   int differing = 0;
   for (size_t e = 0; e < c1.size(); ++e) {
     if (std::abs(c1[e] - c2[e]) > 1e-12) ++differing;
@@ -130,74 +137,6 @@ TEST(Generator, ReproducesPaperPremise) {
   }
   // At least 30% of simulated trips deviate from both canonical routes.
   EXPECT_GE(neither, 30);
-}
-
-TEST(GpsSimulator, TimestampsMonotoneAndCoverTrip) {
-  const RoadNetwork net = BuildTestNetwork();
-  TrajectoryGeneratorConfig cfg;
-  cfg.num_drivers = 3;
-  cfg.num_trips = 5;
-  cfg.min_trip_distance_m = 1500.0;
-  const auto trips = TrajectoryGenerator(net, cfg).Generate();
-  pathrank::Rng rng(3);
-  GpsSimulatorConfig gps_cfg;
-  gps_cfg.sample_interval_s = 5.0;
-  gps_cfg.noise_sigma_m = 10.0;
-  for (const TripPath& trip : trips) {
-    const Trajectory t = SimulateGps(net, trip, gps_cfg, rng);
-    ASSERT_GE(t.points.size(), 2u);
-    for (size_t i = 1; i < t.points.size(); ++i) {
-      EXPECT_GE(t.points[i].timestamp_s, t.points[i - 1].timestamp_s);
-    }
-    // Total duration matches the free-flow travel time.
-    EXPECT_NEAR(t.points.back().timestamp_s, trip.path.time_s,
-                gps_cfg.sample_interval_s + 1e-6);
-  }
-}
-
-TEST(GpsSimulator, NoiseIsBounded) {
-  const RoadNetwork net = BuildTestNetwork();
-  TrajectoryGeneratorConfig cfg;
-  cfg.num_drivers = 1;
-  cfg.num_trips = 3;
-  cfg.min_trip_distance_m = 1500.0;
-  const auto trips = TrajectoryGenerator(net, cfg).Generate();
-  pathrank::Rng rng(4);
-  GpsSimulatorConfig gps_cfg;
-  gps_cfg.noise_sigma_m = 5.0;
-  const Trajectory t = SimulateGps(net, trips[0], gps_cfg, rng);
-  // Every fix should be within ~6 sigma of some path vertex segment; a
-  // cheap proxy: within 6 sigma + max edge length of the nearest vertex.
-  double max_edge = 0.0;
-  for (graph::EdgeId e : trips[0].path.edges) {
-    max_edge = std::max(max_edge, net.edge(e).length_m);
-  }
-  for (const GpsPoint& p : t.points) {
-    double best = 1e18;
-    for (graph::VertexId v : trips[0].path.vertices) {
-      best = std::min(best,
-                      graph::FastDistanceMeters(p.position, net.coordinate(v)));
-    }
-    EXPECT_LT(best, max_edge / 2 + 6 * gps_cfg.noise_sigma_m + 1.0);
-  }
-}
-
-TEST(GpsSimulator, HigherRateYieldsMorePoints) {
-  const RoadNetwork net = BuildTestNetwork();
-  TrajectoryGeneratorConfig cfg;
-  cfg.num_drivers = 1;
-  cfg.num_trips = 1;
-  cfg.min_trip_distance_m = 2000.0;
-  const auto trips = TrajectoryGenerator(net, cfg).Generate();
-  pathrank::Rng rng1(5);
-  pathrank::Rng rng2(5);
-  GpsSimulatorConfig fast;
-  fast.sample_interval_s = 1.0;
-  GpsSimulatorConfig slow;
-  slow.sample_interval_s = 10.0;
-  const auto t_fast = SimulateGps(net, trips[0], fast, rng1);
-  const auto t_slow = SimulateGps(net, trips[0], slow, rng2);
-  EXPECT_GT(t_fast.points.size(), t_slow.points.size());
 }
 
 }  // namespace

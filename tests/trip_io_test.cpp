@@ -39,6 +39,18 @@ TEST(TripIo, RoundTripPreservesPaths) {
   std::remove(path.c_str());
 }
 
+TEST(TripIo, SaveReportsAFailedWrite) {
+  // Every write to /dev/full fails with ENOSPC; a corpus this small is
+  // written only when the file is closed.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const auto net = BuildTestNetwork(3);
+  TrajectoryGeneratorConfig cfg;
+  cfg.num_drivers = 1;
+  cfg.num_trips = 2;
+  const auto trips = TrajectoryGenerator(net, cfg).Generate();
+  EXPECT_THROW(SaveTrips(trips, "/dev/full"), std::runtime_error);
+}
+
 TEST(TripIo, RejectsDisconnectedSequence) {
   const auto net = BuildTestNetwork(3);
   const std::string path = TempPath("pr_trips_bad.csv");

@@ -5,7 +5,8 @@
 # --threshold at its inclusive bound 1) must still train and write its
 # checkpoint, so the rejections are not an artefact of the invocation.
 # `evaluate`, `rank` and `serve` must reject the out-of-range candidate
-# flags (--k, --threshold) the same way, with valid files to read; each
+# flags (--k, --threshold) the same way, with valid files to read. All
+# four must reject a --strategy other than tkdi or dtkdi the same way. Each
 # `serve` case runs under `timeout 10`, so a server that boots instead
 # fails the check rather than hanging it.
 # Registered as the `cli_usage_check` ctest.
@@ -97,9 +98,15 @@ for command in evaluate rank serve; do
   done
 done
 
+for command in train evaluate rank serve; do
+  for value in penalty bogus; do
+    expect_rejected "$command" strategy "$value"
+  done
+done
+
 if [[ "$failures" -ne 0 ]]; then
   echo "check_cli_usage: $failures failure(s)"
   exit 1
 fi
 echo "check_cli_usage: every out-of-range train, evaluate, rank and serve" \
-  "flag exits 2 and writes nothing"
+  "flag and every unknown --strategy exits 2 and writes nothing"

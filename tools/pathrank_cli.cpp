@@ -153,8 +153,7 @@ data::CandidateStrategy ParseStrategy(const std::string& name) {
   if (name == "dtkdi" || name == "div") {
     return data::CandidateStrategy::kDiversifiedTopK;
   }
-  if (name == "penalty") return data::CandidateStrategy::kPenalty;
-  std::fprintf(stderr, "unknown strategy: %s (tkdi|dtkdi|penalty)\n",
+  std::fprintf(stderr, "--strategy must be tkdi or dtkdi (got '%s')\n",
                name.c_str());
   std::exit(2);
 }
@@ -757,13 +756,13 @@ void PrintUsage() {
       "  network   --out PREFIX [--rows N --cols N --seed S]\n"
       "  simulate  --network PREFIX --out TRIPS.csv [--trips N --drivers N]\n"
       "  train     --network PREFIX --trips TRIPS.csv --out MODEL.bin\n"
-      "            [--strategy tkdi|dtkdi|penalty --k K --m M --hidden H\n"
+      "            [--strategy tkdi|dtkdi --k K --m M --hidden H\n"
       "             --threshold T --epochs E --lr LR --finetune 0|1\n"
       "             --multitask 0|1]\n"
       "  evaluate  --network PREFIX --trips TRIPS.csv --model MODEL.bin\n"
-      "            [--strategy tkdi|dtkdi|penalty --k K --threshold T]\n"
+      "            [--strategy tkdi|dtkdi --k K --threshold T]\n"
       "  rank      --network PREFIX --model MODEL.bin --from V --to V\n"
-      "            [--strategy tkdi|dtkdi|penalty --k K --threshold T]\n"
+      "            [--strategy tkdi|dtkdi --k K --threshold T]\n"
       "  serve     (--network PREFIX | --graph EDGES.csv) --model MODEL.bin\n"
       "            --http PORT\n"
       "            [--replicas R --strategy ... --k K "
