@@ -12,9 +12,9 @@ int main() {
   const ExperimentScale scale = ResolveScale();
   std::printf("Cell ablation (D-TkDI, PR-A2, M=64), scale=%s\n\n",
               scale.name.c_str());
-  std::printf("%-8s %6s %8s %8s %8s %8s %10s\n", "cell", "bidir", "MAE",
-              "MARE", "tau", "rho", "train(s)");
-  std::printf("%s\n", std::string(62, '-').c_str());
+  std::printf("%-8s %6s %8s %8s %8s %8s\n", "cell", "bidir", "MAE",
+              "MARE", "tau", "rho");
+  std::printf("%s\n", std::string(51, '-').c_str());
 
   const Workload workload =
       BuildWorkload(scale, data::CandidateStrategy::kDiversifiedTopK);
@@ -38,11 +38,13 @@ int main() {
     spec.bidirectional = c.bidir;
     const ExperimentResult r =
         RunExperiment(workload, embeddings, scale, spec);
-    std::printf("%-8s %6s %8.4f %8.4f %8.4f %8.4f %10.1f\n",
-                nn::CellTypeName(c.cell).c_str(), c.bidir ? "yes" : "no",
-                r.test.mae, r.test.mare, r.test.kendall_tau,
-                r.test.spearman_rho, r.train_seconds);
+    const std::string cell = nn::CellTypeName(c.cell);
+    std::printf("%-8s %6s %8.4f %8.4f %8.4f %8.4f\n", cell.c_str(),
+                c.bidir ? "yes" : "no", r.test.mae, r.test.mare,
+                r.test.kendall_tau, r.test.spearman_rho);
     std::fflush(stdout);
+    ReportTrainSeconds(cell + (c.bidir ? " bidir" : " unidir"),
+                       r.train_seconds);
   }
   return 0;
 }

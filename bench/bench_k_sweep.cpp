@@ -12,9 +12,8 @@ int main() {
   ExperimentScale scale = ResolveScale();
   std::printf("k-sweep ablation (D-TkDI, PR-A2, M=64), scale=%s\n\n",
               scale.name.c_str());
-  std::printf("%5s %8s %8s %8s %8s %10s\n", "k", "MAE", "MARE", "tau", "rho",
-              "train(s)");
-  std::printf("%s\n", std::string(52, '-').c_str());
+  std::printf("%5s %8s %8s %8s %8s\n", "k", "MAE", "MARE", "tau", "rho");
+  std::printf("%s\n", std::string(41, '-').c_str());
 
   for (const int k : {4, 12}) {
     scale.candidates_k = k;
@@ -25,10 +24,10 @@ int main() {
     spec.embedding_dim = 64;
     spec.finetune_embedding = true;
     const ExperimentResult r = RunExperiment(workload, embeddings, scale, spec);
-    std::printf("%5d %8.4f %8.4f %8.4f %8.4f %10.1f\n", k, r.test.mae,
-                r.test.mare, r.test.kendall_tau, r.test.spearman_rho,
-                r.train_seconds);
+    std::printf("%5d %8.4f %8.4f %8.4f %8.4f\n", k, r.test.mae, r.test.mare,
+                r.test.kendall_tau, r.test.spearman_rho);
     std::fflush(stdout);
+    ReportTrainSeconds("k=" + std::to_string(k), r.train_seconds);
   }
   return 0;
 }

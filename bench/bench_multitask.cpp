@@ -14,9 +14,9 @@ int main() {
   const ExperimentScale scale = ResolveScale();
   std::printf("Multi-task ablation (D-TkDI, PR-A2, M=64), scale=%s\n\n",
               scale.name.c_str());
-  std::printf("%-14s %8s %8s %8s %8s %10s\n", "model", "MAE", "MARE", "tau",
-              "rho", "train(s)");
-  std::printf("%s\n", std::string(60, '-').c_str());
+  std::printf("%-14s %8s %8s %8s %8s\n", "model", "MAE", "MARE", "tau",
+              "rho");
+  std::printf("%s\n", std::string(49, '-').c_str());
 
   const Workload workload =
       BuildWorkload(scale, data::CandidateStrategy::kDiversifiedTopK);
@@ -44,10 +44,11 @@ int main() {
                         workload.split.validation, train_cfg);
     const double seconds = watch.ElapsedSeconds();
     const auto result = core::Evaluate(model, workload.split.test);
-    std::printf("%-14s %8.4f %8.4f %8.4f %8.4f %10.1f\n",
-                multi_task ? "PR-A2+MT" : "PR-A2", result.mae, result.mare,
-                result.kendall_tau, result.spearman_rho, seconds);
+    const char* name = multi_task ? "PR-A2+MT" : "PR-A2";
+    std::printf("%-14s %8.4f %8.4f %8.4f %8.4f\n", name, result.mae,
+                result.mare, result.kendall_tau, result.spearman_rho);
     std::fflush(stdout);
+    ReportTrainSeconds(name, seconds);
   }
   return 0;
 }

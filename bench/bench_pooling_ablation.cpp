@@ -14,9 +14,9 @@ int main() {
   const ExperimentScale scale = ResolveScale();
   std::printf("Pooling ablation (D-TkDI, PR-A2, M=64), scale=%s\n\n",
               scale.name.c_str());
-  std::printf("%-12s %8s %8s %8s %8s %10s\n", "pooling", "MAE", "MARE",
-              "tau", "rho", "train(s)");
-  std::printf("%s\n", std::string(58, '-').c_str());
+  std::printf("%-12s %8s %8s %8s %8s\n", "pooling", "MAE", "MARE", "tau",
+              "rho");
+  std::printf("%s\n", std::string(47, '-').c_str());
 
   const Workload workload =
       BuildWorkload(scale, data::CandidateStrategy::kDiversifiedTopK);
@@ -44,11 +44,12 @@ int main() {
                         workload.split.validation, train_cfg);
     const double seconds = watch.ElapsedSeconds();
     const auto result = core::Evaluate(model, workload.split.test);
-    std::printf("%-12s %8.4f %8.4f %8.4f %8.4f %10.1f\n",
-                pooling == core::Pooling::kMean ? "mean" : "final-state",
-                result.mae, result.mare, result.kendall_tau,
-                result.spearman_rho, seconds);
+    const char* name =
+        pooling == core::Pooling::kMean ? "mean" : "final-state";
+    std::printf("%-12s %8.4f %8.4f %8.4f %8.4f\n", name, result.mae,
+                result.mare, result.kendall_tau, result.spearman_rho);
     std::fflush(stdout);
+    ReportTrainSeconds(name, seconds);
   }
   return 0;
 }

@@ -130,17 +130,23 @@ ExperimentResult RunExperiment(const Workload& workload,
 
 void PrintTableHeader(const std::string& title) {
   std::printf("%s\n", title.c_str());
-  std::printf("%-10s %5s %8s %8s %8s %8s %10s\n", "Strategy", "M", "MAE",
-              "MARE", "tau", "rho", "train(s)");
-  std::printf("%s\n", std::string(62, '-').c_str());
+  std::printf("%-10s %5s %8s %8s %8s %8s\n", "Strategy", "M", "MAE",
+              "MARE", "tau", "rho");
+  std::printf("%s\n", std::string(51, '-').c_str());
 }
 
 void PrintTableRow(const std::string& strategy, int m,
                    const ExperimentResult& result) {
-  std::printf("%-10s %5d %8.4f %8.4f %8.4f %8.4f %10.1f\n", strategy.c_str(),
-              m, result.test.mae, result.test.mare, result.test.kendall_tau,
-              result.test.spearman_rho, result.train_seconds);
+  std::printf("%-10s %5d %8.4f %8.4f %8.4f %8.4f\n", strategy.c_str(), m,
+              result.test.mae, result.test.mare, result.test.kendall_tau,
+              result.test.spearman_rho);
   std::fflush(stdout);
+  ReportTrainSeconds(strategy + " M=" + std::to_string(m),
+                     result.train_seconds);
+}
+
+void ReportTrainSeconds(const std::string& row, double seconds) {
+  std::fprintf(stderr, "train(s) %s: %.1f\n", row.c_str(), seconds);
 }
 
 }  // namespace pathrank::bench

@@ -77,8 +77,13 @@ ExperimentResult RunExperiment(const Workload& workload,
 /// Prints the standard table header used by the table benches.
 void PrintTableHeader(const std::string& title);
 
-/// Prints one table row in the paper's format.
+/// Prints one table row in the paper's format; its training wall time
+/// goes to stderr (ReportTrainSeconds).
 void PrintTableRow(const std::string& strategy, int m,
                    const ExperimentResult& result);
+
+/// Prints a row's training wall time to stderr, so the tables on stdout
+/// are byte-identical between two runs of the same code.
+void ReportTrainSeconds(const std::string& row, double seconds);
 
 }  // namespace pathrank::bench

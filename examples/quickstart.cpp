@@ -77,7 +77,7 @@ int main() {
   std::printf("[6/7] test: %s\n", result.ToString().c_str());
 
   // 7. Deployment: capture an immutable snapshot of the trained weights
-  // in a replica-pool scorer, and rank through a RoutePlanner that
+  // in a thread-safe scorer, and rank through a RoutePlanner that
   // enumerates each query's candidates and scores them with it. Any
   // number of threads could now call planner.Plan concurrently.
   const auto& query_trip = split.test.queries.front();

@@ -12,12 +12,9 @@ const char* LockRankName(int rank) {
     case LockRank::kHttpAdmit: return "http.admit";
     case LockRank::kGraphRebuild: return "graph.rebuild";
     case LockRank::kGraphStore: return "graph.store";
-    case LockRank::kRouteFlightTable: return "planner.flight_table";
-    case LockRank::kRouteFlight: return "planner.flight";
     case LockRank::kRouteCache: return "planner.cache";
     case LockRank::kEngineSnapshot: return "engine.snapshot";
     case LockRank::kEngineScoreMemo: return "engine.score_memo";
-    case LockRank::kEngineReplica: return "engine.replica";
     case LockRank::kHttpEndpointStats: return "http.endpoint_stats";
     case LockRank::kStderrLog: return "log.stderr";
     default: return "unranked";

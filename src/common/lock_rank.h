@@ -34,7 +34,7 @@
 // acquire (callees' locks — remember logging), then pick a rank strictly
 // between them. The table leaves gaps of 10 for exactly this. Two
 // mutexes may share a rank ONLY when no thread ever holds both at once
-// (the per-replica scoring locks do this; a caller holds exactly one).
+// (every score memo does this; ScoreBatch holds one memo's at a time).
 // When off (the default), the checker costs nothing: Mutex carries no
 // extra state and lock()/unlock() compile to the bare std::mutex calls.
 #pragma once
@@ -66,27 +66,19 @@ struct LockRank {
   static constexpr int kGraphStore = 50;
 
   // -- route planner -----------------------------------------------------
-  /// RoutePlanner::flight_mu_ — the single-flight table.
-  static constexpr int kRouteFlightTable = 60;
-  /// RoutePlanner::Flight::mu — one in-progress enumeration's state. A
-  /// thread holds at most one flight's lock at a time.
-  static constexpr int kRouteFlight = 70;
-  /// RoutePlanner::cache_mu_ — the LRU answer cache.
+  /// RoutePlanner::cache_mu_ — the LRU answer cache, the planner's one
+  /// lock.
   static constexpr int kRouteCache = 80;
 
   // -- model serving -----------------------------------------------------
   /// ServingEngine::snapshot_mu_ — the served-snapshot slot.
   static constexpr int kEngineSnapshot = 100;
   /// ServingEngine::ScoreMemo::mu_ — one snapshot's score memo. Never
-  /// held with engine.snapshot or a replica lock: ScoreBatch looks up,
-  /// releases, scores, then inserts.
+  /// held with engine.snapshot: ScoreBatch looks up, releases, scores
+  /// without a lock, then inserts.
   static constexpr int kEngineScoreMemo = 110;
 
   // -- leaves ------------------------------------------------------------
-  /// ServingEngine round-robin Replica::mu — per-caller scoring scratch.
-  /// A caller holds exactly one replica, so all replicas share this rank.
-  /// The inference under it runs serially on the caller's thread.
-  static constexpr int kEngineReplica = 150;
   /// HttpServer::Endpoint::mu — per-endpoint latency/error counters.
   static constexpr int kHttpEndpointStats = 160;
   /// logging's StderrMutex — serialises emission to stderr. The absolute
@@ -94,7 +86,7 @@ struct LockRank {
   static constexpr int kStderrLog = 170;
 };
 
-/// Hierarchy name for a registry rank above ("http.stop", "engine.replica",
+/// Hierarchy name for a registry rank above ("http.stop", "planner.cache",
 /// ...); "unranked" for 0 and anything not in the table. For logs, tests
 /// and the checker's abort message.
 const char* LockRankName(int rank);

@@ -13,7 +13,7 @@
 //   auto result  = core::Evaluate(model, split.test);
 //
 // Deployment goes through the serving stack: capture an immutable snapshot
-// of the trained weights in a thread-safe replica-pool scorer, and rank
+// of the trained weights in a thread-safe scorer, and rank
 // queries through a RoutePlanner that enumerates candidates and scores
 // them with it (any number of threads may share both):
 //

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/parse.h"
+#include "common/string_util.h"
 
 namespace pathrank::serving {
 
@@ -41,21 +42,6 @@ double UniformDraw(uint64_t seed, uint64_t site_hash, uint64_t ordinal) {
                                  const std::string& what) {
   throw FaultSpecError("fault spec rule " + std::to_string(rule_index) +
                        ": " + what);
-}
-
-std::vector<std::string> Split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (start <= s.size()) {
-    const size_t end = s.find(sep, start);
-    if (end == std::string::npos) {
-      out.push_back(s.substr(start));
-      break;
-    }
-    out.push_back(s.substr(start, end - start));
-    start = end + 1;
-  }
-  return out;
 }
 
 }  // namespace

@@ -861,8 +861,6 @@ json::Value StatszJson(const HttpServerStats& stats,
     planner["cache_misses"] = json::Value(stats.route_planner.cache_misses);
     planner["invalidations"] =
         json::Value(stats.route_planner.invalidations);
-    planner["single_flight_waits"] =
-        json::Value(stats.route_planner.single_flight_waits);
     planner["enumerations"] = json::Value(stats.route_planner.enumerations);
     planner["alt_fallbacks"] =
         json::Value(stats.route_planner.alt_fallbacks);

@@ -1,8 +1,8 @@
 // HTTP/1.1 front end for the serving stack — the network layer over a
 // RoutePlanner and its ServingEngine scorer. Dependency-free: POSIX
-// sockets, an accept loop, and a fixed pool of connection worker threads
-// (plain threads, NEVER the global compute pool — workers block on
-// sockets, which is forbidden on pool workers).
+// sockets, an accept loop, and a fixed set of connection worker threads.
+// A worker runs each request end to end on its own thread, enumeration
+// and scoring alike; scoring uses that thread's own scratch.
 //
 // Endpoints (JSON over HTTP/1.1, keep-alive supported):
 //   POST /v1/score   {"paths": [[id, id, ...], ...]}
@@ -148,9 +148,9 @@ struct HttpServerStats {
   /// no live-graph backend — the boot graph is epoch 0 by definition).
   uint64_t graph_epoch = 0;
   /// Route-planner counters (all zero when no route_planner_stats seam
-  /// is set): cache and coalescing, and the deadline expiries (504s) and
-  /// degraded answers /statsz reports as deadline_exceeded_count and
-  /// degraded_count.
+  /// is set): cache traffic and enumerations, and the deadline expiries
+  /// (504s) and degraded answers /statsz reports as
+  /// deadline_exceeded_count and degraded_count.
   RoutePlannerStats route_planner;
   /// ALT preprocessing lifecycle counters (disabled/zero when no
   /// preprocessing_stats seam is set).

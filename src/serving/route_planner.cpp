@@ -122,8 +122,6 @@ RoutePlannerStats RoutePlanner::stats() const {
   s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
   s.cache_misses = cache_misses_.load(std::memory_order_relaxed);
   s.invalidations = invalidations_.load(std::memory_order_relaxed);
-  s.single_flight_waits =
-      single_flight_waits_.load(std::memory_order_relaxed);
   s.enumerations = enumerations_.load(std::memory_order_relaxed);
   s.alt_fallbacks = alt_fallbacks_.load(std::memory_order_relaxed);
   s.deadline_exceeded = deadline_exceeded_.load(std::memory_order_relaxed);
@@ -137,7 +135,6 @@ std::vector<routing::Path> RoutePlanner::Enumerate(
     const std::shared_ptr<const routing::PreprocessedGraph>& tables,
     std::string* algo) const {
   enumerations_.fetch_add(1, std::memory_order_relaxed);
-  if (config_.enumeration_hook) config_.enumeration_hook();
 
   // One engine per enumeration: engines are single-threaded scratch.
   // nullptr = Yen's own Dijkstra, bitwise the pre-seam behaviour.
@@ -178,71 +175,6 @@ RoutePlanner::CacheValue RoutePlanner::Rank(std::vector<routing::Path> paths,
   // only copy of the paths.
   if (!paths.empty()) answer->ranked = score_(std::move(paths));
   return answer;
-}
-
-RoutePlanner::CacheValue RoutePlanner::RankSingleFlight(
-    const CacheKey& key, uint64_t epoch, uint64_t generation,
-    const graph::RoadNetwork& network, const RouteRequest& request,
-    const data::CandidateGenConfig& gen,
-    const std::shared_ptr<const routing::PreprocessedGraph>& tables) const {
-  std::shared_ptr<Flight> flight;
-  bool leader = false;
-  {
-    common::MutexLock lock(flight_mu_);
-    const auto it = flights_.find(key);
-    if (it != flights_.end() && it->second->epoch == epoch &&
-        it->second->generation == generation) {
-      flight = it->second;
-    } else {
-      // No joinable flight (none, or one pinned to another epoch or
-      // generation — its leader still finishes and wakes its own
-      // followers; replacing the table entry only stops NEW arrivals
-      // from joining it).
-      flight = std::make_shared<Flight>(epoch, generation);
-      flights_[key] = flight;
-      leader = true;
-    }
-  }
-
-  if (!leader) {
-    // Count BEFORE blocking so a test (or operator) watching the counter
-    // can tell when every follower has committed to waiting.
-    single_flight_waits_.fetch_add(1, std::memory_order_relaxed);
-    common::MutexLock lock(flight->mu);
-    while (!flight->done) flight->cv.Wait(flight->mu);
-    if (flight->error) std::rethrow_exception(flight->error);
-    return flight->result;
-  }
-
-  CacheValue value;
-  std::exception_ptr error;
-  try {
-    std::string algo;
-    std::vector<routing::Path> paths =
-        Enumerate(network, request, gen, nullptr, tables, &algo);
-    value = Rank(std::move(paths), std::move(algo));
-    // Insert before publishing: by the time any follower wakes, the
-    // answer is already served from cache for everyone after them.
-    CacheInsert(key, epoch, generation, value);
-  } catch (...) {
-    error = std::current_exception();
-  }
-  {
-    common::MutexLock lock(flight->mu);
-    flight->result = value;
-    flight->error = error;
-    flight->done = true;
-    flight->cv.NotifyAll();
-  }
-  {
-    // Pointer-compare so a failed (or slow) leader never erases the
-    // replacement flight a newer-epoch arrival installed.
-    common::MutexLock lock(flight_mu_);
-    const auto it = flights_.find(key);
-    if (it != flights_.end() && it->second == flight) flights_.erase(it);
-  }
-  if (error) std::rethrow_exception(error);
-  return value;
 }
 
 RouteResult RoutePlanner::Plan(const RouteRequest& request) const {
@@ -322,53 +254,44 @@ RouteResult RoutePlanner::Plan(const RouteRequest& request) const {
     cache_hits_.fetch_add(1, std::memory_order_relaxed);
   } else {
     cache_misses_.fetch_add(1, std::memory_order_relaxed);
+    // One token per query, chaining the request deadline to any external
+    // cancel source. Expiry is sticky (the token latches), so checking it
+    // after enumeration reliably distinguishes "ran out of budget" from
+    // "ran out of paths". A query with neither a deadline nor a cancel
+    // source enumerates with no token at all.
+    const CancelToken token(request.deadline, request.cancel);
     const bool cancellable =
         request.deadline.bounded() || request.cancel != nullptr;
-    if (!cancellable) {
-      // Deadline-free queries coalesce: after an invalidation, N
-      // identical concurrent queries cost ONE Yen run and ONE scoring
-      // call, and every caller gets the same (complete) answer.
-      answer = RankSingleFlight(key, epoch, generation, *network, request,
-                                gen, tables);
-    } else {
-      // One token per query, chaining the request deadline to any
-      // external cancel source. Expiry is sticky (the token latches), so
-      // checking it after enumeration reliably distinguishes "ran out of
-      // budget" from "ran out of paths". Cancellable queries never join
-      // a flight and never lead one: each has its own budget, and a
-      // partial set must never be shared or cached.
-      const CancelToken token(request.deadline, request.cancel);
-      std::string algo;
-      std::vector<routing::Path> paths =
-          Enumerate(*network, request, gen, &token, tables, &algo);
-      if (token.Expired()) {
-        if (paths.empty()) {
-          // Out of budget before the first candidate: nothing useful to
-          // return. NOT cached — a verdict cut short by a deadline says
-          // nothing about the graph, and caching it would poison later
-          // unhurried queries with a false "unreachable".
-          deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-          result.status = RouteStatus::kDeadlineExceeded;
-          result.message =
-              "deadline expired before any candidate was found (route " +
-              std::to_string(request.source) + " -> " +
-              std::to_string(request.destination) + ")";
-          return result;
-        }
-        // Graceful degradation: score and return what enumeration
-        // managed. Same cache-poisoning rule — a partial set must never
-        // be served to a later query as if it were the full top-k.
-        degraded_.fetch_add(1, std::memory_order_relaxed);
-        result.degraded = true;
-        result.algo = std::move(algo);
-        result.ranked = score_(std::move(paths));
+    std::string algo;
+    std::vector<routing::Path> paths = Enumerate(
+        *network, request, gen, cancellable ? &token : nullptr, tables, &algo);
+    if (token.Expired()) {
+      if (paths.empty()) {
+        // Out of budget before the first candidate: nothing useful to
+        // return. NOT cached — a verdict cut short by a deadline says
+        // nothing about the graph, and caching it would poison later
+        // unhurried queries with a false "unreachable".
+        deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
+        result.status = RouteStatus::kDeadlineExceeded;
+        result.message =
+            "deadline expired before any candidate was found (route " +
+            std::to_string(request.source) + " -> " +
+            std::to_string(request.destination) + ")";
         return result;
       }
-      // A scorer exception propagates from here, before the insert:
-      // nothing is cached.
-      answer = Rank(std::move(paths), std::move(algo));
-      CacheInsert(key, epoch, generation, answer);
+      // Graceful degradation: score and return what enumeration managed.
+      // Same cache-poisoning rule — a partial set must never be served to
+      // a later query as if it were the full top-k.
+      degraded_.fetch_add(1, std::memory_order_relaxed);
+      result.degraded = true;
+      result.algo = std::move(algo);
+      result.ranked = score_(std::move(paths));
+      return result;
     }
+    // A scorer exception propagates from here, before the insert: nothing
+    // is cached.
+    answer = Rank(std::move(paths), std::move(algo));
+    CacheInsert(key, epoch, generation, answer);
   }
 
   // Attribute the engine that actually enumerated this answer — for a

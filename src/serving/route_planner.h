@@ -33,12 +33,7 @@
 // snapshot that scored it and a stale ranking is never served as
 // current. A lookup whose epoch or generation differs from the entry's
 // treats it as a miss and erases it (lazy invalidation — neither
-// /v1/traffic nor a swap walks the cache). Identical deadline-free
-// queries that miss concurrently are collapsed by a per-key single-flight
-// gate: one leader enumerates and scores, the followers wait on its
-// condition variable and share the leader's (bitwise identical) answer,
-// so an invalidation storm costs one enumeration and one scoring call per
-// distinct key, not one per request.
+// /v1/traffic nor a swap walks the cache).
 //
 // Spur engine: enumeration runs through the routing::ShortestPathEngine
 // seam, selected by RoutePlannerConfig::spur_engine. An ALT planner over
@@ -50,21 +45,20 @@
 // response body is independent of the engine modulo the "algo" field.
 //
 // Counters: the planner counts cache hits and misses, invalidations,
-// single-flight waits, enumerations, ALT fallbacks, deadline expiries
-// and degraded answers, and stats() is their one read path.
+// enumerations, ALT fallbacks, deadline expiries and degraded answers,
+// and stats() is their one read path.
 //
 // Thread-safety: Plan may be called concurrently from any number of
 // threads (the HTTP worker pool does). The cache is guarded by one
-// mutex; enumeration and scoring run outside it. Deadline-bounded or
-// cancellable queries bypass the single-flight gate (each has its own
-// budget, and a partial set must never be shared), so for those the old
-// rule stands: concurrent misses for the same key may both enumerate and
-// score, last insert wins.
+// mutex, the planner's only lock; enumeration and scoring run outside
+// it. Every miss takes the same path: enumerate, score, insert.
+// Concurrent misses for the same key may therefore both enumerate and
+// score; both compute the same deterministic answer, and the last
+// insert wins.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <list>
 #include <memory>
@@ -217,12 +211,6 @@ struct RoutePlannerConfig {
   /// Landmark count for the pinned-network kAlt tables (store-backed
   /// planners take the landmark count from the store's PreprocessOptions).
   int num_landmarks = 8;
-  /// Test seam: runs on the enumeration path, after the planner has
-  /// committed to enumerating (and, for single-flight leaders, before
-  /// followers are released). graph_swap_test uses it to hold a leader
-  /// mid-flight until every follower is provably waiting. Leave unset in
-  /// production.
-  std::function<void()> enumeration_hook;
 };
 
 /// Point-in-time snapshot of the planner's counters, as one coherent
@@ -237,11 +225,12 @@ struct RoutePlannerStats {
   /// Cache entries discarded because a lookup arrived from a different
   /// graph epoch or model generation than the entry was computed at.
   uint64_t invalidations = 0;
-  /// Queries that joined an in-progress identical enumeration instead of
-  /// running their own (single-flight followers).
+  /// Always 0: the planner no longer coalesces concurrent misses. Only
+  /// the benchmark's in-process replay (perfbench/inproc) still reads it;
+  /// ROADMAP item 1 removes that read, then this field.
   uint64_t single_flight_waits = 0;
-  /// Candidate enumerations actually executed (cache misses minus
-  /// single-flight coalescing).
+  /// Candidate enumerations executed (one per cache miss that passed
+  /// validation).
   uint64_t enumerations = 0;
   /// Enumerations an ALT planner ran on the Dijkstra fallback because no
   /// current-epoch artifact was available (preprocessing disabled, or a
@@ -276,8 +265,7 @@ class RoutePlanner {
   /// Answers one query. Thread-safe; never throws on bad input (that is
   /// what RouteResult::status is for). Exceptions out of the scoring
   /// backend propagate (the HTTP layer answers 500).
-  RouteResult Plan(const RouteRequest& request) const
-      EXCLUDES(cache_mu_, flight_mu_);
+  RouteResult Plan(const RouteRequest& request) const EXCLUDES(cache_mu_);
 
   /// Answers currently cached (<= config().cache_capacity).
   size_t cache_size() const EXCLUDES(cache_mu_);
@@ -328,32 +316,12 @@ class RoutePlanner {
   };
   using LruNode = std::pair<CacheKey, CacheEntry>;
 
-  /// One in-progress enumeration and scoring that identical queries can
-  /// join. The leader publishes answer-or-error under `mu` and notifies;
-  /// followers wait in a predicate loop. `epoch` and `generation` are
-  /// immutable so a follower can tell a joinable flight from a stale one
-  /// without taking `mu`.
-  struct Flight {
-    Flight(uint64_t epoch_in, uint64_t generation_in)
-        : epoch(epoch_in), generation(generation_in) {}
-    const uint64_t epoch;
-    const uint64_t generation;
-    /// All flights share kRouteFlight: a thread holds at most one
-    /// flight's lock at a time (leaders publish, followers wait —
-    /// never two flights in one scope), and never under flight_mu_.
-    common::Mutex mu{common::LockRank::kRouteFlight, "planner.flight"};
-    common::CondVar cv;
-    bool done GUARDED_BY(mu) = false;
-    CacheValue result GUARDED_BY(mu);
-    std::exception_ptr error GUARDED_BY(mu);
-  };
-
   CacheValue CacheLookup(const CacheKey& key, uint64_t epoch,
                          uint64_t generation) const EXCLUDES(cache_mu_);
   void CacheInsert(const CacheKey& key, uint64_t epoch, uint64_t generation,
                    CacheValue value) const EXCLUDES(cache_mu_);
-  /// Runs one candidate enumeration (counter + test hook + Yen) with the
-  /// configured spur engine and sets `*algo` to the engine that ran.
+  /// Runs one candidate enumeration (counter + Yen) with the configured
+  /// spur engine and sets `*algo` to the engine that ran.
   /// `tables` is the current-epoch ALT artifact (null = none available: a
   /// kAlt planner falls back to Dijkstra and counts alt_fallbacks_; other
   /// engines ignore it).
@@ -365,16 +333,6 @@ class RoutePlanner {
   /// Scores a complete candidate set into an answer. An empty set is the
   /// unreachable verdict and never reaches the scorer.
   CacheValue Rank(std::vector<routing::Path> paths, std::string algo) const;
-  /// Single-flight enumeration and scoring for deadline-free queries:
-  /// exactly one caller per (key, epoch, generation) runs Yen and the
-  /// scorer; the rest wait and share its answer. Rethrows the leader's
-  /// exception in every joined caller.
-  CacheValue RankSingleFlight(
-      const CacheKey& key, uint64_t epoch, uint64_t generation,
-      const graph::RoadNetwork& network, const RouteRequest& request,
-      const data::CandidateGenConfig& gen,
-      const std::shared_ptr<const routing::PreprocessedGraph>& tables) const
-      EXCLUDES(flight_mu_, cache_mu_);
 
   ScoreFn score_;
   RoutePlannerConfig config_;
@@ -383,11 +341,6 @@ class RoutePlanner {
   /// planners take tables from the store's per-epoch artifact instead.
   std::shared_ptr<const routing::PreprocessedGraph> pinned_tables_;
 
-  /// The planner's three locks never nest (lookup, flight wait and
-  /// insert are sequential scopes of Plan), but they still get distinct
-  /// ranks — table before flight before cache, matching the order the
-  /// scopes RUN in — so a future refactor that nests them is forced into
-  /// the deadlock-free order.
   mutable common::Mutex cache_mu_{common::LockRank::kRouteCache,
                                   "planner.cache"};
   /// Front = most recently used. The map indexes list nodes for O(1)
@@ -397,19 +350,9 @@ class RoutePlanner {
                              CacheKeyHash>
       index_ GUARDED_BY(cache_mu_);
 
-  mutable common::Mutex flight_mu_ ACQUIRED_BEFORE(cache_mu_){
-      common::LockRank::kRouteFlightTable, "planner.flight_table"};
-  /// In-progress enumerations by key. An entry whose epoch or generation
-  /// differs from the arriving query's is replaced (its leader still completes and
-  /// notifies its own followers; the pointer-compare on erase keeps it
-  /// from removing its successor).
-  mutable std::unordered_map<CacheKey, std::shared_ptr<Flight>, CacheKeyHash>
-      flights_ GUARDED_BY(flight_mu_);
-
   mutable std::atomic<uint64_t> cache_hits_{0};
   mutable std::atomic<uint64_t> cache_misses_{0};
   mutable std::atomic<uint64_t> invalidations_{0};
-  mutable std::atomic<uint64_t> single_flight_waits_{0};
   mutable std::atomic<uint64_t> enumerations_{0};
   mutable std::atomic<uint64_t> deadline_exceeded_{0};
   mutable std::atomic<uint64_t> degraded_{0};

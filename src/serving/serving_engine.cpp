@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 
 namespace pathrank::serving {
 
@@ -164,9 +163,8 @@ class ServingEngine::ScoreMemo {
     return flipped;
   }
 
-  /// Ranked between engine.snapshot and the replica locks, and never
-  /// held together with either: ScoreBatch looks up, releases, scores on
-  /// a replica, then inserts.
+  /// Ranked after engine.snapshot, and never held together with it:
+  /// ScoreBatch looks up, releases, scores, then inserts.
   mutable common::Mutex mu_{common::LockRank::kEngineScoreMemo,
                             "engine.score_memo"};
   Half halves_[2] GUARDED_BY(mu_);
@@ -177,30 +175,15 @@ uint64_t ModelGeneration() {
   return g_model_generation.load(std::memory_order_acquire);
 }
 
-/// One scoring slot: a lock plus the per-caller activation scratch the
-/// const inference path writes into. No parameters live here — every
-/// replica scores against the one shared snapshot.
-struct ServingEngine::Replica {
-  /// Every replica shares kEngineReplica: a caller holds exactly one.
-  common::Mutex mu{common::LockRank::kEngineReplica, "engine.replica"};
-  core::InferenceScratch scratch GUARDED_BY(mu);
-};
-
 ServingEngine::ServingEngine(const graph::RoadNetwork& network,
                              std::shared_ptr<const ModelSnapshot> snapshot,
-                             const ServingOptions& options)
+                             const ServingOptions& /*options*/)
     : network_(&network) {
   PR_CHECK(snapshot != nullptr) << "ServingEngine needs a snapshot";
   PR_CHECK(snapshot->vocab_size() == network.num_vertices())
       << "model/network vertex-count mismatch";
   served_.snapshot = std::move(snapshot);
   served_.memo = std::make_shared<ScoreMemo>();
-  const size_t n =
-      options.num_replicas > 0 ? options.num_replicas : GetNumThreads();
-  replicas_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    replicas_.push_back(std::make_unique<Replica>());
-  }
 }
 
 ServingEngine::ServingEngine(const graph::RoadNetwork& network,
@@ -246,16 +229,11 @@ ScoreMemoStats ServingEngine::memo_stats() const {
 
 std::vector<float> ServingEngine::ScoreOn(
     const ModelSnapshot& snap, const nn::SequenceBatch& batch) const {
-  // cuBERT-style dispatch: round-robin over the replicas, blocking on the
-  // chosen replica's lock. Scratch contents never influence scores, so the
-  // choice only affects contention, not results.
-  const uint32_t idx =
-      round_robin_.fetch_add(1, std::memory_order_relaxed) %
-      static_cast<uint32_t>(replicas_.size());
-  Replica& replica = *replicas_[idx];
-  common::MutexLock lock(replica.mu);
-  return snap.model().ForwardInference(batch, snap.tables(),
-                                       &replica.scratch);
+  // One scratch per thread, shared by every engine and snapshot the
+  // thread scores on: ForwardInference resizes and overwrites every
+  // buffer, so its earlier contents never influence a score.
+  thread_local core::InferenceScratch scratch;
+  return snap.model().ForwardInference(batch, snap.tables(), &scratch);
 }
 
 std::vector<float> ServingEngine::ScoreSequences(

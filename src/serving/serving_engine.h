@@ -1,16 +1,16 @@
-// Thread-safe path scorer: one immutable ModelSnapshot shared by a pool
-// of scoring replicas, dispatched round-robin behind per-replica locks
-// (the cuBERT multi-instance pattern). Candidate enumeration lives in
-// RoutePlanner, which scores through ScoreBatch. Because the snapshot's
-// inference path is const, a "replica" is just per-caller scratch state —
-// no parameter copies — so the pool is cheap to size at one replica per
-// expected concurrent caller.
+// Thread-safe path scorer: one immutable ModelSnapshot shared by every
+// caller. Candidate enumeration lives in RoutePlanner, which scores
+// through ScoreBatch. Because the snapshot's inference path is const, the
+// only per-call state is activation scratch, and each calling thread owns
+// one (thread_local, shared by every engine that thread calls): scoring
+// takes no lock and runs serially on the calling thread.
 //
 // Thread-safety contract: ScoreBatch / ScoreSequences may be called
 // concurrently from any number of threads on one shared engine. Scores
-// are bitwise identical to the single-threaded path for any thread or
-// replica count (the inference kernels are deterministic and replicas
-// share the exact same parameters).
+// are bitwise identical to the single-threaded path for any thread count
+// (the inference kernels are deterministic, and ForwardInference resizes
+// and overwrites every scratch buffer, so what a scratch held before
+// never reaches a score).
 //
 // Hot-swap contract: SwapSnapshot atomically replaces the served model.
 // Every scoring call captures the snapshot pointer exactly once at entry,
@@ -50,13 +50,13 @@ struct ScoredPath {
   double score = 0.0;
 };
 
-/// Engine construction options.
+/// Engine construction options. Read by nothing in the library: the
+/// benchmark's in-process replay (perfbench/inproc) still sets both
+/// fields, and ROADMAP item 1 removes those writes, then this struct.
 struct ServingOptions {
-  /// Scoring replicas (scratch + lock). 0 = GetNumThreads() replicas.
+  /// Scoring scratch is per calling thread; there is nothing to size.
   size_t num_replicas = 0;
-  /// Read by nothing in the library; only the benchmark's in-process
-  /// replay (perfbench/inproc) still sets it. Candidate strategy belongs
-  /// to RoutePlannerConfig::candidates.
+  /// Candidate strategy belongs to RoutePlannerConfig::candidates.
   data::CandidateGenConfig candidates;
 };
 
@@ -101,7 +101,7 @@ uint64_t ModelGeneration();
 /// The single source of truth for the Path -> SequenceBatch-row mapping.
 std::vector<int32_t> PathToSequence(const routing::Path& path);
 
-/// Replica-pool path scorer. The engine borrows the network (caller
+/// Snapshot-serving path scorer. The engine borrows the network (caller
 /// keeps it alive) and shares ownership of the snapshot.
 class ServingEngine {
  public:
@@ -159,7 +159,6 @@ class ServingEngine {
   ScoreMemoStats memo_stats() const EXCLUDES(snapshot_mu_);
 
  private:
-  struct Replica;
   class ScoreMemo;
 
   /// The served snapshot and the memo of scores computed on it. Callers
@@ -173,8 +172,8 @@ class ServingEngine {
     return served_;
   }
 
-  /// Round-robin pick + lock, then score `batch` on `snap` with the
-  /// replica's scratch, serially on the calling thread.
+  /// Scores `batch` on `snap` with the calling thread's scratch,
+  /// serially on the calling thread.
   std::vector<float> ScoreOn(const ModelSnapshot& snap,
                              const nn::SequenceBatch& batch) const;
 
@@ -183,8 +182,8 @@ class ServingEngine {
   /// section is two refcounted copies (noise next to a forward pass), and
   /// libstdc++'s lock-bit _Sp_atomic protocol is opaque to TSan, which
   /// the CI thread-sanitizer gate runs against. Never held while taking
-  /// a replica lock or a memo lock (the handles are copied out first),
-  /// hence the rank before both.
+  /// a memo lock (the handles are copied out first), hence the rank
+  /// before it.
   mutable common::Mutex snapshot_mu_{common::LockRank::kEngineSnapshot,
                                      "engine.snapshot"};
   Served served_ GUARDED_BY(snapshot_mu_);
@@ -194,8 +193,6 @@ class ServingEngine {
   mutable std::atomic<uint64_t> rows_scored_{0};
   mutable std::atomic<uint64_t> vertices_scored_{0};
   mutable std::atomic<uint64_t> memo_flips_{0};
-  std::vector<std::unique_ptr<Replica>> replicas_;
-  mutable std::atomic<uint32_t> round_robin_{0};
 };
 
 }  // namespace pathrank::serving

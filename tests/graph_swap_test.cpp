@@ -1,24 +1,22 @@
-// Epoch-versioned live graph: GraphSnapshot/GraphStore swap semantics,
-// the epoch-keyed answer cache, and the single-flight enumeration
-// gate — the concurrency contract behind POST /v1/traffic. Asserts
+// Epoch-versioned live graph: GraphSnapshot/GraphStore swap semantics
+// and the epoch-keyed answer cache — the concurrency contract behind
+// POST /v1/traffic. Asserts
 // (1) concurrent route queries during a swap storm are each attributable
 // to exactly ONE epoch (the ranking bitwise matches the reference for
 // the graph state that epoch names — no torn reads), (2) the superseded
 // snapshot is freed exactly when the last in-flight reference drops,
 // (3) a cache entry from epoch N is a miss at N + 1 and the re-scored
 // answer bitwise matches a fresh planner on the new graph — negative
-// (unreachable) verdicts invalidate too, (4) N identical deadline-free
-// queries racing after an invalidation run Yen exactly once and all
-// return bitwise-identical sets, and a leader's exception reaches every
-// follower (never a half-built set). Runs under both the ASan and TSan
-// CI jobs next to hot_swap_test.
+// (unreachable) verdicts invalidate too, (4) N identical queries racing
+// after an invalidation each get the fresh pipeline's answer at the new
+// epoch bitwise, and leave the key cached once. Runs under both the ASan
+// and TSan CI jobs next to hot_swap_test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
-#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -472,31 +470,23 @@ TEST(EpochCache, NegativeUnreachableEntriesInvalidateToo) {
   ASSERT_FALSE(reopened.ranked.empty());
 }
 
-// ---- Single-flight -----------------------------------------------------
-
-TEST(SingleFlight, StampedeRunsYenExactlyOnceAndAllSharesAreIdentical) {
+TEST(EpochCache, StampedeAfterInvalidationMatchesTheFreshPipelineBitwise) {
   constexpr int kThreads = 8;
-  std::atomic<bool> gate_armed{false};
-  const RoutePlanner* planner_ptr = nullptr;
+  SwapFixture fx;
+  const RouteResult seeded = fx.planner.Plan({0, 63});
+  ASSERT_EQ(seeded.status, RouteStatus::kOk);
+  ASSERT_EQ(fx.planner.cache_size(), 1u);
+  // Slow the best path's first edges x100, so the epoch-1 answer differs
+  // from the cached epoch-0 one.
+  const auto& best = seeded.ranked[0].path.edges;
+  const std::vector<graph::EdgeId> spine(
+      best.begin(), best.begin() + std::min<size_t>(4, best.size()));
+  ASSERT_EQ(fx.store.ApplyTraffic(SlowUpdates(fx.network, spine, 100.0)).status,
+            TrafficStatus::kOk);
+  const RoutePlannerStats before = fx.planner.stats();
 
-  RoutePlannerConfig config = SwapFixture::Config(64);
-  config.enumeration_hook = [&] {
-    if (!gate_armed.load()) return;
-    // Leader of the stampede: hold the enumeration open until every other
-    // thread is provably parked in the follower wait — the counter is
-    // incremented BEFORE blocking, so waits == kThreads - 1 proves it.
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (planner_ptr->stats().single_flight_waits <
-               static_cast<uint64_t>(kThreads - 1) &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::yield();
-    }
-  };
-  SwapFixture fx(config);
-  planner_ptr = &fx.planner;
-
-  gate_armed.store(true);
+  // Every thread finds the key invalidated or finds another thread's
+  // fresh insert; none may serve the epoch-0 answer.
   std::atomic<bool> start{false};
   std::vector<RouteResult> results(kThreads);
   std::vector<std::thread> threads;
@@ -509,101 +499,38 @@ TEST(SingleFlight, StampedeRunsYenExactlyOnceAndAllSharesAreIdentical) {
   }
   start.store(true);
   for (auto& thread : threads) thread.join();
-  gate_armed.store(false);
 
-  // Exactly ONE Yen run served all eight queries.
-  EXPECT_EQ(fx.planner.stats().enumerations, 1u);
-  EXPECT_EQ(fx.planner.stats().cache_misses, static_cast<uint64_t>(kThreads));
-  EXPECT_EQ(fx.planner.stats().single_flight_waits,
-            static_cast<uint64_t>(kThreads - 1));
-
-  // All callers (leader and followers alike) got the complete set,
-  // bitwise identical, scored fresh through the engine.
+  // The offline pipeline at epoch 1, scored by an engine that has never
+  // seen these paths.
+  const ServingEngine fresh(fx.network, fx.model);
+  const auto expected = fresh.ScoreBatch(data::GenerateCandidatePaths(
+      fx.store.Current()->network(), 0, 63, GenConfig()));
+  ASSERT_FALSE(SameRanking(expected, seeded.ranked))
+      << "traffic updates too mild to tell the epochs apart";
   for (int t = 0; t < kThreads; ++t) {
+    SCOPED_TRACE(t);
     const RouteResult& result = results[static_cast<size_t>(t)];
-    ASSERT_EQ(result.status, RouteStatus::kOk) << "thread " << t;
-    EXPECT_FALSE(result.cache_hit);
-    EXPECT_EQ(result.graph_epoch, 0u);
-    ExpectSameRanking(result.ranked, results[0].ranked);
+    ASSERT_EQ(result.status, RouteStatus::kOk);
+    EXPECT_EQ(result.graph_epoch, 1u);
+    ExpectSameRanking(result.ranked, expected);
   }
+  // Each miss enumerated once; the rest hit a concurrent insert.
+  const RoutePlannerStats after = fx.planner.stats();
+  const uint64_t enumerations = after.enumerations - before.enumerations;
+  RecordProperty("enumerations", static_cast<int>(enumerations));
+  EXPECT_GE(enumerations, 1u);
+  EXPECT_LE(enumerations, static_cast<uint64_t>(kThreads));
+  EXPECT_EQ(after.cache_misses - before.cache_misses, enumerations);
+  EXPECT_EQ(after.cache_hits - before.cache_hits, kThreads - enumerations);
+  EXPECT_EQ(after.invalidations - before.invalidations, 1u);
 
-  // The flight is gone: the next identical query is a plain cache hit.
+  // The key is cached once, at the new epoch: the next call is a hit.
+  EXPECT_EQ(fx.planner.cache_size(), 1u);
   const RouteResult hit = fx.planner.Plan({0, 63});
   EXPECT_TRUE(hit.cache_hit);
-  EXPECT_EQ(fx.planner.stats().enumerations, 1u);
-}
-
-TEST(SingleFlight, LeaderExceptionReachesEveryFollowerAndFlightRetires) {
-  constexpr int kThreads = 6;
-  std::atomic<bool> gate_armed{false};
-  const RoutePlanner* planner_ptr = nullptr;
-
-  RoutePlannerConfig config = SwapFixture::Config(64);
-  config.enumeration_hook = [&] {
-    if (!gate_armed.load()) return;
-    // Wait for every follower FIRST so none of them can miss the error
-    // and start a flight of their own, THEN fail the enumeration.
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (planner_ptr->stats().single_flight_waits <
-               static_cast<uint64_t>(kThreads - 1) &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::yield();
-    }
-    throw std::runtime_error("injected enumeration failure");
-  };
-  SwapFixture fx(config);
-  planner_ptr = &fx.planner;
-
-  gate_armed.store(true);
-  std::atomic<bool> start{false};
-  std::atomic<int> threw{0};
-  std::atomic<int> returned{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      while (!start.load()) std::this_thread::yield();
-      try {
-        const RouteResult result = fx.planner.Plan({7, 56});
-        (void)result;
-        returned.fetch_add(1);
-      } catch (const std::runtime_error&) {
-        threw.fetch_add(1);
-      }
-    });
-  }
-  start.store(true);
-  for (auto& thread : threads) thread.join();
-  gate_armed.store(false);
-
-  // The leader threw and every follower rethrew the SAME failure — nobody
-  // got a stale or half-built candidate set back.
-  EXPECT_EQ(threw.load(), kThreads);
-  EXPECT_EQ(returned.load(), 0);
-  EXPECT_EQ(fx.planner.stats().enumerations, 1u);
-  EXPECT_EQ(fx.planner.stats().single_flight_waits,
-            static_cast<uint64_t>(kThreads - 1));
-
-  // Nothing was cached, the dead flight was retired: the next query runs
-  // a fresh (now healthy) enumeration and succeeds.
-  const RouteResult recovered = fx.planner.Plan({7, 56});
-  ASSERT_EQ(recovered.status, RouteStatus::kOk);
-  EXPECT_FALSE(recovered.cache_hit);
-  EXPECT_EQ(fx.planner.stats().enumerations, 2u);
-}
-
-TEST(SingleFlight, DeadlineBoundedQueriesBypassTheGate) {
-  SwapFixture fx;
-  // A bounded query must never lead or join a flight: its partial set
-  // would be shared. With a generous budget it completes normally — and
-  // the coalescing counters stay untouched.
-  RouteRequest request{0, 63};
-  request.deadline = Deadline::AfterMs(60'000);
-  const RouteResult result = fx.planner.Plan(request);
-  ASSERT_EQ(result.status, RouteStatus::kOk);
-  EXPECT_EQ(fx.planner.stats().single_flight_waits, 0u);
-  EXPECT_EQ(fx.planner.stats().enumerations, 1u);
+  EXPECT_EQ(hit.graph_epoch, 1u);
+  ExpectSameRanking(hit.ranked, expected);
+  EXPECT_EQ(fx.planner.stats().enumerations, after.enumerations);
 }
 
 }  // namespace

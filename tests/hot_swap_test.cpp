@@ -186,7 +186,6 @@ TEST(HotSwap, ConcurrentLoadLosesNoRequestsAndEveryResponseIsAttributable) {
   const auto snap_a = ModelSnapshot::Capture(fx.model_a);
   const auto snap_b = ModelSnapshot::Capture(fx.model_b);
   ServingOptions options;
-  options.num_replicas = 3;
   ServingEngine engine(fx.network, snap_a, options);
 
   // Per-query references on both snapshots, via single-threaded engines.

@@ -24,8 +24,8 @@ using common::MutexLock;
 
 TEST(LockRankRegistry, NamesRoundTrip) {
   EXPECT_STREQ(common::LockRankName(LockRank::kHttpStop), "http.stop");
-  EXPECT_STREQ(common::LockRankName(LockRank::kEngineReplica),
-               "engine.replica");
+  EXPECT_STREQ(common::LockRankName(LockRank::kRouteCache),
+               "planner.cache");
   EXPECT_STREQ(common::LockRankName(LockRank::kStderrLog), "log.stderr");
   EXPECT_STREQ(common::LockRankName(LockRank::kEngineScoreMemo),
                "engine.score_memo");
@@ -39,11 +39,9 @@ TEST(LockRankRegistry, RanksAreStrictlyIncreasingInTableOrder) {
   const int ranks[] = {
       LockRank::kHttpStop,         LockRank::kHttpConn,
       LockRank::kHttpAdmit,        LockRank::kGraphRebuild,
-      LockRank::kGraphStore,       LockRank::kRouteFlightTable,
-      LockRank::kRouteFlight,      LockRank::kRouteCache,
+      LockRank::kGraphStore,       LockRank::kRouteCache,
       LockRank::kEngineSnapshot,   LockRank::kEngineScoreMemo,
-      LockRank::kEngineReplica,    LockRank::kHttpEndpointStats,
-      LockRank::kStderrLog,
+      LockRank::kHttpEndpointStats, LockRank::kStderrLog,
   };
   for (size_t i = 1; i < std::size(ranks); ++i) {
     EXPECT_LT(ranks[i - 1], ranks[i]) << "registry slot " << i;

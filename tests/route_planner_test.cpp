@@ -6,15 +6,14 @@
 // (4) the error taxonomy (unknown vertex, s == d, unreachable, bad k)
 // maps to 4xx over HTTP with stable status slugs, (5) the cache holds answers: a hit never calls
 // the scorer, a model swap (even one that lands mid-scoring) makes the
-// next query re-score on the new snapshot, concurrent identical misses
-// score once, a throwing scorer leaves nothing cached, and a
+// next query re-score on the new snapshot, a throwing scorer leaves
+// nothing cached, and a
 // re-enumeration after a traffic batch reuses the engine's memoised
 // scores bitwise, and (6) the
 // --spur-engine parser accepts exactly "dijkstra" and "alt".
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -294,12 +293,11 @@ struct AnswerCacheFixture {
     return cfg;
   }
 
-  explicit AnswerCacheFixture(
-      RoutePlannerConfig config = RoutePlannerConfig())
+  AnswerCacheFixture()
       : model_a(network.num_vertices(), ConfigWithSeed(3)),
         model_b(network.num_vertices(), ConfigWithSeed(31)),
         engine(network, model_a),
-        planner(WithNetwork(std::move(config)),
+        planner(WithNetwork(RoutePlannerConfig()),
                 [this](std::vector<routing::Path> paths) {
                   score_calls.fetch_add(1);
                   if (hook_before_score) hook_before_score();
@@ -409,57 +407,9 @@ TEST(RouteAnswerCache, SwapThatLandsMidScoringIsNeverServedStale) {
   }
 }
 
-TEST(RouteAnswerCache, ConcurrentIdenticalMissesMakeOneScorerCall) {
-  constexpr int kThreads = 6;
-  std::atomic<bool> gate_armed{false};
-  const RoutePlanner* planner_ptr = nullptr;
-  RoutePlannerConfig config;
-  config.cache_capacity = 64;
-  config.enumeration_hook = [&] {
-    if (!gate_armed.load()) return;
-    // Hold the leader until every other thread waits on its flight.
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (planner_ptr->stats().single_flight_waits <
-               static_cast<uint64_t>(kThreads - 1) &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::yield();
-    }
-  };
-  AnswerCacheFixture fx(config);
-  planner_ptr = &fx.planner;
-
-  gate_armed.store(true);
-  std::atomic<bool> start{false};
-  std::vector<RouteResult> results(kThreads);
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      while (!start.load()) std::this_thread::yield();
-      results[static_cast<size_t>(t)] = fx.planner.Plan({3, 60});
-    });
-  }
-  start.store(true);
-  for (auto& thread : threads) thread.join();
-  gate_armed.store(false);
-
-  EXPECT_EQ(fx.planner.stats().single_flight_waits,
-            static_cast<uint64_t>(kThreads - 1));
-  EXPECT_EQ(fx.planner.stats().enumerations, 1u);
-  EXPECT_EQ(fx.score_calls.load(), 1);
-  const auto offline = fx.Offline(3, 60);
-  for (int t = 0; t < kThreads; ++t) {
-    const RouteResult& result = results[static_cast<size_t>(t)];
-    ASSERT_EQ(result.status, RouteStatus::kOk) << "thread " << t;
-    EXPECT_FALSE(result.cache_hit);
-    ExpectSameRanking(result.ranked, offline);
-  }
-}
-
 TEST(RouteAnswerCache, ThrowingScorerLeavesNothingCached) {
-  // Both miss paths: the single-flight leader (deadline-free) and the
-  // cancellable path (deadline-bounded).
+  // Both request kinds: deadline-free (enumerates with no cancel token)
+  // and deadline-bounded.
   for (const bool bounded : {false, true}) {
     SCOPED_TRACE(bounded ? "deadline-bounded" : "deadline-free");
     AnswerCacheFixture fx;

@@ -1,7 +1,8 @@
 // Serving stack: const inference path equivalence (every cell / pooling /
 // multi-task / direction configuration), skip-init construction, immutable
-// snapshots, the replica-pool ServingEngine scorer (concurrent-vs-
-// serial bitwise equivalence), and its per-snapshot score memo (a hit
+// snapshots, the ServingEngine scorer (concurrent-vs-serial bitwise
+// equivalence, and per-thread scratch shared by engines of different
+// shapes), and its per-snapshot score memo (a hit
 // equals a fresh score bitwise, the memo stays within its bound, and a
 // failed batch stores nothing).
 #include <gtest/gtest.h>
@@ -328,7 +329,6 @@ TEST(ServingEngine, RowScoresAreIndependentOfBatchmates) {
 TEST(ServingEngine, ConcurrentScoreBatchIsBitwiseEqualToSerial) {
   EngineFixture fx;
   ServingOptions options;
-  options.num_replicas = 3;  // fewer replicas than callers: locks contend
   const ServingEngine engine(fx.network, fx.model, options);
   const auto sets = QueryCandidates(fx);
 
@@ -354,7 +354,7 @@ TEST(ServingEngine, ConcurrentScoreBatchIsBitwiseEqualToSerial) {
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (size_t round = 0; round < kRounds; ++round) {
-        // Stagger starting offsets so threads hit different replicas.
+        // Stagger starting offsets so threads miss different rows.
         const size_t start = (t + round) % sets.size();
         for (size_t i = 0; i < sets.size(); ++i) {
           const size_t q = (start + i) % sets.size();
@@ -372,6 +372,41 @@ TEST(ServingEngine, ConcurrentScoreBatchIsBitwiseEqualToSerial) {
   EXPECT_GE(memo.misses, rows);
   EXPECT_GT(memo.hits, 0u);
   EXPECT_EQ(memo.rows_scored, memo.misses);
+}
+
+TEST(ServingEngine, OneThreadAlternatingTwoEngineShapesMatchesFreshEngines) {
+  // Scoring scratch belongs to the calling thread and is shared by every
+  // engine it calls, so alternating between a hidden-16 GRU and a
+  // hidden-32 LSTM hands each engine a scratch last sized by the other.
+  // Each result must equal a fresh engine's, scored on a fresh thread
+  // (whose scratch nothing has touched).
+  EngineFixture fx;
+  core::PathRankConfig gru = SmallConfig();
+  gru.hidden_size = 16;
+  core::PathRankConfig lstm = SmallConfig();
+  lstm.cell = nn::CellType::kLstm;
+  lstm.hidden_size = 32;
+  const core::PathRankModel gru_model(fx.network.num_vertices(), gru);
+  const core::PathRankModel lstm_model(fx.network.num_vertices(), lstm);
+  const ServingEngine gru_engine(fx.network, gru_model);
+  const ServingEngine lstm_engine(fx.network, lstm_model);
+  const auto sets = QueryCandidates(fx);
+
+  const auto fresh = [&fx](const core::PathRankModel& model,
+                           const std::vector<routing::Path>& paths) {
+    std::vector<ScoredPath> scored;
+    std::thread([&] {
+      scored = ServingEngine(fx.network, model).ScoreBatch(paths);
+    }).join();
+    return scored;
+  };
+  for (size_t q = 0; q < sets.size(); ++q) {
+    SCOPED_TRACE(q);
+    EXPECT_TRUE(SameRanking(gru_engine.ScoreBatch(sets[q]),
+                            fresh(gru_model, sets[q])));
+    EXPECT_TRUE(SameRanking(lstm_engine.ScoreBatch(sets[q]),
+                            fresh(lstm_model, sets[q])));
+  }
 }
 
 TEST(ServingEngine, EmptyPathsAreFine) {

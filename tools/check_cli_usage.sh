@@ -6,9 +6,11 @@
 # checkpoint, so the rejections are not an artefact of the invocation.
 # `evaluate`, `rank` and `serve` must reject the out-of-range candidate
 # flags (--k, --threshold) the same way, with valid files to read. All
-# four must reject a --strategy other than tkdi or dtkdi the same way. Each
-# `serve` case runs under `timeout 10`, so a server that boots instead
-# fails the check rather than hanging it.
+# four must reject a --strategy other than tkdi or dtkdi the same way.
+# `serve` must also reject each out-of-range server flag (never clamp it
+# into range) and the removed --replicas flag. Each `serve` case runs
+# under `timeout 10`, so a server that boots instead fails the check
+# rather than hanging it.
 # Registered as the `cli_usage_check` ctest.
 #
 # Usage: tools/check_cli_usage.sh PATH/TO/pathrank_cli
@@ -98,6 +100,14 @@ for command in evaluate rank serve; do
   done
 done
 
+for pair in "max-deadline-ms -1" "default-deadline-ms -1" "route-cache -1" \
+            "max-inflight 0" "idle-timeout-s 0" "request-deadline-s 0" \
+            "watch-interval-ms 0" "http-threads -1" "max-queue-wait-us -5" \
+            "replicas 4"; do
+  read -r flag value <<< "$pair"
+  expect_rejected serve "$flag" "$value"
+done
+
 for command in train evaluate rank serve; do
   for value in penalty bogus; do
     expect_rejected "$command" strategy "$value"
@@ -109,4 +119,5 @@ if [[ "$failures" -ne 0 ]]; then
   exit 1
 fi
 echo "check_cli_usage: every out-of-range train, evaluate, rank and serve" \
-  "flag and every unknown --strategy exits 2 and writes nothing"
+  "flag, serve --replicas and every unknown --strategy exit 2 and write" \
+  "nothing"

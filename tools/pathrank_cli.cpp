@@ -9,7 +9,7 @@
 //   pathrank_cli evaluate --network net --trips trips.csv --model model.bin
 //   pathrank_cli rank     --network net --model model.bin --from 12 --to 245
 //   pathrank_cli serve    --network net --model model.bin --http 8080
-//                         [--replicas 4] [--watch-model 1] [--watch-graph 1]
+//                         [--watch-model 1] [--watch-graph 1]
 //
 // `rank` answers one query through a RoutePlanner over the loaded
 // network: the same enumerate-then-score pipeline `serve` runs per
@@ -33,11 +33,11 @@
 //
 // `train`, `evaluate`, `rank` and `serve` all check the candidate flags
 // (--k at least 1, --threshold in (0, 1]) before reading any file, and
-// exit 2 on a bad value.
+// exit 2 on a bad value; `serve` checks its own numeric flags the same
+// way, rejecting an out-of-range value rather than clamping it.
 //
 // Networks are stored as the CSV pair written by graph::SaveNetworkCsv,
 // trips as traj::SaveTrips CSV, models as core::SaveModel checkpoints.
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -111,6 +111,17 @@ class Args {
 
   int GetInt(const std::string& key, int fallback) const {
     return GetParsed<int32_t>(key, fallback, "an integer", ParseInt32);
+  }
+
+  /// GetInt that exits 2, naming the flag, when the value is below `min`.
+  int GetIntAtLeast(const std::string& key, int fallback, int min) const {
+    const int value = GetInt(key, fallback);
+    if (value < min) {
+      std::fprintf(stderr, "--%s must be at least %d (got %d)\n", key.c_str(),
+                   min, value);
+      std::exit(2);
+    }
+    return value;
   }
 
   double GetDouble(const std::string& key, double fallback) const {
@@ -298,10 +309,8 @@ int CmdRank(const Args& args) {
     std::fprintf(stderr, "model/network vertex-count mismatch\n");
     return 1;
   }
-  serving::ServingOptions options;
-  options.num_replicas = 1;
   const serving::ServingEngine engine(
-      network, serving::ModelSnapshot::Capture(*model), options);
+      network, serving::ModelSnapshot::Capture(*model));
   serving::RoutePlannerConfig config;
   config.network = &network;
   config.candidates = gen;
@@ -410,33 +419,61 @@ std::atomic<bool> g_http_interrupted{false};
 
 void OnHttpSignal(int /*signum*/) { g_http_interrupted.store(true); }
 
-/// `serve --http PORT`: serves the engine over HTTP until a signal
-/// arrives, then reports the traffic counters.
-int RunHttpFrontEnd(const Args& args, const data::CandidateGenConfig& gen,
-                    const graph::RoadNetwork& network,
-                    serving::ServingEngine* engine,
-                    const FileWatcher* model_watcher) {
-  serving::HttpServerOptions options;
-  options.bind_address = args.Get("http-addr", "0.0.0.0");
+/// The `serve` flags that are not candidate flags, checked by
+/// ServeFlagsFromArgs before any file is read.
+struct ServeFlags {
+  serving::HttpServerOptions http;
+  size_t route_cache = 0;
+  int watch_interval_ms = 0;
+  serving::SpurEngine spur_engine = serving::SpurEngine::kDijkstra;
+  int num_landmarks = 0;
+};
+
+/// Reads the `serve` flags. A value out of range exits 2 with a message
+/// naming the flag; none is clamped into range.
+ServeFlags ServeFlagsFromArgs(const Args& args) {
+  ServeFlags flags;
+  serving::HttpServerOptions& http = flags.http;
+  http.bind_address = args.Get("http-addr", "0.0.0.0");
   const int port = args.GetInt("http", 0);
   if (port < 0 || port > 65535) {
     std::fprintf(stderr, "--http expects a port in [0, 65535]\n");
-    return 2;
+    std::exit(2);
   }
-  options.port = static_cast<uint16_t>(port);
-  options.max_inflight =
-      static_cast<size_t>(std::max(1, args.GetInt("max-inflight", 64)));
+  http.port = static_cast<uint16_t>(port);
+  http.max_inflight =
+      static_cast<size_t>(args.GetIntAtLeast("max-inflight", 64, 1));
   // 0 = auto (max_inflight + 4): admission stays the binding constraint
   // and spare workers keep /healthz answering under a saturated engine.
-  options.num_threads =
-      static_cast<size_t>(std::max(0, args.GetInt("http-threads", 0)));
-  options.max_queue_wait_us = std::max(0, args.GetInt("max-queue-wait-us", 0));
-  options.idle_timeout_s = std::max(1, args.GetInt("idle-timeout-s", 30));
-  options.request_deadline_s =
-      std::max(1, args.GetInt("request-deadline-s", 60));
-  options.default_deadline_ms =
-      std::max(0, args.GetInt("default-deadline-ms", 0));
-  options.max_deadline_ms = std::max(0, args.GetInt("max-deadline-ms", 0));
+  http.num_threads =
+      static_cast<size_t>(args.GetIntAtLeast("http-threads", 0, 0));
+  http.max_queue_wait_us = args.GetIntAtLeast("max-queue-wait-us", 0, 0);
+  http.idle_timeout_s = args.GetIntAtLeast("idle-timeout-s", 30, 1);
+  http.request_deadline_s = args.GetIntAtLeast("request-deadline-s", 60, 1);
+  http.default_deadline_ms = args.GetIntAtLeast("default-deadline-ms", 0, 0);
+  http.max_deadline_ms = args.GetIntAtLeast("max-deadline-ms", 0, 0);
+  flags.route_cache =
+      static_cast<size_t>(args.GetIntAtLeast("route-cache", 1024, 0));
+  flags.watch_interval_ms = args.GetIntAtLeast("watch-interval-ms", 200, 1);
+  const std::string spur_name = args.Get("spur-engine", "dijkstra");
+  if (!serving::ParseSpurEngine(spur_name, &flags.spur_engine)) {
+    std::fprintf(stderr,
+                 "--spur-engine must be dijkstra or alt (got %s)\n",
+                 spur_name.c_str());
+    std::exit(2);
+  }
+  flags.num_landmarks = args.GetIntAtLeast("landmarks", 8, 1);
+  return flags;
+}
+
+/// `serve --http PORT`: serves the engine over HTTP until a signal
+/// arrives, then reports the traffic counters.
+int RunHttpFrontEnd(const Args& args, const ServeFlags& flags,
+                    const data::CandidateGenConfig& gen,
+                    const graph::RoadNetwork& network,
+                    serving::ServingEngine* engine,
+                    const FileWatcher* model_watcher) {
+  const serving::HttpServerOptions& options = flags.http;
   if (options.num_threads != 0 &&
       options.num_threads <= options.max_inflight) {
     std::fprintf(stderr,
@@ -487,23 +524,9 @@ int RunHttpFrontEnd(const Args& args, const data::CandidateGenConfig& gen,
   // landmark tables built at boot, rebuilt in the background after every
   // /v1/traffic batch or --watch-graph swap, with mid-rebuild queries
   // falling back to exact Dijkstra.
-  serving::SpurEngine spur_engine = serving::SpurEngine::kDijkstra;
-  const std::string spur_name = args.Get("spur-engine", "dijkstra");
-  if (!serving::ParseSpurEngine(spur_name, &spur_engine)) {
-    std::fprintf(stderr,
-                 "--spur-engine must be dijkstra or alt (got %s)\n",
-                 spur_name.c_str());
-    return 2;
-  }
-  const int num_landmarks = args.GetInt("landmarks", 8);
-  if (num_landmarks < 1) {
-    std::fprintf(stderr, "--landmarks must be >= 1 (got %d)\n",
-                 num_landmarks);
-    return 2;
-  }
-  if (spur_engine == serving::SpurEngine::kAlt) {
+  if (flags.spur_engine == serving::SpurEngine::kAlt) {
     serving::PreprocessOptions preprocess;
-    preprocess.num_landmarks = num_landmarks;
+    preprocess.num_landmarks = flags.num_landmarks;
     graph_store.EnablePreprocessing(preprocess);
   }
 
@@ -516,10 +539,9 @@ int RunHttpFrontEnd(const Args& args, const data::CandidateGenConfig& gen,
   serving::RoutePlannerConfig route_config;
   route_config.store = &graph_store;
   route_config.candidates = gen;
-  route_config.cache_capacity =
-      static_cast<size_t>(std::max(0, args.GetInt("route-cache", 1024)));
-  route_config.spur_engine = spur_engine;
-  route_config.num_landmarks = num_landmarks;
+  route_config.cache_capacity = flags.route_cache;
+  route_config.spur_engine = flags.spur_engine;
+  route_config.num_landmarks = flags.num_landmarks;
   const serving::RoutePlanner planner(route_config, backend.score);
   backend.route = [&planner](const serving::RouteRequest& request) {
     return planner.Plan(request);
@@ -576,7 +598,7 @@ int RunHttpFrontEnd(const Args& args, const data::CandidateGenConfig& gen,
     };
     graph_watcher = std::make_unique<FileWatcher>(
         "watch-graph", watch_path, std::move(reload),
-        std::max(1, args.GetInt("watch-interval-ms", 200)));
+        flags.watch_interval_ms);
   }
 
   serving::HttpServer server(std::move(backend), options);
@@ -586,9 +608,9 @@ int RunHttpFrontEnd(const Args& args, const data::CandidateGenConfig& gen,
               data::CandidateStrategyName(route_config.candidates.strategy)
                   .c_str(),
               route_config.candidates.k, route_config.cache_capacity,
-              serving::SpurEngineName(spur_engine),
-              spur_engine == serving::SpurEngine::kAlt
-                  ? StrFormat(" (%d landmarks)", num_landmarks).c_str()
+              serving::SpurEngineName(flags.spur_engine),
+              flags.spur_engine == serving::SpurEngine::kAlt
+                  ? StrFormat(" (%d landmarks)", flags.num_landmarks).c_str()
                   : "");
   std::printf("HTTP serving on %s:%u  (threads=%zu, max_inflight=%zu, "
               "max_queue_wait_us=%lld%s%s)\n",
@@ -647,13 +669,12 @@ int RunHttpFrontEnd(const Args& args, const data::CandidateGenConfig& gen,
               << " flip(s)  " << memo.held_ids << " ids held";
   PR_LOG_INFO << StrFormat(
       "graph: epoch %llu  %llu traffic batch(es)  %llu invalidation(s)  "
-      "%llu single-flight wait(s)  %llu enumeration(s)",
+      "%llu enumeration(s)",
       static_cast<unsigned long long>(graph_store.epoch()),
       static_cast<unsigned long long>(graph_store.traffic_batches()),
       static_cast<unsigned long long>(plan_stats.invalidations),
-      static_cast<unsigned long long>(plan_stats.single_flight_waits),
       static_cast<unsigned long long>(plan_stats.enumerations));
-  if (spur_engine == serving::SpurEngine::kAlt) {
+  if (flags.spur_engine == serving::SpurEngine::kAlt) {
     const serving::PreprocessingStats pre = graph_store.preprocessing_stats();
     PR_LOG_INFO << StrFormat(
         "preprocessing: %d landmarks  %llu rebuild(s)  p50 %.1f ms  "
@@ -707,21 +728,15 @@ int CmdServe(const Args& args) {
     return 2;
   }
   const data::CandidateGenConfig gen = GenConfigFromArgs(args);
+  const ServeFlags flags = ServeFlagsFromArgs(args);
   const auto network = LoadServeNetwork(args);
   auto model = core::LoadModel(args.Require("model"));
   if (model->vocab_size() != network.num_vertices()) {
     std::fprintf(stderr, "model/network vertex-count mismatch\n");
     return 1;
   }
-  const int replicas = args.GetInt("replicas", 0);
-  if (replicas < 0) {
-    std::fprintf(stderr, "--replicas must be >= 0 (0 = one per thread)\n");
-    return 2;
-  }
-  serving::ServingOptions options;
-  options.num_replicas = static_cast<size_t>(replicas);
-  serving::ServingEngine engine(
-      network, serving::ModelSnapshot::Capture(*model), options);
+  serving::ServingEngine engine(network,
+                                serving::ModelSnapshot::Capture(*model));
   model.reset();  // the snapshot owns its own copy of the parameters
 
   std::unique_ptr<FileWatcher> model_watcher;
@@ -743,9 +758,10 @@ int CmdServe(const Args& args) {
     };
     model_watcher = std::make_unique<FileWatcher>(
         "watch-model", model_path, std::move(reload),
-        std::max(1, args.GetInt("watch-interval-ms", 200)));
+        flags.watch_interval_ms);
   }
-  return RunHttpFrontEnd(args, gen, network, &engine, model_watcher.get());
+  return RunHttpFrontEnd(args, flags, gen, network, &engine,
+                         model_watcher.get());
 }
 
 void PrintUsage() {
@@ -765,8 +781,7 @@ void PrintUsage() {
       "            [--strategy tkdi|dtkdi --k K --threshold T]\n"
       "  serve     (--network PREFIX | --graph EDGES.csv) --model MODEL.bin\n"
       "            --http PORT\n"
-      "            [--replicas R --strategy ... --k K "
-      "--threshold T]\n"
+      "            [--strategy ... --k K --threshold T]\n"
       "            [--watch-model 0|1 --watch-interval-ms M]\n"
       "            [--http-addr A --max-inflight N\n"
       "             --max-queue-wait-us U --http-threads T (0 = auto)\n"
@@ -806,7 +821,7 @@ int main(int argc, char** argv) {
       {"rank",
        {"network", "model", "from", "to", "strategy", "k", "threshold"}},
       {"serve",
-       {"network", "graph", "model", "replicas", "strategy", "k",
+       {"network", "graph", "model", "strategy", "k",
         "threshold", "watch-model", "watch-graph", "watch-interval-ms",
         "http", "http-addr", "http-threads", "max-inflight",
         "max-queue-wait-us", "route-cache", "spur-engine", "landmarks",
