@@ -14,10 +14,10 @@
 // iteration order depends on the token, deadline-free results stay bitwise
 // identical to the pre-deadline code.
 //
-// TripAfterChecks(n) is the deterministic fault-injection hook (see
-// serving/fault_injector.h): the token expires on the (n+1)-th Expired()
-// call regardless of the clock, which lets chaos tests drive cancellation
-// into an exact spot of the enumeration pipeline reproducibly.
+// TripAfterChecks(n) is the deterministic test hook: the token expires on
+// the (n+1)-th Expired() call regardless of the clock, which lets chaos
+// tests drive cancellation into an exact spot of the enumeration pipeline
+// reproducibly.
 #pragma once
 
 #include <atomic>
@@ -49,15 +49,6 @@ class Deadline {
 
   bool Expired() const {
     return bounded_ && std::chrono::steady_clock::now() >= at_;
-  }
-
-  /// Time left; clamped to zero when expired. Unbounded deadlines report
-  /// microseconds::max().
-  std::chrono::microseconds Remaining() const {
-    if (!bounded_) return std::chrono::microseconds::max();
-    const auto left = std::chrono::duration_cast<std::chrono::microseconds>(
-        at_ - std::chrono::steady_clock::now());
-    return left.count() > 0 ? left : std::chrono::microseconds::zero();
   }
 
  private:
@@ -101,8 +92,6 @@ class CancelToken {
     }
     return false;
   }
-
-  const Deadline& deadline() const { return deadline_; }
 
  private:
   static constexpr uint64_t kNoTrip = std::numeric_limits<uint64_t>::max();

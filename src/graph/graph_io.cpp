@@ -34,14 +34,13 @@ struct EdgeRow {
   RoadCategory category;
 };
 
-/// Parses one edges.csv data row with per-field diagnostics. Shared by
-/// the CSV-pair loader and the edges-only loader so both report
-/// malformed fields the same way. Rejects a length that is not positive
-/// and a negative travel time outright (ParseDoubleField already rejects
-/// nan/inf): a negative edge cost breaks the shortest-path algorithms'
-/// non-negative-weight assumption, the builder requires a positive
-/// length, and a negative travel time would be silently replaced by the
-/// builder's category-speed default instead of surfacing the bad field.
+/// Parses one edges.csv data row with per-field diagnostics. Rejects a
+/// length that is not positive and a negative travel time outright
+/// (ParseDoubleField already rejects nan/inf): a negative edge cost
+/// breaks the shortest-path algorithms' non-negative-weight assumption,
+/// the builder requires a positive length, and a negative travel time
+/// would be silently replaced by the builder's category-speed default
+/// instead of surfacing the bad field.
 EdgeRow ParseEdgeRow(const std::vector<std::string>& row,
                      const std::string& file, size_t line) {
   if (row.size() < 5) {
@@ -138,53 +137,6 @@ RoadNetwork LoadNetworkCsv(const std::string& prefix) {
       builder.AddEdge(edge.from, edge.to, edge.length_m, edge.category,
                       edge.travel_time_s);
     }
-  }
-  return builder.Build();
-}
-
-RoadNetwork LoadNetworkEdgesCsv(const std::string& path) {
-  CsvReader r(path);
-  // Vertex ids must exist in the builder before edges reference them, so
-  // parse everything first (one pass), then seed [0, max id] placeholder
-  // coordinates, then add the edges.
-  std::vector<EdgeRow> edges;
-  edges.reserve(r.num_rows() > 0 ? r.num_rows() - 1 : 0);
-  VertexId max_vertex = 0;
-  for (size_t i = 1; i < r.num_rows(); ++i) {
-    const EdgeRow edge = ParseEdgeRow(r.row(i), path, r.line(i));
-    if (edge.from >= kInvalidVertex || edge.to >= kInvalidVertex) {
-      // UINT32_MAX is the kInvalidVertex sentinel — and would also wrap
-      // the seeding loop below into an infinite one.
-      throw std::runtime_error(path + ":" + std::to_string(r.line(i)) +
-                               ": vertex id " +
-                               std::to_string(std::max(edge.from, edge.to)) +
-                               " collides with the invalid-vertex sentinel");
-    }
-    max_vertex = std::max({max_vertex, edge.from, edge.to});
-    edges.push_back(edge);
-  }
-  if (edges.empty()) {
-    throw std::runtime_error(path + ": no edge rows (nothing to serve)");
-  }
-  // Every vertex id in a real network appears in SOME edge, so the id
-  // space cannot plausibly dwarf the edge count. Without this cap one
-  // corrupt id (say 4000000000) would make the seeding loop allocate
-  // billions of placeholder vertices — an OOM, not a diagnostic.
-  const size_t implied_vertices = static_cast<size_t>(max_vertex) + 1;
-  if (implied_vertices > 64 * edges.size() + 1024) {
-    throw std::runtime_error(
-        path + ": vertex id " + std::to_string(max_vertex) + " implies " +
-        std::to_string(implied_vertices) + " vertices from only " +
-        std::to_string(edges.size()) +
-        " edge rows — the id is almost certainly corrupt");
-  }
-  RoadNetworkBuilder builder;
-  for (VertexId v = 0; v <= max_vertex; ++v) {
-    builder.AddVertex({0.0, 0.0});
-  }
-  for (const EdgeRow& edge : edges) {
-    builder.AddEdge(edge.from, edge.to, edge.length_m, edge.category,
-                    edge.travel_time_s);
   }
   return builder.Build();
 }

@@ -1,5 +1,5 @@
 // Persistence for road networks: a human-readable CSV pair
-// (vertices.csv + edges.csv), and an edges-only CSV loader.
+// (vertices.csv + edges.csv).
 #pragma once
 
 #include <string>
@@ -18,16 +18,5 @@ void SaveNetworkCsv(const RoadNetwork& network, const std::string& prefix);
 /// malformed rows: a vertex id out of row order, an edge endpoint that is
 /// not a vertex, a length that is not positive.
 RoadNetwork LoadNetworkCsv(const std::string& prefix);
-
-/// Loads a network from a single edges CSV (the `<prefix>_edges.csv`
-/// half of the pair: from,to,length_m,travel_time_s,category with a
-/// header row). The vertex set is inferred as [0, max referenced id] and
-/// every coordinate defaults to (0, 0) — sufficient for the travel-time
-/// candidate generation and serving paths (Dijkstra/Yen need topology
-/// and costs only; a zero-coordinate heuristic is admissible), not for
-/// coordinate-based tooling. Throws std::runtime_error
-/// with file:line:token context on malformed rows, and when the file has
-/// no edge rows at all.
-RoadNetwork LoadNetworkEdgesCsv(const std::string& path);
 
 }  // namespace pathrank::graph

@@ -283,11 +283,19 @@ HttpServer::HttpServer(HttpBackend backend, const HttpServerOptions& options)
   if (!backend_.score) {
     throw std::invalid_argument("HttpBackend needs a score handler");
   }
-  if (options_.max_inflight == 0) options_.max_inflight = 1;
-  // Zero timeouts would turn every recv into an immediate failure;
-  // clamp rather than surprise (timeval has no "infinite" either).
-  if (options_.idle_timeout_s < 1) options_.idle_timeout_s = 1;
-  if (options_.request_deadline_s < 1) options_.request_deadline_s = 1;
+  // A zero budget would shed every request, and a zero timeout would
+  // fail every recv (timeval has no "infinite" either).
+  if (options_.max_inflight == 0) {
+    throw std::invalid_argument("HttpServerOptions.max_inflight must be >= 1");
+  }
+  if (options_.idle_timeout_s < 1) {
+    throw std::invalid_argument(
+        "HttpServerOptions.idle_timeout_s must be >= 1");
+  }
+  if (options_.request_deadline_s < 1) {
+    throw std::invalid_argument(
+        "HttpServerOptions.request_deadline_s must be >= 1");
+  }
   if (options_.num_threads == 0) {
     // Headroom above the admission budget: the budget stays the binding
     // constraint, and /healthz keeps a worker while the engine is full.

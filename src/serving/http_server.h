@@ -97,7 +97,7 @@ struct HttpServerOptions {
   /// Admission budget shared by /v1/score, /v1/route and /v1/traffic:
   /// at most this many requests may be past admission (executing) at
   /// once. Keep it BELOW num_threads (the default sizing above does) or
-  /// shedding never engages.
+  /// shedding never engages. Must be >= 1.
   size_t max_inflight = 64;
   /// How long admission may hold a request waiting for a slot before
   /// shedding it. 0 = shed immediately when the budget is exhausted.
@@ -110,12 +110,12 @@ struct HttpServerOptions {
   /// Idle keep-alive connections are dropped after this long (applied as
   /// SO_RCVTIMEO + SO_SNDTIMEO) so a silent client cannot hold a worker
   /// forever. The send half also bounds Stop() against a non-reading
-  /// client. Clamped to >= 1.
+  /// client. Must be >= 1.
   int idle_timeout_s = 30;
   /// Wall-clock budget for reading ONE request (headers + body + error
   /// drain). The idle timeout alone is per-recv: a slow-trickle client
   /// feeding one byte per tick would otherwise hold a worker for days.
-  /// Clamped to >= 1.
+  /// Must be >= 1.
   int request_deadline_s = 60;
   /// Route-planning budget (ms) applied when the client sends neither an
   /// X-Deadline-Ms header nor a budget_ms body field. 0 = unbounded, the
@@ -206,6 +206,9 @@ struct HttpBackend {
 /// finish; queued-but-unserviced connections are closed.
 class HttpServer {
  public:
+  /// Throws std::invalid_argument when `backend` has no score handler or
+  /// an option is out of range (max_inflight, idle_timeout_s or
+  /// request_deadline_s below 1); nothing is clamped.
   HttpServer(HttpBackend backend, const HttpServerOptions& options = {});
   ~HttpServer();
   HttpServer(const HttpServer&) = delete;

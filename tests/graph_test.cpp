@@ -274,23 +274,6 @@ TEST(GraphIo, CsvRoundTrip) {
   std::remove((prefix + "_edges.csv").c_str());
 }
 
-TEST(GraphIo, EdgesOnlyLoaderMatchesCsvPair) {
-  const RoadNetwork original = BuildTestNetwork();
-  const std::string prefix =
-      (std::filesystem::temp_directory_path() / "pr_net_eo").string();
-  SaveNetworkCsv(original, prefix);
-  const RoadNetwork loaded = LoadNetworkEdgesCsv(prefix + "_edges.csv");
-  ASSERT_EQ(loaded.num_vertices(), original.num_vertices());
-  ASSERT_EQ(loaded.num_edges(), original.num_edges());
-  for (EdgeId e = 0; e < original.num_edges(); ++e) {
-    EXPECT_EQ(loaded.edge(e).from, original.edge(e).from);
-    EXPECT_EQ(loaded.edge(e).to, original.edge(e).to);
-    EXPECT_EQ(loaded.edge(e).category, original.edge(e).category);
-  }
-  std::remove((prefix + "_vertices.csv").c_str());
-  std::remove((prefix + "_edges.csv").c_str());
-}
-
 // Writes a CSV-pair network whose edges.csv data line is `edge_row`, and
 // returns the prefix (caller removes the two files).
 std::string WriteNetworkWithEdgeRow(const char* name,
@@ -443,35 +426,6 @@ TEST(GraphIo, SaveReportsAFailedWrite) {
   EXPECT_THROW(SaveNetworkCsv(MakeTriangle(), prefix), std::runtime_error);
   std::filesystem::remove(prefix + "_vertices.csv");
   std::filesystem::remove(prefix + "_edges.csv");
-}
-
-TEST(GraphIo, EdgesOnlyLoaderRejectsImplausibleVertexIds) {
-  // One corrupt id must be a file:line diagnostic, not a multi-gigabyte
-  // vertex allocation (4294967295 would even wrap the seeding loop —
-  // it is the kInvalidVertex sentinel).
-  for (const char* row : {"4294967295,1,100.0,10.0,primary",
-                          "4000000000,1,100.0,10.0,primary"}) {
-    const std::string path =
-        (std::filesystem::temp_directory_path() / "pr_net_hugeid.csv")
-            .string();
-    {
-      std::ofstream edges(path);
-      edges << "from,to,length_m,travel_time_s,category\n" << row << "\n";
-    }
-    EXPECT_THROW(LoadNetworkEdgesCsv(path), std::runtime_error) << row;
-    std::remove(path.c_str());
-  }
-}
-
-TEST(GraphIo, EdgesOnlyLoaderRejectsEmptyFile) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "pr_net_empty.csv").string();
-  {
-    std::ofstream edges(path);
-    edges << "from,to,length_m,travel_time_s,category\n";
-  }
-  EXPECT_THROW(LoadNetworkEdgesCsv(path), std::runtime_error);
-  std::remove(path.c_str());
 }
 
 TEST(Builder, RejectsInvalidEdges) {

@@ -20,6 +20,7 @@
 #include <future>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -149,6 +150,35 @@ void ExpectMatchesRanking(const std::vector<ScoredPath>& expected,
     EXPECT_EQ(expected[i].score, actual[i].score) << "rank " << i;
     EXPECT_EQ(expected[i].path.vertices, actual[i].vertices) << "rank " << i;
   }
+}
+
+TEST(HttpServerOptions, OutOfRangeOptionsThrowNamingTheField) {
+  HttpBackend backend;
+  backend.score = [](std::vector<routing::Path>) {
+    return std::vector<ScoredPath>{};
+  };
+  const auto message_for = [&backend](const HttpServerOptions& options) {
+    try {
+      HttpServer server(backend, options);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  HttpServerOptions options;
+  options.max_inflight = 0;
+  EXPECT_NE(message_for(options).find("max_inflight"), std::string::npos);
+  options = HttpServerOptions{};
+  options.idle_timeout_s = 0;
+  EXPECT_NE(message_for(options).find("idle_timeout_s"), std::string::npos);
+  options = HttpServerOptions{};
+  options.request_deadline_s = -1;
+  EXPECT_NE(message_for(options).find("request_deadline_s"),
+            std::string::npos);
+  // num_threads 0 is the automatic sizing, not an error.
+  options = HttpServerOptions{};
+  options.num_threads = 0;
+  EXPECT_EQ(message_for(options), "no throw");
 }
 
 TEST(HttpRoute, RoundTripBitwiseEqualToInProcessPlanner) {

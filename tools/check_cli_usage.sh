@@ -8,9 +8,11 @@
 # flags (--k, --threshold) the same way, with valid files to read. All
 # four must reject a --strategy other than tkdi or dtkdi the same way.
 # `serve` must also reject each out-of-range server flag (never clamp it
-# into range) and the removed --replicas flag. Each `serve` case runs
-# under `timeout 10`, so a server that boots instead fails the check
-# rather than hanging it.
+# into range), and name as unknown each removed flag (--replicas,
+# --fault-spec, --fault-seed, and --graph given instead of --network).
+# `network` and `serve` must reject a flag given twice. Each `serve` case
+# runs under `timeout 10`, so a server that boots instead fails the
+# check rather than hanging it.
 # Registered as the `cli_usage_check` ctest.
 #
 # Usage: tools/check_cli_usage.sh PATH/TO/pathrank_cli
@@ -39,6 +41,13 @@ rank() {
 serve() {
   timeout 10 "$CLI" serve --network "$WORK/net" --model "$WORK/valid.bin" \
     --http 0 --http-addr 127.0.0.1 "$@"
+}
+serve_without_network() {
+  timeout 10 "$CLI" serve --model "$WORK/valid.bin" \
+    --http 0 --http-addr 127.0.0.1 "$@"
+}
+network() {
+  "$CLI" network --out "$WORK/dup" --rows 3 --cols 3 "$@"
 }
 
 failures=0
@@ -102,11 +111,34 @@ done
 
 for pair in "max-deadline-ms -1" "default-deadline-ms -1" "route-cache -1" \
             "max-inflight 0" "idle-timeout-s 0" "request-deadline-s 0" \
-            "watch-interval-ms 0" "http-threads -1" "max-queue-wait-us -5" \
-            "replicas 4"; do
+            "watch-interval-ms 0" "http-threads -1" "max-queue-wait-us -5"; do
   read -r flag value <<< "$pair"
   expect_rejected serve "$flag" "$value"
 done
+
+# expect_unknown COMMAND FLAG VALUE: expect_rejected, and stderr must
+# call the flag unknown.
+expect_unknown() {
+  expect_rejected "$@"
+  if ! grep -q -- "unknown flag --$2 " "$WORK/stderr"; then
+    echo "check_cli_usage: $1 --$2 $3: stderr does not call the flag" \
+      "unknown:"
+    cat "$WORK/stderr"
+    failures=$((failures + 1))
+  fi
+}
+expect_unknown serve replicas 4
+expect_unknown serve fault-spec route:error
+expect_unknown serve fault-seed 1
+expect_unknown serve_without_network graph x.csv
+
+# A repeated flag exits 2 naming it, instead of the last copy winning.
+expect_rejected network rows 4
+expect_rejected serve http 0
+if [[ -e "$WORK/dup_vertices.csv" ]]; then
+  echo "check_cli_usage: network with a repeated flag wrote a network"
+  failures=$((failures + 1))
+fi
 
 for command in train evaluate rank serve; do
   for value in penalty bogus; do
@@ -119,5 +151,5 @@ if [[ "$failures" -ne 0 ]]; then
   exit 1
 fi
 echo "check_cli_usage: every out-of-range train, evaluate, rank and serve" \
-  "flag, serve --replicas and every unknown --strategy exit 2 and write" \
-  "nothing"
+  "flag, every removed serve flag, every repeated flag and every unknown" \
+  "--strategy exit 2 and write nothing"

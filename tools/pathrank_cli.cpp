@@ -26,15 +26,14 @@
 // ingests edge cost/closure batches (epoch + 1 per batch). `--watch-model
 // 1` polls the model checkpoint and hot-swaps the served snapshot
 // whenever the file changes, and `--watch-graph 1` polls the graph
-// source files and hot-swaps a re-exported network the same way. The
-// serving network comes from --network PREFIX (the CSV pair) or --graph
-// EDGES.csv (edges-only: vertex set inferred, coordinates zeroed —
-// enough for travel-time routing).
+// edges file and hot-swaps a re-exported network the same way. The
+// serving network comes from --network PREFIX (the CSV pair).
 //
 // `train`, `evaluate`, `rank` and `serve` all check the candidate flags
 // (--k at least 1, --threshold in (0, 1]) before reading any file, and
 // exit 2 on a bad value; `serve` checks its own numeric flags the same
-// way, rejecting an out-of-range value rather than clamping it.
+// way, rejecting an out-of-range value rather than clamping it. Every
+// subcommand rejects an unknown or repeated flag with exit 2.
 //
 // Networks are stored as the CSV pair written by graph::SaveNetworkCsv,
 // trips as traj::SaveTrips CSV, models as core::SaveModel checkpoints.
@@ -59,7 +58,6 @@
 #include "core/model_io.h"
 #include "pathrank.h"
 #include "graph/graph_io.h"
-#include "serving/fault_injector.h"
 #include "serving/graph_store.h"
 #include "serving/http_server.h"
 #include "serving/route_planner.h"
@@ -69,7 +67,8 @@ namespace {
 
 using namespace pathrank;
 
-/// Minimal --flag value parser; every flag takes exactly one value.
+/// Minimal --flag value parser; every flag takes exactly one value and
+/// may be given once.
 class Args {
  public:
   Args(int argc, char** argv, int first) {
@@ -83,7 +82,10 @@ class Args {
         std::fprintf(stderr, "flag %s expects a value\n", key.c_str());
         std::exit(2);
       }
-      values_[key.substr(2)] = argv[++i];
+      if (!values_.emplace(key.substr(2), argv[++i]).second) {
+        std::fprintf(stderr, "flag %s given more than once\n", key.c_str());
+        std::exit(2);
+      }
     }
   }
 
@@ -490,30 +492,6 @@ int RunHttpFrontEnd(const Args& args, const ServeFlags& flags,
   };
   backend.swap_count = [engine] { return engine->swap_count(); };
 
-  // --fault-spec: deterministic chaos at the backend seams (sites
-  // "score" and "route"), for drills and for reproducing what chaos_test
-  // exercises programmatically. The wrapper goes in BEFORE the planner
-  // captures backend.score, so injected scoring faults hit /v1/route
-  // too.
-  std::shared_ptr<serving::FaultInjector> faults;
-  if (args.Has("fault-spec")) {
-    try {
-      faults = serving::FaultInjector::Parse(
-          args.Get("fault-spec", ""),
-          static_cast<uint64_t>(args.GetInt("fault-seed", 1)));
-    } catch (const serving::FaultSpecError& e) {
-      std::fprintf(stderr, "--fault-spec: %s\n", e.what());
-      return 2;
-    }
-  }
-  if (faults != nullptr && faults->enabled()) {
-    backend.score = [faults, inner = backend.score](
-                        std::vector<routing::Path> paths) {
-      faults->Inject("score");
-      return inner(std::move(paths));
-    };
-  }
-
   // The live graph behind /v1/route and /v1/traffic: a
   // GraphStore seeded with a copy of the boot network (epoch 0). Traffic
   // batches and --watch-graph reloads swap new snapshots in.
@@ -555,29 +533,16 @@ int RunHttpFrontEnd(const Args& args, const ServeFlags& flags,
   backend.preprocessing_stats = [&graph_store] {
     return graph_store.preprocessing_stats();
   };
-  if (faults != nullptr && faults->enabled()) {
-    // The "route" site stalls/fails between deadline anchoring (HTTP
-    // parse) and Plan(), so an injected delay visibly consumes budget.
-    backend.route = [faults, inner = backend.route](
-                        const serving::RouteRequest& request) {
-      faults->Inject("route");
-      return inner(request);
-    };
-  }
 
   // --watch-graph: poll the graph source and hot-swap re-exports, the
-  // graph-side analogue of --watch-model. Watches the edges CSV — the
-  // file a re-export rewrites for either --graph or --network serving.
+  // graph-side analogue of --watch-model. Watches the edges CSV, the
+  // file a re-export rewrites.
   std::unique_ptr<FileWatcher> graph_watcher;
   if (args.GetInt("watch-graph", 0) != 0) {
-    const bool has_graph = args.Has("graph");
-    const std::string watch_path =
-        has_graph ? args.Get("graph", "")
-                  : args.Get("network", "") + "_edges.csv";
-    auto reload = [has_graph, &args, &graph_store, watch_path] {
-      graph::RoadNetwork next =
-          has_graph ? graph::LoadNetworkEdgesCsv(args.Get("graph", ""))
-                    : graph::LoadNetworkCsv(args.Get("network", ""));
+    const std::string prefix = args.Require("network");
+    const std::string watch_path = prefix + "_edges.csv";
+    auto reload = [prefix, &graph_store, watch_path] {
+      graph::RoadNetwork next = graph::LoadNetworkCsv(prefix);
       const size_t current = graph_store.Current()->network().num_vertices();
       if (next.num_vertices() != current) {
         // The model's vocabulary is pinned to the boot-time vertex set; a
@@ -624,11 +589,6 @@ int RunHttpFrontEnd(const Args& args, const ServeFlags& flags,
               options.idle_timeout_s, options.request_deadline_s,
               static_cast<long long>(options.default_deadline_ms),
               static_cast<long long>(options.max_deadline_ms));
-  if (faults != nullptr && faults->enabled()) {
-    std::printf("FAULT INJECTION ACTIVE: %s (seed %d)\n",
-                args.Get("fault-spec", "").c_str(),
-                args.GetInt("fault-seed", 1));
-  }
   std::printf("endpoints: POST /v1/route  POST /v1/score  POST /v1/traffic  GET /healthz  GET /statsz  "
               "(Ctrl-C to stop)\n");
 
@@ -687,12 +647,6 @@ int RunHttpFrontEnd(const Args& args, const ServeFlags& flags,
       "deadlines: %llu exceeded (504), %llu degraded (partial)",
       static_cast<unsigned long long>(plan_stats.deadline_exceeded),
       static_cast<unsigned long long>(plan_stats.degraded));
-  if (faults != nullptr && faults->enabled()) {
-    PR_LOG_INFO << StrFormat(
-        "fault injection: %llu delay(s), %llu error(s) fired",
-        static_cast<unsigned long long>(faults->injected_delays()),
-        static_cast<unsigned long long>(faults->injected_errors()));
-  }
   if (model_watcher != nullptr) {
     PR_LOG_INFO << "watch-model: " << model_watcher->swaps()
                 << " hot swap(s) while serving";
@@ -704,22 +658,6 @@ int RunHttpFrontEnd(const Args& args, const ServeFlags& flags,
   return 0;
 }
 
-/// Serving network source: --network PREFIX (the SaveNetworkCsv pair) or
-/// --graph EDGES.csv (edges-only; vertex set inferred, coordinates
-/// zeroed). Exactly one must be given.
-graph::RoadNetwork LoadServeNetwork(const Args& args) {
-  const bool has_network = args.Has("network");
-  const bool has_graph = args.Has("graph");
-  if (has_network == has_graph) {
-    std::fprintf(stderr,
-                 "serve needs exactly one of --network PREFIX or "
-                 "--graph EDGES.csv\n");
-    std::exit(2);
-  }
-  return has_graph ? graph::LoadNetworkEdgesCsv(args.Get("graph", ""))
-                   : graph::LoadNetworkCsv(args.Get("network", ""));
-}
-
 int CmdServe(const Args& args) {
   if (!args.Has("http")) {
     std::fprintf(stderr,
@@ -729,7 +667,7 @@ int CmdServe(const Args& args) {
   }
   const data::CandidateGenConfig gen = GenConfigFromArgs(args);
   const ServeFlags flags = ServeFlagsFromArgs(args);
-  const auto network = LoadServeNetwork(args);
+  const auto network = graph::LoadNetworkCsv(args.Require("network"));
   auto model = core::LoadModel(args.Require("model"));
   if (model->vocab_size() != network.num_vertices()) {
     std::fprintf(stderr, "model/network vertex-count mismatch\n");
@@ -779,8 +717,7 @@ void PrintUsage() {
       "            [--strategy tkdi|dtkdi --k K --threshold T]\n"
       "  rank      --network PREFIX --model MODEL.bin --from V --to V\n"
       "            [--strategy tkdi|dtkdi --k K --threshold T]\n"
-      "  serve     (--network PREFIX | --graph EDGES.csv) --model MODEL.bin\n"
-      "            --http PORT\n"
+      "  serve     --network PREFIX --model MODEL.bin --http PORT\n"
       "            [--strategy ... --k K --threshold T]\n"
       "            [--watch-model 0|1 --watch-interval-ms M]\n"
       "            [--http-addr A --max-inflight N\n"
@@ -791,9 +728,7 @@ void PrintUsage() {
       "             --watch-graph 0|1 (hot-swap re-exported graphs)\n"
       "             --idle-timeout-s S --request-deadline-s S\n"
       "             --default-deadline-ms MS --max-deadline-ms MS "
-      "(0 = unbounded)\n"
-      "             --fault-spec \"site:delay_ms=N:p=F;site:error\" "
-      "--fault-seed S]\n");
+      "(0 = unbounded)]\n");
 }
 
 }  // namespace
@@ -821,12 +756,12 @@ int main(int argc, char** argv) {
       {"rank",
        {"network", "model", "from", "to", "strategy", "k", "threshold"}},
       {"serve",
-       {"network", "graph", "model", "strategy", "k",
+       {"network", "model", "strategy", "k",
         "threshold", "watch-model", "watch-graph", "watch-interval-ms",
         "http", "http-addr", "http-threads", "max-inflight",
         "max-queue-wait-us", "route-cache", "spur-engine", "landmarks",
         "idle-timeout-s", "request-deadline-s", "default-deadline-ms",
-        "max-deadline-ms", "fault-spec", "fault-seed"}},
+        "max-deadline-ms"}},
   };
   const auto known = kKnownFlags.find(command);
   if (known != kKnownFlags.end()) {
