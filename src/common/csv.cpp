@@ -1,5 +1,9 @@
 #include "common/csv.h"
 
+#include <cerrno>
+#include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -8,19 +12,29 @@ namespace pathrank {
 
 struct CsvWriter::Impl {
   std::string path;
+  std::string tmp_path;
   std::ofstream out;
+  bool published = false;
 };
 
 CsvWriter::CsvWriter(const std::string& path) : impl_(new Impl) {
   impl_->path = path;
-  impl_->out.open(path, std::ios::out | std::ios::trunc);
+  impl_->tmp_path = path + ".tmp";
+  impl_->out.open(impl_->tmp_path, std::ios::out | std::ios::trunc);
   if (!impl_->out) {
     delete impl_;
-    throw std::runtime_error("CsvWriter: cannot open " + path);
+    throw std::runtime_error("CsvWriter: cannot open " + path + ".tmp");
   }
 }
 
-CsvWriter::~CsvWriter() { delete impl_; }
+CsvWriter::~CsvWriter() {
+  if (!impl_->published) {
+    impl_->out.close();
+    std::error_code ignored;  // nothing to report from a destructor
+    std::filesystem::remove(impl_->tmp_path, ignored);
+  }
+  delete impl_;
+}
 
 void CsvWriter::WriteRow(const std::vector<std::string>& fields) {
   for (size_t i = 0; i < fields.size(); ++i) {
@@ -35,8 +49,14 @@ void CsvWriter::Close() {
   // leaves the stream failed.
   impl_->out.close();
   if (!impl_->out) {
-    throw std::runtime_error("CsvWriter: write failed: " + impl_->path);
+    throw std::runtime_error("CsvWriter: write failed: " + impl_->tmp_path);
   }
+  if (std::rename(impl_->tmp_path.c_str(), impl_->path.c_str()) != 0) {
+    throw std::runtime_error("CsvWriter: cannot rename " + impl_->tmp_path +
+                             " onto " + impl_->path + ": " +
+                             std::strerror(errno));
+  }
+  impl_->published = true;
 }
 
 std::string EscapeCsvField(const std::string& field) {

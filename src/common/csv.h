@@ -8,11 +8,17 @@
 
 namespace pathrank {
 
-/// Writes rows of string fields as RFC-4180-style CSV.
+/// Writes rows of string fields as RFC-4180-style CSV. The rows go to
+/// `<path>.tmp`, and Close() renames that onto `path`, so a reader
+/// polling `path` (`serve --watch-graph`) sees the old file or the whole
+/// new one, never a partial write.
 class CsvWriter {
  public:
-  /// Creates (truncates) `path`. Throws std::runtime_error on failure.
+  /// Creates (truncates) `<path>.tmp`. Throws std::runtime_error on
+  /// failure.
   explicit CsvWriter(const std::string& path);
+  /// Without a successful Close(), deletes the temp file and leaves
+  /// `path` as it was.
   ~CsvWriter();
 
   CsvWriter(const CsvWriter&) = delete;
@@ -21,10 +27,9 @@ class CsvWriter {
   /// Writes one row; fields are quoted only when required.
   void WriteRow(const std::vector<std::string>& fields);
 
-  /// Flushes and closes the file. Throws std::runtime_error when any
-  /// write, or the final flush, failed (a full disk, say). The destructor
-  /// closes without checking, so a writer whose file must be complete
-  /// calls Close().
+  /// Flushes and closes the temp file, then renames it onto `path`.
+  /// Throws std::runtime_error when any write, the final flush (a full
+  /// disk, say) or the rename failed; `path` is then unchanged.
   void Close();
 
  private:

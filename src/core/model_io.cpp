@@ -1,6 +1,10 @@
 #include "core/model_io.h"
 
+#include <cerrno>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -50,8 +54,21 @@ double GetF64(std::istream& in) {
 }  // namespace
 
 void SaveModel(const PathRankModel& model, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot open " + path);
+  const nn::ConstParameterList params = model.Parameters();
+  {
+    // Duplicate names would silently alias slots at load time.
+    std::unordered_map<std::string, int> seen;
+    for (const nn::Parameter* p : params) {
+      if (++seen[p->name] > 1) {
+        throw std::runtime_error("duplicate parameter name: " + p->name);
+      }
+    }
+  }
+  // Written to <path>.tmp and renamed into place, so a reader polling
+  // `path` (`serve --watch-model`) never sees a partial checkpoint.
+  const std::string tmp_path = path + ".tmp";
+  std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
+  if (!out) throw std::runtime_error("cannot open " + tmp_path);
   const PathRankConfig& cfg = model.config();
   Put32(out, kModelMagic);
   Put32(out, kVersion);
@@ -65,17 +82,6 @@ void SaveModel(const PathRankModel& model, const std::string& path) {
   Put32(out, cfg.multi_task ? 1 : 0);
   PutF64(out, cfg.aux_loss_weight);
   Put64(out, cfg.seed);
-
-  const nn::ConstParameterList params = model.Parameters();
-  {
-    // Duplicate names would silently alias slots at load time.
-    std::unordered_map<std::string, int> seen;
-    for (const nn::Parameter* p : params) {
-      if (++seen[p->name] > 1) {
-        throw std::runtime_error("duplicate parameter name: " + p->name);
-      }
-    }
-  }
   Put32(out, static_cast<uint32_t>(params.size()));
   for (const nn::Parameter* p : params) {
     Put32(out, static_cast<uint32_t>(p->name.size()));
@@ -85,7 +91,18 @@ void SaveModel(const PathRankModel& model, const std::string& path) {
   }
   // A small checkpoint's only real write is the flush in close().
   out.close();
-  if (!out) throw std::runtime_error("write failed: " + path);
+  std::string failure;
+  if (!out) {
+    failure = "write failed: " + tmp_path;
+  } else if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
+    failure = "cannot rename " + tmp_path + " onto " + path + ": " +
+              std::strerror(errno);
+  }
+  if (!failure.empty()) {
+    std::error_code ignored;  // the failure above is the one to report
+    std::filesystem::remove(tmp_path, ignored);
+    throw std::runtime_error(failure);
+  }
 }
 
 std::unique_ptr<PathRankModel> LoadModel(const std::string& path) {

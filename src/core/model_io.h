@@ -10,8 +10,10 @@
 
 namespace pathrank::core {
 
-/// Saves `model` (config + parameters) to `path`.
-/// Throws std::runtime_error on I/O failure.
+/// Saves `model` (config + parameters) to `path`: writes `<path>.tmp`
+/// and renames it onto `path`, so a reader polling `path` (`serve
+/// --watch-model`) sees the old checkpoint or the whole new one.
+/// Throws std::runtime_error on I/O failure, leaving `path` unchanged.
 void SaveModel(const PathRankModel& model, const std::string& path);
 
 /// Loads a model checkpoint; reconstructs the architecture from the stored

@@ -66,10 +66,10 @@ Response ErrorResponse(int status, const std::string& message,
                        const char* slug = nullptr) {
   Response response;
   response.status = status;
-  json::Object object;
-  object["error"] = json::Value(message);
-  if (slug != nullptr) object["status"] = json::Value(slug);
-  response.body = json::Dump(json::Value(std::move(object)));
+  json::Writer writer(&response.body);
+  writer.BeginObject().Key("error").String(message);
+  if (slug != nullptr) writer.Key("status").String(slug);
+  writer.EndObject();
   return response;
 }
 
@@ -190,26 +190,22 @@ bool ParseVertexId(const json::Value* value, size_t num_vertices,
 
 /// A vertex- or edge-id list as a JSON array.
 template <typename Id>
-json::Value IdArray(const std::vector<Id>& ids) {
-  json::Array array;
-  array.reserve(ids.size());
-  for (const Id id : ids) array.emplace_back(static_cast<uint64_t>(id));
-  return json::Value(std::move(array));
+void WriteIds(const std::vector<Id>& ids, json::Writer* writer) {
+  writer->BeginArray();
+  for (const Id id : ids) writer->Number(static_cast<double>(id));
+  writer->EndArray();
 }
 
 /// /v1/score's body: {"candidates": [{"score", "vertices"}, ...]}.
-json::Value RankingJson(const std::vector<ScoredPath>& ranking) {
-  json::Array candidates;
-  candidates.reserve(ranking.size());
+void WriteRanking(const std::vector<ScoredPath>& ranking, std::string* out) {
+  json::Writer writer(out);
+  writer.BeginObject().Key("candidates").BeginArray();
   for (const auto& scored : ranking) {
-    json::Object candidate;
-    candidate["score"] = json::Value(scored.score);
-    candidate["vertices"] = IdArray(scored.path.vertices);
-    candidates.push_back(json::Value(std::move(candidate)));
+    writer.BeginObject().Key("score").Number(scored.score).Key("vertices");
+    WriteIds(scored.path.vertices, &writer);
+    writer.EndObject();
   }
-  json::Object object;
-  object["candidates"] = json::Value(std::move(candidates));
-  return json::Value(std::move(object));
+  writer.EndArray().EndObject();
 }
 
 // The handlers answer every client error themselves and let a backend
@@ -218,8 +214,8 @@ Response HandleScore(const HttpBackend& backend, const std::string& body);
 Response HandleRoute(const HttpBackend& backend, const HttpRequest& request,
                      const HttpServerOptions& options);
 Response HandleTraffic(const HttpBackend& backend, const std::string& body);
-json::Value StatszJson(const HttpServerStats& stats,
-                       const HttpServerOptions& options);
+void WriteStatsz(const HttpServerStats& stats,
+                 const HttpServerOptions& options, std::string* out);
 
 }  // namespace
 
@@ -545,29 +541,34 @@ void HttpServer::ServeConnection(int fd) {
       if (request.method != "GET") {
         response = ErrorResponse(405, "use GET");
       } else {
-        json::Object object;
-        object["status"] = json::Value("ok");
-        object["swap_count"] = json::Value(
-            backend_.swap_count ? backend_.swap_count() : uint64_t{0});
+        size_t inflight = 0;
+        {
+          common::MutexLock lock(admit_mu_);
+          inflight = inflight_;
+        }
+        json::Writer writer(&response.body);
+        writer.BeginObject();
         // Only servers with a live-graph backend report an epoch — the
         // body of a graph-less server stays byte-identical to before the
         // endpoint existed.
         if (backend_.graph_epoch) {
-          object["graph_epoch"] = json::Value(backend_.graph_epoch());
+          writer.Key("graph_epoch")
+              .Number(static_cast<double>(backend_.graph_epoch()));
         }
-        {
-          common::MutexLock lock(admit_mu_);
-          object["inflight"] = json::Value(static_cast<uint64_t>(inflight_));
-        }
-        object["max_inflight"] =
-            json::Value(static_cast<uint64_t>(options_.max_inflight));
-        response.body = json::Dump(json::Value(std::move(object)));
+        const uint64_t swap_count =
+            backend_.swap_count ? backend_.swap_count() : 0;
+        writer.Key("inflight").Number(static_cast<double>(inflight))
+            .Key("max_inflight")
+            .Number(static_cast<double>(options_.max_inflight))
+            .Key("status").String("ok")
+            .Key("swap_count").Number(static_cast<double>(swap_count))
+            .EndObject();
       }
     } else if (request.target == "/statsz") {
       if (request.method != "GET") {
         response = ErrorResponse(405, "use GET");
       } else {
-        response.body = json::Dump(StatszJson(stats(), options_));
+        WriteStatsz(stats(), options_, &response.body);
       }
     } else if (request.target == "/v1/score" ||
                request.target == "/v1/route" ||
@@ -657,44 +658,8 @@ Response HandleScore(const HttpBackend& backend, const std::string& body) {
   std::vector<ScoredPath> ranking;
   if (!paths.empty()) ranking = backend.score(std::move(paths));
   Response response;
-  response.body = json::Dump(RankingJson(ranking));
+  WriteRanking(ranking, &response.body);
   return response;
-}
-
-/// Renders a RouteResult's ranked paths: score, enumeration cost, length,
-/// time, and the vertex- and edge-id lists (clients replaying the route
-/// on the network need edges, not just vertices — parallel edges make
-/// the vertex list ambiguous).
-json::Value RouteJson(const RouteResult& result) {
-  json::Array routes;
-  routes.reserve(result.ranked.size());
-  for (const auto& scored : result.ranked) {
-    json::Object route;
-    route["score"] = json::Value(scored.score);
-    route["cost"] = json::Value(scored.path.cost);
-    route["length_m"] = json::Value(scored.path.length_m);
-    route["time_s"] = json::Value(scored.path.time_s);
-    route["vertices"] = IdArray(scored.path.vertices);
-    route["edges"] = IdArray(scored.path.edges);
-    routes.push_back(json::Value(std::move(route)));
-  }
-  json::Object object;
-  // The engine that enumerated this candidate set. For a cache hit this
-  // is the engine that SEEDED the entry (the algo is cached alongside the
-  // paths), so a hit's body stays byte-identical to the miss it repeats.
-  object["algo"] = json::Value(result.algo);
-  object["cache_hit"] = json::Value(result.cache_hit);
-  // Emitted only when true: a deadline-free request's body stays byte
-  // identical to a server that predates deadlines, which the route
-  // round-trip tests (and any byte-diffing client) rely on.
-  if (result.degraded) object["degraded"] = json::Value(true);
-  // Unconditional (0 on a graph-less server): a hit and the miss that
-  // seeded it carry the same epoch, so the cache-hit byte-identity
-  // guarantee is unaffected — and a client can pin any answer to the
-  // graph version it was computed against.
-  object["graph_epoch"] = json::Value(result.graph_epoch);
-  object["routes"] = json::Value(std::move(routes));
-  return json::Value(std::move(object));
 }
 
 Response HandleRoute(const HttpBackend& backend, const HttpRequest& request,
@@ -736,8 +701,8 @@ Response HandleRoute(const HttpBackend& backend, const HttpRequest& request,
   // (the field travels with the query; the header is for clients that
   // cannot touch the body, e.g. proxies stamping a global budget).
   // Anchored HERE — before the backend call — so time lost between
-  // anchor and enumeration (a stalled engine, an injected fault) counts
-  // against the budget rather than extending it.
+  // anchor and enumeration (a stalled engine, say) counts against the
+  // budget rather than extending it.
   int64_t budget_ms = -1;  // -1 = client sent nothing
   if (const json::Value* b = parsed->Find("budget_ms"); b != nullptr) {
     const auto parsed_budget = JsonInteger<int32_t>(*b, 1);
@@ -767,7 +732,7 @@ Response HandleRoute(const HttpBackend& backend, const HttpRequest& request,
   const RouteResult result = backend.route(route_request);
   if (result.status == RouteStatus::kOk) {
     Response response;
-    response.body = json::Dump(RouteJson(result));
+    WriteRouteBody(result, &response.body);
     return response;
   }
   const int status = result.status == RouteStatus::kUnreachable        ? 404
@@ -837,75 +802,115 @@ Response HandleTraffic(const HttpBackend& backend, const std::string& body) {
                          TrafficStatusSlug(result.status));
   }
   Response response;
-  json::Object object;
-  object["epoch"] = json::Value(result.epoch);
-  object["cost_updates"] =
-      json::Value(static_cast<uint64_t>(result.cost_updates));
-  object["closures"] = json::Value(static_cast<uint64_t>(result.closures));
-  object["reopenings"] = json::Value(static_cast<uint64_t>(result.reopenings));
-  response.body = json::Dump(json::Value(std::move(object)));
+  json::Writer(&response.body)
+      .BeginObject()
+      .Key("closures").Number(static_cast<double>(result.closures))
+      .Key("cost_updates").Number(static_cast<double>(result.cost_updates))
+      .Key("epoch").Number(static_cast<double>(result.epoch))
+      .Key("reopenings").Number(static_cast<double>(result.reopenings))
+      .EndObject();
   return response;
 }
 
-json::Value StatszJson(const HttpServerStats& stats,
-                       const HttpServerOptions& options) {
-  json::Object object;
-  object["connections_accepted"] = json::Value(stats.connections_accepted);
-  object["requests_total"] = json::Value(stats.requests_total);
-  object["shed_total"] = json::Value(stats.shed_total);
-  object["deadline_exceeded_count"] =
-      json::Value(stats.route_planner.deadline_exceeded);
-  object["degraded_count"] = json::Value(stats.route_planner.degraded);
-  object["inflight"] = json::Value(stats.inflight);
-  object["admission_waiting"] = json::Value(stats.admission_waiting);
-  object["max_inflight"] =
-      json::Value(static_cast<uint64_t>(options.max_inflight));
-  object["max_queue_wait_us"] =
-      json::Value(static_cast<int64_t>(options.max_queue_wait_us));
-  object["graph_epoch"] = json::Value(stats.graph_epoch);
-  {
-    json::Object planner;
-    planner["cache_hits"] = json::Value(stats.route_planner.cache_hits);
-    planner["cache_misses"] = json::Value(stats.route_planner.cache_misses);
-    planner["invalidations"] =
-        json::Value(stats.route_planner.invalidations);
-    planner["enumerations"] = json::Value(stats.route_planner.enumerations);
-    planner["alt_fallbacks"] =
-        json::Value(stats.route_planner.alt_fallbacks);
-    object["route_planner"] = json::Value(std::move(planner));
-  }
-  {
-    json::Object preprocessing;
-    preprocessing["enabled"] = json::Value(stats.preprocessing.enabled);
-    preprocessing["landmarks"] = json::Value(
-        static_cast<uint64_t>(stats.preprocessing.landmarks));
-    preprocessing["rebuilds"] = json::Value(stats.preprocessing.rebuilds);
-    preprocessing["rebuild_p50_s"] =
-        json::Value(stats.preprocessing.rebuild_p50_s);
-    preprocessing["rebuild_p99_s"] =
-        json::Value(stats.preprocessing.rebuild_p99_s);
-    preprocessing["epochs_behind"] =
-        json::Value(stats.preprocessing.epochs_behind);
-    object["preprocessing"] = json::Value(std::move(preprocessing));
-  }
-  json::Object endpoints;
-  const auto endpoint_json = [](const HttpEndpointStats& endpoint_stats) {
-    json::Object endpoint;
-    endpoint["requests"] = json::Value(endpoint_stats.requests);
-    endpoint["errors"] = json::Value(endpoint_stats.errors);
-    endpoint["latency_mean_s"] = json::Value(endpoint_stats.latency_mean_s);
-    endpoint["latency_p50_s"] = json::Value(endpoint_stats.latency_p50_s);
-    endpoint["latency_p99_s"] = json::Value(endpoint_stats.latency_p99_s);
-    return json::Value(std::move(endpoint));
+void WriteStatsz(const HttpServerStats& stats,
+                 const HttpServerOptions& options, std::string* out) {
+  const auto count = [](auto n) { return static_cast<double>(n); };
+  json::Writer writer(out);
+  const auto write_endpoint = [&](const char* name,
+                                  const HttpEndpointStats& endpoint) {
+    writer.Key(name)
+        .BeginObject()
+        .Key("errors").Number(count(endpoint.errors))
+        .Key("latency_mean_s").Number(endpoint.latency_mean_s)
+        .Key("latency_p50_s").Number(endpoint.latency_p50_s)
+        .Key("latency_p99_s").Number(endpoint.latency_p99_s)
+        .Key("requests").Number(count(endpoint.requests))
+        .EndObject();
   };
-  endpoints["/v1/score"] = endpoint_json(stats.score);
-  endpoints["/v1/route"] = endpoint_json(stats.route);
-  endpoints["/v1/traffic"] = endpoint_json(stats.traffic);
-  object["endpoints"] = json::Value(std::move(endpoints));
-  return json::Value(std::move(object));
+  const RoutePlannerStats& planner = stats.route_planner;
+  const PreprocessingStats& preprocessing = stats.preprocessing;
+  writer.BeginObject()
+      .Key("admission_waiting").Number(count(stats.admission_waiting))
+      .Key("connections_accepted").Number(count(stats.connections_accepted))
+      .Key("deadline_exceeded_count").Number(count(planner.deadline_exceeded))
+      .Key("degraded_count").Number(count(planner.degraded))
+      .Key("endpoints")
+      .BeginObject();
+  write_endpoint("/v1/route", stats.route);
+  write_endpoint("/v1/score", stats.score);
+  write_endpoint("/v1/traffic", stats.traffic);
+  writer.EndObject()
+      .Key("graph_epoch").Number(count(stats.graph_epoch))
+      .Key("inflight").Number(count(stats.inflight))
+      .Key("max_inflight").Number(count(options.max_inflight))
+      .Key("max_queue_wait_us").Number(count(options.max_queue_wait_us))
+      .Key("preprocessing")
+      .BeginObject()
+      .Key("enabled").Bool(preprocessing.enabled)
+      .Key("epochs_behind").Number(count(preprocessing.epochs_behind))
+      .Key("landmarks").Number(count(preprocessing.landmarks))
+      .Key("rebuild_p50_s").Number(preprocessing.rebuild_p50_s)
+      .Key("rebuild_p99_s").Number(preprocessing.rebuild_p99_s)
+      .Key("rebuilds").Number(count(preprocessing.rebuilds))
+      .EndObject()
+      .Key("requests_total").Number(count(stats.requests_total))
+      .Key("route_planner")
+      .BeginObject()
+      .Key("alt_fallbacks").Number(count(planner.alt_fallbacks))
+      .Key("cache_hits").Number(count(planner.cache_hits))
+      .Key("cache_misses").Number(count(planner.cache_misses))
+      .Key("enumerations").Number(count(planner.enumerations))
+      .Key("invalidations").Number(count(planner.invalidations))
+      .EndObject()
+      .Key("shed_total").Number(count(stats.shed_total))
+      .EndObject();
 }
 
 }  // namespace
+
+void WriteRouteBody(const RouteResult& result, std::string* out) {
+  // One allocation for a typical body instead of a doubling series (the
+  // string still grows if the estimate falls short): 8 bytes per id fit
+  // ids of up to seven digits with their comma, and 180 a route's keys
+  // and its four doubles.
+  size_t ids = 0;
+  for (const auto& scored : result.ranked) {
+    ids += scored.path.vertices.size() + scored.path.edges.size();
+  }
+  out->reserve(out->size() + 80 + 180 * result.ranked.size() + 8 * ids);
+  json::Writer writer(out);
+  // "algo" is the engine that enumerated this candidate set. For a cache
+  // hit it is the engine that SEEDED the entry (the algo is cached
+  // alongside the paths), so a hit's body stays byte-identical to the
+  // miss it repeats.
+  writer.BeginObject()
+      .Key("algo").String(result.algo)
+      .Key("cache_hit").Bool(result.cache_hit);
+  // Emitted only when true: a deadline-free request's body stays byte
+  // identical to a server that predates deadlines, which the route
+  // round-trip tests (and any byte-diffing client) rely on.
+  if (result.degraded) writer.Key("degraded").Bool(true);
+  // Unconditional (0 on a graph-less server): a hit and the miss that
+  // seeded it carry the same epoch, so the cache-hit byte-identity
+  // guarantee is unaffected — and a client can pin any answer to the
+  // graph version it was computed against.
+  writer.Key("graph_epoch").Number(static_cast<double>(result.graph_epoch))
+      .Key("routes").BeginArray();
+  // Clients replaying a route on the network need its edges, not just
+  // its vertices: parallel edges make the vertex list ambiguous.
+  for (const auto& scored : result.ranked) {
+    const routing::Path& path = scored.path;
+    writer.BeginObject().Key("cost").Number(path.cost).Key("edges");
+    WriteIds(path.edges, &writer);
+    writer.Key("length_m").Number(path.length_m)
+        .Key("score").Number(scored.score)
+        .Key("time_s").Number(path.time_s)
+        .Key("vertices");
+    WriteIds(path.vertices, &writer);
+    writer.EndObject();
+  }
+  writer.EndArray().EndObject();
+}
 
 HttpServerStats HttpServer::stats() const {
   HttpServerStats stats;

@@ -55,10 +55,11 @@
 // num_threads keep-alive clients — can still occupy every worker;
 // admission bounds engine work, not sockets.)
 //
-// Fidelity: scores travel in shortest-round-trip double form (see
-// json.h), so a response body parses back bitwise identical to the
-// in-process RoutePlanner::Plan / ServingEngine::ScoreBatch result
-// (http_server_test asserts it).
+// Bodies are written by json::Writer straight from the handler's result,
+// keys in ascending byte order. Fidelity: scores travel in
+// shortest-round-trip double form (see json.h), so a response body
+// parses back bitwise identical to the in-process RoutePlanner::Plan /
+// ServingEngine::ScoreBatch result (http_server_test asserts it).
 //
 // Request-head framing lives in http_request.h (ParseRequestHead), apart
 // from the sockets. The test-only HTTP client is tests/support/http_client.
@@ -198,6 +199,12 @@ struct HttpBackend {
   /// queries are range-checked by the route backend instead.
   size_t num_vertices = 0;
 };
+
+/// Appends /v1/route's 200 body for `result` (status kOk) to `*out`:
+/// {"algo", "cache_hit", "degraded" (only when true), "graph_epoch",
+/// "routes": [{"cost", "edges", "length_m", "score", "time_s",
+/// "vertices"}, ...]}, written straight from the result by json::Writer.
+void WriteRouteBody(const RouteResult& result, std::string* out);
 
 /// The server. Construct, Start(), then Stop() (or destroy — the
 /// destructor stops). Start binds + listens, spawns the accept loop and

@@ -3,9 +3,10 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <system_error>
+
+#include "common/logging.h"
 
 namespace pathrank::serving::json {
 namespace {
@@ -383,9 +384,16 @@ class Parser {
   std::string error_;
 };
 
-void DumpString(const std::string& s, std::string* out) {
+/// The one string escaper: `s` as a quoted JSON string. Runs of bytes
+/// that need no escape are appended whole; bytes >= 0x80 pass through.
+void AppendQuoted(std::string_view s, std::string* out) {
   out->push_back('"');
-  for (const char c : s) {
+  size_t run = 0;  // first byte not yet appended
+  for (size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': *out += "\\\""; break;
       case '\\': *out += "\\\\"; break;
@@ -394,74 +402,45 @@ void DumpString(const std::string& s, std::string* out) {
       case '\n': *out += "\\n"; break;
       case '\r': *out += "\\r"; break;
       case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
+      default: {
+        constexpr char kHex[] = "0123456789abcdef";
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                               kHex[c & 0xF]};
+        out->append(escape, sizeof(escape));
+      }
     }
   }
+  out->append(s.data() + run, s.size() - run);
   out->push_back('"');
 }
 
-void DumpNumber(double d, std::string* out) {
-  // JSON has no Infinity/NaN; null is the conventional stand-in.
-  if (!std::isfinite(d)) {
-    *out += "null";
-    return;
-  }
-  // std::to_chars: the shortest representation that parses back bitwise
-  // (sign of -0.0 included), locale-independent — snprintf would emit a
-  // comma decimal point (invalid JSON) under an LC_NUMERIC locale the
-  // host application might set. Integral doubles print as plain
-  // integers ("42"), which keeps ids and counters readable.
-  char buf[32];  // longest shortest-form double is 24 chars
-  const auto result = std::to_chars(buf, buf + sizeof(buf), d);
-  out->append(buf, result.ptr);
-}
-
-void DumpValue(const Value& value, std::string* out) {
+void WriteValue(const Value& value, Writer* writer) {
   switch (value.type()) {
     case Value::Type::kNull:
-      *out += "null";
+      writer->Null();
       break;
     case Value::Type::kBool:
-      *out += value.bool_value() ? "true" : "false";
+      writer->Bool(value.bool_value());
       break;
     case Value::Type::kNumber:
-      DumpNumber(value.number_value(), out);
+      writer->Number(value.number_value());
       break;
     case Value::Type::kString:
-      DumpString(value.string_value(), out);
+      writer->String(value.string_value());
       break;
-    case Value::Type::kArray: {
-      out->push_back('[');
-      bool first = true;
-      for (const auto& element : value.array()) {
-        if (!first) out->push_back(',');
-        first = false;
-        DumpValue(element, out);
-      }
-      out->push_back(']');
+    case Value::Type::kArray:
+      writer->BeginArray();
+      for (const auto& element : value.array()) WriteValue(element, writer);
+      writer->EndArray();
       break;
-    }
-    case Value::Type::kObject: {
-      out->push_back('{');
-      bool first = true;
+    case Value::Type::kObject:
+      writer->BeginObject();
       for (const auto& [key, element] : value.object()) {
-        if (!first) out->push_back(',');
-        first = false;
-        DumpString(key, out);
-        out->push_back(':');
-        DumpValue(element, out);
+        writer->Key(key);
+        WriteValue(element, writer);
       }
-      out->push_back('}');
+      writer->EndObject();
       break;
-    }
   }
 }
 
@@ -471,9 +450,103 @@ std::optional<Value> Parse(std::string_view text, std::string* error) {
   return Parser(text).Run(error);
 }
 
+void Writer::Separate() {
+  if (out_->size() == start_) return;
+  const char last = out_->back();
+  // After an opening bracket or a key nothing goes between; after a
+  // complete value (a literal, a number, '"', ']' or '}') a comma does.
+  if (last != '[' && last != '{' && last != ':') out_->push_back(',');
+}
+
+Writer& Writer::BeginObject() {
+  Separate();
+  out_->push_back('{');
+#ifndef NDEBUG
+  last_keys_.emplace_back();
+#endif
+  return *this;
+}
+
+Writer& Writer::EndObject() {
+  out_->push_back('}');
+#ifndef NDEBUG
+  last_keys_.pop_back();
+#endif
+  return *this;
+}
+
+Writer& Writer::BeginArray() {
+  Separate();
+  out_->push_back('[');
+  return *this;
+}
+
+Writer& Writer::EndArray() {
+  out_->push_back(']');
+  return *this;
+}
+
+Writer& Writer::Key(std::string_view key) {
+#ifndef NDEBUG
+  PR_DCHECK(!last_keys_.empty()) << "json::Writer: key outside an object";
+  std::optional<std::string>& last = last_keys_.back();
+  PR_DCHECK(!last || *last < key)
+      << "json::Writer: key \"" << key << "\" after \""
+      << last.value_or("") << "\"; keys go in ascending byte order";
+  last = std::string(key);
+#endif
+  Separate();
+  AppendQuoted(key, out_);
+  out_->push_back(':');
+  return *this;
+}
+
+Writer& Writer::Null() {
+  Separate();
+  *out_ += "null";
+  return *this;
+}
+
+Writer& Writer::Bool(bool b) {
+  Separate();
+  *out_ += b ? "true" : "false";
+  return *this;
+}
+
+Writer& Writer::Number(double d) {
+  Separate();
+  if (!std::isfinite(d)) {
+    *out_ += "null";
+    return *this;
+  }
+  // std::to_chars, unlike snprintf, ignores LC_NUMERIC: a host locale
+  // with a comma decimal point cannot corrupt the wire. Its shortest
+  // double form parses back bitwise (sign of -0.0 included) but can be
+  // exponent notation for an integral value (1e+05), so integral values
+  // a double holds exactly take the integer conversion instead.
+  constexpr double kTwoTo53 = 9007199254740992.0;
+  char buf[32];  // longest shortest-form double is 24 chars
+  char* end = nullptr;
+  if (std::fabs(d) < kTwoTo53 && d == std::trunc(d) &&
+      !(d == 0.0 && std::signbit(d))) {
+    end = std::to_chars(buf, buf + sizeof(buf), static_cast<int64_t>(d)).ptr;
+  } else {
+    end = std::to_chars(buf, buf + sizeof(buf), d).ptr;
+  }
+  out_->append(buf, end);
+  return *this;
+}
+
+Writer& Writer::String(std::string_view s) {
+  Separate();
+  AppendQuoted(s, out_);
+  return *this;
+}
+
 std::string Dump(const Value& value) {
   std::string out;
-  DumpValue(value, &out);
+  Writer writer(&out);
+  WriteValue(value, &writer);
   return out;
 }
 

@@ -4,11 +4,17 @@
 // small: the server's request/response schemas need objects, arrays,
 // strings, doubles and bools, nothing exotic.
 //
-// Fidelity contract: Dump prints doubles in their shortest
-// round-trippable form (std::to_chars) so Parse(Dump(x)) == x bitwise
-// for every finite double, independent of the process locale. This is
-// what lets the HTTP round-trip tests assert scores BITWISE equal to the
-// in-process ServingEngine path — the serialization layer never rounds.
+// Writing goes through one streaming Writer: the server writes its
+// response bodies straight from its own structs, and Dump is a walk of
+// a DOM through the same Writer, so numbers and strings are formatted
+// in exactly one place. The DOM (Value) is Parse's output and the tests'
+// reference.
+//
+// Fidelity contract: doubles print in their shortest round-trippable
+// form (std::to_chars) so Parse(Dump(x)) == x bitwise for every finite
+// double, independent of the process locale. This is what lets the HTTP
+// round-trip tests assert scores BITWISE equal to the in-process
+// ServingEngine path — the serialization layer never rounds.
 //
 // Parsing is strict RFC-8259: exactly one value, no trailing input, no
 // comments, no trailing commas, \uXXXX escapes (surrogate pairs included)
@@ -28,7 +34,7 @@ namespace pathrank::serving::json {
 
 class Value;
 /// Array / object payloads. std::map keeps Dump output deterministic
-/// (keys in sorted order), which the tests and docs examples rely on.
+/// (keys in ascending byte order), the order Writer requires.
 using Array = std::vector<Value>;
 using Object = std::map<std::string, Value>;
 
@@ -108,10 +114,47 @@ class Value {
 /// description for the 400 response body.
 std::optional<Value> Parse(std::string_view text, std::string* error = nullptr);
 
-/// Serialises compactly (no whitespace). Doubles print in their shortest
-/// round-trippable form (std::to_chars, locale-independent) so
-/// Parse(Dump(v)) reproduces them bitwise; integral doubles print as
-/// plain integers ("17", not "1.7e+01") so ids stay readable.
+/// Streaming compact-JSON writer: appends to a caller's string as the
+/// caller walks its own data, with no DOM in between, and places the
+/// ',' and ':' separators itself. The caller opens, names and closes;
+/// every Begin needs its End, and every Key exactly one value.
+///
+/// Object keys must come in ascending byte order — the order std::map
+/// gives a DOM Object — so a body written here is byte-identical to Dump
+/// of the same DOM. Builds without NDEBUG check it (PR_DCHECK).
+///
+/// Numbers: shortest round-trip form (std::to_chars, locale-independent);
+/// integral values with |d| < 2^53 print as plain integers ("100000",
+/// never "1e+05"), so ids and counters reach clients as integers; -0.0
+/// prints "-0", and a non-finite value "null" (JSON has no Inf/NaN).
+class Writer {
+ public:
+  /// Appends to `*out`, after whatever it already holds.
+  explicit Writer(std::string* out) : out_(out), start_(out->size()) {}
+
+  Writer& BeginObject();
+  Writer& EndObject();
+  Writer& BeginArray();
+  Writer& EndArray();
+  /// Names the next member of the innermost open object.
+  Writer& Key(std::string_view key);
+  Writer& Null();
+  Writer& Bool(bool b);
+  Writer& Number(double d);
+  Writer& String(std::string_view s);
+
+ private:
+  /// Writes the ',' a value or key needs after a previous sibling.
+  void Separate();
+
+  std::string* out_;
+  size_t start_;  // out_->size() at construction: where this value begins
+  /// The last key of each open object, innermost last (nullopt before
+  /// its first key). Kept only in builds without NDEBUG, for the check.
+  std::vector<std::optional<std::string>> last_keys_;
+};
+
+/// Serialises `value` compactly (no whitespace) through a Writer.
 std::string Dump(const Value& value);
 
 }  // namespace pathrank::serving::json

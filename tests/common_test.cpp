@@ -2,6 +2,8 @@
 // and the annotated CondVar's timed-wait paths.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -156,11 +158,47 @@ TEST(Csv, RoundTripFile) {
     w.WriteRow({"id", "name"});
     w.WriteRow({"1", "with,comma"});
     w.WriteRow({"2", "with \"quote\""});
+    w.Close();
   }
   CsvReader r(path);
   ASSERT_EQ(r.num_rows(), 3u);
   EXPECT_EQ(r.row(1)[1], "with,comma");
   EXPECT_EQ(r.row(2)[1], "with \"quote\"");
+  std::remove(path.c_str());
+}
+
+TEST(Csv, WriterPublishesByRenameOnlyOnClose) {
+  // `serve --watch-graph` polls the file: it must see the old file or the
+  // whole new one. Rows go to `<path>.tmp`, Close() renames that onto
+  // `path` (a new inode, since the temp file coexists with the old one),
+  // and a writer destroyed without Close() publishes nothing.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "pr_csv_rename.csv").string();
+  {
+    CsvWriter w(path);
+    w.WriteRow({"old"});
+    w.Close();
+  }
+  struct stat before {};
+  ASSERT_EQ(::stat(path.c_str(), &before), 0);
+  {
+    CsvWriter w(path);
+    w.WriteRow({"abandoned"});
+    EXPECT_TRUE(std::filesystem::exists(path + ".tmp"));
+  }
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_EQ(CsvReader(path).row(0)[0], "old");
+  {
+    CsvWriter w(path);
+    w.WriteRow({"new"});
+    EXPECT_EQ(CsvReader(path).row(0)[0], "old");  // not yet published
+    w.Close();
+  }
+  struct stat after {};
+  ASSERT_EQ(::stat(path.c_str(), &after), 0);
+  EXPECT_NE(before.st_ino, after.st_ino);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_EQ(CsvReader(path).row(0)[0], "new");
   std::remove(path.c_str());
 }
 

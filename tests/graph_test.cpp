@@ -417,14 +417,19 @@ TEST(GraphIo, VertexIdsMustFollowRowOrder) {
 
 TEST(GraphIo, SaveReportsAFailedWrite) {
   // Every write to /dev/full fails with ENOSPC. A network this small is
-  // written only when the file is closed.
+  // written only when the file is closed; the writer writes `<file>.tmp`
+  // and renames it into place, so the temp name is the one linked.
   if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
   const std::string prefix =
       (std::filesystem::temp_directory_path() / "pr_net_full").string();
   std::filesystem::remove(prefix + "_vertices.csv");
-  std::filesystem::create_symlink("/dev/full", prefix + "_vertices.csv");
+  std::filesystem::remove(prefix + "_vertices.csv.tmp");
+  std::filesystem::create_symlink("/dev/full", prefix + "_vertices.csv.tmp");
   EXPECT_THROW(SaveNetworkCsv(MakeTriangle(), prefix), std::runtime_error);
-  std::filesystem::remove(prefix + "_vertices.csv");
+  // The failed file is not published, and its temp file is gone.
+  EXPECT_FALSE(std::filesystem::exists(prefix + "_vertices.csv"));
+  EXPECT_FALSE(std::filesystem::is_symlink(prefix + "_vertices.csv.tmp"));
+  std::filesystem::remove(prefix + "_vertices.csv.tmp");
   std::filesystem::remove(prefix + "_edges.csv");
 }
 

@@ -16,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <condition_variable>
 #include <future>
 #include <mutex>
@@ -25,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/model.h"
 #include "data/candidate_generation.h"
 #include "graph/network_builder.h"
@@ -1180,7 +1182,11 @@ TEST(Json, DumpParseRoundTripsDoublesBitwise) {
                                      -1.7976931348623157e308,
                                      5e-324,
                                      0.1f + 0.2f,
-                                     42.0};
+                                     42.0,
+                                     1e5,
+                                     1e6,
+                                     9007199254740991.0,
+                                     1e300};
   for (const double d : cases) {
     const auto parsed = json::Parse(json::Dump(json::Value(d)));
     ASSERT_TRUE(parsed);
@@ -1188,6 +1194,20 @@ TEST(Json, DumpParseRoundTripsDoublesBitwise) {
     // operator== treats -0.0 == 0.0; bitwise means the sign survives too.
     EXPECT_EQ(std::signbit(parsed->number_value()), std::signbit(d))
         << json::Dump(json::Value(d));
+  }
+  // Integral values below 2^53 print as integers, never in the exponent
+  // form std::to_chars(double) picks when it is shorter ("1e+05"), so a
+  // client reads ids and counters back as integers.
+  const std::vector<std::pair<double, std::string>> texts = {
+      {1e5, "100000"},
+      {-3e5, "-300000"},
+      {1e6, "1000000"},
+      {9007199254740991.0, "9007199254740991"},  // 2^53 - 1
+      {-0.0, "-0"},
+      {1e300, "1e+300"},
+      {0.5, "0.5"}};
+  for (const auto& [d, text] : texts) {
+    EXPECT_EQ(json::Dump(json::Value(d)), text);
   }
 }
 
@@ -1231,6 +1251,436 @@ TEST(Json, ParsesEscapesAndStructures) {
   EXPECT_TRUE(list[2].bool_value());
   EXPECT_FALSE(list[3].bool_value());
   EXPECT_TRUE(list[4].is_null());
+}
+
+// ---- json::Writer -------------------------------------------------------
+
+/// A random JSON string: control characters, the escaped characters,
+/// ASCII and raw bytes >= 0x80 (Parse passes those through unchanged).
+std::string RandomJsonString(Rng& rng) {
+  static const std::string kSpecial("\"\\/\b\f\n\r\t\x01\x1f\x7f\0", 12);
+  std::string out;
+  const auto length = rng.NextBounded(10);
+  for (uint64_t i = 0; i < length; ++i) {
+    switch (rng.NextBounded(4)) {
+      case 0:
+        out.push_back(kSpecial[rng.NextBounded(kSpecial.size())]);
+        break;
+      case 1:
+        out.push_back(static_cast<char>(0x80 + rng.NextBounded(0x80)));
+        break;
+      default:
+        out.push_back(static_cast<char>(0x20 + rng.NextBounded(0x5F)));
+    }
+  }
+  return out;
+}
+
+double RandomJsonNumber(Rng& rng) {
+  constexpr double kTwoTo53 = 9007199254740992.0;
+  switch (rng.NextBounded(9)) {
+    case 0:
+      return -0.0;
+    case 1: {  // a denormal
+      const uint64_t bits = 1 + rng.NextBounded((uint64_t{1} << 52) - 1);
+      double d = 0;
+      std::memcpy(&d, &bits, sizeof(d));
+      return rng.NextBounded(2) ? -d : d;
+    }
+    case 2:
+      return rng.NextBounded(2) ? 1e300 : -1e300;
+    case 3:  // an integer up to 2^53 either side, the bounds included
+      return static_cast<double>(rng.NextBounded(uint64_t{1} << 53) + 1) *
+             (rng.NextBounded(2) ? 1.0 : -1.0);
+    case 4:  // a uint32 id
+      return static_cast<double>(rng.NextBounded(uint64_t{1} << 32));
+    case 5:  // a power of ten: exponent notation is shorter from 1e5 on
+      return std::pow(10.0, static_cast<double>(rng.NextBounded(23)));
+    case 6:
+      return rng.NextBounded(2) ? kTwoTo53 : kTwoTo53 + 2.0;
+    case 7:
+      return rng.NextDouble();
+    default: {  // any finite bit pattern
+      for (;;) {
+        const uint64_t bits = rng.NextU64();
+        double d = 0;
+        std::memcpy(&d, &bits, sizeof(d));
+        if (std::isfinite(d)) return d;
+      }
+    }
+  }
+}
+
+json::Value RandomJsonValue(Rng& rng, int depth) {
+  switch (rng.NextBounded(depth < 4 ? 6 : 4)) {
+    case 0:
+      return json::Value();
+    case 1:
+      return json::Value(rng.NextBounded(2) == 1);
+    case 2:
+      return json::Value(RandomJsonNumber(rng));
+    case 3:
+      return json::Value(RandomJsonString(rng));
+    case 4: {
+      json::Array array;
+      const auto size = rng.NextBounded(5);
+      for (uint64_t i = 0; i < size; ++i) {
+        array.push_back(RandomJsonValue(rng, depth + 1));
+      }
+      return json::Value(std::move(array));
+    }
+    default: {
+      json::Object object;
+      const auto size = rng.NextBounded(5);
+      for (uint64_t i = 0; i < size; ++i) {
+        object[RandomJsonString(rng)] = RandomJsonValue(rng, depth + 1);
+      }
+      return json::Value(std::move(object));
+    }
+  }
+}
+
+/// The test's own walk of a DOM through the Writer API.
+void WriteThroughWriter(const json::Value& value, json::Writer* writer) {
+  switch (value.type()) {
+    case json::Value::Type::kNull:
+      writer->Null();
+      return;
+    case json::Value::Type::kBool:
+      writer->Bool(value.bool_value());
+      return;
+    case json::Value::Type::kNumber:
+      writer->Number(value.number_value());
+      return;
+    case json::Value::Type::kString:
+      writer->String(value.string_value());
+      return;
+    case json::Value::Type::kArray:
+      writer->BeginArray();
+      for (const auto& element : value.array()) {
+        WriteThroughWriter(element, writer);
+      }
+      writer->EndArray();
+      return;
+    case json::Value::Type::kObject:
+      writer->BeginObject();
+      for (const auto& [key, element] : value.object()) {
+        writer->Key(key);
+        WriteThroughWriter(element, writer);
+      }
+      writer->EndObject();
+      return;
+  }
+}
+
+/// Deep equality with numbers compared bit for bit (-0.0 != 0.0).
+bool BitwiseEqual(const json::Value& a, const json::Value& b) {
+  if (a.type() != b.type()) return false;
+  switch (a.type()) {
+    case json::Value::Type::kNull:
+      return true;
+    case json::Value::Type::kBool:
+      return a.bool_value() == b.bool_value();
+    case json::Value::Type::kNumber: {
+      const double x = a.number_value();
+      const double y = b.number_value();
+      return std::memcmp(&x, &y, sizeof(x)) == 0;
+    }
+    case json::Value::Type::kString:
+      return a.string_value() == b.string_value();
+    case json::Value::Type::kArray: {
+      if (a.array().size() != b.array().size()) return false;
+      for (size_t i = 0; i < a.array().size(); ++i) {
+        if (!BitwiseEqual(a.array()[i], b.array()[i])) return false;
+      }
+      return true;
+    }
+    case json::Value::Type::kObject: {
+      if (a.object().size() != b.object().size()) return false;
+      auto it = b.object().begin();
+      for (const auto& [key, element] : a.object()) {
+        if (key != it->first || !BitwiseEqual(element, it->second)) {
+          return false;
+        }
+        ++it;
+      }
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(JsonWriter, MatchesDumpAndParsesBackBitwise) {
+  Rng rng(20260101);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const json::Value value = RandomJsonValue(rng, 0);
+    std::string written = "prefix";  // the writer appends after it
+    json::Writer writer(&written);
+    WriteThroughWriter(value, &writer);
+    ASSERT_EQ(written.substr(0, 6), "prefix");
+    written.erase(0, 6);
+    const std::string dumped = json::Dump(value);
+    ASSERT_EQ(written, dumped) << "trial " << trial;
+    std::string error;
+    const auto parsed = json::Parse(written, &error);
+    ASSERT_TRUE(parsed) << error << " in " << written;
+    ASSERT_TRUE(BitwiseEqual(*parsed, value)) << written;
+  }
+}
+
+TEST(JsonWriter, PlacesSeparatorsAndEscapes) {
+  std::string out;
+  json::Writer writer(&out);
+  writer.BeginObject()
+      .Key("")
+      .BeginArray()
+      .EndArray()
+      .Key("a")
+      .BeginArray()
+      .Number(1)
+      .BeginObject()
+      .EndObject()
+      .String(":")
+      .Null()
+      .EndArray()
+      .Key("b\x01")
+      .String(std::string("q\"\\\n\0", 5))
+      .EndObject();
+  EXPECT_EQ(out,
+            "{\"\":[],\"a\":[1,{},\":\",null],\"b\\u0001\":\"q\\\"\\\\\\n"
+            "\\u0000\"}");
+}
+
+// ---- Every body the server writes equals Dump of the DOM it used to
+// build. The DOMs below are the pre-Writer server's, kept as the oracle.
+
+template <typename Id>
+json::Value DomIds(const std::vector<Id>& ids) {
+  json::Array array;
+  for (const Id id : ids) array.emplace_back(static_cast<uint64_t>(id));
+  return json::Value(std::move(array));
+}
+
+json::Value DomRoute(const RouteResult& result) {
+  json::Array routes;
+  for (const auto& scored : result.ranked) {
+    json::Object route;
+    route["score"] = json::Value(scored.score);
+    route["cost"] = json::Value(scored.path.cost);
+    route["length_m"] = json::Value(scored.path.length_m);
+    route["time_s"] = json::Value(scored.path.time_s);
+    route["vertices"] = DomIds(scored.path.vertices);
+    route["edges"] = DomIds(scored.path.edges);
+    routes.push_back(json::Value(std::move(route)));
+  }
+  json::Object object;
+  object["algo"] = json::Value(result.algo);
+  object["cache_hit"] = json::Value(result.cache_hit);
+  if (result.degraded) object["degraded"] = json::Value(true);
+  object["graph_epoch"] = json::Value(result.graph_epoch);
+  object["routes"] = json::Value(std::move(routes));
+  return json::Value(std::move(object));
+}
+
+json::Value DomRanking(const std::vector<ScoredPath>& ranking) {
+  json::Array candidates;
+  for (const auto& scored : ranking) {
+    json::Object candidate;
+    candidate["score"] = json::Value(scored.score);
+    candidate["vertices"] = DomIds(scored.path.vertices);
+    candidates.push_back(json::Value(std::move(candidate)));
+  }
+  json::Object object;
+  object["candidates"] = json::Value(std::move(candidates));
+  return json::Value(std::move(object));
+}
+
+json::Value DomError(const std::string& message, const char* slug) {
+  json::Object object;
+  object["error"] = json::Value(message);
+  if (slug != nullptr) object["status"] = json::Value(slug);
+  return json::Value(std::move(object));
+}
+
+json::Value DomStatsz(const HttpServerStats& stats,
+                      const HttpServerOptions& options) {
+  json::Object object;
+  object["connections_accepted"] = json::Value(stats.connections_accepted);
+  object["requests_total"] = json::Value(stats.requests_total);
+  object["shed_total"] = json::Value(stats.shed_total);
+  object["deadline_exceeded_count"] =
+      json::Value(stats.route_planner.deadline_exceeded);
+  object["degraded_count"] = json::Value(stats.route_planner.degraded);
+  object["inflight"] = json::Value(stats.inflight);
+  object["admission_waiting"] = json::Value(stats.admission_waiting);
+  object["max_inflight"] =
+      json::Value(static_cast<uint64_t>(options.max_inflight));
+  object["max_queue_wait_us"] =
+      json::Value(static_cast<int64_t>(options.max_queue_wait_us));
+  object["graph_epoch"] = json::Value(stats.graph_epoch);
+  json::Object planner;
+  planner["cache_hits"] = json::Value(stats.route_planner.cache_hits);
+  planner["cache_misses"] = json::Value(stats.route_planner.cache_misses);
+  planner["invalidations"] = json::Value(stats.route_planner.invalidations);
+  planner["enumerations"] = json::Value(stats.route_planner.enumerations);
+  planner["alt_fallbacks"] = json::Value(stats.route_planner.alt_fallbacks);
+  object["route_planner"] = json::Value(std::move(planner));
+  json::Object preprocessing;
+  preprocessing["enabled"] = json::Value(stats.preprocessing.enabled);
+  preprocessing["landmarks"] =
+      json::Value(static_cast<uint64_t>(stats.preprocessing.landmarks));
+  preprocessing["rebuilds"] = json::Value(stats.preprocessing.rebuilds);
+  preprocessing["rebuild_p50_s"] =
+      json::Value(stats.preprocessing.rebuild_p50_s);
+  preprocessing["rebuild_p99_s"] =
+      json::Value(stats.preprocessing.rebuild_p99_s);
+  preprocessing["epochs_behind"] =
+      json::Value(stats.preprocessing.epochs_behind);
+  object["preprocessing"] = json::Value(std::move(preprocessing));
+  const auto endpoint_json = [](const HttpEndpointStats& endpoint_stats) {
+    json::Object endpoint;
+    endpoint["requests"] = json::Value(endpoint_stats.requests);
+    endpoint["errors"] = json::Value(endpoint_stats.errors);
+    endpoint["latency_mean_s"] = json::Value(endpoint_stats.latency_mean_s);
+    endpoint["latency_p50_s"] = json::Value(endpoint_stats.latency_p50_s);
+    endpoint["latency_p99_s"] = json::Value(endpoint_stats.latency_p99_s);
+    return json::Value(std::move(endpoint));
+  };
+  json::Object endpoints;
+  endpoints["/v1/score"] = endpoint_json(stats.score);
+  endpoints["/v1/route"] = endpoint_json(stats.route);
+  endpoints["/v1/traffic"] = endpoint_json(stats.traffic);
+  object["endpoints"] = json::Value(std::move(endpoints));
+  return json::Value(std::move(object));
+}
+
+ScoredPath MadeUpScoredPath(double score, std::vector<graph::VertexId> vertices,
+                            std::vector<graph::EdgeId> edges) {
+  ScoredPath scored;
+  scored.score = score;
+  scored.path.vertices = std::move(vertices);
+  scored.path.edges = std::move(edges);
+  scored.path.cost = 1234.5678901234567;
+  scored.path.length_m = 100000.0;  // integral: prints as an integer
+  scored.path.time_s = 0.1 + 0.2;
+  return scored;
+}
+
+TEST(HttpBodies, EveryBodyEqualsDumpOfTheDomItReplaced) {
+  constexpr uint64_t kEpoch = uint64_t{1} << 40;
+  RouteResult answer;
+  answer.algo = "alt";
+  answer.degraded = true;
+  answer.graph_epoch = kEpoch;
+  answer.ranked = {MadeUpScoredPath(0.8125, {0, 1, 2}, {0, 5}),
+                   MadeUpScoredPath(-1.0 / 3.0, {0, 3, 4294967294u}, {7, 9}),
+                   MadeUpScoredPath(-0.0, {0}, {})};
+  RouteResult unreachable;
+  unreachable.status = RouteStatus::kUnreachable;
+  unreachable.message = "no path: \"7\" -> \"9\"\n\ttab\x01";
+  const std::vector<ScoredPath> ranking = {
+      MadeUpScoredPath(2.5e-8, {4, 100000}, {}),
+      MadeUpScoredPath(1e300, {}, {})};
+  TrafficResult traffic;
+  traffic.epoch = kEpoch + 1;
+  traffic.cost_updates = 100000;
+  traffic.closures = 1;
+  traffic.reopenings = 2;
+  RoutePlannerStats planner_stats;
+  planner_stats.cache_hits = 1000000;
+  planner_stats.cache_misses = 3;
+  planner_stats.invalidations = 4;
+  planner_stats.enumerations = 5;
+  planner_stats.alt_fallbacks = 6;
+  planner_stats.deadline_exceeded = 7;
+  planner_stats.degraded = 8;
+  PreprocessingStats preprocessing;
+  preprocessing.enabled = true;
+  preprocessing.landmarks = 8;
+  preprocessing.rebuilds = 9;
+  preprocessing.rebuild_p50_s = 0.0123;
+  preprocessing.rebuild_p99_s = 1.5;
+  preprocessing.epochs_behind = 1;
+
+  HttpBackend backend;
+  backend.score = [&ranking](std::vector<routing::Path>) { return ranking; };
+  backend.route = [&](const RouteRequest& request) {
+    return request.source == 1 ? answer : unreachable;
+  };
+  backend.traffic = [&traffic](const std::vector<graph::TrafficUpdate>&) {
+    return traffic;
+  };
+  backend.graph_epoch = [] { return kEpoch; };
+  backend.swap_count = [] { return uint64_t{300000}; };
+  backend.route_planner_stats = [&planner_stats] { return planner_stats; };
+  backend.preprocessing_stats = [&preprocessing] { return preprocessing; };
+  HttpServerOptions options;
+  options.num_threads = 2;
+  options.max_inflight = 1;
+  options.max_queue_wait_us = 250;
+  HttpServer server(backend, options);
+  server.Start();
+  HttpClient client;
+  client.Connect(server.port());
+
+  std::string direct;
+  WriteRouteBody(answer, &direct);
+  EXPECT_EQ(direct, json::Dump(DomRoute(answer)));
+  const auto route = client.Request(
+      "POST", "/v1/route", "{\"source\": 1, \"destination\": 2}");
+  EXPECT_EQ(route.status, 200);
+  EXPECT_EQ(route.body, json::Dump(DomRoute(answer)));
+
+  const auto score =
+      client.Request("POST", "/v1/score", "{\"paths\": [[0, 1]]}");
+  EXPECT_EQ(score.status, 200);
+  EXPECT_EQ(score.body, json::Dump(DomRanking(ranking)));
+
+  const auto with_slug = client.Request(
+      "POST", "/v1/route", "{\"source\": 3, \"destination\": 2}");
+  EXPECT_EQ(with_slug.status, 404);
+  EXPECT_EQ(with_slug.body,
+            json::Dump(DomError(unreachable.message,
+                                RouteStatusSlug(RouteStatus::kUnreachable))));
+  const auto without_slug = client.Request("GET", "/v1/score");
+  EXPECT_EQ(without_slug.status, 405);
+  EXPECT_EQ(without_slug.body, json::Dump(DomError("use POST", nullptr)));
+
+  const auto traffic_body =
+      client.Request("POST", "/v1/traffic",
+                     "{\"updates\": [{\"edge\": 0, \"closed\": true}]}");
+  EXPECT_EQ(traffic_body.status, 200);
+  json::Object traffic_dom;
+  traffic_dom["epoch"] = json::Value(traffic.epoch);
+  traffic_dom["cost_updates"] =
+      json::Value(static_cast<uint64_t>(traffic.cost_updates));
+  traffic_dom["closures"] =
+      json::Value(static_cast<uint64_t>(traffic.closures));
+  traffic_dom["reopenings"] =
+      json::Value(static_cast<uint64_t>(traffic.reopenings));
+  EXPECT_EQ(traffic_body.body,
+            json::Dump(json::Value(std::move(traffic_dom))));
+
+  const auto health = client.Request("GET", "/healthz");
+  EXPECT_EQ(health.status, 200);
+  json::Object health_dom;
+  health_dom["status"] = json::Value("ok");
+  health_dom["swap_count"] = json::Value(uint64_t{300000});
+  health_dom["graph_epoch"] = json::Value(kEpoch);
+  health_dom["inflight"] = json::Value(uint64_t{0});
+  health_dom["max_inflight"] =
+      json::Value(static_cast<uint64_t>(options.max_inflight));
+  EXPECT_EQ(health.body, json::Dump(json::Value(std::move(health_dom))));
+
+  // One synchronous client: every counter /statsz read has settled by
+  // the time its response arrives (endpoint latencies are recorded
+  // before a response is written), so stats() now reads the same values.
+  const auto statsz = client.Request("GET", "/statsz");
+  EXPECT_EQ(statsz.status, 200);
+  EXPECT_EQ(statsz.body,
+            json::Dump(DomStatsz(server.stats(), server.options())));
+  EXPECT_NE(statsz.body.find("\"cache_hits\":1000000,"), std::string::npos)
+      << statsz.body;
 }
 
 }  // namespace

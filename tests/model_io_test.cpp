@@ -2,6 +2,8 @@
 // rejection of corrupt checkpoints, and multi-task model behaviour.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -36,13 +38,47 @@ PathRankConfig SmallConfig() {
 
 TEST(ModelIo, SaveReportsAFailedWrite) {
   // Every write to /dev/full fails with ENOSPC. A checkpoint this small
-  // is written only when the file is closed.
+  // is written only when the file is closed. SaveModel writes
+  // `<path>.tmp` and renames it onto `path`, so the temp name is linked.
   if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
   PathRankConfig cfg;
   cfg.embedding_dim = 2;
   cfg.hidden_size = 2;
   const PathRankModel model(4, cfg);
-  EXPECT_THROW(SaveModel(model, "/dev/full"), std::runtime_error);
+  const std::string path = TempPath("pr_model_full.bin");
+  std::filesystem::remove(path);
+  std::filesystem::remove(path + ".tmp");
+  std::filesystem::create_symlink("/dev/full", path + ".tmp");
+  EXPECT_THROW(SaveModel(model, path), std::runtime_error);
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_FALSE(std::filesystem::is_symlink(path + ".tmp"));
+  std::filesystem::remove(path + ".tmp");
+}
+
+TEST(ModelIo, SaveReplacesAnExistingCheckpointByRename) {
+  // A watcher polling the checkpoint (`serve --watch-model`) must see the
+  // old file or the whole new one: SaveModel renames a complete temp file
+  // into place instead of rewriting the file under the watcher. The temp
+  // file is created while the old one still exists, so a rename shows as
+  // a new inode at `path`.
+  const std::string path = TempPath("pr_model_rename.bin");
+  SaveModel(PathRankModel(16, SmallConfig()), path);
+  struct stat before {};
+  ASSERT_EQ(::stat(path.c_str(), &before), 0);
+  PathRankConfig cfg = SmallConfig();
+  cfg.seed = 4;
+  PathRankModel second(16, cfg);
+  SaveModel(second, path);
+  struct stat after {};
+  ASSERT_EQ(::stat(path.c_str(), &after), 0);
+  EXPECT_NE(before.st_ino, after.st_ino);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  const auto batch = ToyBatch();
+  const auto expected = second.ForwardFull(batch).scores;
+  const auto got = LoadModel(path)->ForwardFull(batch).scores;
+  ASSERT_EQ(got.size(), expected.size());
+  for (size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], expected[i]);
+  std::remove(path.c_str());
 }
 
 TEST(ModelIo, RoundTripReproducesScores) {

@@ -41,14 +41,21 @@ TEST(TripIo, RoundTripPreservesPaths) {
 
 TEST(TripIo, SaveReportsAFailedWrite) {
   // Every write to /dev/full fails with ENOSPC; a corpus this small is
-  // written only when the file is closed.
+  // written only when the file is closed. SaveTrips writes `<path>.tmp`
+  // and renames it onto `path`, so the temp name is the one linked.
   if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
   const auto net = BuildTestNetwork(3);
   TrajectoryGeneratorConfig cfg;
   cfg.num_drivers = 1;
   cfg.num_trips = 2;
   const auto trips = TrajectoryGenerator(net, cfg).Generate();
-  EXPECT_THROW(SaveTrips(trips, "/dev/full"), std::runtime_error);
+  const std::string path = TempPath("pr_trips_full.csv");
+  std::filesystem::remove(path);
+  std::filesystem::remove(path + ".tmp");
+  std::filesystem::create_symlink("/dev/full", path + ".tmp");
+  EXPECT_THROW(SaveTrips(trips, path), std::runtime_error);
+  EXPECT_FALSE(std::filesystem::exists(path));
+  std::filesystem::remove(path + ".tmp");
 }
 
 TEST(TripIo, RejectsDisconnectedSequence) {

@@ -21,7 +21,7 @@
 #                   and containers only.
 #   locked-sleep    std::this_thread::sleep_for while a lock guard is in
 #                   scope. Sleeping under a mutex turns a pause into a
-#                   pile-up; injected fault delays must run unlocked.
+#                   pile-up.
 #   raw-sync        std::mutex / lock_guard / unique_lock / scoped_lock /
 #                   shared_lock / condition_variable in src/ outside
 #                   common/thread_annotations.h (their one home). Locking

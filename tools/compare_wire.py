@@ -12,6 +12,11 @@ seeded script over one keep-alive connection:
   - /v1/traffic batches (cost changes, closures, reopenings) between the
     route rounds, each followed by more routes;
   - the error taxonomy: unknown vertex, same vertex, bad JSON, bad k;
+  - every other error body the server writes: a 405 for a wrong method
+    on each endpoint, a 404 for an unknown endpoint, /v1/score and
+    /v1/traffic validation errors, a 413 for a body over 1 MiB (the
+    server then closes the connection, and the script reconnects) and a
+    400 for a malformed request head (sent raw, on its own connection);
   - /healthz, and /statsz with its latency fields (keys ending in `_s`)
     removed.
 
@@ -47,6 +52,7 @@ ROWS = 10
 COLS = 10
 ROUTES_PER_ROUND = 30
 ROUNDS = 3
+MAX_BODY_BYTES = 1 << 20  # the server's default body limit
 
 
 def die(message):
@@ -134,6 +140,28 @@ def make_script(seed, num_edges):
         post("/v1/score", {"paths": [[0, n + 1]]}),
         post("/v1/traffic", {"updates": [{"edge": num_edges + 3,
                                           "closed": True}]}),
+        ("GET", "/v1/route", None),
+        ("GET", "/v1/score", None),
+        ("GET", "/v1/traffic", None),
+        ("POST", "/healthz", "{}"),
+        ("POST", "/statsz", "{}"),
+        ("GET", "/v1/nope", None),
+        post("/v1/score", {}),
+        post("/v1/score", {"paths": 3}),
+        post("/v1/score", {"paths": [[]]}),
+        post("/v1/score", {"paths": [[0, -1]]}),
+        post("/v1/score", {"paths": [[0, 1.5]]}),
+        ("POST", "/v1/traffic", "{not json"),
+        post("/v1/traffic", {}),
+        post("/v1/traffic", {"updates": [7]}),
+        post("/v1/traffic", {"updates": [{"closed": True}]}),
+        post("/v1/traffic", {"updates": [{"edge": -1, "closed": True}]}),
+        post("/v1/traffic", {"updates": [{"edge": 0, "travel_time_s": "x"}]}),
+        post("/v1/traffic", {"updates": [{"edge": 0, "closed": "yes"}]}),
+        post("/v1/traffic", {"updates": [{"edge": 0, "travel_time_s": 0}]}),
+        post("/v1/traffic", {"updates": [{"edge": 0}]}),
+        ("POST", "/v1/traffic", "x" * (MAX_BODY_BYTES + 1)),
+        ("RAW", "malformed head", b"BOGUS\r\n\r\n"),
         ("GET", "/healthz", None),
         ("GET", "/statsz", None),
     ]
@@ -151,6 +179,22 @@ def request(conn, method, path, body):
                  headers={"Content-Type": "application/json"})
     response = conn.getresponse()
     return response.status, response.read()
+
+
+def raw_request(port, data):
+    """Sends `data` on a new connection and reads the answer until the
+    server closes it; returns (status, body)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=60.0) as s:
+        s.sendall(data)
+        s.shutdown(socket.SHUT_WR)
+        raw = b""
+        while True:
+            chunk = s.recv(4096)
+            if not chunk:
+                break
+            raw += chunk
+    head, _, body = raw.partition(b"\r\n\r\n")
+    return int(head.split(b" ")[1]), body
 
 
 def connect(proc, port, timeout_s=60.0):
@@ -215,9 +259,13 @@ def serve_script(cli, work, engine, script, ignore):
                     time.sleep(0.005)
                 continue
             method, path, body = item
+            if method == "RAW":
+                status, raw = raw_request(port, body)
+                answers.append(("RAW " + path, status, raw))
+                continue
             status, raw = request(conn, method, path, body)
             obj = None
-            if path == "/statsz":
+            if path == "/statsz" and status == 200:
                 obj = json.loads(raw)
                 strip_latency(obj)
                 obj["requests_total"] -= polls
@@ -230,8 +278,8 @@ def serve_script(cli, work, engine, script, ignore):
                     obj = candidate
             if obj is not None:
                 raw = json.dumps(obj, sort_keys=True).encode()
-            answers.append(("%s %s %s" % (method, path, body or ""), status,
-                            raw))
+            answers.append(("%s %s %s" % (method, path, (body or "")[:200]),
+                            status, raw))
         conn.close()
     finally:
         proc.send_signal(signal.SIGTERM)
